@@ -13,6 +13,7 @@ import pytest
 from repro.core.bloom import BloomFilter, stable_hash
 from repro.core.counters import DedicatedSenderCounters
 from repro.core.hashtree import HashTree, HashTreeParams, TreeCounters
+from repro.core.protocol import payload_checksum, verify_payload
 from repro.simulator import fastpath
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
@@ -89,6 +90,37 @@ def test_dedicated_counter_tagging(benchmark):
             pkt.clear_tag()
             hits += strategy.process_packet(pkt, 1)
         return hits
+
+    assert benchmark(run) == 1000
+
+
+def _tree_report_snapshot() -> dict:
+    counters = TreeCounters(PARAMS)
+    counters.activate_node((3,))
+    counters.activate_node((3, 7))
+    for i in range(1000):
+        counters.increment_path((3, 7, i % 190))
+    return counters.snapshot()
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"snapshot": list(range(64))},
+    {"snapshot": _tree_report_snapshot()},
+], ids=["start", "dedicated-report-64", "tree-report-3-nodes"])
+def test_control_payload_sign_and_verify(benchmark, extra):
+    """The control-plane counterpart of the counter rows above: what one
+    message costs to checksum at the sender and re-check at the receiver
+    (1000 messages per round, so per-op cost = round time / 1000)."""
+    body = {"fsm": "s1->s2/dedicated", "session": 1234, **extra}
+
+    def run():
+        ok = 0
+        for _ in range(1000):
+            payload = dict(body)
+            payload["csum"] = payload_checksum(payload)
+            ok += verify_payload(payload)
+        return ok
 
     assert benchmark(run) == 1000
 

@@ -33,7 +33,8 @@ truth for §5.3's control-overhead accounting, see
 from __future__ import annotations
 
 import enum
-import hashlib
+import marshal
+import zlib
 
 from collections.abc import Callable
 from typing import Any, Protocol
@@ -78,29 +79,25 @@ DEFAULT_TWAIT = 0.001
 DEFAULT_BACKOFF_CAP = 8
 
 
-def _canon(value: Any) -> str:
-    """Canonical text form of a payload value for checksum hashing.
+def _encode_refused(payload: dict[str, Any]) -> bytes:
+    """Encoding of a payload :func:`payload_checksum`'s encoder refuses.
 
-    Handles the container shapes snapshots actually use — dicts (possibly
-    with tuple keys, e.g. tree hash paths), lists/tuples, ``array``
-    instances — recursively and deterministically; scalars via ``repr``.
+    Only hand-crafted payloads get here (unsortable mixed-type keys,
+    arbitrary objects, container subclasses, nesting past marshal's depth
+    limit).  Same canonical order — top level and dict-valued fields by
+    key — over ``repr`` text, which is total: deterministic, never raises.
     """
-    if isinstance(value, dict):
-        inner = ",".join(
-            f"{k}:{v}"
-            for k, v in sorted((_canon(k), _canon(v)) for k, v in value.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(value, str | bytes | int | float | bool) or value is None:
+    def text(value: Any) -> str:
+        if type(value) is dict:
+            return "{" + ",".join(sorted(f"{k!r}:{v!r}" for k, v in value.items())) + "}"
         return repr(value)
-    try:
-        return "[" + ",".join(_canon(v) for v in value) + "]"
-    except TypeError:
-        return repr(value)
+
+    fields = sorted((repr(k), text(v)) for k, v in payload.items() if k != "csum")
+    return repr(fields).encode("utf-8", "backslashreplace")
 
 
 def payload_checksum(payload: dict[str, Any]) -> int:
-    """Deterministic 32-bit checksum of a control payload.
+    """CRC-32 of a control payload's canonical binary encoding.
 
     Stands in for the CRC a hardware implementation would carry in the
     FANcY header (§5.3): §4.1 assumes a hostile channel, and Table 1
@@ -108,9 +105,23 @@ def payload_checksum(payload: dict[str, Any]) -> int:
     messages must be able to *detect* in-flight payload corruption rather
     than act on garbage.  The ``"csum"`` key itself is excluded, so the
     checksum can be stored in the payload it covers.
+
+    A function of the payload's *value*: the top level and every
+    dict-valued field (the tree snapshot, keyed by hash path) are rebuilt
+    in sorted key order and one ``marshal.dumps`` call encodes the lot —
+    Python-level work per dict, not per counter cell.  Marshal version 2
+    writes no object references or interning flags, so nothing but the
+    values reaches the CRC; a counter cell below 2**31 is one fixed-width
+    field, so CRC-32 *guarantees* detection of any single-cell change (a
+    burst of at most 32 bits).  docs/ROBUSTNESS.md §2 has the details.
     """
-    data = _canon({k: v for k, v in payload.items() if k != "csum"})
-    return int.from_bytes(hashlib.sha256(data.encode("utf-8")).digest()[:4], "big")
+    try:
+        data = marshal.dumps(
+            {k: dict(sorted(v.items())) if type(v) is dict else v
+             for k, v in sorted(payload.items()) if k != "csum"}, 2)
+    except (TypeError, ValueError):
+        data = _encode_refused(payload)
+    return zlib.crc32(data)
 
 
 def verify_payload(payload: dict[str, Any]) -> bool:
@@ -221,32 +232,72 @@ class ReceiverStrategy(Protocol):
 ControlSender = Callable[[PacketKind, "dict[str, Any]", int], None]
 
 
-def _count_control(telemetry: Any, fsm_id: str, role: str, kind: PacketKind,
-                   size: int, retransmit: bool = False) -> None:
-    """Account one outgoing control message in the metrics registry.
+class _ControlCounters:
+    """One FSM's control-plane counters, each bound on first use.
 
-    This is the canonical §5.3 control-overhead accounting — the
-    ``fancy_control_bytes_total`` family replaces the per-FSM ad-hoc
-    integer counters the experiment modules used to re-derive overhead
-    from (see :func:`repro.experiments.metrics.control_overhead`).
+    Resolving ``counter(name, help, **labels)`` sorts and hashes the
+    label set — per control message that cost more than the message, so
+    handles are kept.  They are bound *lazily*, never at construction: a
+    series exists only once its event has happened, so a clean run exports
+    no zero-valued retransmission or rejection sample and the Prometheus
+    text is byte-for-byte what per-message resolution produced.
+
+    ``fancy_control_messages_total`` / ``fancy_control_bytes_total`` are
+    the canonical §5.3 control-overhead accounting (see
+    :func:`repro.experiments.metrics.control_overhead`).
     """
-    metrics = telemetry.metrics
-    metrics.counter(
-        "fancy_control_messages_total",
-        "FANcY control messages sent, by FSM, role and message kind",
-        fsm=fsm_id, role=role, kind=kind.value,
-    ).inc()
-    metrics.counter(
-        "fancy_control_bytes_total",
-        "FANcY control bytes sent on the wire, by FSM and role",
-        fsm=fsm_id, role=role,
-    ).inc(size)
-    if retransmit:
-        metrics.counter(
-            "fancy_retransmissions_total",
-            "Control messages retransmitted after an RTX timeout",
-            fsm=fsm_id,
-        ).inc()
+
+    def __init__(self, metrics: Any, fsm_id: str, role: str) -> None:
+        self._metrics = metrics
+        self._fsm_id = fsm_id
+        self._role = role
+        self._sent: dict[PacketKind, tuple[Any, Any]] = {}
+        self._rejected: dict[str, Any] = {}
+        self._retransmissions: Any = None
+        self._sessions_completed: Any = None
+
+    def count_control(self, kind: PacketKind, size: int,
+                      retransmit: bool = False) -> None:
+        """Account one outgoing control message."""
+        sent = self._sent.get(kind)
+        if sent is None:
+            sent = self._sent[kind] = (
+                self._metrics.counter(
+                    "fancy_control_messages_total",
+                    "FANcY control messages sent, by FSM, role and message kind",
+                    fsm=self._fsm_id, role=self._role, kind=kind.value),
+                self._metrics.counter(
+                    "fancy_control_bytes_total",
+                    "FANcY control bytes sent on the wire, by FSM and role",
+                    fsm=self._fsm_id, role=self._role))
+        sent[0].inc()
+        sent[1].inc(size)
+        if retransmit:
+            counter = self._retransmissions
+            if counter is None:
+                counter = self._retransmissions = self._metrics.counter(
+                    "fancy_retransmissions_total",
+                    "Control messages retransmitted after an RTX timeout",
+                    fsm=self._fsm_id)
+            counter.inc()
+
+    def count_rejected(self, reason: str) -> None:
+        counter = self._rejected.get(reason)
+        if counter is None:
+            counter = self._rejected[reason] = self._metrics.counter(
+                "fancy_rejected_messages_total",
+                "Control messages rejected by FSM hardening checks",
+                fsm=self._fsm_id, role=self._role, reason=reason)
+        counter.inc()
+
+    def count_session_completed(self) -> None:
+        counter = self._sessions_completed
+        if counter is None:
+            counter = self._sessions_completed = self._metrics.counter(
+                "fancy_sessions_completed_total",
+                "Counting sessions completed (Report received)",
+                fsm=self._fsm_id)
+        counter.inc()
 
 
 class FancySender:
@@ -290,6 +341,8 @@ class FancySender:
         #: this in real experiments.
         self.accept_stale_responses = accept_stale_responses
         self._timeline = telemetry.timeline if telemetry is not None else None
+        self._counters = (_ControlCounters(telemetry.metrics, fsm_id, "sender")
+                          if telemetry is not None else None)
         #: Trace collector of the telemetry fork; spans are only recorded
         #: while a detection episode is open (TraceCollector.active), so
         #: healthy steady state pays one attribute check per event.
@@ -454,9 +507,9 @@ class FancySender:
         payload: dict[str, Any] = {"fsm": self.fsm_id, "session": self.session_id}
         payload.update(extra)
         payload["csum"] = payload_checksum(payload)
-        if self.telemetry is not None:
-            _count_control(self.telemetry, self.fsm_id, "sender", kind, size,
-                           retransmit=self.attempts > 1)
+        if self._counters is not None:
+            self._counters.count_control(kind, size,
+                                         retransmit=self.attempts > 1)
         if self._traces is not None and self._traces.active:
             self._traces.emit(
                 kind.value, self.sim.now, category="control",
@@ -534,11 +587,8 @@ class FancySender:
     # -- events ---------------------------------------------------------------
 
     def _count_rejected(self, reason: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_rejected_messages_total",
-                "Control messages rejected by FSM hardening checks",
-                fsm=self.fsm_id, role="sender", reason=reason).inc()
+        if self._counters is not None:
+            self._counters.count_rejected(reason)
 
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
         """Handle a control message addressed to this FSM.
@@ -551,9 +601,13 @@ class FancySender:
         latency — but re-requests go through ``_send_start``/``_send_stop``
         and therefore consume attempts: persistent corruption exhausts
         ``max_attempts`` and is declared a link failure, never an infinite
-        re-request loop.
+        re-request loop.  A session id that is not an ``int`` is corrupt
+        whether or not a checksum says so: comparing it must never crash
+        the FSM on garbage (the :func:`~repro.core.counters.
+        coerce_remote_snapshot` contract).
         """
-        if not verify_payload(payload):
+        session = payload.get("session", -1)
+        if type(session) is not int or not verify_payload(payload):
             self.rejected_corrupt += 1
             self._count_rejected("corrupt")
             self._signal("corrupt")
@@ -562,7 +616,7 @@ class FancySender:
             elif self.state is SenderState.WAIT_REPORT:
                 self._send_stop()
             return
-        if payload.get("session") != self.session_id:
+        if session != self.session_id:
             # Stale response from an earlier session (e.g. a reordered
             # Report displaced past the session that produced it).
             self.rejected_stale += 1
@@ -585,11 +639,8 @@ class FancySender:
             if self._timeline is not None:
                 self._timeline.record(self.sim.now, self.fsm_id, "session_close",
                                       fsm=self.fsm_id, session=self.session_id)
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter(
-                    "fancy_sessions_completed_total",
-                    "Counting sessions completed (Report received)",
-                    fsm=self.fsm_id).inc()
+            if self._counters is not None:
+                self._counters.count_session_completed()
             # "recovered" fires between the verified-Report bookkeeping and
             # the next session's open: supervision hooks (ladder reset,
             # deferred entry swaps) run against a closed, verified window.
@@ -643,6 +694,8 @@ class FancyReceiver:
         self.report_size_bytes = report_size_bytes
         self.telemetry = telemetry
         self._timeline = telemetry.timeline if telemetry is not None else None
+        self._counters = (_ControlCounters(telemetry.metrics, fsm_id, "receiver")
+                          if telemetry is not None else None)
         self._traces = (getattr(telemetry, "traces", None)
                         if telemetry is not None else None)
 
@@ -671,20 +724,18 @@ class FancyReceiver:
                     session=self.session_id)
 
     def _count_rejected(self, reason: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_rejected_messages_total",
-                "Control messages rejected by FSM hardening checks",
-                fsm=self.fsm_id, role="receiver", reason=reason).inc()
+        if self._counters is not None:
+            self._counters.count_rejected(reason)
 
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
-        if not verify_payload(payload):
-            # Corrupted Start/Stop: drop silently — the sender's RTX timer
-            # retransmits, bounded by its max_attempts.
+        session = payload.get("session", -1)
+        if type(session) is not int or not verify_payload(payload):
+            # Corrupted Start/Stop (a non-int session id is garbage with
+            # or without a checksum): drop silently — the sender's RTX
+            # timer retransmits, bounded by its max_attempts.
             self.rejected_corrupt += 1
             self._count_rejected("corrupt")
             return
-        session = payload.get("session", -1)
         if session < self.session_id:
             # Stale duplicate from an earlier session (reordered or
             # duplicated Start/Stop): never regress the session id.
@@ -737,8 +788,8 @@ class FancyReceiver:
         if extra:
             payload.update(extra)
         payload["csum"] = payload_checksum(payload)
-        if self.telemetry is not None:
-            _count_control(self.telemetry, self.fsm_id, "receiver", kind, size)
+        if self._counters is not None:
+            self._counters.count_control(kind, size)
         if self._traces is not None and self._traces.active:
             self._traces.emit(
                 kind.value, self.sim.now, category="control",

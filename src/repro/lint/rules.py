@@ -33,11 +33,11 @@ FCY008    graph adjacency / neighbor state held in an unordered set —
           all follow neighbor iteration order, so topology state must be
           insertion-ordered (list, or dict-as-ordered-set), never a
           ``set``.
-FCY009    telemetry instruments created inside per-packet / per-event
-          hot paths — ``registry.counter()`` et al. hash the label set
-          and hit a dict on every call, so the factory belongs at bind
-          time; only ``.inc()``/``.set()``/``.observe()`` may run per
-          packet.
+FCY009    telemetry instruments created inside per-packet / per-event /
+          per-control-message hot paths — ``registry.counter()`` et al.
+          hash the label set and hit a dict on every call, so the
+          factory belongs at bind time or behind a first-use memo; only
+          ``.inc()``/``.set()``/``.observe()`` may run per packet.
 FCY010    per-packet granularity inside the fluid traffic model
           (``Packet`` construction, per-packet RNG draws in loops) — the
           fluid tier is a fast path only while it stays bulk — and
@@ -725,6 +725,11 @@ _HOT_PATH_NAME_MARKERS = (
 )
 #: parameter names that mark a function as packet/event-driven.
 _HOT_PATH_PARAM_NAMES = frozenset({"packet", "event"})
+#: exact function names (leading underscores stripped) of the protocol
+#: FSMs' per-control-message handlers: four messages per session per FSM.
+_PER_MESSAGE_HANDLERS = frozenset({
+    "on_control", "emit", "send", "count_control", "count_rejected",
+})
 #: registry methods that *create or look up* an instrument (label
 #: hashing + dict lookup per call — cheap once, not per packet).
 _INSTRUMENT_FACTORIES = frozenset({"counter", "gauge", "histogram"})
@@ -738,9 +743,46 @@ def _is_hot_path_function(node: ast.AST) -> bool:
     lowered = node.name.lower()
     if any(marker in lowered for marker in _HOT_PATH_NAME_MARKERS):
         return True
+    if lowered.lstrip("_") in _PER_MESSAGE_HANDLERS:
+        return True
     args = node.args
     params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     return any(p in _HOT_PATH_PARAM_NAMES for p in params)
+
+
+def _memoised_factory_calls(func: ast.AST) -> set[ast.Call]:
+    """Factory calls that run once per label, not once per call.
+
+    The lazily memoised shape — the hot path probes a memo and only a
+    miss reaches the registry::
+
+        counter = self._rejected.get(reason)
+        if counter is None:
+            counter = self._rejected[reason] = metrics.counter(...)
+        counter.inc()
+
+    i.e. a call assigned, inside ``if <name> is None:``, to that name.
+    """
+    memoised: set[ast.Call] = set()
+    for node in ast.walk(func):
+        if not (
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name)
+            and len(node.test.ops) == 1
+            and isinstance(node.test.ops[0], ast.Is)
+            and isinstance(node.test.comparators[0], ast.Constant)
+            and node.test.comparators[0].value is None
+        ):
+            continue
+        memo = node.test.left.id
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == memo for t in stmt.targets
+            ):
+                memoised.update(
+                    n for n in ast.walk(stmt.value) if isinstance(n, ast.Call))
+    return memoised
 
 
 class HotPathInstrumentRule(Rule):
@@ -749,18 +791,20 @@ class HotPathInstrumentRule(Rule):
     summary = (
         "telemetry instrument created inside a per-packet/per-event hot "
         "path; registry.counter()/gauge()/histogram() hash the label set "
-        "on every call — resolve the instrument once at bind time and "
-        "keep only .inc()/.set()/.observe() on the hot path"
+        "on every call — resolve the instrument once (at bind time, or "
+        "memoised on first use behind an `is None` probe) and keep only "
+        ".inc()/.set()/.observe() on the hot path"
     )
-    scope = ("obs/", "fabric/", "simulator/")
+    scope = ("obs/", "fabric/", "simulator/", "core/")
 
     def check(self, tree: ast.AST, ctx: FileContext) -> list[Diagnostic]:
         found: list[Diagnostic] = []
         for func in ast.walk(tree):
             if not _is_hot_path_function(func):
                 continue
+            memoised = _memoised_factory_calls(func)
             for node in ast.walk(func):  # type: ignore[arg-type]
-                if not isinstance(node, ast.Call):
+                if not isinstance(node, ast.Call) or node in memoised:
                     continue
                 call = node.func
                 if (

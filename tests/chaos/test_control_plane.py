@@ -20,7 +20,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.failures import ControlPlaneFailure
 from repro.simulator.topology import PORT_TO_PEER, TwoSwitchTopology
 from repro.simulator.udp import UdpSource
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, to_prometheus
 
 ENTRIES = ["hp/0", "hp/1"]
 
@@ -98,6 +98,26 @@ class TestLossyControlChannel:
             assert expected > 0  # the scenario must actually retransmit
             assert telemetry.metrics.value(
                 "fancy_retransmissions_total", fsm=fsm_id) == expected
+
+
+class TestCleanChannel:
+    def test_clean_run_mints_no_impairment_series(self):
+        """Control counters are bound on first use, never ahead of it: a
+        run without retransmissions or rejections exports no such sample
+        at all — in particular no zero-valued one."""
+        telemetry = Telemetry()
+        sim, topo, monitor = build(telemetry=telemetry)
+        monitor.start()
+        sim.run(until=2.0)
+        assert monitor.dedicated_sender.sessions_completed >= 5
+        text = to_prometheus(telemetry.metrics)
+        assert "fancy_control_messages_total{" in text
+        assert "fancy_sessions_completed_total{" in text
+        assert "fancy_retransmissions_total" not in text
+        assert "fancy_rejected_messages_total" not in text
+        zero_valued = [line for line in text.splitlines()
+                       if line.startswith("fancy_") and line.endswith(" 0")]
+        assert zero_valued == []
 
 
 class TestDeadReverseChannel:

@@ -56,6 +56,40 @@ class TestSoakPasses:
             == result.schedule
 
 
+#: Per-FSM ``(rejected_corrupt, rejected_stale)`` totals, recorded while
+#: ``payload_checksum`` was a truncated SHA-256 over text and re-asserted
+#: across its replacement by CRC-32 over a binary encoding: changing how
+#: the check is computed may change no verdict.  FSMs that rejected
+#: nothing are left out.  Seed 6 is the one with receiver-side corruption.
+PINNED_REJECTIONS = {
+    0: {"dedicated_sender": (5, 0), "tree_sender": (4, 0)},
+    1: {},
+    2: {"tree_sender": (0, 1)},
+    6: {"dedicated_sender": (0, 15), "tree_sender": (0, 3),
+        "dedicated_receiver": (23, 0), "tree_receiver": (14, 0)},
+    "stale-session": {"dedicated_sender": (0, 267), "tree_sender": (0, 128)},
+    "control-plane-grey": {},
+}
+
+
+class TestRejectionTotalsPinned:
+    @pytest.mark.parametrize("scenario", PINNED_REJECTIONS, ids=str)
+    def test_rejections_unchanged_by_the_checksum_swap(self, scenario):
+        if isinstance(scenario, int):
+            result = run_soak(dataclasses.replace(QUICK, seed=scenario))
+        else:
+            result = run_soak(*regression_scenario(scenario, QUICK))
+        rejected = {
+            fsm: (counts["corrupt"], counts["stale"])
+            for fsm, counts in result.stats["rejected"].items()
+            if counts["corrupt"] or counts["stale"]
+        }
+        assert rejected == PINNED_REJECTIONS[scenario]
+        # every corruption the chaos models delivered was caught (I6)
+        assert sum(c for c, _ in rejected.values()) == sum(
+            m["corrupted_control"] for m in result.stats["chaos"].values())
+
+
 class TestRegressionFixture:
     def test_known_fixture_registered(self):
         assert "stale-session" in REGRESSIONS

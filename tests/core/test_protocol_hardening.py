@@ -3,7 +3,8 @@
 The base FSM transitions are covered by ``test_protocol.py``; this module
 exercises the hostile-channel defenses added for the chaos subsystem:
 
-* payload checksums (``payload_checksum`` / ``verify_payload``) and the
+* payload checksums (``payload_checksum`` / ``verify_payload``: CRC-32
+  over a canonical binary encoding, property-tested below) and the
   bounded re-request path for corrupted responses;
 * capped exponential backoff on the retransmission timer;
 * stale-session rejection and duplicate idempotence on both FSMs;
@@ -13,8 +14,12 @@ exercises the hostile-channel defenses added for the chaos subsystem:
 
 from __future__ import annotations
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.chaos.perturbations import CorruptField
 from repro.core.counters import coerce_remote_snapshot
 from repro.core.protocol import (
     FancyReceiver,
@@ -24,7 +29,8 @@ from repro.core.protocol import (
     payload_checksum,
     verify_payload,
 )
-from repro.simulator.packet import PacketKind
+from repro.simulator.packet import MIN_FRAME_BYTES, Packet, PacketKind
+from repro.telemetry import Telemetry
 
 
 class RecordingStrategy:
@@ -138,6 +144,124 @@ class TestPayloadChecksum:
         assert verify_payload({"fsm": "d/1", "session": 3})
 
 
+#: Counter cells as the wire carries them: one fixed-width field each.
+CELLS = st.integers(min_value=0, max_value=2**31 - 1)
+LIST_SNAPSHOTS = st.lists(CELLS, min_size=1, max_size=64)
+NODE_PATHS = st.lists(st.integers(0, 7), max_size=3).map(tuple)
+TREE_SNAPSHOTS = st.dictionaries(NODE_PATHS, st.lists(CELLS, min_size=1, max_size=16),
+                                 min_size=1, max_size=5)
+
+
+def report(snapshot, session=7):
+    return {"fsm": "s1->s2/tree", "session": session, "snapshot": snapshot}
+
+
+def reversed_dict(d):
+    return dict(reversed(list(d.items())))
+
+
+class Opaque:
+    """An object no encoder knows: only ``repr`` covers it."""
+
+
+class TestChecksumProperties:
+    """CRC-32 over one canonical encoding: what it guarantees, asserted."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(TREE_SNAPSHOTS, st.integers(0, 2**31 - 1))
+    def test_insertion_order_never_matters(self, tree, session):
+        payload = report(tree, session)
+        shuffled = reversed_dict(report(reversed_dict(tree), session))
+        assert list(shuffled) != list(payload)
+        assert payload_checksum(shuffled) == payload_checksum(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LIST_SNAPSHOTS, st.data())
+    def test_any_single_cell_change_in_a_list_snapshot_is_detected(
+            self, cells, data):
+        idx = data.draw(st.integers(0, len(cells) - 1))
+        other = data.draw(CELLS.filter(lambda v: v != cells[idx]))
+        changed = cells[:idx] + [other] + cells[idx + 1:]
+        # a cell is one 32-bit field, so any change is a burst <= 32 bits:
+        # always detected, not merely with probability 1 - 2**-32
+        assert payload_checksum(report(changed)) != payload_checksum(report(cells))
+
+    @settings(max_examples=100, deadline=None)
+    @given(TREE_SNAPSHOTS, st.data())
+    def test_any_single_bit_flip_in_a_tree_snapshot_is_detected(
+            self, tree, data):
+        path = data.draw(st.sampled_from(sorted(tree)))
+        idx = data.draw(st.integers(0, len(tree[path]) - 1))
+        bit = 1 << data.draw(st.integers(0, 30))
+        flipped = {p: list(cells) for p, cells in tree.items()}
+        flipped[path][idx] ^= bit
+        assert payload_checksum(report(flipped)) != payload_checksum(report(tree))
+
+    @settings(max_examples=50, deadline=None)
+    @given(LIST_SNAPSHOTS, st.integers(0, 2**31 - 1), st.integers(0, 30))
+    def test_any_single_bit_flip_of_the_session_is_detected(
+            self, cells, session, bit):
+        assert payload_checksum(report(cells, session ^ (1 << bit))) \
+            != payload_checksum(report(cells, session))
+
+    def test_scalar_types_stay_distinct(self):
+        values = [1, True, 1.0, "1", b"1", None, [1], (1,)]
+        sums = {payload_checksum({"snapshot": v}) for v in values}
+        assert len(sums) == len(values)
+
+    def test_dict_and_list_of_pairs_do_not_collide(self):
+        assert payload_checksum({"snapshot": {(0,): [1]}}) \
+            != payload_checksum({"snapshot": [((0,), [1])]})
+
+    def test_encoding_ignores_object_identity(self):
+        # equal values, different objects: no refcount- or interning-
+        # dependent byte may reach the CRC
+        big = 10**12
+        shared = report([big, big], session=big)
+        fresh = report([10**12, int("1000000000000")], session=int("1" + "0" * 12))
+        fresh["fsm"] = "".join(["s1->s2", "/tree"])
+        assert fresh["fsm"] is not shared["fsm"]
+        assert payload_checksum(shared) == payload_checksum(fresh)
+
+    @pytest.mark.parametrize("value", [
+        {3, 1, 2},
+        Opaque(),
+        [1, {"b": 2, "a": 1}],
+        array("Q", [1, 2, 3]),
+        {1: [0], "mixed": [1]},          # unsortable keys
+        {(0,): [1, Opaque()]},
+    ], ids=["set", "object", "dict-in-list", "array", "mixed-keys",
+            "object-in-tree"])
+    def test_refused_values_are_deterministic_and_never_raise(self, value):
+        payload = report(value)
+        first = payload_checksum(payload)
+        assert 0 <= first < 2**32
+        assert payload_checksum(dict(payload)) == first
+        assert verify_payload(signed(payload))
+        assert payload_checksum(report(value, session=8)) != first
+
+    def test_refused_keys_are_still_order_insensitive(self):
+        thing = Opaque()
+        a = {"session": 1, 2: thing, "fsm": "x"}
+        assert payload_checksum(a) == payload_checksum(reversed_dict(a))
+        tree = {(0,): [thing], (1,): [2]}
+        assert payload_checksum(report(tree)) \
+            == payload_checksum(report(reversed_dict(tree)))
+
+    def test_self_referential_payload_does_not_raise(self):
+        loop: list = []
+        loop.append(loop)
+        assert verify_payload(signed(report(loop)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(LIST_SNAPSHOTS, TREE_SNAPSHOTS))
+    def test_verify_round_trips_through_shallow_copies(self, snapshot):
+        # chaos/perturbations.py forwards ``dict(payload)`` copies
+        payload = signed(report(snapshot))
+        assert verify_payload(dict(payload))
+        assert verify_payload(reversed_dict(payload))
+
+
 class TestCorruptResponses:
     def test_corrupt_ack_is_rerequested_and_consumes_an_attempt(self, sim):
         sender, receiver, _, _, chan, failures = make_pair(sim)
@@ -191,6 +315,120 @@ class TestCorruptResponses:
         assert receiver.state is ReceiverState.IDLE
         assert r_strat.sessions_started == []
         assert emissions(chan, "<-", PacketKind.FANCY_START_ACK) == []
+
+
+def corrupt_by_chaos(field):
+    """Mangle a payload the way the chaos subsystem does on the wire."""
+    fault = CorruptField(1.0, field=field, seed=1)
+
+    def mangle(payload):
+        pkt = Packet(PacketKind.FANCY_REPORT, None, MIN_FRAME_BYTES)
+        pkt.payload = payload
+        *_, corrupt = fault.evaluate(pkt, 0.0)
+        assert corrupt(pkt) == "control"
+        assert pkt.payload is not payload  # corrupted by copy
+        return pkt.payload
+
+    return mangle
+
+
+def flip_cell(payload):
+    copy = dict(payload)
+    cells = list(copy["snapshot"])
+    cells[1] ^= 1
+    copy["snapshot"] = cells
+    return copy
+
+
+def flip_session(payload):
+    return dict(payload, session=payload["session"] ^ 1)
+
+
+def flip_csum(payload):
+    return dict(payload, csum=payload["csum"] ^ 1)
+
+
+class TestVerificationNotWeakened:
+    """Every in-flight corruption of a Report is recomputed and caught."""
+
+    @pytest.mark.parametrize("mangle", [
+        corrupt_by_chaos("snapshot"), corrupt_by_chaos("session"),
+        flip_cell, flip_session, flip_csum,
+    ], ids=["chaos-snapshot", "chaos-session", "hand-cell", "hand-session",
+            "hand-csum"])
+    def test_corrupt_report_rerequested_until_attempts_exhaust(self, sim,
+                                                               mangle):
+        sender, receiver, s_strat, r_strat, chan, failures = make_pair(
+            sim, max_attempts=5)
+        r_strat.snapshot = lambda: [3, 5, 8]
+
+        def corrupting(kind, payload, size):
+            if kind is PacketKind.FANCY_REPORT:
+                payload = mangle(payload)
+            chan.to_sender(kind, payload, size)
+
+        receiver.send_control = corrupting
+        sender.start()
+        sim.run(until=2.0)
+        # corrupted by copy: the receiver's cached Report stayed clean, yet
+        # every copy that reached the sender was caught and re-requested
+        assert receiver._last_report == {"snapshot": [3, 5, 8]}
+        assert sender.rejected_corrupt == 5
+        assert sender.rejected_stale == 0  # corruption is judged first
+        assert len(emissions(chan, "->", PacketKind.FANCY_STOP)) == 5
+        assert sender.state is SenderState.FAILED
+        assert len(failures) == 1
+        assert sender.sessions_completed == 0
+        assert s_strat.sessions_ended == []  # never acted upon
+
+
+class TestGarbageSession:
+    """A session id that is not an int is corrupt — never a TypeError."""
+
+    GARBAGE = ["1", None, [1], 1.5, True, (2,)]
+
+    @pytest.mark.parametrize("garbage", GARBAGE, ids=repr)
+    def test_receiver_rejects_as_corrupt(self, sim, garbage):
+        telemetry = Telemetry()
+        sent = []
+        receiver = FancyReceiver(
+            sim, "fsm", lambda kind, payload, size: sent.append(kind),
+            RecordingStrategy(), telemetry=telemetry)
+        receiver.on_control(PacketKind.FANCY_START,
+                            {"fsm": "fsm", "session": garbage})
+        assert receiver.rejected_corrupt == 1
+        assert receiver.rejected_stale == 0
+        assert receiver.state is ReceiverState.IDLE
+        assert receiver.session_id == 0
+        assert sent == []
+        assert telemetry.metrics.value(
+            "fancy_rejected_messages_total", fsm="fsm", role="receiver",
+            reason="corrupt") == 1
+        # the FSM is not wedged: a well-formed Start still opens a session
+        receiver.on_control(PacketKind.FANCY_START,
+                            signed({"fsm": "fsm", "session": 1}))
+        assert receiver.session_id == 1
+        assert sent == [PacketKind.FANCY_START_ACK]
+
+    @pytest.mark.parametrize("garbage", GARBAGE, ids=repr)
+    def test_sender_rejects_as_corrupt_and_rerequests(self, sim, garbage):
+        sender, _, _, _, chan, failures = make_pair(sim)
+        chan.drop_to_receiver = lambda kind: True
+        sender.start()
+        sender.on_control(PacketKind.FANCY_START_ACK,
+                          {"fsm": "fsm", "session": garbage})
+        assert sender.rejected_corrupt == 1
+        assert sender.rejected_stale == 0
+        assert sender.state is SenderState.WAIT_ACK
+        assert len(emissions(chan, "->", PacketKind.FANCY_START)) == 2
+        assert not failures
+
+    def test_missing_session_is_still_merely_stale(self, sim):
+        sender, receiver, _, _, chan, _ = make_pair(sim)
+        receiver.on_control(PacketKind.FANCY_START, signed({"fsm": "fsm",
+                                                            "session": 2}))
+        receiver.on_control(PacketKind.FANCY_STOP, {"fsm": "fsm"})
+        assert (receiver.rejected_corrupt, receiver.rejected_stale) == (0, 1)
 
 
 class TestCappedBackoff:

@@ -17,3 +17,13 @@ class EgressHook:
 
 def dispatch(event, metrics):
     metrics.histogram("event_seconds", "per-event wall time").observe(0.1)
+
+
+class ProtocolFsm:
+    def __init__(self, telemetry):
+        self.telemetry = telemetry
+
+    def on_control(self, kind, payload):
+        # four control messages per session, each re-resolving its counter
+        self.telemetry.metrics.counter(
+            "rejected_total", "rejected messages", reason="stale").inc()

@@ -19,3 +19,21 @@ class EgressHook:
 
 def dispatch(event, hist):
     hist.observe(0.1)
+
+
+class ProtocolFsm:
+    """Lazily memoised: bound on first use, so no zero-valued series."""
+
+    def __init__(self, telemetry):
+        self.telemetry = telemetry
+        self._rejected = {}
+
+    def _count_rejected(self, reason):
+        counter = self._rejected.get(reason)
+        if counter is None:
+            counter = self._rejected[reason] = self.telemetry.metrics.counter(
+                "rejected_total", "rejected messages", reason=reason)
+        counter.inc()
+
+    def on_control(self, kind, payload):
+        self._count_rejected("stale")

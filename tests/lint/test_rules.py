@@ -21,7 +21,7 @@ EXPECTED_BAD = {
     "FCY006": 2,
     "FCY007": 3,
     "FCY008": 3,
-    "FCY009": 3,
+    "FCY009": 4,
     "FCY013": 3,
 }
 
@@ -205,12 +205,40 @@ class TestHotPathInstruments:
         )
         assert lint_source(source, rel_path="simulator/x.py") == []
 
-    def test_scoped_out_of_core(self):
+    def test_scoped_out_of_experiments(self):
         source = (
             "def on_packet(self, packet):\n"
             "    self.metrics.counter('x_total', 'x').inc()\n"
         )
+        assert lint_source(source, rel_path="experiments/x.py") == []
+
+    @pytest.mark.parametrize("handler", [
+        "on_control", "_emit", "_send", "_count_control", "_count_rejected"])
+    def test_core_per_message_handlers_flagged(self, handler):
+        source = (
+            f"def {handler}(self, kind):\n"
+            "    self.telemetry.metrics.counter('x_total', 'x').inc()\n"
+        )
+        assert [d.code for d in lint_source(source, rel_path="core/x.py")] == ["FCY009"]
+
+    def test_lazily_memoised_factory_allowed(self):
+        source = (
+            "def _count_rejected(self, reason):\n"
+            "    counter = self._rejected.get(reason)\n"
+            "    if counter is None:\n"
+            "        counter = self._rejected[reason] = self.metrics.counter(\n"
+            "            'x_total', 'x', reason=reason)\n"
+            "    counter.inc()\n"
+        )
         assert lint_source(source, rel_path="core/x.py") == []
+
+    def test_none_guard_without_memo_assignment_still_flagged(self):
+        source = (
+            "def on_control(self, kind, payload):\n"
+            "    if payload is None:\n"
+            "        self.metrics.counter('empty_total', 'x').inc()\n"
+        )
+        assert [d.code for d in lint_source(source, rel_path="core/x.py")] == ["FCY009"]
 
 
 class TestUseAfterReleaseControlFlow:

@@ -14,6 +14,7 @@ The serve acceptance criteria (docs/ROBUSTNESS.md):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -85,6 +86,23 @@ class TestDeterminismAndSharding:
         assert sharded.trace_jsonl == short_result.trace_jsonl
         assert sharded.prometheus == short_result.prometheus
         assert sharded.detections == short_result.detections
+
+    def test_exports_pinned_across_the_control_exchange_rewrite(
+            self, short_result):
+        """Recorded before CRC-32 checksums and lazily bound control
+        counters replaced SHA-256 and per-message ``metrics.counter()``:
+        same series in the same order with the same values, and the
+        ladder absorbed the same exhaustions."""
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert short_result.absorbed_exhaustions == 1
+        assert sha(short_result.prometheus) == (
+            "e3ecfdf10f2f2a0d0b9a15fcc8888cf1076af3416b4bf2810376b0764e4ca59f")
+        assert sha(short_result.health_json) == (
+            "1cbaa001b16e088278e4fc1ab22a972252fb1b1b5455cd707d5f01098692a47f")
+        assert sha(short_result.trace_jsonl) == (
+            "a4bd7af2bc4a6feeb701b9cdde5937ff7d9645592087bbb5316f660fd814d365")
 
     def test_different_seed_changes_the_run(self, short_result):
         other = run_serve(dataclasses.replace(SHORT, seed=SHORT.seed + 1))
