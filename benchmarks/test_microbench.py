@@ -169,6 +169,52 @@ def test_instant_link_burst_delivery(benchmark, mode):
     assert benchmark(run) == 2000
 
 
+@pytest.mark.parametrize("kind", ["data", "ack"])
+def test_fabric_hop(benchmark, kind):
+    """Hops through fully monitored fabric switches: 1000 packets cross a
+    k=4 fat tree edge to edge (5 switch hops each, ECMP at two of them)
+    with 64 counting monitors and a reroute controller deployed, as in
+    the closed-loop experiments.  A DATA hop is arrival event -> ingress
+    tap (count) -> forwarder -> egress tap (classify, tag, count) -> link
+    send; an ACK hop is forwarded past the same taps uncounted.  Per-hop
+    cost = round time / 5000; tests/fabric/test_hop_budget.py pins the
+    same path in frames instead of time."""
+    from repro.core.detector import FancyConfig
+    from repro.fabric.builders import fat_tree
+    from repro.fabric.deployment import FabricDeployment
+    from repro.fabric.graph import FabricNetwork
+    from repro.fabric.reroute import FabricRerouteController
+
+    reverse = kind == "ack"
+
+    def setup():
+        sim = Simulator()
+        net = FabricNetwork(sim, fat_tree(4))
+        for entry in ("hp", "be"):
+            net.add_entry(entry, "edge0-0", "edge1-1")
+        dep = FabricDeployment(net, config=FancyConfig(
+            high_priority=["hp"], tree_params=PARAMS,
+            dedicated_session_s=10.0, tree_session_s=10.0))
+        FabricRerouteController(net, dep)
+        dep.start()
+        sim.run(until=0.1)  # Start/StartACK done: every monitor is counting
+        net.host("edge1-1").auto_sink = False  # DATA ends at the far host
+        send = net.host("edge1-1" if reverse else "edge0-0").send
+        for i in range(1000):
+            packet = Packet(PacketKind.ACK if reverse else PacketKind.DATA,
+                            "hp" if i % 2 else "be", 400, flow_id=i % 4, seq=i,
+                            reverse=reverse)
+            sim.schedule(i * 1e-6, send, packet)
+        received = sum(sw.stats.received for sw in net.switches.values())
+        return (sim, net, received), {}
+
+    def run(sim, net, received):
+        sim.run(until=1.0)
+        return sum(sw.stats.received for sw in net.switches.values()) - received
+
+    assert benchmark.pedantic(run, setup=setup, rounds=20) == 5000
+
+
 @pytest.mark.parametrize("mode", ["alloc", "pooled"])
 def test_packet_pool_churn(benchmark, mode):
     """Per-packet object cost: a fresh ``__slots__`` allocation versus a

@@ -52,7 +52,8 @@ class SingleLinkCounterSender:
     def begin_session(self, session_id: int) -> None:
         self.count = 0
 
-    def process_packet(self, packet: Packet, session_id: int) -> bool:
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool:
         packet.tag = (0,)
         packet.tag_session = session_id
         packet.tag_dedicated = True
@@ -113,7 +114,8 @@ class CountingBloomSender:
     def begin_session(self, session_id: int) -> None:
         self.filter.clear()
 
-    def process_packet(self, packet: Packet, session_id: int) -> bool:
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool:
         packet.tag = (0,)
         packet.tag_session = session_id
         packet.tag_dedicated = False
@@ -203,7 +205,8 @@ class StrategyLinkMonitor:
 
         claim_monitored_port(upstream, up_port)
         upstream.add_egress_hook(up_port, self._upstream_egress)
-        upstream.add_ingress_hook(up_port, self._upstream_ingress, front=True)
+        upstream.add_ingress_hook(up_port, self._upstream_ingress, front=True,
+                                  control_only=True)
         downstream.add_ingress_hook(down_port, self._downstream_ingress, front=True)
 
     def _send_downstream(self, kind: PacketKind, payload: dict, size: int) -> None:

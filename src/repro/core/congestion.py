@@ -124,8 +124,9 @@ class GuardedSenderStrategy:
         self._session_start = self.sim.now
         self.inner.begin_session(session_id)
 
-    def process_packet(self, packet: Any, session_id: int) -> bool:
-        return self.inner.process_packet(packet, session_id)
+    def process_packet(self, packet: Any, session_id: int,
+                       entry: Any = None) -> bool:
+        return self.inner.process_packet(packet, session_id, entry)
 
     def end_session(self, remote: Any, session_id: int) -> Any:
         if self.guard.congested_during(self._session_start, self.sim.now):

@@ -96,13 +96,15 @@ class DedicatedSenderCounters:
         # Slice-assign keeps the list object (callers may hold a ref).
         self.counters[:] = self._zeros
 
-    def process_packet(self, packet: Packet, session_id: int) -> bool:
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool:
         """Tag and count ``packet`` if it matches a dedicated entry.
 
-        Returns True when the packet was claimed by a dedicated counter
-        (so the caller does not also offer it to the tree).
+        Returns True when the packet was claimed by a dedicated counter.
         """
-        idx = self.index.get(self.entry_of(packet))
+        if entry is None:
+            entry = self.entry_of(packet)
+        idx = self.index.get(entry)
         if idx is None:
             return False
         packet.tag = (idx,)

@@ -261,7 +261,9 @@ class FancyLinkMonitor:
     def _install_hooks(self) -> None:
         claim_monitored_port(self.upstream, self.up_port)
         self.upstream.add_egress_hook(self.up_port, self._upstream_egress)
-        self.upstream.add_ingress_hook(self.up_port, self._upstream_ingress, front=True)
+        # Control responses only: DATA/ACK never visit the upstream ingress tap.
+        self.upstream.add_ingress_hook(self.up_port, self._upstream_ingress, front=True,
+                                       control_only=True)
         self.downstream.add_ingress_hook(self.down_port, self._downstream_ingress, front=True)
 
     # -- control transport ---------------------------------------------------------
@@ -282,16 +284,21 @@ class FancyLinkMonitor:
         """Egress pipeline of the upstream switch (after the TM)."""
         if packet.kind is not PacketKind.DATA or packet.reverse:
             return True
-        packet.clear_tag()  # stale tags from an upstream hop, if any
-        claimed = False
-        if self.dedicated_sender is not None:
-            claimed = self.dedicated_sender.process_packet(packet)
-        # Only best-effort entries go to the tree; packets of dedicated
-        # entries outside a dedicated session stay uncounted.
-        if (not claimed and self.tree_sender is not None
-                and (self.dedicated_strategy is None
-                     or not self.dedicated_strategy.owns(self._entry_of(packet)))):
-            self.tree_sender.process_packet(packet)
+        # Inlined Packet.clear_tag(): stale tags from an upstream hop, if any.
+        packet.tag = None
+        packet.tag_session = -1
+        packet.tag_dedicated = False
+        # Classified once per hop.  Only best-effort entries go to the
+        # tree; packets of dedicated entries outside a dedicated session
+        # stay uncounted.
+        entry = self._entry_of(packet)
+        dedicated = self.dedicated_strategy
+        if dedicated is not None and entry in dedicated.index:
+            sender = self.dedicated_sender
+            assert sender is not None  # built together with its strategy
+            sender.process_packet(packet, entry)
+        elif self.tree_sender is not None:
+            self.tree_sender.process_packet(packet, entry)
         return True
 
     def _upstream_ingress(self, packet: Packet, _in_port: int) -> bool:
@@ -317,7 +324,7 @@ class FancyLinkMonitor:
                 self.tree_receiver.on_control(packet.kind, packet.payload)
                 return False
             return True
-        if packet.kind is PacketKind.DATA and packet.is_tagged:
+        if packet.kind is PacketKind.DATA and packet.tag is not None:
             if packet.tag_dedicated:
                 if self.dedicated_receiver is not None:
                     self.dedicated_receiver.process_packet(packet)

@@ -213,10 +213,16 @@ RECEIVER_FSM_SPEC: dict[str, Any] = {
 
 
 class SenderStrategy(Protocol):
-    """Counter logic plugged into the sender FSM."""
+    """Counter logic plugged into the sender FSM.
+
+    ``entry`` is the packet's entry when the caller already classified
+    it (a link monitor classifies once per hop); ``None`` leaves the
+    classification to the strategy.
+    """
 
     def begin_session(self, session_id: int) -> None: ...
-    def process_packet(self, packet: Packet, session_id: int) -> bool: ...
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool: ...
     def end_session(self, remote_snapshot: Any, session_id: int) -> Any: ...
 
 
@@ -661,16 +667,16 @@ class FancySender:
         self.attempts = 0
         self._send_stop()
 
-    def process_packet(self, packet: Packet) -> bool:
+    def process_packet(self, packet: Packet, entry: Any = None) -> bool:
         """Offer an egress data packet to the counter strategy.
 
         Only counts while in the Counting state — counting is stopped while
         control messages are exchanged (§4.1), which is FANcY's accepted
-        accuracy trade-off.
+        accuracy trade-off.  ``entry``: see :class:`SenderStrategy`.
         """
         if self.state is not SenderState.COUNTING:
             return False
-        return self.strategy.process_packet(packet, self.session_id)
+        return self.strategy.process_packet(packet, self.session_id, entry)
 
 
 class FancyReceiver:

@@ -93,8 +93,11 @@ class ValueSyncSender:
         for i in range(len(self.values)):
             self.values[i] = 0
 
-    def process_packet(self, packet: Packet, session_id: int) -> bool:
-        idx = self.index.get(self.entry_of(packet))
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool:
+        if entry is None:
+            entry = self.entry_of(packet)
+        idx = self.index.get(entry)
         if idx is None:
             return False
         packet.tag = (idx,)

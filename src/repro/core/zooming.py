@@ -155,9 +155,12 @@ class TreeSenderStrategy:
     def begin_session(self, session_id: int) -> None:
         self.counters.reset()
 
-    def process_packet(self, packet: Packet, session_id: int) -> bool:
+    def process_packet(self, packet: Packet, session_id: int,
+                       entry: Any = None) -> bool:
         """Tag a best-effort packet and update local counters."""
-        hp = self.tree.hash_path(self.entry_of(packet))
+        if entry is None:
+            entry = self.entry_of(packet)
+        hp = self.tree.hash_path(entry)
         tag = self._tag_for(hp)
         if tag is None:
             return False

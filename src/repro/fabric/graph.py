@@ -13,7 +13,9 @@ steered off its shortest path — by a selective reroute — keeps making
 progress from wherever it lands.  ECMP ties are broken by a
 flowlet-stable CRC32 hash of ``(switch, entry, flow_id, direction)``:
 one flow always takes one port, so rerouting never reorders within a
-flow, and the choice is independent of ``hash()`` randomization.
+flow, and the choice is independent of ``hash()`` randomization.  Being
+constant per flow, the choice is hashed once per (switch, flow) and
+memoised in the switch's forwarder, not recomputed per packet.
 """
 
 from __future__ import annotations
@@ -196,6 +198,9 @@ class FabricNetwork:
         self._peer_on_port: dict[tuple[str, int], str] = {}
         #: (entry, reverse) -> {node: (ports,)} ECMP port sets.
         self._entry_ports: dict[tuple[Any, bool], dict[str, tuple[int, ...]]] = {}
+        #: node -> its forwarder's memo, (entry, flow_id, reverse) -> port:
+        #: a pure cache of ``_entry_ports``, cleared whenever that changes.
+        self._port_memos: dict[str, dict[tuple[Any, int, bool], int]] = {}
         self.entry_src: dict[Any, str] = {}
         self.entry_dst: dict[Any, str] = {}
 
@@ -273,6 +278,8 @@ class FabricNetwork:
         self.entry_dst[entry] = dst
         self._entry_ports[(entry, False)] = self._ports_toward(dst)
         self._entry_ports[(entry, True)] = self._ports_toward(src)
+        for memo in self._port_memos.values():
+            memo.clear()
 
     def _ports_toward(self, target: str) -> dict[str, tuple[int, ...]]:
         dist = self.graph.distances(target)
@@ -331,20 +338,29 @@ class FabricNetwork:
         return out
 
     def _forwarder(self, node: str) -> Callable[[Any], int | None]:
-        """Terminal member of ``node``'s override chain: entry ECMP."""
+        """Terminal member of ``node``'s override chain: entry ECMP.
+
+        The port is constant per (entry, flow, direction), so it is
+        resolved once and memoised; entries the fabric does not know
+        stay unmemoised and fall through to the routing table.
+        """
         entry_ports = self._entry_ports
+        memo: dict[tuple[Any, int, bool], int] = {}
+        self._port_memos[node] = memo
 
         def forward(packet: Any) -> int | None:
-            table = entry_ports.get((packet.entry, packet.reverse))
-            if table is None:
-                return None
-            ports = table.get(node)
-            if ports is None:
-                return None
-            if len(ports) == 1:
-                return ports[0]
-            return flowlet_port(node, packet.entry, packet.flow_id,
-                                packet.reverse, ports)
+            key = (packet.entry, packet.flow_id, packet.reverse)
+            port = memo.get(key)
+            if port is None:
+                table = entry_ports.get((packet.entry, packet.reverse))
+                if table is None:
+                    return None
+                ports = table.get(node)
+                if ports is None:
+                    return None
+                port = memo[key] = ports[0] if len(ports) == 1 else flowlet_port(
+                    node, packet.entry, packet.flow_id, packet.reverse, ports)
+            return port
 
         return forward
 

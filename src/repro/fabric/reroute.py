@@ -11,8 +11,9 @@ study only gestures at:
   the protecting switch — so the controller installs the whole repair
   path, which is loop-free by construction regardless of ECMP ties.
 * :class:`SelectiveRerouteApp` is the per-switch data-plane agent: a
-  sticky per-entry port override sitting at the *front* of the switch's
-  forwarding-override chain (ahead of the fabric's ECMP forwarder).
+  sticky per-entry port override that sits at the *front* of the
+  switch's forwarding-override chain (ahead of the fabric's ECMP
+  forwarder) for as long as it holds an override.
 * :class:`FabricRerouteController` polls every monitor's flags on a
   deterministic tick and, for each newly flagged ``(link, entry)``,
   installs the repair path hop by hop.  Installed reroutes are sticky:
@@ -69,12 +70,14 @@ class LfaTable:
 class SelectiveRerouteApp:
     """Sticky per-entry forwarding overrides on one fabric switch.
 
-    Installed at the front of the override chain, so reroutes win over
-    the fabric's ECMP forwarder but still compose with it: entries
-    without an override fall through untouched.  Only forward DATA is
-    steered — control messages and ACKs keep their normal paths, same
-    contract as the single-link :class:`~repro.apps.rerouting.
-    FastRerouteApp`.
+    Sits at the front of the override chain, so reroutes win over the
+    fabric's ECMP forwarder but still compose with it: entries without
+    an override fall through untouched.  Chain membership is lazy — the
+    app joins on its first override and leaves with its last — so a
+    switch that reroutes nothing forwards exactly as if no app existed.
+    Only forward DATA is steered — control messages and ACKs keep their
+    normal paths, same contract as the single-link
+    :class:`~repro.apps.rerouting.FastRerouteApp`.
     """
 
     def __init__(self, switch: Switch) -> None:
@@ -85,8 +88,6 @@ class SelectiveRerouteApp:
         #: the controller closes its recovery span off this signal.
         self.on_steered: Any = None
         self._steered: set[Any] = set()
-        self._installed = self._decide
-        switch.add_forwarding_override(self._installed, front=True)
 
     def _decide(self, packet: Packet) -> int | None:
         if packet.kind is not PacketKind.DATA or packet.reverse:
@@ -108,16 +109,22 @@ class SelectiveRerouteApp:
         the entry along the path installed first, which is still
         loop-free end to end.
         """
+        if not self.overrides:
+            self.switch.add_forwarding_override(self._decide, front=True)
         self.overrides.setdefault(entry, port)
 
     def clear(self, entry: Any | None = None) -> None:
+        """Drop one override (or all); the last one out leaves the chain."""
         if entry is None:
             self.overrides.clear()
         else:
             self.overrides.pop(entry, None)
+        if not self.overrides:
+            self.switch.remove_forwarding_override(self._decide)
 
     def uninstall(self) -> None:
-        self.switch.remove_forwarding_override(self._installed)
+        """Drop every override and leave the chain."""
+        self.clear()
 
 
 class FabricRerouteController:

@@ -10,15 +10,17 @@ protocol state machines rely on for determinism.
 
 Fast path: the engine keeps the uninstrumented dispatch a bare
 ``callback(*args)``.  ``run()`` inlines the heap pop (no ``peek_time`` /
-``step`` double traversal), heap entries are plain ``(time, seq, handle)``
-tuples — every sift comparison is a C-level tuple compare that resolves
-on ``(time, seq)`` before ever reaching the handle, instead of a
-Python-level ``EventHandle.__lt__`` call (the single hottest function of
-a packet-level run) — and the heap is compacted in place whenever more
-than half of its entries are cancelled handles: TCP retransmission
-timers cancel and re-arm on every ACK, which otherwise pins tens of
-thousands of dead handles in the heap of a long experiment.  See
-``docs/PERFORMANCE.md`` for the measurement methodology.
+``step`` double traversal) and the heap entry *is* the handle: an
+:class:`EventHandle` is a ``list`` subclass laid out ``[time, seq,
+callback, args, owner]``, so scheduling allocates one object in C (no
+Python ``__init__`` frame, no wrapping tuple) and every sift comparison
+is a C-level list compare that resolves on ``(time, seq)`` — ``seq`` is
+unique — before ever reaching the callback.  The heap is compacted in
+place whenever more than half of its entries are cancelled handles: TCP
+retransmission timers cancel and re-arm on every ACK, which otherwise
+pins tens of thousands of dead handles in the heap of a long
+experiment.  See ``docs/PERFORMANCE.md`` for the measurement
+methodology.
 
 Telemetry: pass a :class:`repro.telemetry.Telemetry` session to observe
 the event loop — ``sim_events_total``, the ``sim_queue_depth`` gauge,
@@ -47,51 +49,42 @@ class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. scheduling in the past)."""
 
 
-class EventHandle:
-    """Handle to a scheduled event, usable to cancel it before it fires."""
+class EventHandle(list[Any]):
+    """A scheduled event: the heap entry itself, usable to cancel it.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
+    Layout ``[time, seq, callback, args, owner]``.  ``callback`` is
+    ``None`` once cancelled; ``owner`` is the scheduling simulator (it
+    accounts cancelled-but-pinned entries for heap compaction) or
+    ``None`` for detached proxy handles.  The class defines no rich
+    comparison on purpose: ordering must stay the inherited C-level
+    list compare the heap relies on.
+    """
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...],
-        owner: "Simulator | None" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: Owning simulator, used to account cancelled-but-pinned handles
-        #: for heap compaction.  ``None`` for detached proxy handles.
-        self.owner = owner
+    __slots__ = ()
+
+    @property
+    def args(self) -> tuple[Any, ...]:
+        args: tuple[Any, ...] = self[3]
+        return args
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.owner is not None:
-                self.owner._cancelled += 1
-        # Drop references so cancelled events do not pin objects in memory
-        # while they remain in the heap.
-        self.callback = _noop
-        self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Kept for API compatibility (sorting handles in user code); the
-        # engine's heap orders plain (time, seq, handle) tuples and never
-        # calls this — seq is unique, so tuple comparison stops before
-        # reaching the handle element.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        if self[2] is not None:
+            # Drop references so cancelled events do not pin objects in
+            # memory while they remain in the heap.
+            self[2] = None
+            self[3] = ()
+            owner = self[4]
+            if owner is not None:
+                owner._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.9f}, seq={self.seq}, {state})"
+        state = "cancelled" if self[2] is None else "pending"
+        return f"EventHandle(t={self[0]:.9f}, seq={self[1]}, {state})"
 
 
 def _noop(*_args: Any) -> None:
@@ -123,10 +116,12 @@ class Simulator:
     """
 
     def __init__(self, telemetry: Any | None = None) -> None:
-        #: Binary heap of (time, seq, handle) entries; see module docstring.
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        #: Binary heap of :class:`EventHandle` entries; see module docstring.
+        self._queue: list[EventHandle] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute — it is
+        #: read more than once per event — that only the engine writes.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -173,11 +168,6 @@ class Simulator:
             self._profile_hists[label] = hist
         return hist
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -185,12 +175,10 @@ class Simulator:
         it: this is the most frequently called engine entry point, and
         the extra frame is measurable at packet rates.
         """
-        if delay < 0:
+        if not (delay >= 0):  # also rejects NaN, which would break heap order
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, handle))
+        handle = EventHandle((self.now + delay, next(self._seq), callback, args, self))
+        heapq.heappush(self._queue, handle)
         if (self._cancelled > _COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(self._queue)):
             self.compact()
@@ -198,13 +186,12 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulated ``time``."""
-        if time < self._now:
+        if not (time >= self.now):  # also rejects NaN, which would break heap order
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, handle))
+        handle = EventHandle((time, next(self._seq), callback, args, self))
+        heapq.heappush(self._queue, handle)
         if (self._cancelled > _COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(self._queue)):
             self.compact()
@@ -220,7 +207,7 @@ class Simulator:
         """
         queue = self._queue
         before = len(queue)
-        live = [entry for entry in queue if not entry[2].cancelled]
+        live = [entry for entry in queue if entry[2] is not None]
         queue[:] = live
         heapq.heapify(queue)
         self._cancelled = 0
@@ -250,7 +237,7 @@ class Simulator:
             callback(*args)
             if not cell[0].cancelled:
                 cell[0] = self.schedule(interval, fire)
-                handle_proxy.time = cell[0].time
+                handle_proxy[0] = cell[0][0]
 
         first = self.schedule(start_delay if start_delay is not None else interval, fire)
         cell.append(first)
@@ -261,32 +248,36 @@ class Simulator:
 
             def cancel(self) -> None:  # noqa: D102 - same contract as base
                 cell[0].cancel()
-                self.cancelled = True
+                self[2] = None
 
-        handle_proxy = _PeriodicHandle(first.time, first.seq, _noop, ())
+        handle_proxy = _PeriodicHandle((first[0], first[1], _noop, (), None))
         return handle_proxy
 
     def peek_time(self) -> float | None:
         """Return the timestamp of the next pending event, or ``None`` if idle."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
-        return queue[0][0] if queue else None
+        if not queue:
+            return None
+        time: float = queue[0][0]
+        return time
 
     def step(self) -> bool:
         """Process the single next event.  Returns False when queue is empty."""
         queue = self._queue
         while queue:
-            time, _, handle = heapq.heappop(queue)
-            if handle.cancelled:
+            handle = heapq.heappop(queue)
+            callback = handle[2]
+            if callback is None:
                 self._cancelled -= 1
                 continue
-            self._now = time
+            self.now = handle[0]
             if self._telemetry is not None:
                 self._step_instrumented(handle)
             else:
-                handle.callback(*handle.args)
+                callback(*handle[3])
             self.events_processed += 1
             return True
         return False
@@ -295,13 +286,14 @@ class Simulator:
         """Telemetry-enabled event dispatch (split out of the hot loop)."""
         telemetry = self._telemetry
         assert telemetry is not None  # callers gate on the binding
+        callback = handle[2]
         if self._profile:
             started = _time.perf_counter()
-            handle.callback(*handle.args)
+            callback(*handle[3])
             elapsed = _time.perf_counter() - started
-            self._profile_histogram(handle.callback).observe(elapsed)
+            self._profile_histogram(callback).observe(elapsed)
         else:
-            handle.callback(*handle.args)
+            callback(*handle[3])
         self._m_events.inc()
         self._m_depth.set(len(self._queue))
 
@@ -325,23 +317,23 @@ class Simulator:
         instrumented = self._telemetry is not None
         try:
             while queue and not self._stopped:
-                head = queue[0]
-                handle = head[2]
-                if handle.cancelled:
+                handle = queue[0]
+                callback = handle[2]
+                if callback is None:
                     pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and head[0] > until:
+                if until is not None and handle[0] > until:
                     break
                 pop(queue)
-                self._now = head[0]
+                self.now = handle[0]
                 if instrumented:
                     self._step_instrumented(handle)
                 else:
-                    handle.callback(*handle.args)
+                    callback(*handle[3])
                 self.events_processed += 1
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -358,10 +350,10 @@ class Simulator:
         """
         self._queue.clear()
         self._seq = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self._stopped = False
         self.events_processed = 0
         self._cancelled = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.6f}, pending={len(self._queue)})"
+        return f"Simulator(now={self.now:.6f}, pending={len(self._queue)})"

@@ -161,7 +161,7 @@ class Link:
         #: the pending delivery's event handle and arrival timestamp.  A
         #: second send with the same arrival instant converts the handle
         #: into a burst delivery in place (see :meth:`send`).
-        self._burst_handle: Any | None = None
+        self._burst_handle: Any = None
         self._burst_t = -1.0
         #: Multi-packet bursts coalesced so far (observability).
         self.coalesced_bursts = 0
@@ -252,13 +252,15 @@ class Link:
                 # callback at the same timestamp open a fresh one.
                 arrival_t = self.sim.now + self.delay_s
                 if self._burst_t == arrival_t:
+                    # Rewrites the pending heap entry in place: slots 2
+                    # and 3 of an EventHandle are (callback, args).
                     handle = self._burst_handle
-                    head = handle.args[0]
+                    head = handle[3][0]
                     if head.__class__ is list:  # already a burst
                         head.append(packet)
                     else:
-                        handle.callback = self._deliver_burst
-                        handle.args = ([head, packet],)
+                        handle[2] = self._deliver_burst
+                        handle[3] = ([head, packet],)
                         self.coalesced_bursts += 1
                     return
                 self._burst_handle = self.sim.schedule(

@@ -130,7 +130,11 @@ class Switch(Node):
                 "switch_tm_queue_occupancy",
                 "Output-queue occupancy observed at TM admission (packets)",
                 start=1.0, base=4.0, n_buckets=8, switch=name)
+        #: Ingress hooks per port, by the packet class that reaches them:
+        #: control messages walk every hook, DATA/ACK only those not
+        #: registered ``control_only``.  Both keep registration order.
         self._ingress_hooks: dict[int, list[IngressHook]] = {}
+        self._data_ingress_hooks: dict[int, list[IngressHook]] = {}
         self._egress_hooks: dict[int, list[EgressHook]] = {}
         #: Composable forwarding-override chain (fast-rerouting apps, the
         #: fabric forwarder, ...).  Overrides are consulted in order; the
@@ -155,15 +159,21 @@ class Switch(Node):
     def set_default_route(self, out_port: int) -> None:
         self.default_port = out_port
 
-    def add_ingress_hook(self, in_port: int, hook: IngressHook, front: bool = False) -> None:
+    def add_ingress_hook(self, in_port: int, hook: IngressHook, front: bool = False,
+                         control_only: bool = False) -> None:
         """Register an ingress hook; ``front`` puts it before existing ones
         (FANcY uses this so its control messages are consumed before any
-        topology-level routing hooks see them)."""
-        hooks = self._ingress_hooks.setdefault(in_port, [])
-        if front:
-            hooks.insert(0, hook)
-        else:
-            hooks.append(hook)
+        topology-level routing hooks see them).  A ``control_only`` hook
+        can only consume control messages and is never called for
+        DATA/ACK packets."""
+        tables = ((self._ingress_hooks,) if control_only
+                  else (self._ingress_hooks, self._data_ingress_hooks))
+        for table in tables:
+            hooks = table.setdefault(in_port, [])
+            if front:
+                hooks.insert(0, hook)
+            else:
+                hooks.append(hook)
 
     def add_egress_hook(self, out_port: int, hook: EgressHook) -> None:
         self._egress_hooks.setdefault(out_port, []).append(hook)
@@ -232,20 +242,21 @@ class Switch(Node):
         """Parser + ingress pipeline + TM + egress pipeline, inlined.
 
         This is the per-packet hot path (every forwarded packet runs it
-        once per hop), so the TM and egress stages are inlined here
-        rather than delegated to :meth:`_traffic_manager` /
-        :meth:`_egress` — the method-call chain and the duplicate
-        ``links`` lookup in :meth:`Node.transmit` are measurable at
-        packet rates.  Keep the logic in sync with those methods, which
-        remain the entry points for :meth:`inject` and for topology code
-        that feeds packets straight into an egress pipeline.
+        once per hop): route lookup and tail-drop admission live only
+        here, and the egress stage is inlined rather than delegated to
+        :meth:`_egress` — the method call and the duplicate ``links``
+        lookup are measurable at packet rates.  Keep the egress stage in
+        sync with :meth:`_egress`, the entry point for :meth:`inject` and
+        for topology code that feeds packets straight into an egress
+        pipeline (past the TM).
         """
         stats = self.stats
         telemetry = self._telemetry
         stats.received += 1
         if telemetry is not None:
             self._m_received.inc()
-        hooks = self._ingress_hooks.get(in_port)
+        hooks = (self._ingress_hooks if packet.kind.is_control
+                 else self._data_ingress_hooks).get(in_port)
         if hooks is not None:
             for hook in hooks:
                 if not hook(packet, in_port):
@@ -253,7 +264,7 @@ class Switch(Node):
                     if telemetry is not None:
                         self._m_consumed.inc()
                     return
-        # -- TM: route lookup + tail-drop admission (see _traffic_manager).
+        # -- TM: route lookup + tail-drop admission.
         out_port: int | None = None
         override = self._fwd_override
         if override is not None:
@@ -292,43 +303,12 @@ class Switch(Node):
             self._m_forwarded.inc()
         link.send(packet)
 
-    def _traffic_manager(self, packet: Packet) -> None:
-        """TM: route lookup + tail-drop admission, then egress pipeline.
-
-        The forwarding hot path inlines this logic in :meth:`receive`;
-        keep the two in sync.
-        """
-        out_port: int | None = None
-        if self._fwd_override is not None:
-            out_port = self._fwd_override(packet)
-        if out_port is None:
-            out_port = self.routes.get(packet.entry, self.default_port)
-        if out_port is None:
-            self.stats.dropped_no_route += 1
-            if self._telemetry is not None:
-                self._m_drop_route.inc()
-            return
-        link = self.links.get(out_port)
-        if link is None:
-            self.stats.dropped_no_route += 1
-            if self._telemetry is not None:
-                self._m_drop_route.inc()
-            return
-        if self._telemetry is not None:
-            self._m_tm_occupancy.observe(link.queue_len)
-        if self.tm_queue_packets is not None and link.queue_len >= self.tm_queue_packets:
-            self.stats.dropped_tm += 1
-            if self._telemetry is not None:
-                self._m_drop_tm.inc()
-            return
-        self._egress(packet, out_port)
-
     def _egress(self, packet: Packet, out_port: int) -> None:
         """Egress pipeline (after the TM): FANcY sender hooks live here.
 
-        Entry point for :meth:`inject` and for topology/rerouting code;
-        the forwarding hot path inlines the same logic in
-        :meth:`receive`.
+        Entry point for :meth:`inject` and for topology/rerouting code
+        that picked the port itself, so no TM admission applies; the
+        forwarding hot path inlines the same stage in :meth:`receive`.
         """
         for hook in self._egress_hooks.get(out_port, ()):
             if not hook(packet, out_port):

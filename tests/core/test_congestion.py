@@ -54,7 +54,7 @@ class RecordingStrategy:
     def begin_session(self, sid):
         pass
 
-    def process_packet(self, p, sid):
+    def process_packet(self, p, sid, entry=None):
         return True
 
     def end_session(self, remote, sid):

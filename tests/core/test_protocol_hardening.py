@@ -43,7 +43,7 @@ class RecordingStrategy:
         self.sessions_started.append(session_id)
         self.packets = 0
 
-    def process_packet(self, packet, session_id):
+    def process_packet(self, packet, session_id, entry=None):
         self.packets += 1
         packet.tag = (0,)
         packet.tag_session = session_id

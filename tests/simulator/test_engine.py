@@ -47,6 +47,35 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_nan_time_rejected(self, sim, method):
+        # NaN compares False both ways, so ``delay < 0`` / ``time < now``
+        # let it through and the NaN key breaks heap order for every
+        # later event.
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        fired = []
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(1.0, fired.append, "a")
+        sim.run()
+        assert fired == ["a", "b"]
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_infinite_time_accepted_and_never_fired_before_until(self, sim, method):
+        fired = []
+        getattr(sim, method)(float("inf"), fired.append, "never")
+        sim.schedule(1.0, fired.append, "a")
+        sim.run(until=1e9)
+        assert fired == ["a"]
+        assert sim.now == 1e9
+
+    def test_handle_is_the_heap_entry(self, sim):
+        handle = sim.schedule(1.0, lambda: None)
+        assert len(sim._queue) == 1 and sim._queue[0] is handle
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled and sim.peek_time() is None
+
     def test_events_scheduled_during_run_fire(self, sim):
         order = []
 
