@@ -215,6 +215,41 @@ def test_fabric_hop(benchmark, kind):
     assert benchmark.pedantic(run, setup=setup, rounds=20) == 5000
 
 
+def test_tcp_segment(benchmark):
+    """ACKed TCP segments across a tree-monitored two-switch path: one
+    paced flow of 2000 segments, each a full round trip (pacing tick,
+    three links out with tag + count at A and count at B, sink, ACK and
+    three links back, ``on_ack``) — seven engine events.  Per-segment cost
+    = round time / 2000; tests/simulator/test_segment_budget.py pins the
+    same path in frames instead of time.  Measured 12.8-13.5 us per
+    segment before the per-window tag memo / flat send path, 10.4-11.5 us
+    after (three interleaved readings, best of 7 rounds of 20000 segments;
+    docs/PERFORMANCE.md, "Per-segment budget")."""
+    from repro.core.detector import FancyConfig, FancyLinkMonitor
+    from repro.simulator.tcp import TcpFlow
+    from repro.simulator.topology import TwoSwitchTopology
+
+    def setup():
+        sim = Simulator()
+        topo = TwoSwitchTopology(sim)
+        monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1,
+                                   FancyConfig(tree_params=PARAMS, tree_session_s=60.0))
+        monitor.start()
+        sim.run(until=0.1)  # Start/StartACK done: the tree FSM is counting
+        flow = TcpFlow(sim, topo.source.send, "e0", 1, total_packets=2000,
+                       rate_bps=1_200_000)
+        topo.source.register_flow(flow)
+        return (sim, flow, monitor), {}
+
+    def run(sim, flow, monitor):
+        flow.start()
+        sim.run(until=40.0)
+        assert flow.completed and flow.retransmissions == 0
+        return monitor.tree_receiver.strategy.counters.packets
+
+    assert benchmark.pedantic(run, setup=setup, rounds=10) == 2000
+
+
 @pytest.mark.parametrize("mode", ["alloc", "pooled"])
 def test_packet_pool_churn(benchmark, mode):
     """Per-packet object cost: a fresh ``__slots__`` allocation versus a

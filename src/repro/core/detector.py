@@ -27,7 +27,7 @@ from typing import Any
 from ..simulator.engine import Simulator
 from ..simulator.packet import MIN_FRAME_BYTES, Packet, PacketKind
 from ..simulator.switch import Switch
-from .classify import EntryClassifier, by_prefix
+from .classify import EntryClassifier
 from .counters import DedicatedReceiverCounters, DedicatedSenderCounters
 from .hashtree import HashTree, HashTreeParams
 from .output import FailureKind, FailureLog, FailureReport, HashPathFlags
@@ -38,6 +38,7 @@ from .protocol import (
     DEFAULT_TWAIT,
     FancyReceiver,
     FancySender,
+    ReceiverState,
     SenderState,
 )
 from .zooming import TreeReceiverStrategy, TreeSenderStrategy
@@ -154,7 +155,9 @@ class FancyLinkMonitor:
         self._timeline: Any = telemetry.timeline if telemetry is not None else None
         self._traces: Any = getattr(telemetry, "traces", None)
         self._id = f"{upstream.name}->{downstream.name}"
-        self._entry_of = self.config.classifier or by_prefix
+        #: ``None`` = the destination prefix (:func:`~repro.core.classify.
+        #: by_prefix`), read inline on the per-packet path.
+        self._entry_of = self.config.classifier
 
         cfg = self.config
         self.dedicated_sender: FancySender | None = None
@@ -291,14 +294,16 @@ class FancyLinkMonitor:
         # Classified once per hop.  Only best-effort entries go to the
         # tree; packets of dedicated entries outside a dedicated session
         # stay uncounted.
-        entry = self._entry_of(packet)
+        classify = self._entry_of
+        entry = packet.entry if classify is None else classify(packet)
         dedicated = self.dedicated_strategy
-        if dedicated is not None and entry in dedicated.index:
-            sender = self.dedicated_sender
-            assert sender is not None  # built together with its strategy
-            sender.process_packet(packet, entry)
-        elif self.tree_sender is not None:
-            self.tree_sender.process_packet(packet, entry)
+        sender = (self.dedicated_sender
+                  if dedicated is not None and entry in dedicated.index
+                  else self.tree_sender)
+        # FancySender.process_packet's counting gate, evaluated here: the
+        # strategy is one call away instead of behind a forwarding frame.
+        if sender is not None and sender.state is SenderState.COUNTING:
+            sender.strategy.process_packet(packet, sender.session_id, entry)
         return True
 
     def _upstream_ingress(self, packet: Packet, _in_port: int) -> bool:
@@ -325,11 +330,17 @@ class FancyLinkMonitor:
                 return False
             return True
         if packet.kind is PacketKind.DATA and packet.tag is not None:
-            if packet.tag_dedicated:
-                if self.dedicated_receiver is not None:
-                    self.dedicated_receiver.process_packet(packet)
-            elif self.tree_receiver is not None:
-                self.tree_receiver.process_packet(packet)
+            receiver = (self.dedicated_receiver if packet.tag_dedicated
+                        else self.tree_receiver)
+            if receiver is not None:
+                # FancyReceiver.process_packet's counting gate, evaluated
+                # here; the session's first tagged packet (SEND_ACK ->
+                # COUNTING) still goes through the FSM.
+                state = receiver.state
+                if state is ReceiverState.COUNTING or state is ReceiverState.WAIT_TO_SEND:
+                    receiver.strategy.process_packet(packet, receiver.session_id)
+                else:
+                    receiver.process_packet(packet)
         return True
 
     # -- detections ----------------------------------------------------------------------

@@ -51,11 +51,18 @@ NodePath = tuple[int, ...]
 #: synthetic workloads.
 HASH_PATH_CACHE_SIZE = 65536
 
+#: Bound on the geometries whose caches are kept (least recently
+#: constructed goes first).  Every experiment repetition seeds its tree
+#: differently, so a long sweep or a long-lived ``serve`` process would
+#: otherwise mint caches forever; a live tree keeps its own reference.
+SHARED_CACHE_GEOMETRIES = 64
+
 #: Shared hash-path caches, keyed by the parameters that fully determine
 #: the mapping: ``(seed, width, depth)``.  Two trees with the same key
 #: compute identical paths, so they can share memoized results across
 #: counting sessions, monitors, and experiment repetitions in-process.
-_SHARED_PATH_CACHES: dict[tuple[int, int, int], "OrderedDict[Any, tuple[int, ...]]"] = {}
+_SHARED_PATH_CACHES: "OrderedDict[tuple[int, int, int], OrderedDict[Any, tuple[int, ...]]]" = (
+    OrderedDict())
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,8 @@ class HashTree:
     with the same ``(seed, width, depth)`` — the mapping is a pure
     function of those three values, so cross-instance sharing is safe and
     lets repeated sessions/repetitions skip the blake2b work entirely.
+    The geometries themselves are LRU-bounded too
+    (:data:`SHARED_CACHE_GEOMETRIES`).
     """
 
     def __init__(self, params: HashTreeParams, seed: int = 0,
@@ -129,6 +138,10 @@ class HashTree:
         cache = _SHARED_PATH_CACHES.get(key)
         if cache is None:
             cache = _SHARED_PATH_CACHES[key] = OrderedDict()
+            if len(_SHARED_PATH_CACHES) > SHARED_CACHE_GEOMETRIES:
+                _SHARED_PATH_CACHES.popitem(last=False)
+        else:
+            _SHARED_PATH_CACHES.move_to_end(key)
         #: Shared memoized entry -> hash-path mapping (LRU-bounded).
         self._cache = cache
 

@@ -102,6 +102,13 @@ class TreeSenderStrategy:
         self.known_failed: set[NodePath] = set()
         #: Non-pipelined wave stage (0 = root); unused in pipelined mode.
         self.stage = 0
+        #: ``entry -> tag`` memo shared by :meth:`process_packet` and
+        #: :meth:`tag_for_entry`.  A tag is a function of the entry's hash
+        #: path, the frontier and the wave stage, so every write to either
+        #: of the latter clears it; ``None`` (staged, off-frontier) is
+        #: memoised like any tag.  Never outgrows the tree's own
+        #: hash-path cache (:meth:`_resolve_tag`).
+        self._tags: dict[Any, tuple[int, ...] | None] = {}
         self.sessions_completed = 0
         #: First time any zooming started (the paper's "technical"
         #: detection instant) and per-report bookkeeping.
@@ -125,6 +132,7 @@ class TreeSenderStrategy:
 
     def _activate(self, path: NodePath) -> None:
         self.frontier.add(path)
+        self._tags.clear()
         self.counters.activate_node(path)
         if self._timeline is not None:
             self._timeline.record(self.now_fn(), self.name, "zoom_descend",
@@ -141,6 +149,7 @@ class TreeSenderStrategy:
 
     def _deactivate(self, path: NodePath) -> None:
         self.frontier.discard(path)
+        self._tags.clear()
         self.counters.deactivate_node(path)
         if self._timeline is not None:
             self._timeline.record(self.now_fn(), self.name, "zoom_retreat",
@@ -157,18 +166,35 @@ class TreeSenderStrategy:
 
     def process_packet(self, packet: Packet, session_id: int,
                        entry: Any = None) -> bool:
-        """Tag a best-effort packet and update local counters."""
+        """Tag a best-effort packet and update local counters.
+
+        Steady state is one memo hit plus the flat-array hot paths of
+        :class:`TreeCounters` (one or two ``row * width + idx`` register
+        updates per packet).
+        """
         if entry is None:
             entry = self.entry_of(packet)
-        hp = self.tree.hash_path(entry)
-        tag = self._tag_for(hp)
+        try:
+            tag = self._tags[entry]
+        except KeyError:
+            tag = self._resolve_tag(entry)
         if tag is None:
             return False
         packet.tag = tag
         packet.tag_session = session_id
         packet.tag_dedicated = False
-        self._count(tag)
+        if self.params.pipelined or self.stage == 0:
+            self.counters.count_pipelined(tag)
+        else:
+            self.counters.count_staged(tag)
         return True
+
+    def _resolve_tag(self, entry: Any) -> tuple[int, ...] | None:
+        """Memo miss: derive ``entry``'s tag for this window and keep it."""
+        if len(self._tags) >= self.tree.cache_size:  # unbounded entry churn
+            self._tags.clear()
+        tag = self._tags[entry] = self._tag_for(self.tree.hash_path(entry))
+        return tag
 
     def _tag_for(self, hp: tuple[int, ...]) -> tuple[int, ...] | None:
         if self.params.pipelined or self.stage == 0:
@@ -192,26 +218,19 @@ class TreeSenderStrategy:
             return hp[: self.stage + 1]
         return None
 
-    def _count(self, tag: tuple[int, ...]) -> None:
-        """Increment root + frontier-node counters for a tag (both modes).
-
-        Delegates to the flat-array hot paths of :class:`TreeCounters`
-        (one or two ``row * width + idx`` register updates per packet).
-        """
-        if self.params.pipelined or self.stage == 0:
-            self.counters.count_pipelined(tag)
-        else:
-            self.counters.count_staged(tag)
-
     # -- fluid traffic interface (repro.simulator.fluid) ---------------------
 
     def tag_for_entry(self, entry: Any) -> tuple[int, ...] | None:
         """The tag packets of ``entry`` would carry right now.
 
         Valid for a whole counting window: the frontier only moves at
-        ``end_session``, which runs strictly between windows.
+        ``end_session``, which runs strictly between windows — and every
+        move clears the memo this reads.
         """
-        return self._tag_for(self.tree.hash_path(entry))
+        try:
+            return self._tags[entry]
+        except KeyError:
+            return self._resolve_tag(entry)
 
     def absorb(self, tag: tuple[int, ...], n: int) -> None:
         """Bulk-count ``n`` packets of one tag (fluid window feed)."""
@@ -356,6 +375,7 @@ class TreeSenderStrategy:
                 self._spawn_wave((), root_mism)
                 if self.frontier:
                     self.stage = 1
+                    self._tags.clear()
             return reports
 
         # Stage >= 1: every frontier node sits at level == stage.
@@ -389,12 +409,14 @@ class TreeSenderStrategy:
         for path, mism in next_frontier_sources:
             self._spawn_wave(path, mism)
         self.stage += 1
+        self._tags.clear()
         return reports
 
     def _reset_wave(self) -> None:
         for path in list(self.frontier):
             self._deactivate(path)
         self.stage = 0
+        self._tags.clear()
 
     def _spawn_wave(self, parent: NodePath, mism: list[tuple[int, int]]) -> None:
         candidates = list(mism)

@@ -41,29 +41,21 @@ class Host(Node):
         self.access_port = 0
         self.packets_received = 0
         self.bytes_received = 0
-        #: Access link cache (hosts are single-homed); filled by
-        #: attach_link so send() skips the per-packet port lookup.
-        self._access_link: Any | None = None
         #: Optional tap on every received packet (for throughput meters).
         self.rx_tap: Callable[[Packet], None] | None = None
+        #: ``send(packet)``: transmit via the access port (hosts are
+        #: single-homed).  Sending runs once per originated packet (every
+        #: TCP data segment and ACK), so once wired this *is* the access
+        #: link's bound ``send`` — no Host frame, no port lookup.
+        self.send: Callable[[Packet], None] = self._send_unwired
 
     def attach_link(self, port: int, link: Any) -> None:
         super().attach_link(port, link)
         if port == self.access_port:
-            self._access_link = link
+            self.send = link.send
 
-    def send(self, packet: Packet) -> None:
-        """Transmit via the access port (hosts are single-homed).
-
-        ``send`` runs once per originated packet (every TCP data segment
-        and ACK), so the access link is cached instead of looked up
-        through ``transmit``'s port dict on each call.
-        """
-        link = self._access_link
-        if link is None:  # not wired yet: fall back for the error message
-            self.transmit(packet, self.access_port)
-            return
-        link.send(packet)
+    def _send_unwired(self, packet: Packet) -> None:
+        self.transmit(packet, self.access_port)  # raises the missing-port error
 
     def register_flow(self, flow: TcpFlow) -> None:
         self.flows[flow.flow_id] = flow
@@ -158,6 +150,10 @@ class FlowGenerator:
 
     def start(self) -> None:
         self._running = True
+        # Constant for the run: resolved here, not per spawned flow.
+        self._flow_packets = self.packets_per_flow
+        self._flow_rate_bps = self.per_flow_rate_bps
+        self._spawn_gap = 1.0 / self.flows_per_second
         # Desynchronize entries: first arrival at a random phase of the
         # inter-arrival interval, as the paper randomizes flow start times.
         first = self.rng.random() / self.flows_per_second
@@ -176,21 +172,15 @@ class FlowGenerator:
             return
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        flow = TcpFlow(
-            self.sim,
-            self.source.send,
-            self.entry,
-            flow_id,
-            total_packets=self.packets_per_flow,
-            packet_size=self.packet_size,
-            rate_bps=self.per_flow_rate_bps,
-            on_complete=self._on_flow_complete,
-        )
-        self.source.register_flow(flow)
+        # Positional: ..., total_packets, packet_size, rate_bps.
+        flow = TcpFlow(self.sim, self.source.send, self.entry, flow_id,
+                       self._flow_packets, self.packet_size, self._flow_rate_bps,
+                       on_complete=self._on_flow_complete)
+        self.source.flows[flow_id] = flow  # register_flow, minus its frame
         self.active_flows.add(flow_id)
         self.flows_started += 1
         flow.start()
-        self.sim.schedule(1.0 / self.flows_per_second, self._spawn)
+        self.sim.schedule(self._spawn_gap, self._spawn)
 
     def _on_flow_complete(self, flow: TcpFlow) -> None:
         self.active_flows.discard(flow.flow_id)

@@ -91,6 +91,20 @@ def _noop(*_args: Any) -> None:
     return None
 
 
+class _PeriodicHandle(EventHandle):
+    """What :meth:`Simulator.schedule_periodic` returns: a detached proxy
+    (never in the heap) whose ``cancel()`` stops the chain whichever
+    occurrence is pending.  ``_cell`` is the chain's one-element list
+    holding the live occurrence's handle."""
+
+    __slots__ = ("_cell",)
+    _cell: list[EventHandle]
+
+    def cancel(self) -> None:  # noqa: D102 - same contract as base
+        self._cell[0].cancel()
+        self[2] = None
+
+
 def _callback_name(callback: Callable[..., Any]) -> str:
     """Stable human-readable label for a profiled callback."""
     qualname = getattr(callback, "__qualname__", None)
@@ -241,16 +255,8 @@ class Simulator:
 
         first = self.schedule(start_delay if start_delay is not None else interval, fire)
         cell.append(first)
-
-        # Proxy whose .cancel() stops the chain regardless of which link is live.
-        class _PeriodicHandle(EventHandle):
-            __slots__ = ()
-
-            def cancel(self) -> None:  # noqa: D102 - same contract as base
-                cell[0].cancel()
-                self[2] = None
-
         handle_proxy = _PeriodicHandle((first[0], first[1], _noop, (), None))
+        handle_proxy._cell = cell
         return handle_proxy
 
     def peek_time(self) -> float | None:
@@ -305,28 +311,34 @@ class Simulator:
         taken "at the end of the experiment" see a consistent timestamp.
 
         The uninstrumented loop is inlined: one heap pop per event (no
-        ``peek_time``/``step`` double traversal) and a bare
+        peek, no ``peek_time``/``step`` double traversal) and a bare
         ``callback(*args)`` dispatch.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until != until:  # NaN compares false with every event time
+            raise SimulationError(f"cannot run until t={until}")
         self._running = True
         self._stopped = False
         queue = self._queue  # compact() preserves the list identity
         pop = heapq.heappop
+        # Decided once, not per event: is the loop bounded, is it observed.
+        limit = float("inf") if until is None else until
         instrumented = self._telemetry is not None
         try:
             while queue and not self._stopped:
-                handle = queue[0]
+                handle = pop(queue)
                 callback = handle[2]
                 if callback is None:
-                    pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and handle[0] > until:
+                when = handle[0]
+                if when > limit:
+                    # Not due (once per run): back it goes — pop order is
+                    # (time, seq), whatever shape the heap is in.
+                    heapq.heappush(queue, handle)
                     break
-                pop(queue)
-                self.now = handle[0]
+                self.now = when
                 if instrumented:
                     self._step_instrumented(handle)
                 else:

@@ -184,30 +184,32 @@ class Packet:
     ) -> "Packet":
         """Pool-aware constructor: recycle a released packet when possible.
 
-        Falls back to a regular allocation when the pool is disabled or
-        empty.  Either way the packet gets a fresh ``pid`` from the global
-        counter, so pooled runs consume the id sequence identically.
+        Allocates a bare object when the pool is disabled or empty and
+        initialises every field here either way (one frame per packet,
+        not ``acquire`` + ``__init__``).  The packet gets a fresh ``pid``
+        from the global counter, so pooled runs consume the id sequence
+        identically.
         """
         pool = POOL
         if pool.enabled and pool.free:
             packet = pool.free.pop()
             pool.reused += 1
-            packet.pid = next(_packet_ids)
-            packet.kind = kind
-            packet.entry = entry
-            packet.flow_id = flow_id
-            packet.size = size
-            packet.seq = seq
-            packet.ack = ack
-            packet.created_at = created_at
-            packet.tag = None
-            packet.tag_session = -1
-            packet.tag_dedicated = False
-            packet.payload = payload
-            packet.reverse = reverse
-            return packet
-        return cls(kind, entry, size, flow_id=flow_id, seq=seq, ack=ack,
-                   created_at=created_at, payload=payload, reverse=reverse)
+        else:
+            packet = cls.__new__(cls)
+        packet.pid = next(_packet_ids)
+        packet.kind = kind
+        packet.entry = entry
+        packet.flow_id = flow_id
+        packet.size = size
+        packet.seq = seq
+        packet.ack = ack
+        packet.created_at = created_at
+        packet.tag = None
+        packet.tag_session = -1
+        packet.tag_dedicated = False
+        packet.payload = payload
+        packet.reverse = reverse
+        return packet
 
     def release(self) -> None:
         """Return this packet to the free list (no-op when pool disabled).

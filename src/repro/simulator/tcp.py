@@ -93,8 +93,11 @@ class TcpFlow:
         self.retransmissions = 0
         self._pacing_interval = packet_size * 8 / rate_bps if rate_bps else 0.0
         self._rto_timer: EventHandle | None = None
-        #: Authoritative expiry instant; the pending timer event may fire
-        #: earlier (it is re-armed lazily, see :meth:`_arm_rto`).
+        #: Authoritative expiry instant.  Cancel-and-reschedule on every
+        #: advancing ACK would churn one dead heap handle per ACK, so an
+        #: ACK only moves this deadline; a pending timer that fires early
+        #: re-arms itself at it without side effects (:meth:`_on_rto`).
+        #: A timeout is acted on exactly at ``last-arm time + rto``.
         self._rto_deadline = 0.0
         self._pacing_timer: EventHandle | None = None
         self._in_recovery = False
@@ -108,64 +111,43 @@ class TcpFlow:
     def stop(self) -> None:
         """Abort the flow (used at experiment teardown)."""
         self.completed = True
-        self._cancel_timer(self._rto_timer)
-        self._cancel_timer(self._pacing_timer)
-        self._rto_timer = None
-        self._pacing_timer = None
+        self._cancel_timers()
 
-    @staticmethod
-    def _cancel_timer(timer: EventHandle | None) -> None:
-        if timer is not None:
-            timer.cancel()
+    def _cancel_timers(self) -> None:
+        if self._rto_timer is not None:
+            self._rto_timer.cancel()
+            self._rto_timer = None
+        if self._pacing_timer is not None:
+            self._pacing_timer.cancel()
+            self._pacing_timer = None
 
     # -- sending ------------------------------------------------------------
-
-    def _window_allows(self) -> bool:
-        # Duplicate ACKs inflate the window (limited transmit / NewReno
-        # inflation) so the flow keeps the ACK clock alive during loss.
-        in_flight = self.next_seq - self.high_acked
-        return in_flight < self.cwnd + self.dup_acks
 
     def _try_send(self) -> None:
         self._pacing_timer = None
         if self.completed:
             return
-        if self.next_seq < self.total_packets and self._window_allows():
+        # Duplicate ACKs inflate the window (limited transmit / NewReno
+        # inflation) so the flow keeps the ACK clock alive during loss.
+        if (self.next_seq < self.total_packets
+                and self.next_seq - self.high_acked < self.cwnd + self.dup_acks):
             self._emit(self.next_seq)
             self.next_seq += 1
             if self.next_seq < self.total_packets:
                 self._pacing_timer = self.sim.schedule(self._pacing_interval, self._try_send)
 
     def _emit(self, seq: int, retransmission: bool = False) -> None:
-        packet = Packet.acquire(
-            PacketKind.DATA,
-            self.entry,
-            self.packet_size,
-            flow_id=self.flow_id,
-            seq=seq,
-            created_at=self.sim.now,
-        )
+        sim = self.sim
+        # Positional: kind, entry, size, flow_id, seq, ack, created_at.
+        packet = Packet.acquire(PacketKind.DATA, self.entry, self.packet_size,
+                                self.flow_id, seq, -1, sim.now)
         self.packets_sent += 1
         if retransmission:
             self.retransmissions += 1
         self.send_fn(packet)
         if self._rto_timer is None:
-            self._arm_rto()
-
-    def _arm_rto(self) -> None:
-        """Arm — or lazily extend — the retransmission timer.
-
-        Cancel-and-reschedule on every advancing ACK would churn one
-        dead heap handle per ACK (the single biggest source of cancelled
-        events in a TCP-heavy run).  Instead the authoritative deadline
-        is stored here, and a pending timer that fires early simply
-        re-arms itself at the current deadline without side effects.
-        The observable firing semantics are unchanged: a timeout is
-        acted on exactly at ``last-arm time + rto``.
-        """
-        self._rto_deadline = self.sim.now + self.rto
-        if self._rto_timer is None:
-            self._rto_timer = self.sim.schedule(self.rto, self._on_rto)
+            self._rto_deadline = sim.now + self.rto
+            self._rto_timer = sim.schedule(self.rto, self._on_rto)
 
     def _on_rto(self) -> None:
         self._rto_timer = None
@@ -209,7 +191,9 @@ class TcpFlow:
             if self.high_acked >= self.total_packets:
                 self._finish()
                 return
-            self._arm_rto()
+            self._rto_deadline = self.sim.now + self.rto
+            if self._rto_timer is None:
+                self._rto_timer = self.sim.schedule(self.rto, self._on_rto)
             if self._pacing_timer is None:
                 self._try_send()
         elif ack == self.high_acked:
@@ -227,10 +211,7 @@ class TcpFlow:
     def _finish(self) -> None:
         self.completed = True
         self.completed_at = self.sim.now
-        self._cancel_timer(self._rto_timer)
-        self._cancel_timer(self._pacing_timer)
-        self._rto_timer = None
-        self._pacing_timer = None
+        self._cancel_timers()
         if self.on_complete is not None:
             self.on_complete(self)
 
@@ -242,7 +223,15 @@ class TcpFlow:
 
 
 class TcpSink:
-    """Receiver-side state: cumulative ACK generation with an OOO buffer."""
+    """Receiver-side state: cumulative ACK generation with an OOO buffer.
+
+    One sink lives per flow for the whole run (a host cannot tell a
+    finished flow from a quiet one), so it is kept small: slots, and no
+    buffer until a segment actually arrives out of order.
+    """
+
+    __slots__ = ("sim", "send_fn", "entry", "flow_id", "next_expected",
+                 "out_of_order", "packets_received", "bytes_received")
 
     def __init__(
         self,
@@ -256,7 +245,7 @@ class TcpSink:
         self.entry = entry
         self.flow_id = flow_id
         self.next_expected = 0
-        self.out_of_order: set[int] = set()
+        self.out_of_order: set[int] | None = None
         self.packets_received = 0
         self.bytes_received = 0
 
@@ -266,21 +255,15 @@ class TcpSink:
         seq = packet.seq
         if seq == self.next_expected:
             self.next_expected += 1
-            while self.next_expected in self.out_of_order:
-                self.out_of_order.discard(self.next_expected)
+            pending = self.out_of_order
+            while pending and self.next_expected in pending:
+                pending.discard(self.next_expected)
                 self.next_expected += 1
         elif seq > self.next_expected:
+            if self.out_of_order is None:
+                self.out_of_order = set()
             self.out_of_order.add(seq)
-        self._send_ack()
-
-    def _send_ack(self) -> None:
-        ack = Packet.acquire(
-            PacketKind.ACK,
-            self.entry,
-            ACK_SIZE,
-            flow_id=self.flow_id,
-            ack=self.next_expected,
-            created_at=self.sim.now,
-            reverse=True,
-        )
-        self.send_fn(ack)
+        # Positional: kind, entry, size, flow_id, seq, ack, created_at,
+        # payload, reverse.
+        self.send_fn(Packet.acquire(PacketKind.ACK, self.entry, ACK_SIZE, self.flow_id,
+                                    0, self.next_expected, self.sim.now, None, True))

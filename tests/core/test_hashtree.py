@@ -94,6 +94,31 @@ class TestHashTree:
         matching = small_tree.entries_on_path(entries, target)
         assert "e7" in matching
 
+    def test_shared_caches_are_bounded_over_geometries(self):
+        """One cache per ``(seed, width, depth)`` and at most 64 of them:
+        the 65th geometry evicts the least recently constructed one, and a
+        tree re-created for an evicted geometry still hashes identically."""
+        from repro.core import hashtree
+
+        caches = hashtree._SHARED_PATH_CACHES
+        bound = hashtree.SHARED_CACHE_GEOMETRIES
+        params, entry, first = HashTreeParams(width=7, depth=2), "10.0.0.0/24", 910_000
+        oldest = HashTree(params, seed=first)
+        before = oldest.hash_path(entry)
+        for seed in range(first + 1, first + bound):
+            HashTree(params, seed=seed)
+        assert len(caches) == bound and (first, 7, 2) in caches
+        HashTree(params, seed=first + 1)  # constructing again refreshes a geometry
+        HashTree(params, seed=first + bound)  # the 65th
+        assert len(caches) == bound and (first, 7, 2) not in caches
+        HashTree(params, seed=first + bound + 1)  # the next victim is first + 2
+        assert (first + 1, 7, 2) in caches and (first + 2, 7, 2) not in caches
+        # A live tree keeps the cache it was built with; a new tree for the
+        # evicted geometry starts cold and computes the same mapping.
+        assert oldest.hash_path(entry) == before
+        again = HashTree(params, seed=first)
+        assert not again._cache and again.hash_path(entry) == before
+
 
 class TestTreeCounters:
     def test_root_always_exists(self, small_params):

@@ -24,12 +24,13 @@ from repro.fabric.graph import FabricNetwork
 from repro.simulator.engine import Simulator
 from repro.simulator.udp import UdpSource
 
-#: Measured Python frames per hop.  The parent commit (always-installed
-#: reroute ``_decide``, per-packet ``flowlet_port``, upstream ingress tap
-#: on every packet, ``now`` property, ``EventHandle.__init__``) measured
-#: 21.67 per DATA hop and 11.63 per ACK hop on this scenario.
-DATA_HOP_FRAMES = 14.25
-ACK_HOP_FRAMES = 8.02
+#: Measured Python frames per hop.  The parent commit (tree tag through
+#: ``hash_path`` / ``_tag_for`` / ``_count`` per packet, the FSMs'
+#: ``process_packet`` forwarding frames, ``by_prefix``, ``Host.send``,
+#: ``Packet.acquire`` + ``__init__``) measured 14.25 per DATA hop and 8.02
+#: per ACK hop on this scenario; the commit before it 21.67 and 11.63.
+DATA_HOP_FRAMES = 10.23
+ACK_HOP_FRAMES = 7.40
 #: Room for one more frame on one hop in five, not for one on every hop;
 #: the lower edge only catches the scenario silently losing its monitors.
 HEADROOM = 0.2

@@ -201,6 +201,24 @@ class TestRunControl:
         sim.schedule(1.0, recurse)
         sim.run()
 
+    def test_run_until_nan_rejected(self, sim):
+        # ``t > nan`` is false for every event time: the bound would be
+        # ignored and the queue drained to the end.
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0
+        sim.run(until=2.0)  # the rejected call left the engine usable
+        assert fired == ["a"]
+
+    def test_run_until_infinity_drains_the_queue(self, sim):
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(5.0, fired.append, "b")
+        sim.run(until=float("inf"))
+        assert fired == ["a", "b"]
+
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i + 1), lambda: None)
@@ -231,6 +249,37 @@ class TestPeriodic:
     def test_periodic_rejects_nonpositive_interval(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule_periodic(0.0, lambda: None)
+
+    def test_periodic_cancel_from_its_own_callback(self, sim):
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) == 3:
+                handle.cancel()  # while firing: the chain must not re-arm
+
+        handle = sim.schedule_periodic(1.0, tick)
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert handle.cancelled and sim.peek_time() is None
+
+    def test_periodic_proxy_tracks_and_cancels_the_live_occurrence(self, sim):
+        handle = sim.schedule_periodic(1.0, lambda: None)
+        assert not handle.cancelled and handle[0] == 1.0
+        sim.run(until=3.5)
+        assert handle[0] == 4.0  # the proxy follows the chain
+        handle.cancel()
+        handle.cancel()  # idempotent
+        assert handle.cancelled and sim.peek_time() is None
+
+    def test_periodic_handles_share_one_type(self, sim):
+        # One class object per call was ~15 us each and only a gen-2
+        # collection ever reclaimed it.
+        a = sim.schedule_periodic(1.0, lambda: None)
+        b = Simulator().schedule_periodic(2.0, lambda: None)
+        assert type(a) is type(b)
+        a.cancel()
+        assert a.cancelled and not b.cancelled
 
 
 class TestPropertyBased:
