@@ -111,7 +111,9 @@ def _tree_report_snapshot() -> dict:
 def test_control_payload_sign_and_verify(benchmark, extra):
     """The control-plane counterpart of the counter rows above: what one
     message costs to checksum at the sender and re-check at the receiver
-    (1000 messages per round, so per-op cost = round time / 1000)."""
+    (1000 messages per round, so per-op cost = round time / 1000).  The
+    streamed per-field CRC left it where the one-pass encoding had it:
+    1.66 / 3.18 / 12.1 us before, 1.75 / 3.21 / 11.9 us after."""
     body = {"fsm": "s1->s2/dedicated", "session": 1234, **extra}
 
     def run():
@@ -248,6 +250,48 @@ def test_tcp_segment(benchmark):
         return monitor.tree_receiver.strategy.counters.packets
 
     assert benchmark.pedantic(run, setup=setup, rounds=10) == 2000
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "episode"])
+def test_session_exchange(benchmark, mode):
+    """Completed counting sessions of one dedicated FSM pair on a
+    two-switch monitored link: Start, StartACK, a 50 ms window, Stop,
+    T_wait, Report, ``end_session`` and the next ``_open_session`` — four
+    control frames signed and re-verified, six engine events.  ``off`` has
+    no telemetry, ``on`` a :class:`Telemetry` session on the monitor
+    (timeline + control counters, no episode), ``episode`` the same inside
+    an open trace episode (eleven spans per session).  Per-session cost =
+    round time / 1000; tests/core/test_session_budget.py pins the same
+    exchange in frames instead of time.  Measured off / on / episode
+    26.0 / 48.7 / 80.6 us per session before the tuple event records,
+    streamed CRC and attribute-gated trace path, 23.2 / 35.3 / 61.4 us
+    after (best of three interleaved readings; docs/PERFORMANCE.md,
+    "Per-session budget")."""
+    from repro.core.detector import FancyConfig, FancyLinkMonitor
+    from repro.simulator.topology import TwoSwitchTopology
+    from repro.telemetry import Telemetry
+
+    def setup():
+        sim = Simulator()
+        telemetry = None if mode == "off" else Telemetry(scope="A->B")
+        topo = TwoSwitchTopology(sim)
+        monitor = FancyLinkMonitor(
+            sim, topo.upstream, 1, topo.downstream, 1,
+            FancyConfig(high_priority=[f"hp{i}" for i in range(8)],
+                        tree_params=None),
+            telemetry=telemetry)
+        monitor.start()
+        sim.run(until=1.0)
+        if mode == "episode":
+            telemetry.traces.begin_episode(sim.now, cause="fault")
+        return (sim, monitor.dedicated_sender), {}
+
+    def run(sim, sender):
+        done = sender.sessions_completed
+        sim.run(until=sim.now + 91.0)  # 90.9 ms per session
+        return sender.sessions_completed - done
+
+    assert 1000 <= benchmark.pedantic(run, setup=setup, rounds=10) <= 1002
 
 
 @pytest.mark.parametrize("mode", ["alloc", "pooled"])

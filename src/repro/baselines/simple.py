@@ -204,7 +204,7 @@ class StrategyLinkMonitor:
         from ..core.detector import claim_monitored_port
 
         claim_monitored_port(upstream, up_port)
-        upstream.add_egress_hook(up_port, self._upstream_egress)
+        upstream.add_egress_hook(up_port, self._upstream_egress, data_only=True)
         upstream.add_ingress_hook(up_port, self._upstream_ingress, front=True,
                                   control_only=True)
         downstream.add_ingress_hook(down_port, self._downstream_ingress, front=True)

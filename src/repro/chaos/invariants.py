@@ -176,6 +176,10 @@ def check_attribution(
     instead of rescanning the whole log at teardown.
     """
     out: list[Violation] = []
+    if since >= len(log.reports):
+        # Nothing new to attribute (every supervision tick of a healthy
+        # link): skip hashing the covered entries into their leaves.
+        return out
     dedicated_set = set(dedicated)
     tree = monitor.tree_strategy.tree if monitor.tree_strategy else None
     leaf_entries: dict[tuple[int, ...], list[Any]] = {}

@@ -263,8 +263,10 @@ class FancyLinkMonitor:
 
     def _install_hooks(self) -> None:
         claim_monitored_port(self.upstream, self.up_port)
-        self.upstream.add_egress_hook(self.up_port, self._upstream_egress)
-        # Control responses only: DATA/ACK never visit the upstream ingress tap.
+        # The counting tap never sees control messages (its own injected
+        # Start/Stop included); DATA/ACK never visit the upstream ingress tap.
+        self.upstream.add_egress_hook(self.up_port, self._upstream_egress,
+                                      data_only=True)
         self.upstream.add_ingress_hook(self.up_port, self._upstream_ingress, front=True,
                                        control_only=True)
         self.downstream.add_ingress_hook(self.down_port, self._downstream_ingress, front=True)

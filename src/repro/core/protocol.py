@@ -106,22 +106,29 @@ def payload_checksum(payload: dict[str, Any]) -> int:
     than act on garbage.  The ``"csum"`` key itself is excluded, so the
     checksum can be stored in the payload it covers.
 
-    A function of the payload's *value*: the top level and every
-    dict-valued field (the tree snapshot, keyed by hash path) are rebuilt
-    in sorted key order and one ``marshal.dumps`` call encodes the lot —
-    Python-level work per dict, not per counter cell.  Marshal version 2
-    writes no object references or interning flags, so nothing but the
-    values reaches the CRC; a counter cell below 2**31 is one fixed-width
-    field, so CRC-32 *guarantees* detection of any single-cell change (a
-    burst of at most 32 bits).  docs/ROBUSTNESS.md §2 has the details.
+    A function of the payload's *value*: a running CRC over one
+    ``marshal.dumps((key, value), 2)`` per field in sorted key order,
+    which is the CRC of the concatenated encodings.  A dict-valued field
+    (the tree snapshot, keyed by hash path) goes in as ``(key, None,
+    sorted items)`` — order-free, and never the encoding of its own item
+    list.  Python-level work per field, not per counter cell.  Marshal
+    version 2 writes no object references or interning flags, so nothing
+    but the values reaches the CRC; a counter cell below 2**31 is one
+    fixed-width field, so CRC-32 *guarantees* detection of any
+    single-cell change (a burst of at most 32 bits).
+    docs/ROBUSTNESS.md §2 has the details.
     """
+    crc = 0
     try:
-        data = marshal.dumps(
-            {k: dict(sorted(v.items())) if type(v) is dict else v
-             for k, v in sorted(payload.items()) if k != "csum"}, 2)
+        for key in sorted(payload):
+            if key != "csum":
+                value = payload[key]
+                crc = zlib.crc32(marshal.dumps(
+                    (key, None, sorted(value.items())) if type(value) is dict
+                    else (key, value), 2), crc)
     except (TypeError, ValueError):
-        data = _encode_refused(payload)
-    return zlib.crc32(data)
+        return zlib.crc32(_encode_refused(payload))
+    return crc
 
 
 def verify_payload(payload: dict[str, Any]) -> bool:
@@ -257,7 +264,9 @@ class _ControlCounters:
         self._metrics = metrics
         self._fsm_id = fsm_id
         self._role = role
-        self._sent: dict[PacketKind, tuple[Any, Any]] = {}
+        #: (messages, bytes) handles by message kind *value*: a ``str``
+        #: key hashes in C, an enum member through a Python frame.
+        self._sent: dict[str, tuple[Any, Any]] = {}
         self._rejected: dict[str, Any] = {}
         self._retransmissions: Any = None
         self._sessions_completed: Any = None
@@ -265,13 +274,14 @@ class _ControlCounters:
     def count_control(self, kind: PacketKind, size: int,
                       retransmit: bool = False) -> None:
         """Account one outgoing control message."""
-        sent = self._sent.get(kind)
+        value = kind._value_
+        sent = self._sent.get(value)
         if sent is None:
-            sent = self._sent[kind] = (
+            sent = self._sent[value] = (
                 self._metrics.counter(
                     "fancy_control_messages_total",
                     "FANcY control messages sent, by FSM, role and message kind",
-                    fsm=self._fsm_id, role=self._role, kind=kind.value),
+                    fsm=self._fsm_id, role=self._role, kind=value),
                 self._metrics.counter(
                     "fancy_control_bytes_total",
                     "FANcY control bytes sent on the wire, by FSM and role",
@@ -400,17 +410,19 @@ class FancySender:
         self._timer: EventHandle | None = None
 
     def _set_state(self, new_state: SenderState) -> None:
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # Python-level descriptor, two frames per read.
         old_state = self.state
         self.state = new_state
         if self._timeline is not None and old_state is not new_state:
             self._timeline.record(
                 self.sim.now, self.fsm_id, "fsm_transition", role="sender",
                 session=self.session_id,
-                **{"from": old_state.value, "to": new_state.value},
+                **{"from": old_state._value_, "to": new_state._value_},
             )
             if self._traces is not None and self._traces.active:
                 self._traces.emit(
-                    f"{old_state.value}->{new_state.value}", self.sim.now,
+                    f"{old_state._value_}->{new_state._value_}", self.sim.now,
                     category="fsm", fsm=self.fsm_id, role="sender",
                     session=self.session_id)
 
@@ -449,7 +461,7 @@ class FancySender:
             self._signal("saturated"
                          if 2 ** (self.attempts - 1) >= self.backoff_cap
                          else "rtx")
-        self._emit(PacketKind.FANCY_START, {})
+        self._emit(PacketKind.FANCY_START)
         self._arm_timer(self._send_start)
 
     def _send_stop(self) -> None:
@@ -464,7 +476,7 @@ class FancySender:
             self._signal("saturated"
                          if 2 ** (self.attempts - 1) >= self.backoff_cap
                          else "rtx")
-        self._emit(PacketKind.FANCY_STOP, {})
+        self._emit(PacketKind.FANCY_STOP)
         self._arm_timer(self._send_stop)
 
     def _signal(self, signal: str) -> None:
@@ -508,21 +520,20 @@ class FancySender:
         self._set_state(SenderState.IDLE)
         self._open_session()
 
-    def _emit(self, kind: PacketKind, extra: dict[str, Any],
-              size: int = MIN_FRAME_BYTES) -> None:
+    def _emit(self, kind: PacketKind) -> None:
+        """Put one Start / Stop on the wire (a minimum-size frame)."""
         payload: dict[str, Any] = {"fsm": self.fsm_id, "session": self.session_id}
-        payload.update(extra)
         payload["csum"] = payload_checksum(payload)
         if self._counters is not None:
-            self._counters.count_control(kind, size,
+            self._counters.count_control(kind, MIN_FRAME_BYTES,
                                          retransmit=self.attempts > 1)
         if self._traces is not None and self._traces.active:
             self._traces.emit(
-                kind.value, self.sim.now, category="control",
+                kind._value_, self.sim.now, category="control",
                 parent=self._session_span, fsm=self.fsm_id, role="sender",
-                session=self.session_id, bytes=size,
+                session=self.session_id, bytes=MIN_FRAME_BYTES,
                 retransmit=self.attempts > 1)
-        self.send_control(kind, payload, size)
+        self.send_control(kind, payload, MIN_FRAME_BYTES)
 
     def _arm_timer(self, callback: Callable[[], None]) -> None:
         """(Re)arm the retransmission timer with capped exponential backoff.
@@ -534,9 +545,12 @@ class FancySender:
         fixed rate — and the link-failure declaration latency stays
         bounded because attempts are capped at ``max_attempts``.
         """
-        self._cancel_timer()
-        factor = min(2 ** max(self.attempts - 1, 0), self.backoff_cap)
-        self._timer = self.sim.schedule(self.rtx_timeout * factor, callback)
+        if self._timer is not None:
+            self._timer.cancel()
+        delay = self.rtx_timeout
+        if self.attempts > 1:
+            delay *= min(2 ** (self.attempts - 1), self.backoff_cap)
+        self._timer = self.sim.schedule(delay, callback)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -721,11 +735,11 @@ class FancyReceiver:
             self._timeline.record(
                 self.sim.now, self.fsm_id, "fsm_transition", role="receiver",
                 session=self.session_id,
-                **{"from": old_state.value, "to": new_state.value},
+                **{"from": old_state._value_, "to": new_state._value_},
             )
             if self._traces is not None and self._traces.active:
                 self._traces.emit(
-                    f"{old_state.value}->{new_state.value}", self.sim.now,
+                    f"{old_state._value_}->{new_state._value_}", self.sim.now,
                     category="fsm", fsm=self.fsm_id, role="receiver",
                     session=self.session_id)
 
@@ -798,7 +812,7 @@ class FancyReceiver:
             self._counters.count_control(kind, size)
         if self._traces is not None and self._traces.active:
             self._traces.emit(
-                kind.value, self.sim.now, category="control",
+                kind._value_, self.sim.now, category="control",
                 fsm=self.fsm_id, role="receiver", session=self.session_id,
                 bytes=size)
         self.send_control(kind, payload, size)

@@ -72,6 +72,10 @@ CATEGORIES = (
 )
 
 
+#: What JSON takes as is (and ``_json_safe`` returns unchanged).
+_SCALARS = (bool, int, float, str)
+
+
 def _json_safe(value: Any) -> Any:
     """Coerce an attribute value to a JSON-serializable equivalent.
 
@@ -79,7 +83,7 @@ def _json_safe(value: Any) -> Any:
     and anything else falls back to ``repr`` — entry keys are arbitrary
     hashables, and the serialization boundary must never raise.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, _SCALARS):
         return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
@@ -144,15 +148,13 @@ class TraceCollector:
         self._episodes = 0
         self._next_span = 1
         self._root: Span | None = None
+        #: True while a detection episode is open (spans are recorded);
+        #: written wherever ``_root`` is, read by every guard site.
+        self.active = False
         self._open: dict[int, Span] = {}
         self._last_time = float("-inf")
 
     # -- episode lifecycle -------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """True while a detection episode is open (spans are recorded)."""
-        return self._root is not None
 
     @property
     def trace_id(self) -> str | None:
@@ -177,6 +179,7 @@ class TraceCollector:
                             end=None, attrs=span_attrs)
         self._open[root.span] = root
         self._root = root
+        self.active = True
         return trace
 
     def ensure_episode(self, time: float, cause: str, **attrs: Any) -> str:
@@ -192,6 +195,7 @@ class TraceCollector:
             span.end = time
         self._open.clear()
         self._root = None
+        self.active = False
 
     def finalize(self, time: float) -> None:
         """Close all open spans at ``time`` (end-of-run flush)."""
@@ -252,11 +256,12 @@ class TraceCollector:
                 start: float, end: float | None,
                 attrs: dict[str, Any]) -> Span:
         self._check_monotone(start)
-        span = Span(
-            trace=trace, span=self._next_span, parent=parent, name=name,
-            cat=cat, start=start, end=end,
-            attrs={k: _json_safe(v) for k, v in attrs.items()},
-        )
+        # ``attrs`` is the caller's own ``**kwargs`` dict: scalars stay
+        # where they are, only containers and objects are coerced.
+        for key, value in attrs.items():
+            if value is not None and not isinstance(value, _SCALARS):
+                attrs[key] = _json_safe(value)
+        span = Span(trace, self._next_span, parent, name, cat, start, end, attrs)
         self._next_span += 1
         if len(self.spans) >= self.max_spans:
             self.suppressed += 1
@@ -294,7 +299,8 @@ class TraceCollector:
 
 def spans_to_jsonl(span_dicts: Iterable[dict[str, Any]]) -> str:
     """Serialize span dicts as JSON Lines, key-sorted for byte stability."""
-    lines = [json.dumps(d, sort_keys=True) for d in span_dicts]
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(d) for d in span_dicts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -355,7 +355,8 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
 
     link_schedule = _directional_schedule(link_id, schedule)
     dedicated0 = list(rotations[0][1])
-    best_effort0 = [e for e in flow_rates if e not in set(dedicated0)]
+    dedicated0_set = set(dedicated0)
+    best_effort0 = [e for e in flow_rates if e not in dedicated0_set]
     supervisor = InvariantSupervisor(sim, telemetry=telemetry,
                                      interval_s=config.supervise_every_s)
     observer = supervisor.watch(
@@ -387,9 +388,9 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     # -- entry churn on the rotation grid -----------------------------------
     def _rotate(entries: tuple[str, ...]) -> None:
         monitor.update_entries(entries)
+        dedicated = set(entries)
         observer.update_entries(
-            list(entries),
-            [e for e in flow_rates if e not in set(entries)])
+            list(entries), [e for e in flow_rates if e not in dedicated])
 
     for t, entries in rotations[1:]:
         sim.schedule_at(t, _rotate, entries)

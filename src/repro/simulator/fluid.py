@@ -138,12 +138,6 @@ class _EmissionCursor:
         self.legs = legs
         self.emitted = 0
 
-    def _arrival(self, emit_t: float) -> float:
-        t = emit_t
-        for leg in self.legs:
-            t = t + leg
-        return t
-
     def advance(self, until: float) -> int:
         """Count emissions *arriving* strictly before ``until``.
 
@@ -156,7 +150,13 @@ class _EmissionCursor:
         interval = self._interval
         changes = self._changes
         lo, span = self._lo, self._span
-        while self._arrival(t) < until:
+        legs = self.legs
+        while True:
+            arrival = t
+            for leg in legs:
+                arrival = arrival + leg
+            if not arrival < until:  # not ``>=``: a NaN must end the loop
+                break
             n += 1
             while changes and changes[0][0] <= t:
                 interval = changes.pop(0)[1]

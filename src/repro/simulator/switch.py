@@ -135,7 +135,10 @@ class Switch(Node):
         #: registered ``control_only``.  Both keep registration order.
         self._ingress_hooks: dict[int, list[IngressHook]] = {}
         self._data_ingress_hooks: dict[int, list[IngressHook]] = {}
+        #: Egress hooks per port, likewise: DATA/ACK walk every hook,
+        #: control messages only those not registered ``data_only``.
         self._egress_hooks: dict[int, list[EgressHook]] = {}
+        self._control_egress_hooks: dict[int, list[EgressHook]] = {}
         #: Composable forwarding-override chain (fast-rerouting apps, the
         #: fabric forwarder, ...).  Overrides are consulted in order; the
         #: first one returning a port wins, None falls through to the
@@ -175,8 +178,13 @@ class Switch(Node):
             else:
                 hooks.append(hook)
 
-    def add_egress_hook(self, out_port: int, hook: EgressHook) -> None:
+    def add_egress_hook(self, out_port: int, hook: EgressHook,
+                        data_only: bool = False) -> None:
+        """Register an egress hook.  A ``data_only`` hook lets every
+        control message pass and is never called for one."""
         self._egress_hooks.setdefault(out_port, []).append(hook)
+        if not data_only:
+            self._control_egress_hooks.setdefault(out_port, []).append(hook)
 
     # -- forwarding-override chain ------------------------------------------
 
@@ -246,16 +254,17 @@ class Switch(Node):
         here, and the egress stage is inlined rather than delegated to
         :meth:`_egress` — the method call and the duplicate ``links``
         lookup are measurable at packet rates.  Keep the egress stage in
-        sync with :meth:`_egress`, the entry point for :meth:`inject` and
-        for topology code that feeds packets straight into an egress
-        pipeline (past the TM).
+        sync with :meth:`_egress` (also bound as :meth:`inject`), the
+        entry point for locally generated packets and for topology code
+        that feeds packets straight into an egress pipeline (past the TM).
         """
         stats = self.stats
         telemetry = self._telemetry
         stats.received += 1
         if telemetry is not None:
             self._m_received.inc()
-        hooks = (self._ingress_hooks if packet.kind.is_control
+        is_control = packet.kind.is_control
+        hooks = (self._ingress_hooks if is_control
                  else self._data_ingress_hooks).get(in_port)
         if hooks is not None:
             for hook in hooks:
@@ -293,7 +302,8 @@ class Switch(Node):
                 self._m_drop_tm.inc()
             return
         # -- Egress pipeline (see _egress).
-        hooks = self._egress_hooks.get(out_port)
+        hooks = (self._control_egress_hooks if is_control
+                 else self._egress_hooks).get(out_port)
         if hooks is not None:
             for hook in hooks:
                 if not hook(packet, out_port):
@@ -306,11 +316,13 @@ class Switch(Node):
     def _egress(self, packet: Packet, out_port: int) -> None:
         """Egress pipeline (after the TM): FANcY sender hooks live here.
 
-        Entry point for :meth:`inject` and for topology/rerouting code
-        that picked the port itself, so no TM admission applies; the
-        forwarding hot path inlines the same stage in :meth:`receive`.
+        Entry point for locally generated packets (bound as
+        :meth:`inject` below) and for topology/rerouting code that picked
+        the port itself, so no TM admission applies; the forwarding hot
+        path inlines the same stage in :meth:`receive`.
         """
-        for hook in self._egress_hooks.get(out_port, ()):
+        for hook in (self._control_egress_hooks if packet.kind.is_control
+                     else self._egress_hooks).get(out_port, ()):
             if not hook(packet, out_port):
                 return
         self.stats.forwarded += 1
@@ -324,12 +336,9 @@ class Switch(Node):
             raise KeyError(f"{self.name}: no link on port {out_port}")
         link.send(packet)
 
-    def inject(self, packet: Packet, out_port: int) -> None:
-        """Send a locally generated packet (e.g. a FANcY control message).
-
-        Control messages go straight to the egress pipeline of the target
-        port; they are subject to egress hooks (so the local FANcY sender
-        sees its own Start/Stop messages leaving, which it ignores) and to
-        on-wire failures, but not to TM admission.
-        """
-        self._egress(packet, out_port)
+    #: Send a locally generated packet (e.g. a FANcY control message)
+    #: straight to the egress pipeline of the target port: subject to its
+    #: egress hooks (all but the ``data_only`` ones — the local FANcY
+    #: sender's counting tap never sees its own Start/Stop leaving) and
+    #: to on-wire failures, but not to TM admission.
+    inject = _egress

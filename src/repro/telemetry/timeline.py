@@ -6,8 +6,9 @@ zooming strategy (:mod:`repro.core.zooming`), the link monitor
 (:mod:`repro.core.detector`) and the experiment runners.  Event types:
 
 ========================  =====================================================
-``fsm_transition``        an FSM changed state (fields: ``fsm``, ``role``,
-                          ``from``, ``to``, ``session``)
+``fsm_transition``        an FSM changed state; the FSM id is the event's
+                          ``source`` (fields: ``role``, ``from``, ``to``,
+                          ``session``)
 ``session_open`` /        a counting session opened / completed on a sender
 ``session_close``         FSM (fields: ``fsm``, ``session``)
 ``zoom_descend`` /        the tree's zooming frontier activated / retreated
@@ -37,21 +38,24 @@ overhead companion).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, IO, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, IO, Iterator, NamedTuple, Optional
 
 __all__ = ["TimelineEvent", "StateTimeline", "DetectionRecord"]
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One timeline entry: a timestamp, a source, an event type, fields."""
+class TimelineEvent(NamedTuple):
+    """One timeline entry: a timestamp, a source, an event type, fields.
+
+    A tuple record: :meth:`StateTimeline.record` builds one per event on
+    every FSM transition of every monitored link.
+    """
 
     time: float
     seq: int
     source: str
     event: str
-    fields: dict = field(default_factory=dict)
+    fields: dict
 
     def to_dict(self) -> dict:
         out = {"time": self.time, "source": self.source, "event": self.event}
@@ -134,7 +138,8 @@ class StateTimeline:
             if self._suppression_counter is not None:
                 self._suppression_counter.inc()
             return
-        self.events.append(TimelineEvent(time, self._seq, source, event, fields))
+        self.events.append(tuple.__new__(
+            TimelineEvent, (time, self._seq, source, event, fields)))
         self._seq += 1
 
     # -- queries --------------------------------------------------------------
@@ -161,10 +166,7 @@ class StateTimeline:
 
     def transitions(self, fsm: Optional[str] = None) -> list[TimelineEvent]:
         """All ``fsm_transition`` events, optionally of one FSM."""
-        return self.select(
-            "fsm_transition",
-            predicate=(lambda ev: ev.fields.get("fsm") == fsm) if fsm else None,
-        )
+        return self.select("fsm_transition", source=fsm or None)
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

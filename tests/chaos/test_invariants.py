@@ -13,11 +13,15 @@ import types
 
 from repro.chaos.invariants import (
     SessionTracker,
+    check_attribution,
     check_conservation,
     check_integrity,
     check_liveness,
 )
 from repro.chaos.perturbations import ChaosModel, Duplicate
+from repro.chaos.schedule import FaultSpec
+from repro.core.hashtree import HashTree, HashTreeParams
+from repro.core.output import FailureKind, FailureLog, FailureReport
 from repro.core.protocol import ReceiverState, SenderState
 from repro.simulator.link import Link
 from repro.simulator.packet import Packet, PacketKind
@@ -93,6 +97,66 @@ class TestSessionMonotonicity:
         assert tracker.check(m, 2.0) == []  # re-baselined after the restart
         receiver.session_id = 1  # regression with no restart this interval
         assert [v.invariant for v in tracker.check(m, 3.0)] == ["I2"]
+
+
+class _CountingTree:
+    """A real hash tree that counts its ``hash_path`` calls."""
+
+    def __init__(self):
+        self.tree = HashTree(HashTreeParams(width=8, depth=2, split=2,
+                                            pipelined=True), seed=1)
+        self.calls = 0
+
+    def hash_path(self, entry):
+        self.calls += 1
+        return self.tree.hash_path(entry)
+
+
+class TestIncrementalAttribution:
+    """``since`` at the end of the log: nothing to attribute, nothing hashed."""
+
+    DEDICATED = ["hp0", "hp1"]
+    BEST_EFFORT = [f"be{i}" for i in range(6)]
+
+    def _setup(self):
+        tree = _CountingTree()
+        mon = types.SimpleNamespace(
+            tree_strategy=types.SimpleNamespace(tree=tree))
+        schedule = [FaultSpec("entry_loss", params={
+            "entries": ["be3"], "rate": 1.0, "start": 1.0, "end": None})]
+        return tree, mon, schedule
+
+    def test_tick_without_a_new_report_hashes_nothing(self):
+        tree, mon, schedule = self._setup()
+        log = FailureLog()
+        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT)
+        assert check_attribution(log, *args) == []
+        log.record(FailureReport(FailureKind.TREE_LEAF, 2.0,
+                                 hash_path=tree.tree.hash_path("be3")))
+        assert check_attribution(log, *args, since=1) == []
+        assert check_attribution(log, *args, since=5) == []
+        assert tree.calls == 0
+
+    def test_a_late_tree_leaf_report_is_still_attributed(self):
+        tree, mon, schedule = self._setup()
+        log = FailureLog()
+        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT)
+        explained = FailureReport(FailureKind.TREE_LEAF, 2.0,
+                                  hash_path=tree.tree.hash_path("be3"))
+        other = next(e for e in self.BEST_EFFORT
+                     if tree.tree.hash_path(e) != explained.hash_path)
+        invented = FailureReport(FailureKind.TREE_LEAF, 2.5,
+                                 hash_path=tree.tree.hash_path(other))
+        log.record(explained)
+        assert check_attribution(log, *args, since=0) == []
+        assert tree.calls == len(self.DEDICATED) + len(self.BEST_EFFORT)
+        log.record(invented)
+        violations = check_attribution(log, *args, since=1)
+        assert [v.invariant for v in violations] == ["I3"]
+        assert violations[0].time == 2.5
+        assert "tree_leaf" in violations[0].detail
+        # incremental == whole-log, report for report
+        assert check_attribution(log, *args) == violations
 
 
 class TestConservation:

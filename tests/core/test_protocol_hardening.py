@@ -14,6 +14,8 @@ exercises the hostile-channel defenses added for the chaos subsystem:
 
 from __future__ import annotations
 
+import marshal
+import zlib
 from array import array
 
 import pytest
@@ -212,6 +214,53 @@ class TestChecksumProperties:
     def test_dict_and_list_of_pairs_do_not_collide(self):
         assert payload_checksum({"snapshot": {(0,): [1]}}) \
             != payload_checksum({"snapshot": [((0,), [1])]})
+
+    def test_a_nested_dict_is_not_its_item_list_either(self):
+        # one level down, inside the dict-valued field
+        assert payload_checksum({"snapshot": {(0,): {"a": 1}}}) \
+            != payload_checksum({"snapshot": {(0,): [("a", 1)]}})
+        # and the dict framing cannot be forged from a plain value
+        items = [((0,), [1])]
+        assert len({payload_checksum({"snapshot": v}) for v in (
+            dict(items), items, (None, items), [None, items])}) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(LIST_SNAPSHOTS, TREE_SNAPSHOTS),
+           st.integers(0, 2**31 - 1))
+    def test_streamed_crc_is_the_crc_of_the_concatenated_fields(
+            self, snapshot, session):
+        """The running ``crc32(field, crc)`` is the CRC of the whole
+        message, so the burst guarantee covers every bit of it."""
+        payload = signed(report(snapshot, session))
+
+        def encode(key, value):
+            if type(value) is dict:
+                return marshal.dumps((key, None, sorted(value.items())), 2)
+            return marshal.dumps((key, value), 2)
+
+        message = b"".join(encode(key, payload[key])
+                           for key in sorted(payload) if key != "csum")
+        assert payload_checksum(payload) == zlib.crc32(message)
+        # ... whatever order the fields and the snapshot were built in
+        if type(snapshot) is dict:
+            payload["snapshot"] = reversed_dict(snapshot)
+        assert payload_checksum(reversed_dict(payload)) == zlib.crc32(message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                  st.floats(allow_nan=True), st.builds(Opaque),
+                  st.frozensets(st.integers(0, 9), max_size=3)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.one_of(st.integers(0, 9), st.text(max_size=2)),
+                            inner, max_size=3)),
+        max_leaves=8))
+    def test_arbitrary_values_never_raise(self, value):
+        payload = report(value)
+        first = payload_checksum(payload)
+        assert 0 <= first < 2**32
+        assert verify_payload(signed(payload))
 
     def test_encoding_ignores_object_identity(self):
         # equal values, different objects: no refcount- or interning-

@@ -54,6 +54,29 @@ class TestEpisodeLifecycle:
         assert span is not None
         assert not tc.active
 
+    def test_active_flips_exactly_with_the_episode(self):
+        tc = TraceCollector(scope="x")
+        assert tc.active is False
+        tc.begin_episode(1.0, cause="fault")
+        assert tc.active is True and tc.trace_id == "x#001"
+        tc.emit("flag", 1.1, category="detect")
+        span = tc.open_span("session", 1.2, category="protocol")
+        tc.close_span(span, 1.3)
+        assert tc.active is True
+        # an overlapping episode becomes current; one end closes both
+        tc.begin_episode(1.4, cause="fault")
+        assert tc.active is True and tc.trace_id == "x#002"
+        tc.end_episode(2.0)
+        assert tc.active is False and tc.trace_id is None
+        assert tc.emit("late", 2.1, category="detect") is None
+        tc.ensure_episode(3.0, cause="detection")
+        assert tc.active is True
+        tc.finalize(4.0)
+        assert tc.active is False
+        tc.finalize(5.0)
+        assert tc.active is False
+        assert "active" in vars(tc)  # a plain attribute, not a property
+
     def test_finalize_is_idempotent_on_empty(self):
         tc = TraceCollector()
         tc.finalize(0.0)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
+from repro.obs.trace import spans_to_jsonl
 from repro.service.soak import (
     ServeConfig,
     churn_rotations,
@@ -103,6 +105,15 @@ class TestDeterminismAndSharding:
             "1cbaa001b16e088278e4fc1ab22a972252fb1b1b5455cd707d5f01098692a47f")
         assert sha(short_result.trace_jsonl) == (
             "a4bd7af2bc4a6feeb701b9cdde5937ff7d9645592087bbb5316f660fd814d365")
+
+    def test_trace_jsonl_is_one_sorted_dump_per_span(self, short_result):
+        """``spans_to_jsonl`` shares one encoder across the list; the text
+        is what a ``json.dumps(..., sort_keys=True)`` per span produced."""
+        spans = [json.loads(line)
+                 for line in short_result.trace_jsonl.splitlines()]
+        assert len(spans) > 100
+        per_span = "".join(json.dumps(d, sort_keys=True) + "\n" for d in spans)
+        assert spans_to_jsonl(spans) == per_span == short_result.trace_jsonl
 
     def test_different_seed_changes_the_run(self, short_result):
         other = run_serve(dataclasses.replace(SHORT, seed=SHORT.seed + 1))

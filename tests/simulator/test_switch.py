@@ -271,6 +271,24 @@ class TestInject:
         sim.run()
         assert seen == [PacketKind.FANCY_STOP]
 
+    def test_data_only_egress_hook_never_sees_control(self, sim, wired):
+        sw, out1, _ = wired
+        sw.set_default_route(1)
+        order = []
+        sw.add_egress_hook(1, lambda p, port: order.append(("tap", p.kind)) or True,
+                           data_only=True)
+        sw.add_egress_hook(1, lambda p, port: order.append(("all", p.kind)) or True)
+        sw.inject(Packet(PacketKind.FANCY_START, None, 64), 1)      # injected
+        sw.receive(Packet(PacketKind.FANCY_REPORT, None, 64), 0)    # forwarded
+        sw.receive(data(), 0)
+        sw._egress(Packet(PacketKind.ACK, None, 64, reverse=True), 1)
+        sim.run()
+        assert order == [
+            ("all", PacketKind.FANCY_START), ("all", PacketKind.FANCY_REPORT),
+            ("tap", PacketKind.DATA), ("all", PacketKind.DATA),
+            ("tap", PacketKind.ACK), ("all", PacketKind.ACK)]
+        assert len(out1.received) == 4
+
     def test_transmit_unknown_port_raises(self, sim):
         sw = Switch(sim, "sw")
         with pytest.raises(KeyError):

@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
-from repro.telemetry import StateTimeline
+from repro.core.detector import FancyConfig, FancyLinkMonitor
+from repro.core.hashtree import HashTreeParams
+from repro.simulator.engine import Simulator
+from repro.simulator.topology import TwoSwitchTopology
+from repro.telemetry import StateTimeline, Telemetry, TimelineEvent
+
+
+def two_switch_timeline() -> StateTimeline:
+    """Half a second of a dedicated + tree FSM pair on one monitored link."""
+    sim = Simulator()
+    telemetry = Telemetry()
+    topo = TwoSwitchTopology(sim)
+    monitor = FancyLinkMonitor(
+        sim, topo.upstream, 1, topo.downstream, 1,
+        FancyConfig(high_priority=["e0", "e1"],
+                    tree_params=HashTreeParams(width=8, depth=2, split=2,
+                                               pipelined=True)),
+        telemetry=telemetry)
+    monitor.start()
+    sim.run(until=0.5)
+    return telemetry.timeline
 
 
 class TestMonotonicOrdering:
@@ -73,9 +95,10 @@ class TestTruncation:
 class TestQueries:
     def _populated(self) -> StateTimeline:
         tl = StateTimeline()
-        tl.record(0.0, "fsm/a", "fsm_transition", fsm="fsm/a",
+        # as the FSMs record them: the id is the source, not a field
+        tl.record(0.0, "fsm/a", "fsm_transition", role="sender", session=1,
                   **{"from": "idle", "to": "wait_ack"})
-        tl.record(0.1, "fsm/b", "fsm_transition", fsm="fsm/b",
+        tl.record(0.1, "fsm/b", "fsm_transition", role="receiver", session=1,
                   **{"from": "idle", "to": "send_ack"})
         tl.record(0.2, "fsm/a", "session_open", fsm="fsm/a", session=1)
         return tl
@@ -91,6 +114,17 @@ class TestQueries:
         assert len(tl.transitions()) == 2
         assert len(tl.transitions(fsm="fsm/b")) == 1
 
+    def test_transitions_filter_matches_a_real_fsm_pair(self):
+        tl = two_switch_timeline()
+        dedicated = tl.transitions(fsm="A->B/dedicated")
+        tree = tl.transitions(fsm="A->B/tree")
+        assert len(dedicated) == 33 and len(tree) == 14
+        assert len(tl.transitions()) == 47
+        assert {ev.source for ev in dedicated} == {"A->B/dedicated"}
+        assert {ev.fields["role"] for ev in dedicated} == {"sender", "receiver"}
+        assert all("fsm" not in ev.fields for ev in dedicated + tree)
+        assert tl.transitions(fsm="A->B/none") == []
+
     def test_counts(self):
         tl = self._populated()
         assert tl.counts() == {"fsm_transition": 2, "session_open": 1}
@@ -101,6 +135,64 @@ class TestQueries:
         assert objs[0]["event"] == "fsm_transition"
         assert objs[0]["from"] == "idle"
         assert objs[2]["session"] == 1
+
+
+class TestEventRecord:
+    """``TimelineEvent`` is a tuple record; its API is what it was."""
+
+    def _event(self) -> TimelineEvent:
+        tl = StateTimeline()
+        tl.record(0.0, "mon", "session_open", fsm="mon/tree", session=1)
+        tl.record(1.5, "mon", "detection", kind="tree_leaf",
+                  hash_path=(3, 1), entry=None)
+        return tl.events[1]
+
+    def test_attribute_access_and_field_order(self):
+        ev = self._event()
+        assert (ev.time, ev.seq, ev.source, ev.event) == (1.5, 1, "mon", "detection")
+        assert ev.fields == {"kind": "tree_leaf", "hash_path": (3, 1), "entry": None}
+        assert TimelineEvent._fields == ("time", "seq", "source", "event", "fields")
+        assert tuple(ev) == (1.5, 1, "mon", "detection", ev.fields)
+
+    def test_to_dict_coerces_tuples_to_lists(self):
+        ev = self._event()
+        assert ev.to_dict() == {"time": 1.5, "source": "mon", "event": "detection",
+                                "kind": "tree_leaf", "hash_path": [3, 1],
+                                "entry": None}
+        assert json.loads(ev.to_json())["hash_path"] == [3, 1]
+
+    def test_equality_is_by_value(self):
+        ev = self._event()
+        assert ev == TimelineEvent(1.5, 1, "mon", "detection", dict(ev.fields))
+        assert ev != ev._replace(seq=2)
+        assert ev == self._event()
+
+    def test_no_instance_dict_and_no_shared_default(self):
+        ev = self._event()
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(AttributeError):
+            ev.time = 2.0
+        with pytest.raises(TypeError):
+            TimelineEvent(0.0, 0, "mon", "x")  # fields is not optional
+        tl = StateTimeline()
+        tl.record(0.0, "a", "x")
+        tl.record(0.0, "b", "x")
+        assert tl.events[0].fields == {} and \
+            tl.events[0].fields is not tl.events[1].fields
+
+    def test_pickle_round_trip(self):
+        tl = two_switch_timeline()
+        again = pickle.loads(pickle.dumps(tl.events))
+        assert again == tl.events
+        assert type(again[0]) is TimelineEvent
+
+    def test_jsonl_bytes_of_a_two_switch_run_are_pinned(self):
+        """Recorded on the commit whose ``TimelineEvent`` was a frozen
+        dataclass: the record type changed, not a byte of its export."""
+        tl = two_switch_timeline()
+        assert len(tl) == 63
+        assert hashlib.sha256(tl.to_jsonl().encode()).hexdigest() == (
+            "6610bf1c3eda6583970ff48fd9d5e6afcf4be94e2b64ad47641a919ccb85edce")
 
 
 class TestDetectionRecords:
