@@ -12,8 +12,7 @@ first counter exchange after it manifests.
 
 Fast path: the per-session comparison first does one bulk equality check
 (the overwhelmingly common "nothing lost" case is a single C-level list
-compare), and only on inequality scans for mismatching indices — with
-numpy when available and the entry set is wide, in pure Python otherwise.
+compare), and only a session that mismatches scans for the indices.
 """
 
 from __future__ import annotations
@@ -21,16 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Any
 
-try:  # numpy is a declared dependency, but keep the import soft.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 from ..simulator.packet import Packet
-
-#: Below this many entries the pure-Python scan beats numpy's conversion
-#: overhead (measured in benchmarks/test_microbench.py).
-_VECTORIZE_MIN_ENTRIES = 64
 
 __all__ = [
     "DedicatedSenderCounters",
@@ -135,7 +125,7 @@ class DedicatedSenderCounters:
 
         The loss-free case — by far the most common session outcome — is
         one bulk equality check; only unequal sessions pay the per-index
-        scan (vectorized for wide entry sets).
+        scan.
         """
         remote_counters = coerce_remote_snapshot(remote_counters)
         local = self.counters
@@ -144,7 +134,7 @@ class DedicatedSenderCounters:
                 and remote_counters == local:
             self.sessions_completed += 1
             return []
-        mismatching = self._mismatch_indices(remote_counters, n)
+        mismatching = self._mismatch_indices(remote_counters)
         detected: list[Any] = []
         n_remote = len(remote_counters)
         for i in mismatching:
@@ -157,19 +147,12 @@ class DedicatedSenderCounters:
         self.sessions_completed += 1
         return detected
 
-    def _mismatch_indices(self, remote_counters: Sequence[int], n: int) -> list[int]:
-        """Indices where local (sent) exceeds remote (received)."""
-        local = self.counters
-        if _np is not None and n >= _VECTORIZE_MIN_ENTRIES:
-            local_arr = _np.asarray(local, dtype=_np.int64)
-            remote_arr = _np.zeros(n, dtype=_np.int64)
-            m = min(n, len(remote_counters))
-            if m:
-                remote_arr[:m] = remote_counters[:m]
-            return _np.nonzero(local_arr > remote_arr)[0].tolist()
+    def _mismatch_indices(self, remote_counters: Sequence[int]) -> list[int]:
+        """Indices where local (sent) exceeds remote (received); cells the
+        remote snapshot lacks read as 0."""
         n_remote = len(remote_counters)
         return [
-            i for i, value in enumerate(local)
+            i for i, value in enumerate(self.counters)
             if value > (remote_counters[i] if i < n_remote else 0)
         ]
 

@@ -511,13 +511,14 @@ def _link_probe(case: str, config: FabricExpConfig, link_id: str,
     deployment.monitors[link_id].start(delay=pos * 0.001)
     sim.run(until=plan["duration_s"])
 
-    monitor = deployment.monitors[link_id]
-    monitor.telemetry.traces.finalize(sim.now)
+    traces = getattr(deployment.monitors[link_id].telemetry, "traces", None)
+    if traces is not None:
+        traces.finalize(sim.now)
     return {
         "link": link_id,
         "detections": deployment.detection_records(),
         "metrics": telemetry.metrics.snapshot(),
-        "spans": monitor.telemetry.traces.span_dicts(),
+        "trace_jsonl": "" if traces is None else traces.to_jsonl(),
         "sessions_completed": deployment.sessions_completed()[link_id],
         "events_processed": sim.events_processed,
         "fluid_absorbed": fluid_engine.absorbed if fluid_engine else 0,

@@ -23,14 +23,14 @@ Three pieces enforce that contract:
   in **sorted link order**: detection records re-sorted under the
   deployment's contract, metric registries merged with
   :func:`~repro.telemetry.registry.merge_snapshots` (commutative over
-  sorted input), trace spans concatenated then serialized once — so the
+  sorted input), the links' trace JSONL texts concatenated — so the
   Prometheus text and trace JSONL are byte-identical for any worker or
   shard count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,37 +82,40 @@ def plan_shards(link_ids: Sequence[str], n_shards: int,
     return specs
 
 
-def _as_record(record: Iterable[Any]) -> tuple[Any, ...]:
-    """Normalize a detection record (JSON cache round-trips lists)."""
-    return tuple(record)
+def _trace_text(payload: Mapping[str, Any]) -> str:
+    """In-memory callers may give ``spans`` (dicts) for ``trace_jsonl``."""
+    text = payload.get("trace_jsonl")
+    return spans_to_jsonl(payload.get("spans", ())) if text is None else text
 
 
 def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     """Deterministically merge per-link probe payloads.
 
     Each payload carries ``detections`` (deployment-contract tuples),
-    ``metrics`` (a registry snapshot dict), ``spans`` (span dicts),
-    ``sessions_completed``, ``events_processed`` and ``fluid_absorbed``.
-    Links are folded in sorted id order so the output is a pure function
-    of the payload *set* — the shards 1/2/4 byte-equality contract.
+    ``metrics`` (a registry snapshot dict), ``trace_jsonl`` (the link
+    collector's ``to_jsonl()`` text), ``sessions_completed``,
+    ``events_processed`` and ``fluid_absorbed``.  Links are folded in
+    sorted id order so the output is a pure function of the payload
+    *set* — the shards 1/2/4 byte-equality contract; every non-empty
+    trace text ends in a newline, so their concatenation is one
+    ``spans_to_jsonl`` over all links' spans.
     """
     ordered = sorted(per_link)
     detections = sorted(
-        _as_record(rec)
+        tuple(rec)  # the JSON result cache round-trips records as lists
         for link_id in ordered
         for rec in per_link[link_id].get("detections", ())
     )
     snapshots = [per_link[link_id]["metrics"] for link_id in ordered
                  if per_link[link_id].get("metrics") is not None]
     metrics = merge_snapshots(*snapshots) if snapshots else {"metrics": []}
-    spans = [span for link_id in ordered
-             for span in per_link[link_id].get("spans", ())]
     return {
         "links": ordered,
         "detections": detections,
         "metrics": metrics,
         "prometheus": to_prometheus(metrics),
-        "trace_jsonl": spans_to_jsonl(spans),
+        "trace_jsonl": "".join(
+            _trace_text(per_link[link_id]) for link_id in ordered),
         "sessions_completed": {
             link_id: per_link[link_id].get("sessions_completed", 0)
             for link_id in ordered

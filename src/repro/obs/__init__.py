@@ -29,6 +29,7 @@ from .trace import (
     TraceCollector,
     chrome_trace,
     chrome_trace_from_dicts,
+    spans_from_jsonl,
     spans_to_jsonl,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "TraceCollector",
     "chrome_trace",
     "chrome_trace_from_dicts",
+    "spans_from_jsonl",
     "spans_to_jsonl",
     "TRACE_SPAN_SCHEMA",
     "validate_span",

@@ -18,6 +18,7 @@ import pathlib
 from collections.abc import Sequence
 
 from .schema import validate_jsonl
+from .trace import spans_from_jsonl
 
 __all__ = ["main"]
 
@@ -73,7 +74,9 @@ def _validate_files(paths: list[str]) -> int:
             if len(problems) > 20:
                 print(f"  ... and {len(problems) - 20} more")
         else:
-            print(f"{path}: ok ({n_lines} span(s))")
+            n_spans = len(spans_from_jsonl(text))
+            note = "" if n_spans == n_lines else ", truncated"
+            print(f"{path}: ok ({n_spans} span(s){note})")
     return status
 
 

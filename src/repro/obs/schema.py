@@ -1,7 +1,8 @@
 """Trace span schema + a dependency-free validator.
 
 :data:`TRACE_SPAN_SCHEMA` is the JSON-Schema document describing one
-line of a trace JSONL export (docs/TELEMETRY.md reproduces it); the CI
+span line of a trace JSONL export (docs/TELEMETRY.md reproduces it, and
+the ``trace_truncated`` marker that may close the text); the CI
 ``fabric-smoke`` job validates every emitted trace line against it via
 ``fancy-repro report --validate``.  The container image deliberately has
 no ``jsonschema`` package, so :func:`validate_span` implements the
@@ -17,7 +18,7 @@ import json
 from collections.abc import Iterable
 from typing import Any
 
-from .trace import CATEGORIES
+from .trace import CATEGORIES, TRUNCATION_EVENT
 
 __all__ = ["TRACE_SPAN_SCHEMA", "validate_span", "validate_spans",
            "validate_jsonl"]
@@ -113,5 +114,7 @@ def validate_jsonl(text: str) -> list[str]:
         except json.JSONDecodeError as exc:
             problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
             continue
+        if isinstance(obj, dict) and obj.get("event") == TRUNCATION_EVENT:
+            continue  # a truncated collector's closing marker, not a span
         problems.extend(f"line {lineno}: {p}" for p in validate_span(obj))
     return problems

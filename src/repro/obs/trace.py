@@ -43,9 +43,11 @@ from typing import Any
 __all__ = [
     "CATEGORIES",
     "Span",
+    "TRUNCATION_EVENT",
     "TraceCollector",
     "chrome_trace",
     "chrome_trace_from_dicts",
+    "spans_from_jsonl",
     "spans_to_jsonl",
 ]
 
@@ -72,6 +74,9 @@ CATEGORIES = (
 )
 
 
+#: ``event`` of the one non-span line a trace JSONL may close with.
+TRUNCATION_EVENT = "trace_truncated"
+
 #: What JSON takes as is (and ``_json_safe`` returns unchanged).
 _SCALARS = (bool, int, float, str)
 
@@ -92,12 +97,14 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One node of a detection trace.
 
     ``end is None`` marks a span still open; instant events carry
     ``end == start``.  ``parent`` is ``None`` only for episode roots.
+    Slotted (a busy link holds tens of thousands); only ``end`` is written
+    after construction.
     """
 
     trace: str
@@ -136,7 +143,8 @@ class TraceCollector:
             ``scope="A->B"``, so ``"s1->s2#001"`` names the first
             detection episode on that link.
         max_spans: hard bound; excess spans are counted in
-            :attr:`suppressed` instead of recorded (mirrors the
+            :attr:`suppressed` instead of recorded, and :meth:`to_jsonl`
+            says so in a closing ``trace_truncated`` line (mirrors the
             timeline's bounded suppression).
     """
 
@@ -290,18 +298,35 @@ class TraceCollector:
     # -- serialization -----------------------------------------------------
 
     def span_dicts(self) -> list[dict[str, Any]]:
-        """Schema-shaped dicts (the JSONL/report/cache boundary)."""
+        """Schema-shaped dicts (what the report and Chrome views read)."""
         return [span.to_dict(self.scope) for span in self.spans]
 
     def to_jsonl(self) -> str:
-        return spans_to_jsonl(self.span_dicts())
+        """``spans_to_jsonl(self.span_dicts())`` encoded span by span — the
+        form a trace leaves a probe in — closed by one ``trace_truncated``
+        line (cf. ``timeline_truncated``) when ``max_spans`` was hit."""
+        text = spans_to_jsonl(s.to_dict(self.scope) for s in self.spans)
+        if self.suppressed:
+            text += json.dumps({
+                "event": TRUNCATION_EVENT, "scope": self.scope,
+                "suppressed": self.suppressed, "max_spans": self.max_spans,
+            }, sort_keys=True) + "\n"
+        return text
 
 
 def spans_to_jsonl(span_dicts: Iterable[dict[str, Any]]) -> str:
     """Serialize span dicts as JSON Lines, key-sorted for byte stability."""
     encode = json.JSONEncoder(sort_keys=True).encode
     lines = [encode(d) for d in span_dicts]
-    return "\n".join(lines) + ("\n" if lines else "")
+    if lines:
+        lines.append("")  # the closing newline, without copying the text
+    return "\n".join(lines)
+
+
+def spans_from_jsonl(text: str) -> list[dict[str, Any]]:
+    """Span dicts of a trace JSONL text (a truncation marker is no span)."""
+    objs = (json.loads(line) for line in text.splitlines() if line.strip())
+    return [obj for obj in objs if "event" not in obj]
 
 
 def chrome_trace(collectors: Sequence[TraceCollector]) -> dict[str, Any]:

@@ -24,6 +24,7 @@ import json
 import pathlib
 from typing import Any, Optional, Sequence
 
+from ..obs.trace import spans_from_jsonl
 from ..runtime import RuntimeContext
 from .soak import ServeConfig, ServeResult, run_serve
 
@@ -121,11 +122,9 @@ def _health_section(result: ServeResult) -> dict[str, Any]:
             "max": max(latencies) if latencies else None,
         },
     }
-    spans = [json.loads(line)
-             for line in result.trace_jsonl.splitlines() if line.strip()]
     return {"name": "serve soak", "health": {"summary": summary,
                                              "links": rows, "topology": []},
-            "spans": spans}
+            "spans": spans_from_jsonl(result.trace_jsonl)}
 
 
 def _write_artifacts(result: ServeResult, out_dir: pathlib.Path) -> None:

@@ -430,7 +430,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         "link": link_id,
         "detections": deployment.detection_records(),
         "metrics": telemetry.metrics.snapshot(),
-        "spans": monitor.telemetry.traces.span_dicts(),
+        "trace_jsonl": "" if traces is None else traces.to_jsonl(),
         "sessions_completed": deployment.sessions_completed()[link_id],
         "events_processed": sim.events_processed,
         "fluid_absorbed": engine.absorbed,

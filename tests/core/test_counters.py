@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.counters import DedicatedReceiverCounters, DedicatedSenderCounters
 from repro.simulator.packet import Packet, PacketKind
@@ -94,6 +95,51 @@ class TestSenderSide:
             s.process_packet(data("a"), 1)
         detected = s.end_session([5, 0, 0], 1)
         assert detected == ["a"]
+
+
+#: Cell values past 2**63: Python ints do not wrap, and the one scan that
+#: is left must not either (an int64 plane would raise or wrap here).
+_cells = st.one_of(st.integers(0, 5), st.integers(0, 2**70))
+
+
+class TestMismatchScan:
+    """The scan has one implementation for every width — 0 to 256
+    entries, remote snapshots shorter, equal and longer than local —
+    checked against its one-line definition."""
+
+    @given(st.lists(_cells, max_size=256), st.lists(_cells, max_size=300),
+           st.sampled_from(("shorter", "equal", "longer", "as drawn")))
+    def test_matches_definition(self, local, remote, shape):
+        n = len(local)
+        if shape == "shorter":
+            remote = remote[:n // 2]
+        elif shape == "equal":
+            remote = (remote + [0] * n)[:n]
+        elif shape == "longer":
+            remote = (remote + [0] * n)[:n] + [7, 7]
+        expected = [i for i in range(n)
+                    if local[i] > (remote[i] if i < len(remote) else 0)]
+
+        lost = {}
+        s = DedicatedSenderCounters(
+            list(range(n)),
+            on_detection=lambda e, k, sid: lost.__setitem__(e, k))
+        s.counters[:] = local
+        assert s._mismatch_indices(remote) == expected
+        # ... and through the session boundary: flagged entries, loss
+        # sizes, and the bulk-equality shortcut agree with it.
+        assert s.end_session(remote, 1) == expected
+        assert s.flagged_entries == expected
+        assert lost == {i: local[i] - (remote[i] if i < len(remote) else 0)
+                        for i in expected}
+        assert s.sessions_completed == 1
+
+    def test_wide_set_with_cells_past_int64(self):
+        """≥ 64 entries used to take a fixed-width vector compare."""
+        s = DedicatedSenderCounters(list(range(80)))
+        s.counters[:] = [2**64 + 1] * 80
+        remote = [2**64 + 1] * 79 + [2**64]
+        assert s.end_session(remote, 1) == [79]
 
 
 class TestReceiverSide:

@@ -9,12 +9,14 @@ and byte-identical Prometheus text and trace JSONL.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import fabric
 from repro.fabric.sharding import ShardSpec, merge_link_results, plan_shards
+from repro.obs.trace import TraceCollector, spans_to_jsonl
 from repro.runtime import RuntimeContext, stable_seed
 
 LINKS = ["a->b", "b->a", "b->c", "c->b", "a->c", "c->a"]
@@ -93,6 +95,76 @@ class TestMergeLinkResults:
         assert isinstance(cached["detections"][0], tuple)
 
 
+def _collector(link_id, n_spans, max_spans=100_000):
+    tc = TraceCollector(scope=link_id, max_spans=max_spans)
+    if n_spans:
+        tc.begin_episode(1.0, cause="fault", link=link_id)
+        for i in range(n_spans - 1):
+            tc.emit("report", 1.0 + i * 0.01, category="control",
+                    fsm=f"{link_id}/dedicated", path=(i, i + 1))
+        tc.finalize(9.0)
+    return tc
+
+
+class TestMergedTraceBytes:
+    """Probes hand the merge text, in-memory callers may still hand span
+    dicts; both give the bytes one ``spans_to_jsonl`` over every link's
+    spans gave when dicts were all that crossed."""
+
+    #: busy, empty and busy again, deliberately not in sorted order.
+    COLLECTORS = {"b->c": _collector("b->c", 40), "a->b": _collector("a->b", 0),
+                  "a->c": _collector("a->c", 7)}
+
+    def _merged(self, payload_of):
+        return merge_link_results({
+            link_id: {"metrics": None, **payload_of(tc)}
+            for link_id, tc in self.COLLECTORS.items()})["trace_jsonl"]
+
+    def test_text_dict_and_single_dump_agree(self):
+        as_text = self._merged(lambda tc: {"trace_jsonl": tc.to_jsonl()})
+        as_dicts = self._merged(lambda tc: {"spans": tc.span_dicts()})
+        concat = [d for link_id in sorted(self.COLLECTORS)
+                  for d in self.COLLECTORS[link_id].span_dicts()]
+        assert as_text == as_dicts == spans_to_jsonl(concat)
+        assert as_text.count("\n") == 47
+
+    def test_mixed_payload_shapes_merge(self):
+        mixed = self._merged(
+            lambda tc: {"spans": tc.span_dicts()} if tc.scope == "a->c"
+            else {"trace_jsonl": tc.to_jsonl()})
+        assert mixed == self._merged(lambda tc: {"spans": tc.span_dicts()})
+
+    def test_truncated_link_keeps_its_marker_in_place(self):
+        """The marker travels with its link's text: it lands after that
+        link's spans and before the next link's."""
+        cut = _collector("a->b", 10, max_spans=4)
+        assert cut.suppressed == 6
+        merged = merge_link_results({
+            "b->c": {"metrics": None,
+                     "trace_jsonl": self.COLLECTORS["b->c"].to_jsonl()},
+            "a->b": {"metrics": None, "trace_jsonl": cut.to_jsonl()},
+        })["trace_jsonl"]
+        assert merged == cut.to_jsonl() + self.COLLECTORS["b->c"].to_jsonl()
+        assert merged.splitlines()[4].startswith('{"event": "trace_truncated"')
+
+    def test_payload_without_either_key_merges_as_empty(self):
+        assert merge_link_results(
+            {"a->b": {"metrics": None}})["trace_jsonl"] == ""
+
+
+def test_link_probe_without_a_collector_yields_empty_text(
+        monkeypatch, collectorless_telemetry):
+    """Same single read of the collector as the serve probe's."""
+    import repro.telemetry
+
+    monkeypatch.setattr(repro.telemetry, "Telemetry", collectorless_telemetry)
+    config = replace(fabric.FabricExpConfig(), duration_s=1.5)
+    assert fabric._case_plan("ring", config)["failed_link"] != "s0->s1"
+    payload = fabric._link_probe("ring", config, "s0->s1", 5)
+    assert payload["trace_jsonl"] == ""
+    assert payload["sessions_completed"] > 0
+
+
 @pytest.fixture(scope="module")
 def shard_runs():
     """One fluid ring case at shard counts 1, 2 and 4 (serial workers)."""
@@ -121,6 +193,18 @@ class TestShardCountInvariance:
         r1, r2, r4 = (shard_runs[n] for n in (1, 2, 4))
         assert r1["trace_jsonl"] == r2["trace_jsonl"] == r4["trace_jsonl"]
         assert r1["trace_jsonl"].strip()
+
+    def test_exports_pinned_across_the_text_boundary(self, shard_runs):
+        """Recorded while per-link payloads still carried span dicts and
+        the merge serialised their concatenation once."""
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        for result in shard_runs.values():
+            assert sha(result["trace_jsonl"]) == (
+                "c162e1e4b93208c2416d50fce1d0a42ec064eccb1a0782bcae0e4958d9d97812")
+            assert sha(result["prometheus"]) == (
+                "ae1e9229a645f4a821496af7e53afc582b87b1ecb995843e1a472bb597c16441")
 
     def test_every_link_probed_once(self, shard_runs):
         for n, result in shard_runs.items():

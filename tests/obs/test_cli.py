@@ -25,6 +25,16 @@ class TestValidateMode:
         out = capsys.readouterr().out
         assert "ok (3 span(s))" in out
 
+    def test_truncated_file_is_valid_and_says_so(self, tmp_path, capsys):
+        tc = TraceCollector(scope="s1->s2", max_spans=2)
+        tc.begin_episode(1.0, cause="fault")
+        for i in range(3):
+            tc.emit(f"e{i}", 1.0 + i, category="chaos")
+        path = tmp_path / "truncated.jsonl"
+        path.write_text(tc.to_jsonl())
+        assert main(["--validate", str(path)]) == 0
+        assert "ok (2 span(s), truncated)" in capsys.readouterr().out
+
     def test_invalid_span_exits_nonzero(self, tmp_path, capsys):
         line = json.loads(_good_jsonl().splitlines()[0])
         line["cat"] = "not-a-category"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.obs.schema import (
     TRACE_SPAN_SCHEMA,
     validate_jsonl,
@@ -83,6 +85,19 @@ class TestValidateJsonl:
 
     def test_blank_lines_skipped(self):
         assert validate_jsonl("\n\n") == []
+
+    def test_truncated_collector_output_validates(self):
+        tc = TraceCollector(scope="s1->s2", max_spans=2)
+        tc.begin_episode(0.0, cause="fault")
+        for i in range(4):
+            tc.emit(f"e{i}", float(i), category="chaos")
+        tc.finalize(4.0)
+        assert tc.suppressed == 3
+        assert validate_jsonl(tc.to_jsonl()) == []
+
+    def test_other_event_lines_are_still_invalid_spans(self):
+        line = json.dumps({"event": "something_else", "scope": ""})
+        assert validate_jsonl(line + "\n")
 
 
 def test_schema_document_matches_validator():

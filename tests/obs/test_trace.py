@@ -12,6 +12,7 @@ from repro.obs.trace import (
     TraceCollector,
     chrome_trace,
     chrome_trace_from_dicts,
+    spans_from_jsonl,
     spans_to_jsonl,
 )
 
@@ -188,6 +189,99 @@ class TestSerialization:
     def test_chrome_trace_from_dicts_matches_collector_path(self):
         tc = self._collector()
         assert chrome_trace([tc]) == chrome_trace_from_dicts(tc.span_dicts())
+
+    def test_to_jsonl_is_the_dict_path_encoded_span_by_span(self):
+        tc = self._collector()
+        assert tc.to_jsonl() == spans_to_jsonl(tc.span_dicts())
+        assert spans_from_jsonl(tc.to_jsonl()) == tc.span_dicts()
+        assert TraceCollector(scope="idle").to_jsonl() == ""
+
+
+class TestSlottedSpan:
+    """``Span`` carries no ``__dict__`` (a busy link holds tens of
+    thousands until export); its exports are what they were, recorded
+    before the class was slotted."""
+
+    def _collector(self):
+        return TestSerialization()._collector()
+
+    def test_no_instance_dict_and_end_stays_writable(self):
+        span = Span("t", 1, None, "x", "cause", 2.0)
+        assert not hasattr(span, "__dict__")
+        assert span.end is None and span.attrs == {}
+        span.end = 3.0
+        assert span.duration == 1.0
+        with pytest.raises(AttributeError):
+            span.colour = "red"
+
+    def test_to_dict_pinned(self):
+        assert self._collector().spans[1].to_dict("s1->s2") == {
+            "scope": "s1->s2", "trace": "s1->s2#001", "span": 2, "parent": 1,
+            "name": "session", "cat": "protocol", "start": 1.1, "end": 2.0,
+            "attrs": {}}
+
+    def test_jsonl_pinned(self):
+        assert self._collector().to_jsonl() == (
+            '{"attrs": {"cause": "fault", "link": "s1->s2"}, "cat": "cause", '
+            '"end": 2.0, "name": "fault", "parent": null, "scope": "s1->s2", '
+            '"span": 1, "start": 1.0, "trace": "s1->s2#001"}\n'
+            '{"attrs": {}, "cat": "protocol", "end": 2.0, "name": "session", '
+            '"parent": 1, "scope": "s1->s2", "span": 2, "start": 1.1, '
+            '"trace": "s1->s2#001"}\n'
+            '{"attrs": {}, "cat": "detect", "end": 1.5, "name": "flag", '
+            '"parent": 1, "scope": "s1->s2", "span": 3, "start": 1.5, '
+            '"trace": "s1->s2#001"}\n')
+
+    def test_chrome_trace_pinned(self):
+        assert chrome_trace([self._collector()]) == {
+            "displayTimeUnit": "ms",
+            "traceEvents": [
+                {"args": {"name": "s1->s2 s1->s2#001"}, "name": "thread_name",
+                 "ph": "M", "pid": 1, "tid": 1},
+                {"args": {"cause": "fault", "link": "s1->s2", "span": 1},
+                 "cat": "cause", "dur": 1000000.0, "name": "fault", "ph": "X",
+                 "pid": 1, "tid": 1, "ts": 1000000.0},
+                {"args": {"parent": 1, "span": 2}, "cat": "protocol",
+                 "dur": 899999.9999999999, "name": "session", "ph": "X",
+                 "pid": 1, "tid": 1, "ts": 1100000.0},
+                {"args": {"parent": 1, "span": 3}, "cat": "detect",
+                 "name": "flag", "ph": "i", "pid": 1, "s": "t", "tid": 1,
+                 "ts": 1500000.0},
+            ]}
+
+
+class TestTruncationMarker:
+    """A collector that hit ``max_spans`` says so in the text — the only
+    thing that leaves a probe (docs/TELEMETRY.md: never silently
+    dropped)."""
+
+    def _truncated(self):
+        tc = TraceCollector(scope="s1->s2", max_spans=3)
+        tc.begin_episode(0.0, cause="fault")
+        for i in range(5):
+            tc.emit(f"e{i}", float(i), category="chaos")
+        tc.finalize(5.0)
+        return tc
+
+    def test_marker_closes_the_text(self):
+        tc = self._truncated()
+        lines = tc.to_jsonl().splitlines()
+        assert len(lines) == 4 and tc.to_jsonl().endswith("\n")
+        assert json.loads(lines[-1]) == {
+            "event": "trace_truncated", "scope": "s1->s2", "suppressed": 3,
+            "max_spans": 3}
+        assert "".join(line + "\n" for line in lines[:3]) == spans_to_jsonl(
+            tc.span_dicts())
+
+    def test_marker_alone_when_nothing_fit(self):
+        tc = TraceCollector(scope="x", max_spans=0)
+        tc.begin_episode(0.0, cause="fault")
+        assert tc.to_jsonl().count("\n") == 1
+        assert spans_from_jsonl(tc.to_jsonl()) == []
+
+    def test_reparse_skips_the_marker(self):
+        tc = self._truncated()
+        assert spans_from_jsonl(tc.to_jsonl()) == tc.span_dicts()
 
 
 def test_category_vocabulary_is_closed():

@@ -14,12 +14,15 @@ The serve acceptance criteria (docs/ROBUSTNESS.md):
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from repro.obs.trace import spans_to_jsonl
+from repro.service import soak
 from repro.service.soak import (
     ServeConfig,
     churn_rotations,
@@ -118,6 +121,62 @@ class TestDeterminismAndSharding:
     def test_different_seed_changes_the_run(self, short_result):
         other = run_serve(dataclasses.replace(SHORT, seed=SHORT.seed + 1))
         assert other.prometheus != short_result.prometheus
+
+
+class TestProbeBoundary:
+    """What a probe hands the merge is text (docs/PERFORMANCE.md,
+    "Footprint and cold start")."""
+
+    def test_probe_without_a_collector_yields_empty_text(
+            self, monkeypatch, collectorless_telemetry):
+        """The probe reads the collector once: forks that carry none used
+        to be finalized behind a guard and then dereferenced unguarded."""
+        monkeypatch.setattr(soak, "Telemetry", collectorless_telemetry)
+        config = dataclasses.replace(SHORT, duration_s=120.0,
+                                     health_every_s=60.0, grey_start_s=30.0)
+        payload = soak._serve_probe(
+            config, default_serve_schedule(config), "s2->s1", 1)
+        assert payload["trace_jsonl"] == ""
+        assert payload["sessions_completed"] > 0
+
+    def test_traced_memory_fence(self, monkeypatch, short_result):
+        """Live bytes, no wall clock, in the style of the frame budgets.
+
+        Peak ``tracemalloc`` bytes of ``run_serve(SHORT)`` with the cyclic
+        garbage of each finished probe collected first (otherwise the
+        figure follows the collector's schedule, not the code).  Recorded
+        on the parent, where every probe returned span dicts and the merge
+        held all of them plus the text: 8 029 752 bytes over the whole
+        run, all of it inside the merge (5 828 274 while probing).  Text
+        payloads measure 3 074 665 inside the merge and 6 989 030 over
+        the run — the busy probe now pays for its own text.
+        """
+        phases = {}
+
+        def probe(*args, _probe=soak._serve_probe):
+            payload = _probe(*args)
+            gc.collect()
+            return payload
+
+        def merge(per_link, _merge=soak.merge_link_results):
+            gc.collect()
+            phases["probes"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            merged = _merge(per_link)
+            phases["merge"] = tracemalloc.get_traced_memory()[1]
+            return merged
+
+        monkeypatch.setattr(soak, "_serve_probe", probe)
+        monkeypatch.setattr(soak, "merge_link_results", merge)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_serve(SHORT)
+        finally:
+            tracemalloc.stop()
+        assert result.trace_jsonl == short_result.trace_jsonl
+        assert phases["merge"] <= 0.75 * 8_029_752
+        assert max(phases.values()) <= 8_029_752
 
 
 class TestDegradedModeContracts:
