@@ -28,78 +28,28 @@ Quickstart::
     print(monitor.log.reports)
 """
 
-from .core import (
-    BloomFilter,
-    FancyDeployment,
-    LatencyModel,
-    LinkSpec,
-    QueueGuard,
-    CountingBloomFilter,
-    FailureKind,
-    FailureLog,
-    FailureReport,
-    FancyConfig,
-    FancyLinkMonitor,
-    HashTree,
-    HashTreeParams,
-    MemoryBudgetError,
-    MemoryPlan,
-    MonitoringInput,
-    plan_memory,
-)
-from .scenario import Scenario, ScenarioResult
-from .simulator import (
-    ChainTopology,
-    EntryLossFailure,
-    FlowGenerator,
-    Host,
-    Link,
-    Packet,
-    PacketKind,
-    Simulator,
-    Switch,
-    ThroughputMeter,
-    TwoSwitchTopology,
-    UdpSource,
-    UniformLossFailure,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "FancyConfig",
-    "FancyLinkMonitor",
-    "FancyDeployment",
-    "LinkSpec",
-    "QueueGuard",
-    "LatencyModel",
-    "HashTree",
-    "HashTreeParams",
-    "MonitoringInput",
-    "MemoryPlan",
-    "MemoryBudgetError",
-    "plan_memory",
-    "FailureKind",
-    "FailureReport",
-    "FailureLog",
-    "BloomFilter",
-    "CountingBloomFilter",
-    # simulator
-    "Simulator",
-    "Packet",
-    "PacketKind",
-    "Link",
-    "Switch",
-    "Host",
-    "FlowGenerator",
-    "ThroughputMeter",
-    "UdpSource",
-    "TwoSwitchTopology",
-    "ChainTopology",
-    "EntryLossFailure",
-    "UniformLossFailure",
-    "Scenario",
-    "ScenarioResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.bloom": ("BloomFilter", "CountingBloomFilter"),
+    ".core.congestion": ("QueueGuard",),
+    ".core.deployment": ("FancyDeployment", "LinkSpec"),
+    ".core.detector": ("FancyConfig", "FancyLinkMonitor"),
+    ".core.entries": ("MonitoringInput",),
+    ".core.hashtree": ("HashTree", "HashTreeParams"),
+    ".core.latency": ("LatencyModel",),
+    ".core.memory": ("MemoryBudgetError", "MemoryPlan", "plan_memory"),
+    ".core.output": ("FailureKind", "FailureLog", "FailureReport"),
+    ".scenario": ("Scenario", "ScenarioResult"),
+    ".simulator.apps": ("FlowGenerator", "Host", "ThroughputMeter"),
+    ".simulator.engine": ("Simulator",),
+    ".simulator.failures": ("EntryLossFailure", "UniformLossFailure"),
+    ".simulator.link": ("Link",),
+    ".simulator.packet": ("Packet", "PacketKind"),
+    ".simulator.switch": ("Switch",),
+    ".simulator.topology": ("ChainTopology", "TwoSwitchTopology"),
+    ".simulator.udp": ("UdpSource",),
+})
+__all__.append("__version__")

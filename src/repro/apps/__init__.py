@@ -1,5 +1,7 @@
 """Data-plane applications built on FANcY's interface."""
 
-from .rerouting import FastRerouteApp
+from .._lazy import lazy_exports
 
-__all__ = ["FastRerouteApp"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".rerouting": ("FastRerouteApp",),
+})

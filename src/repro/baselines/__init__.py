@@ -1,27 +1,14 @@
 """Baselines: Loss Radar and NetSeer requirement models, the Blink
 inference model, and the simple counter designs of §2.4 / §5.2."""
 
-from .blink import BlinkModel
-from .lossradar import TABLE2_SWITCHES, LossRadarModel, SwitchProfile
-from .netseer import NetSeerBuffer, NetSeerModel
-from .simple import (
-    CountingBloomReceiver,
-    CountingBloomSender,
-    SingleLinkCounterReceiver,
-    SingleLinkCounterSender,
-    StrategyLinkMonitor,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlinkModel",
-    "LossRadarModel",
-    "SwitchProfile",
-    "TABLE2_SWITCHES",
-    "NetSeerModel",
-    "NetSeerBuffer",
-    "SingleLinkCounterSender",
-    "SingleLinkCounterReceiver",
-    "CountingBloomSender",
-    "CountingBloomReceiver",
-    "StrategyLinkMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".blink": ("BlinkModel",),
+    ".lossradar": ("TABLE2_SWITCHES", "LossRadarModel", "SwitchProfile"),
+    ".netseer": ("NetSeerBuffer", "NetSeerModel"),
+    ".simple": (
+        "CountingBloomReceiver", "CountingBloomSender", "SingleLinkCounterReceiver",
+        "SingleLinkCounterSender", "StrategyLinkMonitor",
+    ),
+})

@@ -19,48 +19,18 @@ See docs/ROBUSTNESS.md for the fault taxonomy, the protocol-hardening
 guarantees, and how to replay a CI reproducer artifact.
 """
 
-from .harness import (
-    REGRESSIONS,
-    SoakConfig,
-    SoakResult,
-    regression_scenario,
-    run_many,
-    run_soak,
-    soak_worker,
-)
-from .invariants import Violation
-from .perturbations import (
-    ChaosModel,
-    CorruptField,
-    DelaySpike,
-    Duplicate,
-    LinkFlap,
-    Perturbation,
-    Reorder,
-)
-from .schedule import FaultSpec, generate_schedule, materialize
-from .shrink import load_reproducer, shrink, write_reproducer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChaosModel",
-    "CorruptField",
-    "DelaySpike",
-    "Duplicate",
-    "FaultSpec",
-    "LinkFlap",
-    "Perturbation",
-    "REGRESSIONS",
-    "Reorder",
-    "SoakConfig",
-    "SoakResult",
-    "Violation",
-    "generate_schedule",
-    "load_reproducer",
-    "materialize",
-    "regression_scenario",
-    "run_many",
-    "run_soak",
-    "shrink",
-    "soak_worker",
-    "write_reproducer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".harness": (
+        "REGRESSIONS", "SoakConfig", "SoakResult", "regression_scenario", "run_many",
+        "run_soak", "soak_worker",
+    ),
+    ".invariants": ("Violation",),
+    ".perturbations": (
+        "ChaosModel", "CorruptField", "DelaySpike", "Duplicate", "LinkFlap",
+        "Perturbation", "Reorder",
+    ),
+    ".schedule": ("FaultSpec", "generate_schedule", "materialize"),
+    ".shrink": ("load_reproducer", "shrink", "write_reproducer"),
+})

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.runtime import RuntimeContext
+from repro.runtime.context import RuntimeContext
 
 from .harness import (
     REGRESSION_EXPECTATIONS,

@@ -33,7 +33,9 @@ from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams
 from repro.core.output import FailureKind
 from repro.core.protocol import SenderState
-from repro.runtime import Job, RuntimeContext, run_sweep, stable_seed
+from repro.runtime.context import RuntimeContext
+from repro.runtime.executor import run_sweep
+from repro.runtime.jobs import Job, stable_seed
 from repro.simulator.engine import Simulator
 from repro.simulator.topology import PORT_TO_PEER, TwoSwitchTopology
 from repro.simulator.udp import UdpSource

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
-from repro.runtime import stable_seed
+from repro.runtime.jobs import stable_seed
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import (
     CompositeFailure,

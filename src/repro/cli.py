@@ -33,50 +33,38 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
-from .experiments import (
-    baselines52,
-    fabric,
-    table1,
-    fig2,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    overhead,
-    table2,
-    table3,
-    table4,
-    table5,
-    telemetry_report,
-    uniform,
-)
-from .runtime import DEFAULT_CACHE_DIR, RuntimeContext
+from . import experiments
+from .runtime.cache import DEFAULT_CACHE_DIR
+from .runtime.context import RuntimeContext
 
 __all__ = ["main", "EXPERIMENTS", "build_runtime"]
 
 
 #: experiment name -> callable(quick, runtime) -> rendered text.  Every
 #: callable takes the runtime context explicitly; experiments that do not
-#: run sweeps simply ignore it.
+#: run sweeps simply ignore it.  ``experiments`` is a lazy facade: an
+#: entry loads its experiment module when it is called, not before.
 EXPERIMENTS: dict[str, Callable[[bool, RuntimeContext], str]] = {
-    "table1": lambda quick, runtime: table1.main(quick=quick),
-    "table2": lambda quick, runtime: table2.main(),
-    "fig2": lambda quick, runtime: fig2.main(),
-    "fig7": lambda quick, runtime: fig7.main(quick=quick, runtime=runtime),
-    "fig8": lambda quick, runtime: fig8.main(quick=quick),
-    "fig9a": lambda quick, runtime: fig9.main(quick=quick, multi=False, runtime=runtime),
-    "fig9b": lambda quick, runtime: fig9.main(quick=quick, multi=True, runtime=runtime),
-    "uniform": lambda quick, runtime: uniform.main(quick=quick, runtime=runtime),
-    "table3": lambda quick, runtime: table3.main(quick=quick, runtime=runtime),
-    "baselines": lambda quick, runtime: baselines52.main(),
-    "overhead": lambda quick, runtime: overhead.main(),
-    "table4": lambda quick, runtime: table4.main(),
-    "fabric": lambda quick, runtime: fabric.main(quick=quick, runtime=runtime),
-    "fig10": lambda quick, runtime: fig10.main(quick=quick, runtime=runtime),
-    "fig11": lambda quick, runtime: fig11.main(quick=quick, runtime=runtime),
-    "table5": lambda quick, runtime: table5.main(),
-    "telemetry": lambda quick, runtime: telemetry_report.main(quick=quick, runtime=runtime),
+    "table1": lambda quick, runtime: experiments.table1.main(quick=quick),
+    "table2": lambda quick, runtime: experiments.table2.main(),
+    "fig2": lambda quick, runtime: experiments.fig2.main(),
+    "fig7": lambda quick, runtime: experiments.fig7.main(quick=quick, runtime=runtime),
+    "fig8": lambda quick, runtime: experiments.fig8.main(quick=quick),
+    "fig9a": lambda quick, runtime: experiments.fig9.main(
+        quick=quick, multi=False, runtime=runtime),
+    "fig9b": lambda quick, runtime: experiments.fig9.main(
+        quick=quick, multi=True, runtime=runtime),
+    "uniform": lambda quick, runtime: experiments.uniform.main(quick=quick, runtime=runtime),
+    "table3": lambda quick, runtime: experiments.table3.main(quick=quick, runtime=runtime),
+    "baselines": lambda quick, runtime: experiments.baselines52.main(),
+    "overhead": lambda quick, runtime: experiments.overhead.main(),
+    "table4": lambda quick, runtime: experiments.table4.main(),
+    "fabric": lambda quick, runtime: experiments.fabric.main(quick=quick, runtime=runtime),
+    "fig10": lambda quick, runtime: experiments.fig10.main(quick=quick, runtime=runtime),
+    "fig11": lambda quick, runtime: experiments.fig11.main(quick=quick, runtime=runtime),
+    "table5": lambda quick, runtime: experiments.table5.main(),
+    "telemetry": lambda quick, runtime: experiments.telemetry_report.main(
+        quick=quick, runtime=runtime),
 }
 
 
@@ -236,6 +224,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also write each rendered artifact to DIR/<experiment>.txt",
     )
     args = parser.parse_args(args_list)
+    if args.shards < 0:
+        parser.error("--shards must be >= 0")
+    fabric_only = [f"--{flag}" for flag in ("trace", "fluid", "shards") if getattr(args, flag)]
+    if fabric_only and args.experiment not in ("fabric", "all"):
+        parser.error(f"{', '.join(fabric_only)}: read by the fabric experiment only, "
+                     f"not by {args.experiment}")
     runtime = build_runtime(args)
 
     out_dir = None
@@ -254,15 +248,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if name == "telemetry":
             # The telemetry summary writes extra machine-readable
             # artifacts (timeline JSONL, Prometheus text) under --out.
-            text = telemetry_report.main(quick=not args.full, runtime=runtime,
-                                         out_dir=out_dir)
+            text = experiments.telemetry_report.main(
+                quick=not args.full, runtime=runtime, out_dir=out_dir)
         elif name == "fabric":
             # The fabric experiment owns the --trace/--fluid/--shards
             # flags: detection traces, the hybrid fluid tier, and
             # process-sharded per-link probes.
-            text = fabric.main(quick=not args.full, runtime=runtime,
-                               trace=args.trace, out_dir=out_dir,
-                               fluid=args.fluid, shards=args.shards)
+            text = experiments.fabric.main(
+                quick=not args.full, runtime=runtime, trace=args.trace,
+                out_dir=out_dir, fluid=args.fluid, shards=args.shards)
         else:
             text = EXPERIMENTS[name](not args.full, runtime)
         if out_dir is not None and text:

@@ -1,92 +1,31 @@
 """FANcY core: counting protocol, dedicated counters, hash-based trees,
 zooming, memory budgeting, and the link-monitor integration layer."""
 
-from .analysis import (
-    collision_probability,
-    dedicated_memory_bits,
-    expected_collisions,
-    max_dedicated_entries,
-    tree_memory_bits,
-    tree_nodes,
-    tree_total_memory_bits,
-)
-from .bloom import BloomFilter, CountingBloomFilter, stable_hash
-from .classify import by_field, by_packet_size, by_prefix, compose
-from .congestion import GuardedSenderStrategy, QueueGuard
-from .counters import DedicatedReceiverCounters, DedicatedSenderCounters
-from .deployment import FancyDeployment, LinkSpec
-from .detector import FancyConfig, FancyLinkMonitor
-from .entries import MonitoringInput, Priority
-from .hashtree import HashTree, HashTreeParams, TreeCounters
-from .latency import LatencyModel
-from .memory import MemoryBudgetError, MemoryPlan, plan_memory
-from .output import FailureKind, FailureLog, FailureReport, HashPathFlags
-from .probability import DetectionProbabilityModel
-from .statesync import (
-    ValueSyncReceiver,
-    ValueSyncSender,
-    byte_count,
-    packet_count,
-    payload_signature,
-)
-from .strawman import StrawmanLinkMonitor, StrawmanReceiver, StrawmanSender
-from .protocol import (
-    FancyReceiver,
-    FancySender,
-    ReceiverState,
-    SenderState,
-)
-from .zooming import TreeReceiverStrategy, TreeSenderStrategy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MonitoringInput",
-    "by_prefix",
-    "by_packet_size",
-    "by_field",
-    "compose",
-    "QueueGuard",
-    "GuardedSenderStrategy",
-    "FancyDeployment",
-    "LinkSpec",
-    "LatencyModel",
-    "DetectionProbabilityModel",
-    "ValueSyncSender",
-    "ValueSyncReceiver",
-    "packet_count",
-    "byte_count",
-    "payload_signature",
-    "StrawmanSender",
-    "StrawmanReceiver",
-    "StrawmanLinkMonitor",
-    "Priority",
-    "FancyConfig",
-    "FancyLinkMonitor",
-    "HashTree",
-    "HashTreeParams",
-    "TreeCounters",
-    "TreeSenderStrategy",
-    "TreeReceiverStrategy",
-    "DedicatedSenderCounters",
-    "DedicatedReceiverCounters",
-    "FancySender",
-    "FancyReceiver",
-    "SenderState",
-    "ReceiverState",
-    "FailureKind",
-    "FailureReport",
-    "FailureLog",
-    "HashPathFlags",
-    "BloomFilter",
-    "CountingBloomFilter",
-    "stable_hash",
-    "MemoryPlan",
-    "MemoryBudgetError",
-    "plan_memory",
-    "collision_probability",
-    "expected_collisions",
-    "tree_nodes",
-    "tree_memory_bits",
-    "tree_total_memory_bits",
-    "dedicated_memory_bits",
-    "max_dedicated_entries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis": (
+        "collision_probability", "dedicated_memory_bits", "expected_collisions",
+        "max_dedicated_entries", "tree_memory_bits", "tree_nodes",
+        "tree_total_memory_bits",
+    ),
+    ".bloom": ("BloomFilter", "CountingBloomFilter", "stable_hash"),
+    ".classify": ("by_field", "by_packet_size", "by_prefix", "compose"),
+    ".congestion": ("GuardedSenderStrategy", "QueueGuard"),
+    ".counters": ("DedicatedReceiverCounters", "DedicatedSenderCounters"),
+    ".deployment": ("FancyDeployment", "LinkSpec"),
+    ".detector": ("FancyConfig", "FancyLinkMonitor"),
+    ".entries": ("MonitoringInput", "Priority"),
+    ".hashtree": ("HashTree", "HashTreeParams", "TreeCounters"),
+    ".latency": ("LatencyModel",),
+    ".memory": ("MemoryBudgetError", "MemoryPlan", "plan_memory"),
+    ".output": ("FailureKind", "FailureLog", "FailureReport", "HashPathFlags"),
+    ".probability": ("DetectionProbabilityModel",),
+    ".protocol": ("FancyReceiver", "FancySender", "ReceiverState", "SenderState"),
+    ".statesync": (
+        "ValueSyncReceiver", "ValueSyncSender", "byte_count", "packet_count",
+        "payload_signature",
+    ),
+    ".strawman": ("StrawmanLinkMonitor", "StrawmanReceiver", "StrawmanSender"),
+    ".zooming": ("TreeReceiverStrategy", "TreeSenderStrategy"),
+})

@@ -24,32 +24,12 @@ runs a reduced but shape-preserving configuration; the paper-faithful
 sweeps are available through each module's config dataclass and the CLI.
 """
 
-from . import (  # noqa: F401
-    baselines52,
-    fabric,
-    fig2,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    heatmaps,
-    metrics,
-    overhead,
-    report,
-    runner,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    telemetry_report,
-    uniform,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "table1",
-    "table2", "fig2", "fig7", "fig8", "fig9", "uniform", "table3",
-    "baselines52", "overhead", "table4", "fig10", "fig11", "table5",
-    "fabric", "runner", "metrics", "report", "heatmaps", "telemetry_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": (
+        "baselines52", "fabric", "fig10", "fig11", "fig2", "fig7", "fig8", "fig9",
+        "heatmaps", "metrics", "overhead", "report", "runner", "table1", "table2",
+        "table3", "table4", "table5", "telemetry_report", "uniform",
+    ),
+})

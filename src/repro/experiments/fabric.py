@@ -32,12 +32,15 @@ from ..fabric.builders import fat_tree, ring
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
 from ..fabric.reroute import FabricRerouteController
-from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
+from ..runtime.context import RuntimeContext, resolve
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..simulator import fastpath
 from ..simulator.apps import ThroughputMeter
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
 from ..simulator.udp import UdpSource
+from ..telemetry.session import Telemetry
 
 __all__ = ["FabricExpConfig", "run_ring_case", "run_fat_tree_case", "run",
            "run_sharded", "render", "main"]
@@ -386,8 +389,6 @@ def _case_worker(payload: tuple) -> dict[str, Any]:
     case, config = payload
     telemetry = None
     if config.trace:
-        from ..telemetry import Telemetry
-
         telemetry = Telemetry(scope=case)
     runner = run_ring_case if case == "ring" else run_fat_tree_case
     return runner(config, telemetry=telemetry)
@@ -433,8 +434,6 @@ def _link_probe(case: str, config: FabricExpConfig, link_id: str,
     which shard (or how many shards) the probe runs under: that is the
     ``--shards 1/2/4`` byte-equality contract.
     """
-    from ..telemetry import Telemetry
-
     plan = _case_plan(case, config)
     net = _build_net(case, config)
     sim = net.sim

@@ -22,7 +22,9 @@ from typing import Optional
 from ..apps.rerouting import FastRerouteApp
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
-from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep
+from ..runtime.context import RuntimeContext, resolve
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import Job, fingerprint
 from ..simulator.apps import FlowGenerator, Host, ThroughputMeter
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure

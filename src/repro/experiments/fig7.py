@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..runtime import RuntimeContext, resolve
+from ..runtime.context import RuntimeContext, resolve
 from .heatmaps import PAPER_SCALE, QUICK_SCALE, HeatmapScale, render_heatmap_pair, run_heatmap
 
 __all__ = ["run", "render", "main"]

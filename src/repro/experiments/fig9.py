@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..runtime import RuntimeContext, resolve
+from ..runtime.context import RuntimeContext, resolve
 from ..traffic.synthetic import ENTRY_SIZE_GRID_100
 from .heatmaps import PAPER_SCALE, QUICK_SCALE, HeatmapScale, render_heatmap_pair, run_heatmap
 

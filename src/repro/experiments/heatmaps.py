@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..runtime import RuntimeContext, resolve, run_sweep, spec_job
+from ..runtime.context import RuntimeContext, resolve
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import spec_job
 from ..traffic.synthetic import ENTRY_SIZE_GRID, LOSS_RATES, EntrySize
 from .metrics import CellResult
 from .report import render_heatmap
@@ -71,7 +73,7 @@ def _cell_worker(payload: tuple) -> dict:
     spec, repetitions, *rest = payload
     options = rest[0] if rest else {}
     if options.get("telemetry"):
-        from ..telemetry import Telemetry
+        from ..telemetry.session import Telemetry
 
         session = Telemetry(profile=bool(options.get("profile")))
         out = run_cell(spec, repetitions=repetitions, telemetry=session).to_dict()

@@ -27,7 +27,7 @@ from ..simulator.apps import FlowGenerator
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure, UniformLossFailure
 from ..simulator.topology import TwoSwitchTopology
-from ..telemetry import Telemetry
+from ..telemetry.session import Telemetry
 from ..traffic.synthetic import EntrySize
 from .metrics import CellResult, RunResult
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from ..runtime import RuntimeContext, resolve
-from ..telemetry import Telemetry, hotspots, to_prometheus
+from ..runtime.context import RuntimeContext, resolve
+from ..telemetry.export import hotspots, to_prometheus
+from ..telemetry.session import Telemetry
 from ..telemetry.registry import Counter, Gauge, Histogram
 from ..traffic.synthetic import EntrySize
 from .runner import ExperimentSpec, run_entry_failure

@@ -17,7 +17,9 @@ from typing import Optional
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
 from ..core.output import FailureKind
-from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
+from ..runtime.context import RuntimeContext, resolve
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..simulator.apps import FlowGenerator
 from ..simulator.engine import Simulator
 from ..simulator.failures import UniformLossFailure

@@ -23,25 +23,12 @@ selective rerouting (§6.1).  This package is that scenario generator:
 See ``docs/FABRIC.md`` for the architecture and CLI usage.
 """
 
-from .builders import abilene, clos, fat_tree, random_isp, ring
-from .chaos import FabricSoakConfig, FabricSoakResult, fabric_soak
-from .deployment import FabricDeployment
-from .graph import FabricGraph, FabricNetwork
-from .reroute import FabricRerouteController, LfaTable, SelectiveRerouteApp
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FabricGraph",
-    "FabricNetwork",
-    "FabricDeployment",
-    "FabricRerouteController",
-    "LfaTable",
-    "SelectiveRerouteApp",
-    "FabricSoakConfig",
-    "FabricSoakResult",
-    "fabric_soak",
-    "ring",
-    "clos",
-    "fat_tree",
-    "abilene",
-    "random_isp",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".builders": ("abilene", "clos", "fat_tree", "random_isp", "ring"),
+    ".chaos": ("FabricSoakConfig", "FabricSoakResult", "fabric_soak"),
+    ".deployment": ("FabricDeployment",),
+    ".graph": ("FabricGraph", "FabricNetwork"),
+    ".reroute": ("FabricRerouteController", "LfaTable", "SelectiveRerouteApp"),
+})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from ..runtime import stable_seed
+from ..runtime.jobs import stable_seed
 from .graph import FabricGraph
 
 __all__ = ["ring", "clos", "fat_tree", "abilene", "random_isp"]

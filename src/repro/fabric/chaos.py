@@ -37,7 +37,7 @@ from ..chaos.schedule import FaultSpec, build_loss, build_perturbation
 from ..core.detector import FancyConfig
 from ..core.hashtree import HashTreeParams
 from ..core.output import FailureKind
-from ..runtime import stable_seed
+from ..runtime.jobs import stable_seed
 from ..simulator.engine import Simulator
 from ..simulator.failures import CompositeFailure, GrayFailure
 from ..simulator.udp import UdpSource

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from typing import Any
 
 from ..core.detector import FancyConfig, FancyLinkMonitor
-from ..runtime import stable_seed
+from ..runtime.jobs import stable_seed
 from .graph import FabricNetwork
 
 __all__ = ["FabricDeployment"]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..obs.trace import spans_to_jsonl
-from ..runtime import stable_seed
+from ..runtime.jobs import stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
 

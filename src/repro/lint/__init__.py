@@ -34,37 +34,14 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and policy.
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineEntry
-from .callgraph import CallGraph, build_callgraph
-from .diagnostics import Diagnostic
-from .engine import (
-    AstCache,
-    LintResult,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from .fsm import FsmModel, run_fsm_pass, write_fsm_artifacts
-from .rules import ALL_RULES, Rule, rule_catalog
-from .taint import TaintResult, run_taint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "AstCache",
-    "Baseline",
-    "BaselineEntry",
-    "CallGraph",
-    "Diagnostic",
-    "FsmModel",
-    "LintResult",
-    "Rule",
-    "TaintResult",
-    "build_callgraph",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "rule_catalog",
-    "run_fsm_pass",
-    "run_taint",
-    "write_fsm_artifacts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".baseline": ("Baseline", "BaselineEntry"),
+    ".callgraph": ("CallGraph", "build_callgraph"),
+    ".diagnostics": ("Diagnostic",),
+    ".engine": ("AstCache", "LintResult", "lint_file", "lint_paths", "lint_source"),
+    ".fsm": ("FsmModel", "run_fsm_pass", "write_fsm_artifacts"),
+    ".rules": ("ALL_RULES", "Rule", "rule_catalog"),
+    ".taint": ("TaintResult", "run_taint"),
+})

@@ -12,8 +12,9 @@ its substrate:
   (``repro.core.protocol.FancySender.on_control``);
 * an **import map** per module that resolves ``import``/``from``
   aliases — including relative imports — through re-export chains
-  (``from ..runtime import stable_seed`` resolves to the def in
-  ``repro.runtime.jobs``);
+  (``from repro.runtime import stable_seed`` resolves to the def in
+  ``repro.runtime.jobs``), reading a lazy facade's export table
+  (:mod:`repro._lazy`) as the ``from .x import y`` lines it stands for;
 * a **call graph** whose edges come from three resolution strategies,
   in decreasing confidence order:
 
@@ -213,8 +214,20 @@ class CallGraph:
 # --------------------------------------------------------------------------
 
 
-def _collect_imports(info: ModuleInfo) -> None:
+def _absolute(info: ModuleInfo, level: int, module: str | None) -> str:
+    """Absolute name of ``from <level dots><module>`` as written in ``info``."""
+    if not level:
+        return module or ""
+    # Relative import: resolve against this module's package
+    # (__package__ semantics: a plain module's package is its
+    # parent, an __init__'s package is the module itself).
     pkg_parts = info.name.split(".")
+    drop = level - 1 if info.is_package else level
+    base = ".".join(pkg_parts[: len(pkg_parts) - drop])
+    return f"{base}.{module}" if module else base
+
+
+def _collect_imports(info: ModuleInfo) -> None:
     for node in ast.walk(info.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -223,22 +236,27 @@ def _collect_imports(info: ModuleInfo) -> None:
                 if alias.asname:
                     info.imports[alias.asname] = alias.name
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                # Relative import: resolve against this module's package
-                # (__package__ semantics: a plain module's package is its
-                # parent, an __init__'s package is the module itself).
-                drop = node.level - 1 if info.is_package else node.level
-                base_parts = pkg_parts[: len(pkg_parts) - drop]
-                base = ".".join(base_parts)
-                module = f"{base}.{node.module}" if node.module else base
-            else:
-                module = node.module or ""
+            module = _absolute(info, node.level, node.module)
             if not module:
                 continue
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 info.imports[alias.asname or alias.name] = f"{module}.{alias.name}"
+        elif isinstance(node, ast.Call) and _dotted(node.func) == "lazy_exports" \
+                and node.args and isinstance(node.args[-1], ast.Dict):
+            # A lazy facade (repro._lazy): each ``".sub": ("name", ...)``
+            # entry of the export table reads as ``from .sub import name``.
+            table = node.args[-1]
+            for key, names in zip(table.keys, table.values):
+                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                        and isinstance(names, (ast.Tuple, ast.List))):
+                    continue
+                rest = key.value.lstrip(".")
+                module = _absolute(info, len(key.value) - len(rest), rest or None)
+                for name in names.elts:
+                    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                        info.imports[name.value] = f"{module}.{name.value}"
 
 
 def _collect_definitions(graph: CallGraph, info: ModuleInfo) -> None:

@@ -11,53 +11,25 @@ Three layers (docs/TELEMETRY.md):
 * :mod:`repro.obs.report` — the self-contained offline HTML dashboard
   behind ``fancy-repro report --html``.
 
-Import discipline: this module eagerly exposes only the trace/schema
-layer, which depends on nothing inside :mod:`repro` —
-``repro.telemetry`` imports it, so pulling :mod:`repro.obs.health`
-(which imports the fabric subsystem, which imports telemetry) in here
-would be a cycle.  Health/report symbols resolve lazily.
+Import discipline: the trace/schema layer depends on nothing inside
+:mod:`repro` and ``repro.telemetry`` imports it, while
+:mod:`repro.obs.health` imports the fabric subsystem, which imports
+telemetry.  Every name here resolves on first use, so loading
+``repro.obs.trace`` never reaches the fabric.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from .._lazy import lazy_exports
 
-from .schema import TRACE_SPAN_SCHEMA, validate_jsonl, validate_span, validate_spans
-from .trace import (
-    CATEGORIES,
-    Span,
-    TraceCollector,
-    chrome_trace,
-    chrome_trace_from_dicts,
-    spans_from_jsonl,
-    spans_to_jsonl,
-)
-
-__all__ = [
-    "CATEGORIES",
-    "Span",
-    "TraceCollector",
-    "chrome_trace",
-    "chrome_trace_from_dicts",
-    "spans_from_jsonl",
-    "spans_to_jsonl",
-    "TRACE_SPAN_SCHEMA",
-    "validate_span",
-    "validate_spans",
-    "validate_jsonl",
-    "FabricHealthReport",
-    "LinkHealth",
-    "render_html",
-]
-
-
-def __getattr__(name: str) -> Any:
-    if name in ("FabricHealthReport", "LinkHealth"):
-        from . import health
-
-        return getattr(health, name)
-    if name == "render_html":
-        from .report import render_html
-
-        return render_html
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".health": ("FabricHealthReport", "LinkHealth"),
+    ".report": ("render_html",),
+    ".schema": (
+        "TRACE_SPAN_SCHEMA", "validate_jsonl", "validate_span", "validate_spans",
+    ),
+    ".trace": (
+        "CATEGORIES", "Span", "TraceCollector", "chrome_trace",
+        "chrome_trace_from_dicts", "spans_from_jsonl", "spans_to_jsonl",
+    ),
+})

@@ -88,7 +88,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Imported lazily: the validate path must not drag the experiment
     # stack (simulator, fabric, runtime executor) into the process.
     from ..experiments import fabric
-    from ..runtime import RuntimeContext
+    from ..runtime.context import RuntimeContext
     from .report import render_html
     from .trace import spans_to_jsonl
 

@@ -19,28 +19,14 @@ replays, sensitivity matrices) into a list of content-addressed
 See ``docs/RUNTIME.md`` for the architecture and on-disk formats.
 """
 
-from .cache import DEFAULT_CACHE_DIR, NullCache, ResultCache, open_cache
-from .context import RuntimeContext, resolve
-from .executor import CellTimeout, SweepResult, run_sweep
-from .jobs import CODE_VERSION, Job, canonical, fingerprint, spec_job, stable_seed
-from .progress import ProgressReporter, RunLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CODE_VERSION",
-    "CellTimeout",
-    "DEFAULT_CACHE_DIR",
-    "Job",
-    "NullCache",
-    "ProgressReporter",
-    "ResultCache",
-    "RunLog",
-    "RuntimeContext",
-    "SweepResult",
-    "canonical",
-    "fingerprint",
-    "open_cache",
-    "resolve",
-    "run_sweep",
-    "spec_job",
-    "stable_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("DEFAULT_CACHE_DIR", "NullCache", "ResultCache", "open_cache"),
+    ".context": ("RuntimeContext", "resolve"),
+    ".executor": ("CellTimeout", "SweepResult", "run_sweep"),
+    ".jobs": (
+        "CODE_VERSION", "Job", "canonical", "fingerprint", "spec_job", "stable_seed",
+    ),
+    ".progress": ("ProgressReporter", "RunLog"),
+})

@@ -26,6 +26,7 @@ breakage cannot be attributed to a single job.
 
 from __future__ import annotations
 
+import gc
 import signal
 import threading
 import time
@@ -56,6 +57,7 @@ def _invoke(worker: Callable[[Any], Any], payload: Any,
     start = time.monotonic()
     timer_set = False
     old_handler: Any = None
+    gc_counts = gc.get_count()[1:]
     try:
         if (
             timeout_s
@@ -93,6 +95,13 @@ def _invoke(worker: Callable[[Any], Any], payload: Any,
         if timer_set:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old_handler)
+        # A finished job's simulator is a web of reference cycles; free it
+        # at the job boundary, not whenever a later job's allocations trip
+        # the collector with two simulators resident.  The older-generation
+        # counters move whenever the collector ran: a job that never
+        # tripped it left too little behind to be worth a full pass.
+        if gc.get_count()[1:] != gc_counts:
+            gc.collect()
 
 
 def _pool_entry(item: tuple) -> tuple:

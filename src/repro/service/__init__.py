@@ -22,17 +22,10 @@ package is the degraded-mode answer:
 
 from __future__ import annotations
 
-from .ladder import LADDER_FSM_SPEC, DegradationLadder, LadderState, attach_ladder
-from .soak import ServeConfig, ServeResult, run_serve
-from .supervision import InvariantSupervisor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LADDER_FSM_SPEC",
-    "DegradationLadder",
-    "LadderState",
-    "attach_ladder",
-    "InvariantSupervisor",
-    "ServeConfig",
-    "ServeResult",
-    "run_serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ladder": ("LADDER_FSM_SPEC", "DegradationLadder", "LadderState", "attach_ladder"),
+    ".soak": ("ServeConfig", "ServeResult", "run_serve"),
+    ".supervision": ("InvariantSupervisor",),
+})

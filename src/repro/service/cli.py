@@ -25,7 +25,7 @@ import pathlib
 from typing import Any, Optional, Sequence
 
 from ..obs.trace import spans_from_jsonl
-from ..runtime import RuntimeContext
+from ..runtime.context import RuntimeContext
 from .soak import ServeConfig, ServeResult, run_serve
 
 __all__ = ["main"]

@@ -50,10 +50,12 @@ from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
 from ..fabric.sharding import merge_link_results, plan_shards
 from ..obs.health import FabricHealthReport
-from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
+from ..runtime.context import RuntimeContext, resolve
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..simulator.engine import Simulator
 from ..simulator.fluid import FluidFlow, FluidTraffic
-from ..telemetry import Telemetry
+from ..telemetry.session import Telemetry
 from ..traffic.zipf import assign_rates, sample_zipf_ranks
 from .ladder import attach_ladder
 from .supervision import InvariantSupervisor

@@ -10,59 +10,24 @@ fast path (fused link events, packet pooling, UDP packet trains) governed
 by :mod:`repro.simulator.fastpath`; see ``docs/PERFORMANCE.md``.
 """
 
-from . import fastpath
-from .apps import FlowGenerator, Host, ThroughputMeter
-from .engine import EventHandle, SimulationError, Simulator
-from .failures import (
-    CompositeFailure,
-    IntermittentFailure,
-    ControlPlaneFailure,
-    EntryLossFailure,
-    GrayFailure,
-    PacketPropertyFailure,
-    UniformLossFailure,
-)
-from .link import Link, LinkStats, connect_duplex
-from .packet import FANCY_TAG_BYTES, MIN_FRAME_BYTES, POOL, Packet, PacketKind, PacketPool
-from .switch import Node, Switch
-from .tcp import DEFAULT_RTO, TcpFlow, TcpSink
-from .topology import ChainTopology, StarTopology, TwoSwitchTopology
-from .tracing import PacketTracer, TraceEvent
-from .udp import UdpSource
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "SimulationError",
-    "EventHandle",
-    "Packet",
-    "PacketKind",
-    "PacketPool",
-    "POOL",
-    "FANCY_TAG_BYTES",
-    "MIN_FRAME_BYTES",
-    "Link",
-    "LinkStats",
-    "connect_duplex",
-    "fastpath",
-    "Node",
-    "Switch",
-    "Host",
-    "FlowGenerator",
-    "ThroughputMeter",
-    "TcpFlow",
-    "TcpSink",
-    "DEFAULT_RTO",
-    "UdpSource",
-    "GrayFailure",
-    "EntryLossFailure",
-    "UniformLossFailure",
-    "PacketPropertyFailure",
-    "ControlPlaneFailure",
-    "CompositeFailure",
-    "IntermittentFailure",
-    "TwoSwitchTopology",
-    "ChainTopology",
-    "StarTopology",
-    "PacketTracer",
-    "TraceEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("fastpath",),
+    ".apps": ("FlowGenerator", "Host", "ThroughputMeter"),
+    ".engine": ("EventHandle", "SimulationError", "Simulator"),
+    ".failures": (
+        "CompositeFailure", "ControlPlaneFailure", "EntryLossFailure", "GrayFailure",
+        "IntermittentFailure", "PacketPropertyFailure", "UniformLossFailure",
+    ),
+    ".link": ("Link", "LinkStats", "connect_duplex"),
+    ".packet": (
+        "FANCY_TAG_BYTES", "MIN_FRAME_BYTES", "POOL", "Packet", "PacketKind",
+        "PacketPool",
+    ),
+    ".switch": ("Node", "Switch"),
+    ".tcp": ("DEFAULT_RTO", "TcpFlow", "TcpSink"),
+    ".topology": ("ChainTopology", "StarTopology", "TwoSwitchTopology"),
+    ".tracing": ("PacketTracer", "TraceEvent"),
+    ".udp": ("UdpSource",),
+})

@@ -22,35 +22,15 @@ See ``docs/TELEMETRY.md`` for the metric catalogue, the trace schema
 and workflows.
 """
 
-from ..obs.trace import Span, TraceCollector
-from .export import hotspots, to_jsonl, to_prometheus
-from .registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    merge_snapshots,
-)
-from .session import Telemetry
-from .timeline import DetectionRecord, StateTimeline, TimelineEvent
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "merge_snapshots",
-    "Telemetry",
-    "Span",
-    "TraceCollector",
-    "StateTimeline",
-    "TimelineEvent",
-    "DetectionRecord",
-    "to_prometheus",
-    "to_jsonl",
-    "hotspots",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..obs.trace": ("Span", "TraceCollector"),
+    ".export": ("hotspots", "to_jsonl", "to_prometheus"),
+    ".registry": (
+        "NULL_REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "NullRegistry", "merge_snapshots",
+    ),
+    ".session": ("Telemetry",),
+    ".timeline": ("DetectionRecord", "StateTimeline", "TimelineEvent"),
+})

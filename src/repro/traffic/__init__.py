@@ -1,32 +1,14 @@
 """Workload generation: prefixes, the §5.1 synthetic grid, Zipf skew, and
 CAIDA-like trace synthesis."""
 
-from .caida import (
-    CAIDA_TRACES,
-    SyntheticCaidaTrace,
-    TraceSlice,
-    TraceSpec,
-    zipf_mandelbrot_weights,
-)
-from .prefixes import PrefixSpace, prefix_str, random_slash24s
-from .synthetic import ENTRY_SIZE_GRID, ENTRY_SIZE_GRID_100, LOSS_RATES, EntrySize
-from .zipf import assign_rates, flows_for_rate, sample_zipf_ranks, zipf_weights
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PrefixSpace",
-    "prefix_str",
-    "random_slash24s",
-    "EntrySize",
-    "ENTRY_SIZE_GRID",
-    "ENTRY_SIZE_GRID_100",
-    "LOSS_RATES",
-    "zipf_weights",
-    "assign_rates",
-    "sample_zipf_ranks",
-    "flows_for_rate",
-    "TraceSpec",
-    "CAIDA_TRACES",
-    "SyntheticCaidaTrace",
-    "TraceSlice",
-    "zipf_mandelbrot_weights",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".caida": (
+        "CAIDA_TRACES", "SyntheticCaidaTrace", "TraceSlice", "TraceSpec",
+        "zipf_mandelbrot_weights",
+    ),
+    ".prefixes": ("PrefixSpace", "prefix_str", "random_slash24s"),
+    ".synthetic": ("ENTRY_SIZE_GRID", "ENTRY_SIZE_GRID_100", "LOSS_RATES", "EntrySize"),
+    ".zipf": ("assign_rates", "flows_for_rate", "sample_zipf_ranks", "zipf_weights"),
+})

@@ -36,6 +36,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["table2", "--shards", "4", "--fluid", "--trace"], "--trace, --fluid, --shards"),
+        (["fig9a", "--fluid"], "--fluid"),
+        (["fabric", "--shards", "-1"], "--shards must be >= 0"),
+    ])
+    def test_flags_that_would_do_nothing_are_rejected(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert complaint in captured.err
+        assert "===" not in captured.out     # nothing ran
+
 
 def _default_args() -> argparse.Namespace:
     """Namespace with the CLI's default flag values."""

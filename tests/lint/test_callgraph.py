@@ -84,6 +84,44 @@ class TestResolution:
         })
         assert ("other.f", "pkg.a.helper") in edge_pairs(graph)
 
+    def test_lazy_facade_export_table(self, tmp_path):
+        # A PEP 562 facade has no `from .a import helper` line to chase:
+        # the export-table literal stands for it, "." for submodules and
+        # a second leading dot for the parent package.
+        graph = build(tmp_path, {
+            "pkg/__init__.py": """
+                from ._lazy import lazy_exports
+                __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+                    ".": ("b",),
+                    ".sub.a": ("helper", "Thing"),
+                })
+            """,
+            "pkg/_lazy.py": "def lazy_exports(package, table):\n    pass\n",
+            "pkg/b.py": "def run():\n    return 1\n",
+            "pkg/sub/__init__.py": """
+                from .._lazy import lazy_exports
+                __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+                    "..b": ("run",),
+                })
+            """,
+            "pkg/sub/a.py": """
+                class Thing:
+                    def __init__(self):
+                        pass
+                def helper():
+                    return 1
+            """,
+            "other.py": """
+                from pkg import Thing, b, helper
+                from pkg.sub import run
+                def f():
+                    return helper(), Thing(), b.run(), run()
+            """,
+        })
+        assert {callee for caller, callee in edge_pairs(graph) if caller == "other.f"} == {
+            "pkg.sub.a.helper", "pkg.sub.a.Thing.__init__", "pkg.b.run"}
+        assert len(graph.callees_of("other.f")) == 4
+
     def test_module_alias_import(self, tmp_path):
         graph = build(tmp_path, {
             "pkg/__init__.py": "",
@@ -227,3 +265,15 @@ def test_module_name_collision_first_wins(tmp_path):
     graph = build_callgraph(parsed)
     assert "m.f" in graph.functions
     assert "m.g" not in graph.functions
+
+
+def test_src_call_edges_do_not_shrink():
+    # The lazy facades (repro._lazy) took the static `from .x import y`
+    # lines the resolver used to chase; a resolver that loses them still
+    # prints "0 findings" while FCY011 sees less.  1 205 import-resolved
+    # `call` edges is what the eager facades gave.
+    src = Path(__file__).resolve().parents[2] / "src"
+    parsed = [(str(p), ast.parse(p.read_text(encoding="utf-8")))
+              for p in sorted(src.rglob("*.py"))]
+    calls = [e for e in build_callgraph(parsed).edges if e.kind == "call"]
+    assert len(calls) >= 1205

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 from pathlib import Path
 
 
@@ -103,6 +104,29 @@ class TestSerialExecution:
         jobs = [Job(key="slow", payload=5.0, fingerprint="", timeout_s=0.2)]
         sweep = run_sweep(jobs, sleepy_worker, runtime=RuntimeContext(retries=0))
         assert sweep.errors["slow"]["kind"] == "timeout"
+
+
+    def test_finished_job_is_released_at_the_job_boundary(self):
+        """Job i's reference cycles are gone before job i+1 starts."""
+        class Node:
+            pass
+
+        sentinels: list[weakref.ref] = []
+
+        def cyclic_worker(payload):
+            survivors = sum(ref() is not None for ref in sentinels)
+            node = Node()
+            node.me = node
+            sentinels.append(weakref.ref(node))
+            # Enough live containers to run the collector a few dozen times:
+            # `node` ages into the old generation, as a simulator does, where
+            # only a full collection finds it once the job is over.
+            ballast = [[] for _ in range(20_000)]
+            return {"survivors": survivors, "ballast": len(ballast)}
+
+        sweep = run_sweep(_jobs([1, 2, 3], cacheable=False), cyclic_worker)
+        assert [sweep.results[k]["survivors"] for k in (1, 2, 3)] == [0, 0, 0]
+        assert all(ref() is None for ref in sentinels)
 
 
 class TestParallelExecution:
