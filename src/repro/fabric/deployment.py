@@ -21,7 +21,7 @@ link id (so minted trace ids read ``"s1->s2#001"``).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from ..core.detector import FancyConfig, FancyLinkMonitor
@@ -88,6 +88,28 @@ class FabricDeployment:
     def stop(self) -> None:
         for monitor in self.monitors.values():
             monitor.stop()
+
+    def bind_fluid(self, engine: Any, loss_seeds: Mapping[str, int]) -> None:
+        """Bind ``engine``'s fluid flows to the monitors whose link they cross.
+
+        Each monitor gets the flows whose baseline ECMP path crosses its
+        link, grouped by delay chain (:meth:`~repro.fabric.graph.
+        FabricNetwork.delay_legs`).  Per-window loss draws on a link seed
+        from ``loss_seeds[link_id]`` — a pure function of the base seed
+        and the link id, never of worker or shard count.
+        """
+        for link_id, monitor in self.monitors.items():
+            by_legs: dict[tuple[float, ...], list[Any]] = {}
+            for flow in engine.flows:
+                legs = self.net.delay_legs(flow.entry, flow.flow_id, link_id,
+                                           flow.packet_size)
+                if legs is not None:
+                    by_legs.setdefault(legs, []).append(flow)
+            for legs, flows in by_legs.items():
+                engine.bind_monitor(
+                    monitor, flows, legs,
+                    loss_model=self.net.links[link_id].loss_model,
+                    loss_seed=loss_seeds[link_id])
 
     def update_entries(self, entries: Iterable[Any]) -> dict[str, bool]:
         """Rotate the dedicated entry set on every monitor (entry churn).

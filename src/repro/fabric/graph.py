@@ -315,6 +315,31 @@ class FabricNetwork:
             path.append(node)
         return path
 
+    def delay_legs(self, entry: Any, flow_id: int, link_id: str,
+                   packet_size: int) -> tuple[float, ...] | None:
+        """Delay chain host → ``link_id``'s egress, or None when the flow's
+        baseline path does not cross that link.
+
+        Mirrors the discrete pipeline's per-hop additions in order: the
+        instant access link delivers at ``now + access_delay``, each
+        switch-switch hop serializes then propagates, and the monitor's
+        egress tap fires inline at the arrival instant — so folding these
+        legs left-to-right reproduces the exact float the packet model
+        compares against the counting-window boundary.
+        """
+        a, b = self.endpoints(link_id)
+        path = self.flow_path(entry, flow_id)
+        idx = path.index(a) if a in path else -1
+        if idx < 0 or path[idx + 1:idx + 2] != [b]:
+            return None
+        legs = [self._access_delay_s]
+        for i in range(idx):
+            link = self.link(path[i], path[i + 1])
+            if link.bandwidth_bps:
+                legs.append(packet_size * 8 / link.bandwidth_bps)
+            legs.append(link.delay_s)
+        return tuple(legs)
+
     def entry_links(self, entry: Any) -> list[str]:
         """Directed switch-switch link ids on the entry's forward ECMP DAG."""
         dst = self.entry_dst[entry]

@@ -9,7 +9,9 @@ merely a batch of links one worker happens to execute.  Grouping is an
 execution knob — ``--shards 1``, ``2`` and ``4`` must (and do) produce
 byte-identical merged output.
 
-Three pieces enforce that contract:
+Every sharded run — the fabric experiment's detection probes and the
+``serve`` soak — goes through :func:`run_link_probes`, and these pieces
+enforce the contract:
 
 * :func:`plan_shards` partitions the link list round-robin and derives a
   per-link seed with :func:`~repro.runtime.stable_seed` keyed **only**
@@ -18,7 +20,7 @@ Three pieces enforce that contract:
   flags shard-spec seeding that bypasses ``stable_seed``.)
 * each per-link probe runs its own :class:`~repro.telemetry.session.
   Telemetry` whose forks are scoped by link id, so minted trace ids are
-  grouping-independent.
+  grouping-independent, and hands back :func:`probe_payload`.
 * :func:`merge_link_results` folds the per-link payloads back together
   in **sorted link order**: detection records re-sorted under the
   deployment's contract, metric registries merged with
@@ -30,16 +32,19 @@ Three pieces enforce that contract:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from ..obs.trace import spans_to_jsonl
-from ..runtime.jobs import stable_seed
+from ..runtime.context import RuntimeContext
+from ..runtime.executor import run_sweep
+from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
 
-__all__ = ["ShardSpec", "plan_shards", "merge_link_results"]
+__all__ = ["ShardSpec", "plan_shards", "probe_payload", "run_link_probes",
+           "merge_link_results"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,76 @@ def plan_shards(link_ids: Sequence[str], n_shards: int,
         )
         specs.append(ShardSpec(index=index, links=links, link_seeds=seeds))
     return specs
+
+
+def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
+    """What a one-link probe hands :func:`merge_link_results`.
+
+    ``deployment`` monitors exactly one link under its own telemetry
+    session; ``fluid`` is the probe's fluid engine, or None.  The trace
+    crosses the process boundary as its collector's JSONL text.
+    """
+    ((link_id, monitor),) = deployment.monitors.items()
+    sim = deployment.net.sim
+    traces = monitor.telemetry.traces
+    traces.finalize(sim.now)
+    return {
+        "link": link_id,
+        "detections": deployment.detection_records(),
+        "metrics": deployment.telemetry.metrics.snapshot(),
+        "trace_jsonl": traces.to_jsonl(),
+        "sessions_completed": deployment.sessions_completed()[link_id],
+        "events_processed": sim.events_processed,
+        "fluid_absorbed": fluid.absorbed if fluid is not None else 0,
+    }
+
+
+def _probe_batch(payload: tuple) -> dict[str, Any]:
+    """Top-level (picklable) shard worker: one probe per assigned link."""
+    probe, args, links, link_seeds = payload
+    return {link_id: probe(*args, link_id, link_seed)
+            for link_id, link_seed in zip(links, link_seeds)}
+
+
+def run_link_probes(
+    probe: Callable[..., dict[str, Any]],
+    args: tuple,
+    link_ids: Sequence[str],
+    shards: int,
+    seed: int,
+    label: str,
+    sim_s: float,
+    runtime: Optional[RuntimeContext] = None,
+) -> tuple[dict[str, Any], dict[str, dict[str, Any]]]:
+    """Run ``probe(*args, link_id, link_seed)`` once per link, sharded.
+
+    Plans ``shards`` batches, runs them under :func:`~repro.runtime.
+    run_sweep` (``label`` names the sweep and keys its result cache with
+    ``args``; ``sim_s`` is one probe's simulated horizon), insists every
+    batch completed and folds the payloads.  Returns the merged result,
+    with ``shards`` set to the number of non-empty batches, and the
+    per-link payloads.
+    """
+    specs = plan_shards(link_ids, shards, seed=seed)
+    jobs = [
+        Job(
+            key=f"shard-{spec.index}",
+            payload=(probe, args, spec.links, spec.link_seeds),
+            fingerprint=fingerprint(label, args, spec.links),
+            sim_s=sim_s * len(spec.links),
+        )
+        for spec in specs
+    ]
+    sweep = run_sweep(jobs, _probe_batch, runtime=runtime, label=label)
+    # A silently missing shard would merge into a plausible-but-wrong
+    # result (fewer links, fewer detections) — insist on completeness.
+    sweep.require_ok(label)
+    per_link: dict[str, dict[str, Any]] = {}
+    for job in jobs:
+        per_link.update(sweep.results[job.key])
+    merged = merge_link_results(per_link)
+    merged["shards"] = len(specs)
+    return merged, per_link
 
 
 def _trace_text(payload: Mapping[str, Any]) -> str:

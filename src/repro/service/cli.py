@@ -146,8 +146,8 @@ def _write_artifacts(result: ServeResult, out_dir: pathlib.Path) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(
-        list(argv) if argv is not None else None)
+    parser = _build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
     config = _config(args)
     runtime = RuntimeContext(workers=args.workers, cache_dir=None,
                              progress=False)
@@ -157,7 +157,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{config.duration_s:g}s simulated, top-{config.top_n} churn "
           f"every {config.churn_every_s:g}s, {grey}, "
           f"shards={args.shards}")
-    result = run_serve(config, shards=args.shards, runtime=runtime)
+    try:
+        result = run_serve(config, shards=args.shards, runtime=runtime)
+    except ValueError as exc:  # rejected before anything was simulated
+        parser.error(str(exc))
     _print_snapshots(result)
     if args.out is not None:
         _write_artifacts(result, pathlib.Path(args.out))

@@ -10,12 +10,13 @@ and periodic health snapshots.  The default fault schedule is
 channel only — the scenario the ladder exists for, where the data plane
 is perfect and a naive detector would still declare LINK_DOWN.
 
-Execution follows the fabric experiments' sharding contract
-(docs/FABRIC.md): each monitored link runs as an isolated *probe*
-simulation that is a pure function of ``(config, schedule, link_id)``,
-and ``--shards N`` only changes how probes are batched across worker
-processes.  Health snapshots, Prometheus text and trace JSONL are
-byte-identical for any shard count and any same-seed rerun.
+Execution is the fabric experiments' sharded runner
+(:func:`repro.fabric.sharding.run_link_probes`, docs/FABRIC.md): each
+monitored link runs as an isolated *probe* simulation that is a pure
+function of ``(config, schedule, link_id)``, and ``--shards N`` only
+changes how probes are batched across worker processes.  Health
+snapshots, Prometheus text and trace JSONL are byte-identical for any
+shard count and any same-seed rerun.
 
 Clock scaling: a day of 50 ms sessions is ~1.7 M sessions per link —
 far past what a Python event loop should burn CI minutes on.  The serve
@@ -48,11 +49,10 @@ from ..fabric.chaos import (
 )
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
-from ..fabric.sharding import merge_link_results, plan_shards
+from ..fabric.sharding import probe_payload, run_link_probes
 from ..obs.health import FabricHealthReport
-from ..runtime.context import RuntimeContext, resolve
-from ..runtime.executor import run_sweep
-from ..runtime.jobs import Job, fingerprint, stable_seed
+from ..runtime.context import RuntimeContext
+from ..runtime.jobs import stable_seed
 from ..simulator.engine import Simulator
 from ..simulator.fluid import FluidFlow, FluidTraffic
 from ..telemetry.session import Telemetry
@@ -271,29 +271,6 @@ def _directional_schedule(link_id: str,
     return out
 
 
-def _delay_legs(net: FabricNetwork, path: list[str], a: str, b: str,
-                packet_size: int) -> Optional[tuple[float, ...]]:
-    """Host→monitored-egress delay chain, or None when a→b is off-path.
-
-    Mirrors the discrete pipeline hop for hop (access delay, then
-    serialize+propagate per crossed link) so fluid arrivals land on the
-    exact floats the packet model would produce.
-    """
-    try:
-        idx = path.index(a)
-    except ValueError:
-        return None
-    if idx + 1 >= len(path) or path[idx + 1] != b:
-        return None
-    legs: list[float] = [net.access_delay_s]
-    for i in range(idx):
-        link = net.link(path[i], path[i + 1])
-        if link.bandwidth_bps:
-            legs.append(packet_size * 8 / link.bandwidth_bps)
-        legs.append(link.delay_s)
-    return tuple(legs)
-
-
 # -- the per-link probe --------------------------------------------------------
 
 
@@ -313,21 +290,10 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
 
     sim = Simulator()
     net = FabricNetwork(sim, ring(config.ring_size))
-    all_entries: list[str] = []
-    seen: set[str] = set()
-    for _t, entries in rotations:
-        for entry in entries:
-            if entry not in seen:
-                seen.add(entry)
-                all_entries.append(entry)
-    for entry in flow_rates:
-        if entry not in seen:
-            seen.add(entry)
-            all_entries.append(entry)
-    for entry in all_entries:
+    named = [e for _t, rotation in rotations for e in rotation] + list(flow_rates)
+    for entry in dict.fromkeys(named):  # each once, first-seen order
         src, dst = _entry_endpoints(entry, config.ring_size)
         net.add_entry(entry, src, dst)
-        net.host(dst)  # materialize sinks before traffic arrives
 
     fancy = FancyConfig(
         high_priority=list(rotations[0][1]),
@@ -376,16 +342,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
             seed=stable_seed(config.seed, "flow", i),
             start_s=0.0005 * (i + 1),
         ))
-    by_legs: dict[tuple[float, ...], list[FluidFlow]] = {}
-    for flow in engine.flows:
-        path = net.flow_path(flow.entry, flow.flow_id)
-        legs = _delay_legs(net, path, a, b, flow.packet_size)
-        if legs is not None:
-            by_legs.setdefault(legs, []).append(flow)
-    for legs, flows in by_legs.items():
-        engine.bind_monitor(monitor, flows, legs,
-                            loss_model=net.link(a, b).loss_model,
-                            loss_seed=link_seed)
+    deployment.bind_fluid(engine, {link_id: link_seed})
 
     # -- entry churn on the rotation grid -----------------------------------
     def _rotate(entries: tuple[str, ...]) -> None:
@@ -424,18 +381,8 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     sim.run()
     supervisor.finalize(horizon=config.duration_s)
     snapshots.append(_snapshot(config.duration_s, "final"))
-    traces = getattr(monitor.telemetry, "traces", None)
-    if traces is not None:
-        traces.finalize(sim.now)
-
     return {
-        "link": link_id,
-        "detections": deployment.detection_records(),
-        "metrics": telemetry.metrics.snapshot(),
-        "trace_jsonl": "" if traces is None else traces.to_jsonl(),
-        "sessions_completed": deployment.sessions_completed()[link_id],
-        "events_processed": sim.events_processed,
-        "fluid_absorbed": engine.absorbed,
+        **probe_payload(deployment, engine),
         "snapshots": snapshots,
         "violations": [v.to_dict() for v in observer.breaches],
         "ladder": {
@@ -470,9 +417,7 @@ def _schedule_reverse_episodes(net: FabricNetwork, monitor: Any,
     ladder stepping and the absorbed exhaustions, bounded so a day-long
     grey fault doesn't record a day of control chatter.
     """
-    traces = getattr(monitor.telemetry, "traces", None)
-    if traces is None:
-        return
+    traces = monitor.telemetry.traces
     for spec in schedule:
         if parse_link_target(spec.target) != reverse_id:
             continue
@@ -490,15 +435,6 @@ def _schedule_reverse_episodes(net: FabricNetwork, monitor: Any,
 
 
 # -- sharded execution and merge -----------------------------------------------
-
-
-def _serve_shard_worker(payload: tuple) -> dict[str, Any]:
-    """Top-level (picklable) shard executor: one probe per assigned link."""
-    config, schedule, links, link_seeds = payload
-    return {
-        link_id: _serve_probe(config, schedule, link_id, link_seed)
-        for link_id, link_seed in zip(links, link_seeds)
-    }
 
 
 def _merge_health(per_link: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
@@ -528,6 +464,21 @@ def _merge_health(per_link: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
     return merged
 
 
+def _validate(config: ServeConfig, shards: int, link_ids: list[str]) -> None:
+    """Reject a serve that cannot run, naming the offending field."""
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if not config.duration_s > 0:
+        raise ValueError(f"duration_s must be > 0, got {config.duration_s}")
+    if not 0.0 <= config.grey_rate <= 1.0:
+        raise ValueError(
+            f"grey_rate must be within [0, 1], got {config.grey_rate}")
+    if config.grey_link is not None and config.grey_link not in link_ids:
+        raise ValueError(
+            f"grey_link {config.grey_link!r} is not a directed link of "
+            f"ring-{config.ring_size} (e.g. {link_ids[0]!r})")
+
+
 def run_serve(config: Optional[ServeConfig] = None,
               schedule: Optional[list[FaultSpec]] = None,
               shards: int = 1,
@@ -540,29 +491,14 @@ def run_serve(config: Optional[ServeConfig] = None,
     and worker scheduling cannot change a byte of it.
     """
     config = config or ServeConfig()
-    if schedule is None:
-        schedule = default_serve_schedule(config)
     link_ids = FabricNetwork(Simulator(),
                              ring(config.ring_size)).directed_link_ids()
-    specs = plan_shards(link_ids, shards, seed=config.seed)
-    jobs = [
-        Job(
-            key=f"serve-{spec.index}",
-            payload=(config, schedule, spec.links, spec.link_seeds),
-            fingerprint=fingerprint(
-                "serve", config, [s.to_dict() for s in schedule], spec.links),
-            sim_s=config.duration_s * len(spec.links),
-        )
-        for spec in specs
-    ]
-    sweep = run_sweep(jobs, _serve_shard_worker, runtime=resolve(runtime),
-                      label="serve")
-    sweep.require_ok("serve")
-    per_link: dict[str, dict[str, Any]] = {}
-    for spec in specs:
-        per_link.update(sweep.results[f"serve-{spec.index}"])
-
-    merged = merge_link_results(per_link)
+    _validate(config, shards, link_ids)
+    if schedule is None:
+        schedule = default_serve_schedule(config)
+    merged, per_link = run_link_probes(
+        _serve_probe, (config, schedule), link_ids, shards, config.seed,
+        "serve", config.duration_s, runtime)
     ordered = merged["links"]
     snapshots = _merge_health(per_link)
     violations = [v for lid in ordered for v in per_link[lid]["violations"]]
@@ -592,5 +528,5 @@ def run_serve(config: Optional[ServeConfig] = None,
         health_json=health_json,
         events_processed=merged["events_processed"],
         fluid_absorbed=merged["fluid_absorbed"],
-        shards=len(specs),
+        shards=merged["shards"],
     )

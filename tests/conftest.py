@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.hashtree import HashTree, HashTreeParams
 from repro.simulator.engine import Simulator
-from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -24,17 +23,3 @@ def small_params() -> HashTreeParams:
 def small_tree(small_params) -> HashTree:
     return HashTree(small_params, seed=42)
 
-
-class CollectorlessTelemetry(Telemetry):
-    """A session whose per-link forks carry no trace collector."""
-
-    def fork(self, scope=None):
-        child = super().fork(scope)
-        child.traces = None
-        return child
-
-
-@pytest.fixture
-def collectorless_telemetry() -> type[Telemetry]:
-    """Patch it over a probe's ``Telemetry`` to run that probe untraced."""
-    return CollectorlessTelemetry

@@ -152,19 +152,6 @@ class TestMergedTraceBytes:
             {"a->b": {"metrics": None}})["trace_jsonl"] == ""
 
 
-def test_link_probe_without_a_collector_yields_empty_text(
-        monkeypatch, collectorless_telemetry):
-    """Same single read of the collector as the serve probe's."""
-    import repro.telemetry
-
-    monkeypatch.setattr(repro.telemetry, "Telemetry", collectorless_telemetry)
-    config = replace(fabric.FabricExpConfig(), duration_s=1.5)
-    assert fabric._case_plan("ring", config)["failed_link"] != "s0->s1"
-    payload = fabric._link_probe("ring", config, "s0->s1", 5)
-    assert payload["trace_jsonl"] == ""
-    assert payload["sessions_completed"] > 0
-
-
 @pytest.fixture(scope="module")
 def shard_runs():
     """One fluid ring case at shard counts 1, 2 and 4 (serial workers)."""

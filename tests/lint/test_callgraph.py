@@ -267,13 +267,31 @@ def test_module_name_collision_first_wins(tmp_path):
     assert "m.g" not in graph.functions
 
 
-def test_src_call_edges_do_not_shrink():
+def _names_a_value(graph: CallGraph, canon: str) -> bool:
+    """``canon`` is an attribute of a module-level value (a dict's ``get``)."""
+    parts = canon.split(".")
+    for i in range(len(parts) - 1, 0, -1):
+        info = graph.modules.get(".".join(parts[:i]))
+        if info is not None:
+            return info.defines.get(parts[i]) == "value"
+    return False
+
+
+def test_calls_into_repro_all_resolve():
     # The lazy facades (repro._lazy) took the static `from .x import y`
     # lines the resolver used to chase; a resolver that loses them still
-    # prints "0 findings" while FCY011 sees less.  1 205 import-resolved
-    # `call` edges is what the eager facades gave.
-    src = Path(__file__).resolve().parents[2] / "src"
+    # prints "0 findings" while FCY011 sees less.  Every call naming a
+    # project callable must resolve to its definition, however much code
+    # there is.  The benchmark harness is here because it is what calls
+    # the program through the facades.
+    root = Path(__file__).resolve().parents[2]
     parsed = [(str(p), ast.parse(p.read_text(encoding="utf-8")))
-              for p in sorted(src.rglob("*.py"))]
-    calls = [e for e in build_callgraph(parsed).edges if e.kind == "call"]
-    assert len(calls) >= 1205
+              for d in ("src", "benchmarks/perf")
+              for p in sorted((root / d).rglob("*.py"))]
+    graph = build_callgraph(parsed)
+    unresolved = [f"{caller} -> {canon}"
+                  for caller, calls in graph.external_calls.items()
+                  for canon, _node in calls
+                  if canon.startswith("repro.")
+                  and not _names_a_value(graph, canon)]
+    assert unresolved == []

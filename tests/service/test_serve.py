@@ -21,6 +21,7 @@ import tracemalloc
 
 import pytest
 
+from repro.fabric import sharding
 from repro.obs.trace import spans_to_jsonl
 from repro.service import soak
 from repro.service.soak import (
@@ -70,6 +71,24 @@ class TestPlanning:
     def test_no_grey_link_means_empty_schedule(self):
         config = dataclasses.replace(SHORT, grey_link=None)
         assert default_serve_schedule(config) == []
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--shards", "0"], "shards"),
+    (["--grey-link", "bogus"], "grey_link"),
+    (["--grey-link", "s9->s1"], "grey_link"),
+    (["--grey-rate", "1.5"], "grey_rate"),
+    (["--duration", "-5"], "duration_s"),
+], ids=["no-shards", "malformed-link", "off-ring-link", "rate-above-1",
+        "negative-duration"])
+def test_bad_input_is_a_usage_error(argv, field, capsys):
+    """Rejected before any probe runs: exit 2 naming the field, no traceback."""
+    from repro.service.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", *argv])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -127,18 +146,6 @@ class TestProbeBoundary:
     """What a probe hands the merge is text (docs/PERFORMANCE.md,
     "Footprint and cold start")."""
 
-    def test_probe_without_a_collector_yields_empty_text(
-            self, monkeypatch, collectorless_telemetry):
-        """The probe reads the collector once: forks that carry none used
-        to be finalized behind a guard and then dereferenced unguarded."""
-        monkeypatch.setattr(soak, "Telemetry", collectorless_telemetry)
-        config = dataclasses.replace(SHORT, duration_s=120.0,
-                                     health_every_s=60.0, grey_start_s=30.0)
-        payload = soak._serve_probe(
-            config, default_serve_schedule(config), "s2->s1", 1)
-        assert payload["trace_jsonl"] == ""
-        assert payload["sessions_completed"] > 0
-
     def test_traced_memory_fence(self, monkeypatch, short_result):
         """Live bytes, no wall clock, in the style of the frame budgets.
 
@@ -158,7 +165,7 @@ class TestProbeBoundary:
             gc.collect()
             return payload
 
-        def merge(per_link, _merge=soak.merge_link_results):
+        def merge(per_link, _merge=sharding.merge_link_results):
             gc.collect()
             phases["probes"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
@@ -167,7 +174,7 @@ class TestProbeBoundary:
             return merged
 
         monkeypatch.setattr(soak, "_serve_probe", probe)
-        monkeypatch.setattr(soak, "merge_link_results", merge)
+        monkeypatch.setattr(sharding, "merge_link_results", merge)
         gc.collect()
         tracemalloc.start()
         try:
