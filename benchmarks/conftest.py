@@ -5,9 +5,8 @@ reduced quick configuration — see DESIGN.md), asserts its shape, and
 writes the rendered artifact to ``results/`` next to this file so the
 reproduction output can be inspected after the run.
 
-Machine-readable ``BENCH_*.json`` records live there too, and only there:
-CI uploads them as artifacts from ``benchmarks/results/`` and the
-regression gates (``BENCH_*_BASELINE``) read the committed copies in place.
+Speed is measured by the ledger under ``perf/`` (``BENCHMARK.json``),
+not by these tests.
 """
 
 from __future__ import annotations

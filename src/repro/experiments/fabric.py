@@ -109,13 +109,13 @@ def _scenario(case: str, config: FabricExpConfig, links: Optional[list[str]],
     fabric as the closed loop.  Returns the deployment (its ``net`` is
     the scenario's) and the case plan, extended with ``background``.
     """
-    plan = _case_plan(case, config)
     net = _build_net(case, config)
+    plan = _case_plan(case, config, net)
     entries = plan["entries"]
     pairs = list(entries.values())
     plan["background"] = {f"bg/{j}": pairs[j % len(pairs)]
                           for j in range(config.background_entries)}
-    for entry, (src, dst) in (*entries.items(), *plan["background"].items()):
+    for entry, (src, dst) in plan["background"].items():
         net.add_entry(entry, src, dst)
 
     fancy = FancyConfig(
@@ -272,40 +272,39 @@ def _build_net(case: str, config: FabricExpConfig) -> FabricNetwork:
     return FabricNetwork(Simulator(), topo, link_delay_s=config.link_delay_s)
 
 
-def _case_plan(case: str, config: FabricExpConfig) -> dict[str, Any]:
-    """Entries / victim / failed link for a case — the pure-data half.
+def _case_plan(case: str, config: FabricExpConfig,
+               net: Optional[FabricNetwork] = None) -> dict[str, Any]:
+    """Entries / victim / failed link for a case.
 
-    Shared by the closed-loop runners and the sharded per-link probes
-    (through :func:`_scenario`) so both observe the *same* fabric
-    scenario for a given config.
+    Adds the high-priority entries to ``net`` — the scenario's own
+    network when :func:`_scenario` calls, a throwaway one otherwise —
+    and reads the failed link off the victim's path there, so the
+    closed-loop runners and the sharded per-link probes observe the
+    *same* fabric scenario for a given config.
     """
+    if net is None:
+        net = _build_net(case, config)
     if case == "ring":
-        # s0 → s2 has a unique two-hop shortest path, so the failed link
-        # s1->s2 is guaranteed on it; the innocent entry shares the path.
-        return {
-            "entries": {"victim": ("s0", "s2"), "innocent": ("s0", "s2")},
-            "victim": "victim",
-            "failed_link": "s1->s2",
-            "duration_s": config.duration_s,
-        }
-    k = config.fat_tree_k
-    entries: dict[Any, tuple[str, str]] = {}
-    for i in range(config.n_entries):
-        src = f"edge{i % k}-0"
-        dst = f"edge{(i + 1) % k}-1"
-        entries[f"hp/{i}"] = (src, dst)
-    # Fail the second hop (aggregation → core) of the victim flow's
-    # actual ECMP path, so exactly one core-facing monitor must flag it.
-    victim = "hp/0"
-    scout = _build_net(case, config)
+        # The innocent entry shares the victim's path.
+        entries = {"victim": ("s0", "s2"), "innocent": ("s0", "s2")}
+        victim, duration_s = "victim", config.duration_s
+    else:
+        k = config.fat_tree_k
+        entries = {f"hp/{i}": (f"edge{i % k}-0", f"edge{(i + 1) % k}-1")
+                   for i in range(config.n_entries)}
+        victim, duration_s = "hp/0", config.fat_tree_duration_s
     for entry, (src, dst) in entries.items():
-        scout.add_entry(entry, src, dst)
-    path = scout.flow_path(victim, flow_id=0)
+        net.add_entry(entry, src, dst)
+    # Fail the second hop of the victim flow's actual path: s1->s2 on the
+    # ring (s0 → s2 has a unique two-hop shortest path), aggregation →
+    # core on the fat tree's ECMP path, so exactly one core-facing
+    # monitor must flag it.
+    path = net.flow_path(victim, flow_id=0)
     return {
         "entries": entries,
         "victim": victim,
-        "failed_link": scout.link_id(path[1], path[2]),
-        "duration_s": config.fat_tree_duration_s,
+        "failed_link": net.link_id(path[1], path[2]),
+        "duration_s": duration_s,
     }
 
 

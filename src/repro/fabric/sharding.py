@@ -20,12 +20,13 @@ enforce the contract:
   flags shard-spec seeding that bypasses ``stable_seed``.)
 * each per-link probe runs its own :class:`~repro.telemetry.session.
   Telemetry` whose forks are scoped by link id, so minted trace ids are
-  grouping-independent, and hands back :func:`probe_payload`.
+  grouping-independent, and hands back :func:`probe_payload` — text, not
+  simulator state: the batch worker reclaims each probe at its boundary.
 * :func:`merge_link_results` folds the per-link payloads back together
   in **sorted link order**: detection records re-sorted under the
   deployment's contract, metric registries merged with
   :func:`~repro.telemetry.registry.merge_snapshots` (commutative over
-  sorted input), the links' trace JSONL texts concatenated — so the
+  sorted input), the links' trace JSONL chunks joined once — so the
   Prometheus text and trace JSONL are byte-identical for any worker or
   shard count.
 """
@@ -38,7 +39,7 @@ from typing import Any, Optional
 
 from ..obs.trace import spans_to_jsonl
 from ..runtime.context import RuntimeContext
-from ..runtime.executor import run_sweep
+from ..runtime.executor import reclaim_at_boundary, run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
@@ -92,7 +93,9 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
 
     ``deployment`` monitors exactly one link under its own telemetry
     session; ``fluid`` is the probe's fluid engine, or None.  The trace
-    crosses the process boundary as its collector's JSONL text.
+    crosses the process boundary as its collector's JSONL text, in the
+    newline-terminated chunks of :meth:`~repro.obs.trace.TraceCollector.
+    jsonl_chunks` — no probe ever holds its whole trace as one string.
     """
     ((link_id, monitor),) = deployment.monitors.items()
     sim = deployment.net.sim
@@ -102,7 +105,7 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
         "link": link_id,
         "detections": deployment.detection_records(),
         "metrics": deployment.telemetry.metrics.snapshot(),
-        "trace_jsonl": traces.to_jsonl(),
+        "trace_jsonl": traces.jsonl_chunks(),
         "sessions_completed": deployment.sessions_completed()[link_id],
         "events_processed": sim.events_processed,
         "fluid_absorbed": fluid.absorbed if fluid is not None else 0,
@@ -110,10 +113,17 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
 
 
 def _probe_batch(payload: tuple) -> dict[str, Any]:
-    """Top-level (picklable) shard worker: one probe per assigned link."""
+    """Top-level (picklable) shard worker: one probe per assigned link.
+
+    Each probe is reclaimed at its own boundary, so what a finished
+    probe leaves behind is its payload, never its simulator.
+    """
     probe, args, links, link_seeds = payload
-    return {link_id: probe(*args, link_id, link_seed)
-            for link_id, link_seed in zip(links, link_seeds)}
+    out: dict[str, Any] = {}
+    for link_id, link_seed in zip(links, link_seeds):
+        with reclaim_at_boundary():
+            out[link_id] = probe(*args, link_id, link_seed)
+    return out
 
 
 def run_link_probes(
@@ -157,10 +167,14 @@ def run_link_probes(
     return merged, per_link
 
 
-def _trace_text(payload: Mapping[str, Any]) -> str:
-    """In-memory callers may give ``spans`` (dicts) for ``trace_jsonl``."""
+def _trace_chunks(payload: Mapping[str, Any]) -> Sequence[str]:
+    """A payload's trace as chunks: result-cache entries written before
+    probes shipped chunks hold one ``str``, and in-memory callers may
+    give ``spans`` (dicts) instead of ``trace_jsonl``."""
     text = payload.get("trace_jsonl")
-    return spans_to_jsonl(payload.get("spans", ())) if text is None else text
+    if text is None:
+        return (spans_to_jsonl(payload.get("spans", ())),)
+    return (text,) if isinstance(text, str) else text
 
 
 def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
@@ -168,11 +182,11 @@ def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, A
 
     Each payload carries ``detections`` (deployment-contract tuples),
     ``metrics`` (a registry snapshot dict), ``trace_jsonl`` (the link
-    collector's ``to_jsonl()`` text), ``sessions_completed``,
+    collector's ``jsonl_chunks()``), ``sessions_completed``,
     ``events_processed`` and ``fluid_absorbed``.  Links are folded in
     sorted id order so the output is a pure function of the payload
-    *set* — the shards 1/2/4 byte-equality contract; every non-empty
-    trace text ends in a newline, so their concatenation is one
+    *set* — the shards 1/2/4 byte-equality contract; every trace chunk
+    ends in a newline, so one join over all links' chunks is one
     ``spans_to_jsonl`` over all links' spans.
     """
     ordered = sorted(per_link)
@@ -190,7 +204,8 @@ def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, A
         "metrics": metrics,
         "prometheus": to_prometheus(metrics),
         "trace_jsonl": "".join(
-            _trace_text(per_link[link_id]) for link_id in ordered),
+            chunk for link_id in ordered
+            for chunk in _trace_chunks(per_link[link_id])),
         "sessions_completed": {
             link_id: per_link[link_id].get("sessions_completed", 0)
             for link_id in ordered

@@ -28,7 +28,8 @@ Design constraints, in order:
   simulation, a loud canary for cross-wired instrumentation.
 
 Exports: :meth:`TraceCollector.to_jsonl` (one schema-checked object per
-line, see :mod:`repro.obs.schema`) and :func:`chrome_trace` /
+line, see :mod:`repro.obs.schema`; :meth:`TraceCollector.jsonl_chunks`
+is the same text in pieces) and :func:`chrome_trace` /
 :func:`chrome_trace_from_dicts` (``chrome://tracing`` / Perfetto's
 legacy JSON array format: one process, one thread per trace).
 """
@@ -79,6 +80,9 @@ TRUNCATION_EVENT = "trace_truncated"
 
 #: What JSON takes as is (and ``_json_safe`` returns unchanged).
 _SCALARS = (bool, int, float, str)
+
+#: Spans per :meth:`TraceCollector.jsonl_chunks` chunk (≈ 250 kB of text).
+_CHUNK_SPANS = 1024
 
 
 def _json_safe(value: Any) -> Any:
@@ -301,17 +305,33 @@ class TraceCollector:
         """Schema-shaped dicts (what the report and Chrome views read)."""
         return [span.to_dict(self.scope) for span in self.spans]
 
-    def to_jsonl(self) -> str:
-        """``spans_to_jsonl(self.span_dicts())`` encoded span by span — the
-        form a trace leaves a probe in — closed by one ``trace_truncated``
-        line (cf. ``timeline_truncated``) when ``max_spans`` was hit."""
-        text = spans_to_jsonl(s.to_dict(self.scope) for s in self.spans)
+    def jsonl_chunks(self) -> list[str]:
+        """:meth:`to_jsonl`'s text as newline-terminated chunks — the form
+        a trace leaves a probe in.
+
+        Each chunk is ``spans_to_jsonl`` over ``_CHUNK_SPANS`` spans, so
+        encoding a busy collector holds one chunk's line strings at a
+        time and never a full-text copy; the ``trace_truncated`` line
+        (cf. ``timeline_truncated``), when ``max_spans`` was hit, is the
+        last chunk.
+        """
+        scope, spans = self.scope, self.spans
+        chunks = [
+            spans_to_jsonl(s.to_dict(scope)
+                           for s in spans[i:i + _CHUNK_SPANS])
+            for i in range(0, len(spans), _CHUNK_SPANS)
+        ]
         if self.suppressed:
-            text += json.dumps({
-                "event": TRUNCATION_EVENT, "scope": self.scope,
+            chunks.append(json.dumps({
+                "event": TRUNCATION_EVENT, "scope": scope,
                 "suppressed": self.suppressed, "max_spans": self.max_spans,
-            }, sort_keys=True) + "\n"
-        return text
+            }, sort_keys=True) + "\n")
+        return chunks
+
+    def to_jsonl(self) -> str:
+        """``spans_to_jsonl(self.span_dicts())`` encoded span by span,
+        closed by the truncation marker when there is one."""
+        return "".join(self.jsonl_chunks())
 
 
 def spans_to_jsonl(span_dicts: Iterable[dict[str, Any]]) -> str:

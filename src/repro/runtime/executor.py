@@ -40,7 +40,7 @@ from .context import RuntimeContext, resolve
 from .jobs import Job
 from .progress import ProgressReporter, RunLog
 
-__all__ = ["CellTimeout", "SweepResult", "run_sweep"]
+__all__ = ["CellTimeout", "SweepResult", "reclaim_at_boundary", "run_sweep"]
 
 
 class CellTimeout(Exception):
@@ -51,57 +51,72 @@ def _raise_timeout(signum, frame):  # pragma: no cover - exercised in workers
     raise CellTimeout()
 
 
+class reclaim_at_boundary:
+    """Collect the garbage of the unit of work run inside the block.
+
+    A finished job's (or probe's) simulator is a web of reference
+    cycles; free it at its boundary, not whenever a later unit's
+    allocations trip the collector with two simulators resident.  The
+    older-generation counters move whenever the collector ran: a unit
+    that never tripped it left too little behind to be worth a full pass.
+    (A slotted class, not ``@contextmanager``: the executor enters one
+    per job, and a no-op job costs a few microseconds in all.)
+    """
+
+    __slots__ = ("_gc_counts",)
+
+    def __enter__(self) -> None:
+        self._gc_counts = gc.get_count()[1:]
+
+    def __exit__(self, *exc_info: object) -> None:
+        if gc.get_count()[1:] != self._gc_counts:
+            gc.collect()
+
+
 def _invoke(worker: Callable[[Any], Any], payload: Any,
             timeout_s: Optional[float]) -> tuple:
     """Run ``worker(payload)``; never raises — errors become data."""
     start = time.monotonic()
     timer_set = False
     old_handler: Any = None
-    gc_counts = gc.get_count()[1:]
-    try:
-        if (
-            timeout_s
-            and timeout_s > 0
-            and threading.current_thread() is threading.main_thread()
-        ):
-            old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
-            timer_set = True
-        value = worker(payload)
-        return "ok", value, time.monotonic() - start
-    except CellTimeout:
-        return (
-            "error",
-            {
-                "kind": "timeout",
-                "type": "CellTimeout",
-                "message": f"cell exceeded its {timeout_s:g}s timeout",
-                "traceback": "",
-            },
-            time.monotonic() - start,
-        )
-    except Exception as exc:
-        return (
-            "error",
-            {
-                "kind": "crash",
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(limit=20),
-            },
-            time.monotonic() - start,
-        )
-    finally:
-        if timer_set:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
-        # A finished job's simulator is a web of reference cycles; free it
-        # at the job boundary, not whenever a later job's allocations trip
-        # the collector with two simulators resident.  The older-generation
-        # counters move whenever the collector ran: a job that never
-        # tripped it left too little behind to be worth a full pass.
-        if gc.get_count()[1:] != gc_counts:
-            gc.collect()
+    with reclaim_at_boundary():
+        try:
+            if (
+                timeout_s
+                and timeout_s > 0
+                and threading.current_thread() is threading.main_thread()
+            ):
+                old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
+                signal.setitimer(signal.ITIMER_REAL, timeout_s)
+                timer_set = True
+            value = worker(payload)
+            return "ok", value, time.monotonic() - start
+        except CellTimeout:
+            return (
+                "error",
+                {
+                    "kind": "timeout",
+                    "type": "CellTimeout",
+                    "message": f"cell exceeded its {timeout_s:g}s timeout",
+                    "traceback": "",
+                },
+                time.monotonic() - start,
+            )
+        except Exception as exc:
+            return (
+                "error",
+                {
+                    "kind": "crash",
+                    "type": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc(limit=20),
+                },
+                time.monotonic() - start,
+            )
+        finally:
+            if timer_set:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                signal.signal(signal.SIGALRM, old_handler)
 
 
 def _pool_entry(item: tuple) -> tuple:

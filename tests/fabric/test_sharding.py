@@ -107,9 +107,10 @@ def _collector(link_id, n_spans, max_spans=100_000):
 
 
 class TestMergedTraceBytes:
-    """Probes hand the merge text, in-memory callers may still hand span
-    dicts; both give the bytes one ``spans_to_jsonl`` over every link's
-    spans gave when dicts were all that crossed."""
+    """Probes hand the merge chunk lists; result-cache entries written
+    before that hold one text, and in-memory callers may still hand span
+    dicts.  Every shape gives the bytes one ``spans_to_jsonl`` over every
+    link's spans gave when dicts were all that crossed."""
 
     #: busy, empty and busy again, deliberately not in sorted order.
     COLLECTORS = {"b->c": _collector("b->c", 40), "a->b": _collector("a->b", 0),
@@ -128,11 +129,26 @@ class TestMergedTraceBytes:
         assert as_text == as_dicts == spans_to_jsonl(concat)
         assert as_text.count("\n") == 47
 
+    def test_chunk_lists_merge_to_the_same_bytes(self):
+        as_chunks = self._merged(
+            lambda tc: {"trace_jsonl": tc.jsonl_chunks()})
+        # Split finer than the collector does: the join does not care
+        # where a link's text was cut, only that every piece is whole lines.
+        as_lines = self._merged(
+            lambda tc: {"trace_jsonl": tc.to_jsonl().splitlines(True)})
+        assert as_chunks == as_lines == self._merged(
+            lambda tc: {"trace_jsonl": tc.to_jsonl()})
+
     def test_mixed_payload_shapes_merge(self):
-        mixed = self._merged(
+        shapes = {"b->c": lambda tc: {"trace_jsonl": tc.jsonl_chunks()},
+                  "a->c": lambda tc: {"trace_jsonl": tc.to_jsonl()},
+                  "a->b": lambda tc: {"spans": tc.span_dicts()}}
+        mixed = self._merged(lambda tc: shapes[tc.scope](tc))
+        assert mixed == self._merged(lambda tc: {"spans": tc.span_dicts()})
+        text_and_dicts = self._merged(
             lambda tc: {"spans": tc.span_dicts()} if tc.scope == "a->c"
             else {"trace_jsonl": tc.to_jsonl()})
-        assert mixed == self._merged(lambda tc: {"spans": tc.span_dicts()})
+        assert mixed == text_and_dicts
 
     def test_truncated_link_keeps_its_marker_in_place(self):
         """The marker travels with its link's text: it lands after that
@@ -141,8 +157,8 @@ class TestMergedTraceBytes:
         assert cut.suppressed == 6
         merged = merge_link_results({
             "b->c": {"metrics": None,
-                     "trace_jsonl": self.COLLECTORS["b->c"].to_jsonl()},
-            "a->b": {"metrics": None, "trace_jsonl": cut.to_jsonl()},
+                     "trace_jsonl": self.COLLECTORS["b->c"].jsonl_chunks()},
+            "a->b": {"metrics": None, "trace_jsonl": cut.jsonl_chunks()},
         })["trace_jsonl"]
         assert merged == cut.to_jsonl() + self.COLLECTORS["b->c"].to_jsonl()
         assert merged.splitlines()[4].startswith('{"event": "trace_truncated"')

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs.trace import (
+    _CHUNK_SPANS,
     CATEGORIES,
     Span,
     TraceCollector,
@@ -282,6 +283,39 @@ class TestTruncationMarker:
     def test_reparse_skips_the_marker(self):
         tc = self._truncated()
         assert spans_from_jsonl(tc.to_jsonl()) == tc.span_dicts()
+
+
+class TestJsonlChunks:
+    """The chunks a probe ships are :meth:`to_jsonl`'s bytes in pieces."""
+
+    def _collector(self, n_spans, max_spans=100_000):
+        tc = TraceCollector(scope="s1->s2", max_spans=max_spans)
+        if n_spans:
+            tc.begin_episode(0.0, cause="fault")
+            for i in range(n_spans - 1):
+                tc.emit("report", i * 1e-3, category="control", path=(i, 1))
+            tc.finalize(float(n_spans))
+        return tc
+
+    @pytest.mark.parametrize("n_spans", [0, 3, 2 * _CHUNK_SPANS + 1],
+                             ids=["empty", "one-chunk", "busy"])
+    def test_join_is_the_one_encoding(self, n_spans):
+        tc = self._collector(n_spans)
+        chunks = tc.jsonl_chunks()
+        assert "".join(chunks) == tc.to_jsonl() == spans_to_jsonl(
+            tc.span_dicts())
+        assert len(chunks) == -(-n_spans // _CHUNK_SPANS)
+        assert all(chunk.endswith("\n") for chunk in chunks)
+
+    def test_capped_collector_closes_with_the_marker_chunk(self):
+        tc = self._collector(_CHUNK_SPANS + 10, max_spans=_CHUNK_SPANS + 1)
+        chunks = tc.jsonl_chunks()
+        assert len(chunks) == 3 and all(c.endswith("\n") for c in chunks)
+        assert json.loads(chunks[-1]) == {
+            "event": "trace_truncated", "scope": "s1->s2", "suppressed": 9,
+            "max_spans": _CHUNK_SPANS + 1}
+        assert "".join(chunks) == tc.to_jsonl() == (
+            spans_to_jsonl(tc.span_dicts()) + chunks[-1])
 
 
 def test_category_vocabulary_is_closed():

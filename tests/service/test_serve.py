@@ -143,37 +143,31 @@ class TestDeterminismAndSharding:
 
 
 class TestProbeBoundary:
-    """What a probe hands the merge is text (docs/PERFORMANCE.md,
+    """What a finished probe leaves behind is text (docs/PERFORMANCE.md,
     "Footprint and cold start")."""
 
     def test_traced_memory_fence(self, monkeypatch, short_result):
         """Live bytes, no wall clock, in the style of the frame budgets.
 
-        Peak ``tracemalloc`` bytes of ``run_serve(SHORT)`` with the cyclic
-        garbage of each finished probe collected first (otherwise the
-        figure follows the collector's schedule, not the code).  Recorded
-        on the parent, where every probe returned span dicts and the merge
-        held all of them plus the text: 8 029 752 bytes over the whole
-        run, all of it inside the merge (5 828 274 while probing).  Text
-        payloads measure 3 074 665 inside the merge and 6 989 030 over
-        the run — the busy probe now pays for its own text.
+        Peak ``tracemalloc`` bytes of ``run_serve(SHORT)`` while probing
+        and inside the merge, with nothing collected but what the product
+        collects itself.  Before probes were reclaimed at their boundary
+        and shipped their trace in chunks, the probe phase peaked at
+        ≈ 16.5 MB: the garbage of finished probes waited for the
+        collector's schedule, and the busy probe held its trace as line
+        strings plus their joined copy.  Reclaimed and chunked it peaks
+        at ≈ 5.5 MB.  The merge was 8 029 752 when probes still returned
+        span dicts; text payloads measure ≈ 3.1 MB.
         """
         phases = {}
 
-        def probe(*args, _probe=soak._serve_probe):
-            payload = _probe(*args)
-            gc.collect()
-            return payload
-
         def merge(per_link, _merge=sharding.merge_link_results):
-            gc.collect()
             phases["probes"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             merged = _merge(per_link)
             phases["merge"] = tracemalloc.get_traced_memory()[1]
             return merged
 
-        monkeypatch.setattr(soak, "_serve_probe", probe)
         monkeypatch.setattr(sharding, "merge_link_results", merge)
         gc.collect()
         tracemalloc.start()
@@ -182,8 +176,33 @@ class TestProbeBoundary:
         finally:
             tracemalloc.stop()
         assert result.trace_jsonl == short_result.trace_jsonl
+        assert phases["probes"] <= 7_000_000
         assert phases["merge"] <= 0.75 * 8_029_752
-        assert max(phases.values()) <= 8_029_752
+
+    def test_a_batch_leaves_one_payload_behind(self):
+        """A shard runs its probes back to back: four identical light
+        probes (one payload, the same link each time) leave no more live
+        memory behind than one.  Unreclaimed, each earlier probe's
+        simulator stays resident until the collector happens to run."""
+        light = dataclasses.replace(SHORT, duration_s=1200.0, grey_link=None)
+        args = (light, default_serve_schedule(light))
+
+        def left_behind(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                payloads = sharding._probe_batch(
+                    (soak._serve_probe, args, ("s0->s1",) * n, (7,) * n))
+                assert list(payloads) == ["s0->s1"]
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        left_behind(1)  # warm: imports and first-call caches
+        one, four = left_behind(1), left_behind(4)
+        # A few hundred bytes of interpreter bookkeeping; one unreclaimed
+        # probe of this size is ≈ 0.6 MB.
+        assert four <= one + 4096
 
 
 class TestDegradedModeContracts:
