@@ -14,16 +14,15 @@ from repro.core.bloom import BloomFilter, stable_hash
 from repro.core.counters import DedicatedSenderCounters
 from repro.core.hashtree import HashTree, HashTreeParams, TreeCounters
 from repro.core.protocol import payload_checksum, verify_payload
-from repro.simulator import fastpath
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
-from repro.simulator.packet import POOL, Packet, PacketKind, make_data_packet
+from repro.simulator.packet import Packet, PacketKind
 
 PARAMS = HashTreeParams(width=190, depth=3, split=2, pipelined=True)
 
 
 class _CountingSink:
-    """Minimal link receiver: counts deliveries, recycles pooled packets."""
+    """Minimal link receiver: counts deliveries."""
 
     __slots__ = ("received",)
 
@@ -32,8 +31,6 @@ class _CountingSink:
 
     def receive(self, packet: Packet, in_port: int) -> None:
         self.received += 1
-        if POOL.enabled:
-            packet.release()
 
 
 def test_engine_event_throughput(benchmark):
@@ -292,24 +289,6 @@ def test_session_exchange(benchmark, mode):
         return sender.sessions_completed - done
 
     assert 1000 <= benchmark.pedantic(run, setup=setup, rounds=10) <= 1002
-
-
-@pytest.mark.parametrize("mode", ["alloc", "pooled"])
-def test_packet_pool_churn(benchmark, mode):
-    """Per-packet object cost: a fresh ``__slots__`` allocation versus a
-    recycled free-list packet."""
-    pooled = mode == "pooled"
-
-    def run():
-        with fastpath.scoped(packet_pool=pooled):
-            total = 0
-            for i in range(5000):
-                pkt = make_data_packet("e0", 1500, 1, i, 0.0)
-                total += pkt.size
-                pkt.release()
-            return total
-
-    assert benchmark(run) == 5000 * 1500
 
 
 def test_bloom_filter_add_and_query(benchmark):

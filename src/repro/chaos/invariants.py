@@ -22,8 +22,7 @@ The invariants:
   flagged on each traffic-bearing entry it covers (or escalated to
   LINK_DOWN when control died too).
 * **I5 conservation** — per monitored link, after a full drain:
-  ``delivered == tx − dropped_failure − dropped_chaos + dup_scheduled``;
-  the process-wide packet pool holds only parked, unique packets.
+  ``delivered == tx − dropped_failure − dropped_chaos + dup_scheduled``.
 * **I6 corruption integrity** — every delivered corrupted control
   message was rejected by exactly one hardened FSM:
   ``Σ fsm.rejected_corrupt == Σ chaos.corrupted_control``.
@@ -36,7 +35,6 @@ from typing import Any
 
 from repro.core.output import FailureKind, FailureLog
 from repro.core.protocol import ReceiverState, SenderState
-from repro.simulator.packet import POOL
 
 from .schedule import ATTRIBUTION_SLACK_S, FaultSpec
 
@@ -48,7 +46,6 @@ __all__ = [
     "check_attribution",
     "check_detection",
     "check_conservation",
-    "check_pool",
     "check_integrity",
     "LinkInvariantObserver",
 ]
@@ -290,31 +287,6 @@ def check_conservation(links: list[Any], now: float) -> list[Violation]:
                 f"link {link.name}: delivered={stats.delivered} != "
                 f"tx({stats.tx_packets}) - failure({stats.dropped_failure}) "
                 f"- chaos({stats.dropped_chaos}) + dup({dup}) = {expect}"))
-    out.extend(check_pool(now))
-    return out
-
-
-def check_pool(now: float) -> list[Violation]:
-    """Pool half of I5: only parked, unique packets on the free list.
-
-    Unlike the per-link arithmetic — which only balances after a full
-    drain — these hold at *every* instant, so an online observer can
-    evaluate them mid-run.
-    """
-    out: list[Violation] = []
-    if POOL.enabled:
-        free = POOL.free
-        if any(p.pid != -1 for p in free):
-            out.append(Violation(
-                "I5", now, "packet pool holds a non-parked packet "
-                "(pid != -1): double-release or use-after-release"))
-        if len({id(p) for p in free}) != len(free):
-            out.append(Violation(
-                "I5", now, "packet pool holds the same packet twice"))
-        if len(free) > POOL.max_size:
-            out.append(Violation(
-                "I5", now,
-                f"packet pool overfull: {len(free)} > {POOL.max_size}"))
     return out
 
 
@@ -358,9 +330,8 @@ class LinkInvariantObserver:
     * :meth:`tick` — called between engine events while traffic still
       flows.  Evaluates liveness (I1), session monotonicity (I2), the
       attribution of every report that landed since the previous tick
-      (I3, via ``check_attribution(since=...)``), the pool half of
-      conservation (I5), and in-flight-tolerant corruption accounting
-      (I6).
+      (I3, via ``check_attribution(since=...)``) and in-flight-tolerant
+      corruption accounting (I6).
     * :meth:`final` — called once after wind-down and drain.  Evaluates
       the tail of I3, eventual detection (I4), full per-link
       conservation (I5) and exact corruption equality (I6).
@@ -416,7 +387,6 @@ class LinkInvariantObserver:
             self.monitor.log, self.schedule, self.monitor,
             self.dedicated, self.best_effort, since=self._log_pos)
         self._log_pos = len(self.monitor.log.reports)
-        found += check_pool(now)
         found += check_integrity(self.monitor, self.chaos_models, now,
                                  allow_in_flight=True)
         return self._record(found)

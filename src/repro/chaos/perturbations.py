@@ -23,14 +23,14 @@ never depend on perturbation order or on other perturbations' verdicts,
 so seeded runs are stable under schedule reordering — the property the
 shrinker (:mod:`repro.chaos.shrink`) relies on when deleting faults.
 
-Timing contract (mirrors PR 3's wire-loss discipline): the link calls
-:meth:`ChaosModel.on_wire` with the *pinned departure timestamp*, at send
-time on the fused pipeline and at depart time on the reference pipeline.
-All draws key off that timestamp and all chaos-scheduled deliveries are
+Timing contract (the link's wire-loss discipline): the link calls
+:meth:`ChaosModel.on_wire` with the *pinned departure timestamp* — at send
+time for an uncontended packet, at depart time for a queued one.  All
+draws key off that timestamp and all chaos-scheduled deliveries are
 computed as ``depart_t + link.delay_s + displacement`` — absolute times
-independent of which pipeline scheduled them — so fused and reference
-runs stay bit-identical with perturbations attached (guarded by
-``tests/simulator/test_fastpath_equivalence.py``).
+independent of which path scheduled them — so a fused link and its
+``fused=False`` reference stay bit-identical with perturbations attached
+(guarded by ``tests/simulator/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -592,7 +592,7 @@ def _control_payload_intact(packet: Packet) -> bool:
 
 
 def _clone_packet(packet: Packet) -> Packet:
-    """Duplicate a packet for redelivery (pool-aware, deep enough).
+    """Duplicate a packet for redelivery (deep enough).
 
     The payload dict is shallow-copied so later corruption of one copy
     cannot leak into the other; tags are immutable tuples and copied by

@@ -158,23 +158,6 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
     monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1, config,
                                telemetry=telemetry)
 
-    if telemetry is not None:
-        timeline = telemetry.timeline
-
-        def _mark_injection() -> None:
-            if spec.uniform:
-                timeline.record(sim.now, "failure", "failure_injected",
-                                kind="uniform", loss_rate=spec.loss_rate)
-                return
-            for entry in failed:
-                hp = (monitor.tree_strategy.tree.hash_path(entry)
-                      if monitor.tree_strategy is not None else None)
-                timeline.record(sim.now, "failure", "failure_injected",
-                                entry=entry, hash_path=hp,
-                                loss_rate=spec.loss_rate)
-
-        sim.schedule_at(failure_time, _mark_injection)
-
     entry_profile = spec.effective_entry_size()
     bg_profile = spec.effective_background_size()
     generators = []
@@ -197,6 +180,22 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
     for gen in generators:
         gen.start()
     monitor.start()
+    if telemetry is not None and failure_time <= spec.duration_s:
+        # The injection is recorded by pausing the clock at its instant,
+        # not by a marker event, so an observed run processes exactly the
+        # events of a plain one.
+        sim.run(until=failure_time)
+        timeline = telemetry.timeline
+        if spec.uniform:
+            timeline.record(sim.now, "failure", "failure_injected",
+                            kind="uniform", loss_rate=spec.loss_rate)
+        else:
+            for entry in failed:
+                hp = (monitor.tree_strategy.tree.hash_path(entry)
+                      if monitor.tree_strategy is not None else None)
+                timeline.record(sim.now, "failure", "failure_injected",
+                                entry=entry, hash_path=hp,
+                                loss_rate=spec.loss_rate)
     sim.run(until=spec.duration_s)
 
     result = _score(spec, monitor, failed, background, failure_time)

@@ -7,7 +7,7 @@ invariants (see the package docstring and ``docs/STATIC_ANALYSIS.md``):
 FCY001    module-level / global RNG use — only seeded ``random.Random``
           or ``numpy`` ``Generator`` instances are deterministic per
           sweep cell; the global RNG poisons the result cache and the
-          fastpath draw-order proof.  Also flags ``repr()``-derived seed
+          fused-link draw-order proof.  Also flags ``repr()``-derived seed
           material (use :func:`repro.runtime.stable_seed`).
 FCY002    wall-clock reads (``time.time``, ``datetime.now``) in
           simulation / fingerprint code paths — durations must use the
@@ -17,8 +17,6 @@ FCY003    iteration whose order depends on set iteration order (and thus
 FCY004    blocking calls (``sleep``, file I/O, ``subprocess``, sockets)
           inside the simulator/core packages, which run entirely inside
           the discrete-event loop.
-FCY005    use of a pooled :class:`~repro.simulator.packet.Packet` after
-          ``packet.release()`` returned it to the free list.
 FCY006    ``==`` / ``!=`` on simulated-time floats outside the approved
           helpers (ordering comparisons or ``math.isclose``).
 FCY007    chaos/fault code with an *unseeded* ``random.Random()`` or a
@@ -384,116 +382,6 @@ class BlockingCallRule(Rule):
                          "repro.runtime / experiment drivers instead",
                 ))
         return found
-
-
-# --------------------------------------------------------------------------
-# FCY005 — pooled Packet retained past its release point
-# --------------------------------------------------------------------------
-
-
-def _own_nodes(stmt: ast.stmt) -> list[ast.AST]:
-    """AST nodes of a statement excluding nested statement blocks.
-
-    A ``release()`` inside an ``if`` branch must not be attributed to the
-    enclosing block — control may never enter that branch (or the branch
-    may ``return``), so only statements of the *same* block that follow
-    the release are definitely-after it.
-    """
-    nodes: list[ast.AST] = []
-    stack: list[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        for fieldname, value in ast.iter_fields(node):
-            if fieldname in ("body", "orelse", "finalbody", "handlers"):
-                continue  # nested blocks belong to their own scope
-            if isinstance(value, ast.AST):
-                stack.append(value)
-            elif isinstance(value, list):
-                stack.extend(v for v in value if isinstance(v, ast.AST))
-    return nodes
-
-
-def _released_names(stmt: ast.stmt) -> list[str]:
-    """Names ``x`` for which this statement itself calls ``x.release()``."""
-    names: list[str] = []
-    for node in _own_nodes(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release"
-            and not node.args
-            and isinstance(node.func.value, ast.Name)
-        ):
-            names.append(node.func.value.id)
-    return names
-
-
-class UseAfterReleaseRule(Rule):
-    code = "FCY005"
-    name = "use-after-release"
-    summary = (
-        "pooled Packet used after release(); the free list may already "
-        "have recycled it into a different packet"
-    )
-    scope = ("core/", "simulator/", "experiments/")
-
-    def check(self, tree: ast.AST, ctx: FileContext) -> list[Diagnostic]:
-        found: list[Diagnostic] = []
-        for node in ast.walk(tree):
-            for block in self._blocks_of(node):
-                found.extend(self._check_block(block, ctx))
-        return found
-
-    @staticmethod
-    def _blocks_of(node: ast.AST) -> list[list[ast.stmt]]:
-        blocks: list[list[ast.stmt]] = []
-        for fieldname in ("body", "orelse", "finalbody"):
-            value = getattr(node, fieldname, None)
-            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-                blocks.append(value)
-        return blocks
-
-    def _check_block(self, block: list[ast.stmt], ctx: FileContext) -> list[Diagnostic]:
-        diags: list[Diagnostic] = []
-        #: names released by an earlier statement of *this* block.
-        released: set[str] = set()
-        for stmt in block:
-            if released:
-                # any rebind clears the tracking (the name now refers to a
-                # different object); report loads that precede the rebind.
-                rebinds = {
-                    (node.lineno, node.col_offset)
-                    for node in ast.walk(stmt)
-                    if isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Store)
-                    and node.id in released
-                }
-                first_rebind = min(rebinds) if rebinds else None
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Name)
-                        and isinstance(node.ctx, ast.Load)
-                        and node.id in released
-                        and (first_rebind is None
-                             or (node.lineno, node.col_offset) < first_rebind)
-                    ):
-                        diags.append(ctx.diagnostic(
-                            node, self.code,
-                            f"`{node.id}` used after `{node.id}.release()` "
-                            "returned it to the packet pool",
-                            hint="release the packet last, or copy the fields "
-                                 "you need before releasing",
-                        ))
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Name)
-                        and isinstance(node.ctx, ast.Store)
-                        and node.id in released
-                    ):
-                        released.discard(node.id)
-            released.update(_released_names(stmt))
-        return diags
 
 
 # --------------------------------------------------------------------------
@@ -1082,7 +970,6 @@ ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
     UnorderedIterationRule(),
     BlockingCallRule(),
-    UseAfterReleaseRule(),
     SimTimeEqualityRule(),
     ChaosRngRule(),
     UnorderedAdjacencyRule(),

@@ -11,8 +11,8 @@ into the health report (the serve driver attaches breach counts to each
 link's :class:`~repro.obs.health.LinkHealth`).
 
 Tick evaluation covers the invariants that hold at every instant
-(liveness, session monotonicity, incremental attribution, pool
-integrity, in-flight-tolerant corruption accounting); the drain-only
+(liveness, session monotonicity, incremental attribution,
+in-flight-tolerant corruption accounting); the drain-only
 arithmetic (eventual detection, per-link conservation, exact corruption
 equality) runs once in :meth:`InvariantSupervisor.finalize`.
 """

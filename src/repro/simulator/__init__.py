@@ -5,15 +5,15 @@ links with bandwidth/delay/loss, P4-like switches with ingress/egress hook
 points around a traffic manager, a Reno-style TCP, CBR UDP sources, and
 ready-made evaluation topologies.
 
-Performance: the dataplane has a reference path and an equivalence-tested
-fast path (fused link events, packet pooling, UDP packet trains) governed
-by :mod:`repro.simulator.fastpath`; see ``docs/PERFORMANCE.md``.
+Performance: links run one fused pipeline (one event per uncontended
+packet, one per same-instant burst) that telemetry and
+:class:`PacketTracer` observe through per-link taps; see
+``docs/PERFORMANCE.md``.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".": ("fastpath",),
     ".apps": ("FlowGenerator", "Host", "ThroughputMeter"),
     ".engine": ("EventHandle", "SimulationError", "Simulator"),
     ".failures": (
@@ -21,10 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "IntermittentFailure", "PacketPropertyFailure", "UniformLossFailure",
     ),
     ".link": ("Link", "LinkStats", "connect_duplex"),
-    ".packet": (
-        "FANCY_TAG_BYTES", "MIN_FRAME_BYTES", "POOL", "Packet", "PacketKind",
-        "PacketPool",
-    ),
+    ".packet": ("FANCY_TAG_BYTES", "MIN_FRAME_BYTES", "Packet", "PacketKind"),
     ".switch": ("Node", "Switch"),
     ".tcp": ("DEFAULT_RTO", "TcpFlow", "TcpSink"),
     ".topology": ("ChainTopology", "StarTopology", "TwoSwitchTopology"),

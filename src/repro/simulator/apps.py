@@ -18,7 +18,7 @@ from collections.abc import Callable
 from typing import Any
 
 from .engine import Simulator
-from .packet import POOL, Packet, PacketKind
+from .packet import Packet, PacketKind
 from .switch import Node
 from .tcp import TcpFlow, TcpSink
 
@@ -80,13 +80,6 @@ class Host(Node):
             if sink is not None:
                 sink.on_data(packet)
         # Control packets addressed to a host are ignored.
-        # The host is the packet's terminus: hand it back to the pool (a
-        # no-op unless pooling is enabled via repro.simulator.fastpath).
-        # The rx_tap above ran before release, so taps that *read* packets
-        # are always safe; taps that *retain* them must leave the pool off
-        # (the default).
-        if POOL.enabled:
-            packet.release()
 
 
 class FlowGenerator:

@@ -11,33 +11,45 @@ Congestion losses are intentionally *not* modelled here: tail-drop happens
 in the switch traffic manager (see :mod:`repro.simulator.switch`), upstream
 of the FANcY egress counters, exactly as in the paper.
 
-Fast path (fused pipeline): in the reference path every packet costs two
-heap events — ``_finish_tx`` at the end of serialization, ``_deliver``
-after propagation.  When the link is *uncontended* (idle, both queues
-empty) and uninstrumented (no telemetry, no tracer), the two are fused
-into a single event at ``(now + tx_time) + delay`` that performs the
-depart accounting and the delivery in one callback; the wire loss is
-drawn at *send* time with the pinned departure timestamp.  Drawing at
-send time matters: it precedes every later packet's departure event, so
-per-link RNG draws stay in FIFO-by-departure order and the streams are
-identical to the reference path (drawing inside the arrival event would
-invert the order against packets queued behind the fused one).  Under
-contention the link falls back to the full pipeline, with a "kick" event
-at the in-flight packet's departure time so queued packets start
-serializing at exactly the reference instant.  The only observable
+Fused pipeline: serialize → propagate → deliver costs two heap events in
+the textbook model (``_finish_tx`` at the end of serialization,
+``_deliver`` after propagation).  When the link is *uncontended* (idle,
+both queues empty) the two are fused into a single event at
+``(now + tx_time) + delay`` that books the departure and the delivery in
+one callback; the wire loss is drawn at *send* time with the pinned
+departure timestamp.  Drawing at send time matters: it precedes every
+later packet's departure event, so per-link RNG draws stay in
+FIFO-by-departure order, exactly as in the two-event model (drawing inside
+the arrival event would invert the order against packets queued behind the
+fused one).  Under contention the link takes the queued pipeline, with a
+"kick" event at the in-flight packet's departure time so queued packets
+start serializing at exactly the two-event instant.  The only observable
 difference is *bookkeeping latency*: ``stats`` for a fused packet are
-updated at delivery time (or at send time when it is dropped) rather
-than at departure time — the totals agree whenever the wire is quiet,
-e.g. after a drain.
+updated at delivery time (or at send time when it is dropped) rather than
+at departure time — the totals agree whenever the wire is quiet, e.g.
+after a drain.  ``Link(fused=False)`` keeps the two-event model as the
+per-link reference the equivalence tests compare against.
 
-Fast path (burst coalescing): *instant* links (``bandwidth_bps=None``,
-the access links) have no serialization, so a burst of sends inside one
-callback — a UDP train, a TCP cwnd's worth of segments — yields several
-delivery events at exactly ``now + delay``.  In fused mode the link
-coalesces such a burst into one event that delivers every packet in
-order.  The engine serves equal timestamps FIFO, so per-link delivery
-instants and order are identical to the reference path; wire-loss draws
-are unaffected because the instant path draws at send time either way.
+Burst coalescing: *instant* links (``bandwidth_bps=None``, the access
+links) have no serialization, so a burst of sends inside one callback — a
+UDP train, a TCP cwnd's worth of segments — yields several delivery events
+at exactly ``now + delay``.  The link coalesces such a burst into one
+event that delivers every packet in order.  The engine serves equal
+timestamps FIFO, so per-link delivery instants and order are identical to
+one event per packet; wire-loss draws are unaffected because the instant
+path draws at send time either way.
+
+Observers: :attr:`Link.taps` is a tuple of callables
+``tap(event, packet, t)``, empty when nobody watches, tested once wherever
+:class:`LinkStats` changes on every path above.  Each departing packet
+yields exactly one of ``"tx"`` (on the wire, or handed to a chaos model
+that consumed it), ``"drop"`` (lost to the loss model) or
+``"chaos_drop"``, at its pinned departure instant; a delivered one then
+yields ``"deliver"`` at its arrival instant — whichever pipeline booked
+it.  ``"queue"`` marks a change in the set of packets waiting behind the
+serializer.  Telemetry (``Link(telemetry=...)``) and
+:meth:`~repro.simulator.tracing.PacketTracer.attach_link` are taps, so an
+observed link runs the same code as an unobserved one.
 """
 
 from __future__ import annotations
@@ -47,7 +59,6 @@ from collections.abc import Callable
 from typing import Any, Protocol
 
 from .engine import Simulator
-from .fastpath import CONFIG
 from .packet import Packet, PacketKind
 
 __all__ = [
@@ -103,6 +114,44 @@ class LinkStats:
         }
 
 
+class _LinkMetrics:
+    """The ``link_*`` telemetry instruments of one link, bound as its tap."""
+
+    __slots__ = ("link", "tx", "tx_bytes", "delivered", "dropped", "dropped_chaos",
+                 "depth")
+
+    def __init__(self, link: "Link", metrics: Any) -> None:
+        self.link = link
+        name = link.name
+        self.tx = metrics.counter(
+            "link_tx_packets_total", "Packets that left the sender", link=name)
+        self.tx_bytes = metrics.counter(
+            "link_tx_bytes_total", "Bytes that left the sender", link=name)
+        self.delivered = metrics.counter(
+            "link_delivered_total", "Packets delivered to the receiver", link=name)
+        self.dropped = metrics.counter(
+            "link_dropped_total", "Packets dropped on the wire",
+            link=name, reason="failure")
+        self.dropped_chaos = metrics.counter(
+            "link_dropped_total", "Packets dropped on the wire",
+            link=name, reason="chaos")
+        self.depth = metrics.gauge(
+            "link_queue_depth", "Packets waiting behind the serializer", link=name)
+
+    def __call__(self, event: str, packet: Packet, t: float) -> None:
+        if event == "deliver":
+            self.delivered.inc()
+        elif event == "queue":
+            self.depth.set(self.link.queue_len)
+        else:
+            self.tx.inc()
+            self.tx_bytes.inc(packet.size)
+            if event == "drop":
+                self.dropped.inc()
+            elif event == "chaos_drop":
+                self.dropped_chaos.inc()
+
+
 class Link:
     """A unidirectional link.
 
@@ -116,15 +165,13 @@ class Link:
         delay_s: one-way propagation delay in seconds.
         loss_model: optional callable ``(packet, now) -> bool``; returning
             True drops the packet on the wire (a gray failure).
-        fused: enable the fused single-event pipeline on uncontended
-            sends; ``None`` (default) snapshots
-            :data:`repro.simulator.fastpath.CONFIG` at construction time.
-            Forced off while telemetry is attached or a
-            :class:`~repro.simulator.tracing.PacketTracer` wraps the link.
+        fused: fuse uncontended sends into one event and coalesce
+            same-instant bursts (the default); ``False`` is the two-event
+            reference the equivalence tests compare against.
         telemetry: optional :class:`repro.telemetry.Telemetry`; when set,
-            the link maintains ``link_tx_packets_total`` /
+            a tap maintains ``link_tx_packets_total`` /
             ``link_tx_bytes_total`` / ``link_delivered_total`` /
-            ``link_dropped_total{reason=failure}`` counters and the
+            ``link_dropped_total{reason=failure|chaos}`` counters and the
             ``link_queue_depth`` gauge, all labelled ``link=<name>``.
     """
 
@@ -138,7 +185,7 @@ class Link:
         loss_model: Callable[[Packet, float], bool] | None = None,
         name: str = "",
         telemetry: Any | None = None,
-        fused: bool | None = None,
+        fused: bool = True,
     ) -> None:
         self.sim = sim
         self.dst = dst
@@ -165,7 +212,7 @@ class Link:
         self._burst_t = -1.0
         #: Multi-packet bursts coalesced so far (observability).
         self.coalesced_bursts = 0
-        self.fused = CONFIG.fused_links if fused is None else fused
+        self.fused = fused
         #: Optional chaos model (see :mod:`repro.chaos.perturbations`):
         #: a ``on_wire(packet, depart_t, link) -> int`` hook consulted
         #: *after* the loss model in every send path, returning one of
@@ -175,26 +222,10 @@ class Link:
         #: pinned departure timestamp, the same discipline as wire-loss
         #: draws, so fused and reference pipelines see identical streams.
         self.chaos: Any | None = None
-        self._telemetry = telemetry
-        if telemetry is not None:
-            self.fused = False  # instrumented links take the full pipeline
-            metrics = telemetry.metrics
-            self._m_tx: Any = metrics.counter(
-                "link_tx_packets_total", "Packets that left the sender", link=self.name)
-            self._m_tx_bytes = metrics.counter(
-                "link_tx_bytes_total", "Bytes that left the sender", link=self.name)
-            self._m_delivered = metrics.counter(
-                "link_delivered_total", "Packets delivered to the receiver",
-                link=self.name)
-            self._m_dropped = metrics.counter(
-                "link_dropped_total", "Packets dropped on the wire",
-                link=self.name, reason="failure")
-            self._m_dropped_chaos = metrics.counter(
-                "link_dropped_total", "Packets dropped on the wire",
-                link=self.name, reason="chaos")
-            self._m_depth = metrics.gauge(
-                "link_queue_depth", "Serialization-queue occupancy (packets)",
-                link=self.name)
+        #: Observers, ``tap(event, packet, t)`` (see the module docstring);
+        #: add one with ``link.taps += (tap,)``.
+        self.taps: tuple[Callable[[str, Packet, float], None], ...] = (
+            (_LinkMetrics(self, telemetry.metrics),) if telemetry is not None else ())
 
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission.
@@ -208,66 +239,59 @@ class Link:
         (§4.1's per-session consistency).
         """
         if self.bandwidth_bps is None:
-            # Serialization disabled (access links): inline the depart
-            # accounting instead of paying the _depart frame — this runs
-            # once per packet on every host-to-switch hop.
+            # Serialization disabled (access links): departure is now, so
+            # the depart accounting is inlined instead of paying the
+            # _depart frame — this runs once per packet on every
+            # host-to-switch hop.
+            now = self.sim.now
+            if self.loss_model is not None and self.loss_model(packet, now):
+                self._off_wire(packet, now, "drop")
+                return
+            if self.chaos is not None:
+                verdict = self.chaos.on_wire(packet, now, self)
+                if verdict:
+                    self._off_wire(packet, now,
+                                   "chaos_drop" if verdict == CHAOS_DROP else "tx")
+                    return
             stats = self.stats
             stats.tx_packets += 1
             stats.tx_bytes += packet.size
-            if self._telemetry is not None:
-                self._m_tx.inc()
-                self._m_tx_bytes.inc(packet.size)
-            if self.loss_model is not None and self.loss_model(packet, self.sim.now):
-                stats.dropped_failure += 1
-                if self._telemetry is not None:
-                    self._m_dropped.inc()
+            if self.taps:
+                self._emit("tx", packet, now)
+            if not self.fused:
+                self.sim.schedule(self.delay_s, self._deliver, packet)
                 return
-            if self.chaos is not None:
-                # Instant links depart at send time, so the pinned depart
-                # timestamp is simply ``now`` in both pipelines.
-                verdict = self.chaos.on_wire(packet, self.sim.now, self)
-                if verdict:
-                    if verdict == CHAOS_DROP:
-                        stats.dropped_chaos += 1
-                        if self._telemetry is not None:
-                            self._m_dropped_chaos.inc()
-                    return
-            if self.fused:
-                # Same-instant burst coalescing: a UDP train (or any
-                # burst of sends from one callback) produces several
-                # deliveries at exactly now + delay.  The engine serves
-                # equal timestamps FIFO, so one event delivering the
-                # whole burst in order is indistinguishable from B
-                # per-packet events — same instants, same per-link
-                # order — at one heap entry instead of B.  Loss was
-                # already drawn above, at send time.
-                #
-                # The coalescing is *retroactive* so a lone packet (the
-                # common case on TCP access links) pays only two stores:
-                # the first send schedules a plain _deliver and remembers
-                # its handle; a second send with the same arrival instant
-                # rewrites that pending handle in place into a burst
-                # delivery and appends.  Delivery events seal the burst
-                # (reset _burst_t) so zero-delay sends from a later
-                # callback at the same timestamp open a fresh one.
-                arrival_t = self.sim.now + self.delay_s
-                if self._burst_t == arrival_t:
-                    # Rewrites the pending heap entry in place: slots 2
-                    # and 3 of an EventHandle are (callback, args).
-                    handle = self._burst_handle
-                    head = handle[3][0]
-                    if head.__class__ is list:  # already a burst
-                        head.append(packet)
-                    else:
-                        handle[2] = self._deliver_burst
-                        handle[3] = ([head, packet],)
-                        self.coalesced_bursts += 1
-                    return
-                self._burst_handle = self.sim.schedule(
-                    self.delay_s, self._deliver, packet)
-                self._burst_t = arrival_t
+            # Same-instant burst coalescing: a UDP train (or any burst of
+            # sends from one callback) produces several deliveries at
+            # exactly now + delay.  The engine serves equal timestamps
+            # FIFO, so one event delivering the whole burst in order is
+            # indistinguishable from B per-packet events — same instants,
+            # same per-link order — at one heap entry instead of B.  Loss
+            # was already drawn above, at send time.
+            #
+            # The coalescing is *retroactive* so a lone packet (the common
+            # case on TCP access links) pays only two stores: the first
+            # send schedules a plain _deliver and remembers its handle; a
+            # second send with the same arrival instant rewrites that
+            # pending handle in place into a burst delivery and appends.
+            # Delivery events seal the burst (reset _burst_t) so zero-delay
+            # sends from a later callback at the same timestamp open a
+            # fresh one.
+            arrival_t = now + self.delay_s
+            if self._burst_t == arrival_t:
+                # Rewrites the pending heap entry in place: slots 2 and 3
+                # of an EventHandle are (callback, args).
+                handle = self._burst_handle
+                head = handle[3][0]
+                if head.__class__ is list:  # already a burst
+                    head.append(packet)
+                else:
+                    handle[2] = self._deliver_burst
+                    handle[3] = ([head, packet],)
+                    self.coalesced_bursts += 1
                 return
-            self.sim.schedule(self.delay_s, self._deliver, packet)
+            self._burst_handle = self.sim.schedule(self.delay_s, self._deliver, packet)
+            self._burst_t = arrival_t
             return
         now = self.sim.now
         if (self.fused
@@ -275,46 +299,33 @@ class Link:
                 and now >= self._busy_until
                 and not self._tx_queue
                 and not self._ctrl_queue):
-            # Uncontended fast path: one event does serialize + propagate
-            # + deliver.  The departure timestamp is pinned now so the
-            # loss model sees the exact reference-path instant, and the
-            # arrival time is computed as (now + tx) + delay — the same
-            # float association order as the two-event reference path.
+            # Uncontended: one event does serialize + propagate + deliver.
+            # The departure timestamp is pinned now so the loss model sees
+            # the exact two-event instant, and the arrival time is
+            # computed as (now + tx) + delay — the same float association
+            # order as the two-event pipeline.
             bandwidth = self.bandwidth_bps
             assert bandwidth is not None  # the instant-link branch returned above
-            tx_time = packet.size * 8 / bandwidth
-            depart_t = now + tx_time
+            depart_t = now + packet.size * 8 / bandwidth
             self._busy_until = depart_t
             self.fused_events += 1
             # The wire-loss draw happens *here*, at send time, with the
             # pinned departure timestamp.  Drawing inside the arrival
             # event (depart + delay) would invert the per-link RNG order
             # whenever a packet queued behind this one departs within the
-            # propagation delay — its _depart draw would fire first.
-            # Send time precedes every later packet's departure, so the
-            # draw sequence stays FIFO-by-departure, as on the reference
-            # path.
+            # propagation delay — its _depart draw would fire first.  Send
+            # time precedes every later packet's departure, so the draw
+            # sequence stays FIFO-by-departure.
             if self.loss_model is not None and self.loss_model(packet, depart_t):
-                stats = self.stats
-                stats.tx_packets += 1
-                stats.tx_bytes += packet.size
-                stats.dropped_failure += 1
-                # Fused implies untraced/untelemetried: nobody can
-                # observe the dropped packet, so recycle it immediately.
-                packet.release()
+                self._off_wire(packet, depart_t, "drop")
                 return
             if self.chaos is not None:
                 # Same pinned-departure discipline as the loss draw above:
-                # chaos RNG streams stay FIFO-by-departure and identical
-                # to the reference pipeline.
+                # chaos RNG streams stay FIFO-by-departure.
                 verdict = self.chaos.on_wire(packet, depart_t, self)
                 if verdict:
-                    stats = self.stats
-                    stats.tx_packets += 1
-                    stats.tx_bytes += packet.size
-                    if verdict == CHAOS_DROP:
-                        stats.dropped_chaos += 1
-                        packet.release()
+                    self._off_wire(packet, depart_t,
+                                   "chaos_drop" if verdict == CHAOS_DROP else "tx")
                     return
             self.sim.schedule_at(depart_t + self.delay_s, self._fused_arrive,
                                  packet, depart_t)
@@ -323,16 +334,35 @@ class Link:
             self._ctrl_queue.append(packet)
         else:
             self._tx_queue.append(packet)
-        self._update_depth()
         if not self._transmitting:
-            if now < self._busy_until:
-                # A fused packet is in flight; resume FIFO service at the
-                # exact instant its serialization finishes.
-                if not self._kick_pending:
-                    self._kick_pending = True
-                    self.sim.schedule(self._busy_until - now, self._kick)
-            else:
+            if now >= self._busy_until:
                 self._start_next()
+                return
+            # A fused packet is in flight; resume FIFO service at the
+            # exact instant its serialization finishes.
+            if not self._kick_pending:
+                self._kick_pending = True
+                self.sim.schedule(self._busy_until - now, self._kick)
+        if self.taps:
+            self._emit("queue", packet, now)
+
+    def _off_wire(self, packet: Packet, t: float, event: str) -> None:
+        """Book a packet that departed at ``t`` but that this link will not
+        deliver: lost (``"drop"``), chaos-dropped (``"chaos_drop"``) or
+        handed over to a chaos model (``"tx"``)."""
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.size
+        if event == "drop":
+            stats.dropped_failure += 1
+        elif event == "chaos_drop":
+            stats.dropped_chaos += 1
+        if self.taps:
+            self._emit(event, packet, t)
+
+    def _emit(self, event: str, packet: Packet, t: float) -> None:
+        for tap in self.taps:
+            tap(event, packet, t)
 
     def _kick(self) -> None:
         """Resume queue service when an in-flight fused packet departs."""
@@ -344,13 +374,15 @@ class Link:
         """Fused depart + deliver for an uncontended, not-dropped packet.
 
         The wire-loss draw already happened at send time (see
-        :meth:`send`); ``depart_t`` is kept in the signature so traces of
-        scheduled events remain self-describing.
+        :meth:`send`); ``depart_t`` is the instant taps see for ``"tx"``.
         """
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += packet.size
         stats.delivered += 1
+        if self.taps:
+            self._emit("tx", packet, depart_t)
+            self._emit("deliver", packet, self.sim.now)
         self.dst.receive(packet, self.dst_port)
 
     def _start_next(self) -> None:
@@ -362,11 +394,11 @@ class Link:
             self._transmitting = False
             return
         self._transmitting = True
-        self._update_depth()
+        if self.taps:
+            self._emit("queue", packet, self.sim.now)
         bandwidth = self.bandwidth_bps
         assert bandwidth is not None  # queued packets imply a serializing link
-        tx_time = packet.size * 8 / bandwidth
-        self.sim.schedule(tx_time, self._finish_tx, packet)
+        self.sim.schedule(packet.size * 8 / bandwidth, self._finish_tx, packet)
 
     def _finish_tx(self, packet: Packet) -> None:
         self._depart(packet)
@@ -374,40 +406,35 @@ class Link:
 
     def _depart(self, packet: Packet) -> None:
         """Packet left the sender; apply the wire loss model then propagate."""
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size
-        if self._telemetry is not None:
-            self._m_tx.inc()
-            self._m_tx_bytes.inc(packet.size)
-        if self.loss_model is not None and self.loss_model(packet, self.sim.now):
-            self.stats.dropped_failure += 1
-            if self._telemetry is not None:
-                self._m_dropped.inc()
+        # ``sim.now`` *is* the departure instant on this path: the loss
+        # and chaos models see the exact timestamp the fused pipeline pins.
+        now = self.sim.now
+        if self.loss_model is not None and self.loss_model(packet, now):
+            self._off_wire(packet, now, "drop")
             return
         if self.chaos is not None:
-            # ``sim.now`` *is* the departure instant on this path, so the
-            # chaos model sees the exact timestamp the fused pipeline pins.
-            verdict = self.chaos.on_wire(packet, self.sim.now, self)
+            verdict = self.chaos.on_wire(packet, now, self)
             if verdict:
-                if verdict == CHAOS_DROP:
-                    self.stats.dropped_chaos += 1
-                    if self._telemetry is not None:
-                        self._m_dropped_chaos.inc()
+                self._off_wire(packet, now,
+                               "chaos_drop" if verdict == CHAOS_DROP else "tx")
                 return
+        self.stats.tx_packets += 1
+        self.stats.tx_bytes += packet.size
+        if self.taps:
+            self._emit("tx", packet, now)
         self.sim.schedule(self.delay_s, self._deliver, packet)
 
     def _deliver_burst(self, burst: list[Packet]) -> None:
-        """Deliver a coalesced same-instant burst (instant links, fused).
-
-        Never runs instrumented: telemetry and tracing force ``fused``
-        off, which routes sends through the per-packet :meth:`_deliver`.
-        """
+        """Deliver a coalesced same-instant burst (instant links, fused)."""
         self._burst_t = -1.0  # seal: no more appends to this burst
         stats = self.stats
         dst = self.dst
         port = self.dst_port
+        taps = self.taps
         for packet in burst:
             stats.delivered += 1
+            if taps:
+                self._emit("deliver", packet, self.sim.now)
             dst.receive(packet, port)
 
     def _deliver(self, packet: Packet) -> None:
@@ -417,18 +444,13 @@ class Link:
         # links _burst_t is always -1 and the store is inert.)
         self._burst_t = -1.0
         self.stats.delivered += 1
-        if self._telemetry is not None:
-            self._m_delivered.inc()
+        if self.taps:
+            self._emit("deliver", packet, self.sim.now)
         self.dst.receive(packet, self.dst_port)
-
-    def _update_depth(self) -> None:
-        """Single point updating the telemetry queue-depth gauge."""
-        if self._telemetry is not None:
-            self._m_depth.set(len(self._tx_queue) + len(self._ctrl_queue))
 
     @property
     def queue_len(self) -> int:
-        """Total serialization-queue occupancy, data *and* control class.
+        """Packets waiting behind the serializer, data *and* control class.
 
         Consumed by the switch TM for tail-drop admission and by
         telemetry; both classes occupy the same physical port buffer.

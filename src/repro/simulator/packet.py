@@ -10,12 +10,8 @@ encodes the node's hash path and the other the counter index within the
 node.  We model the tag as a tuple of counter indices (the packet's partial
 hash path) plus the session colour, which is what the logic consumes.
 
-Fast path: :class:`Packet` is a ``__slots__`` class and — when the pool is
-enabled via :mod:`repro.simulator.fastpath` — construction goes through a
-free list (:meth:`Packet.acquire`) with an explicit :meth:`Packet.release`
-at the sink.  A recycled packet is indistinguishable from a fresh one: it
-receives the next global ``pid`` from the same counter and every field is
-re-initialized, so pooled and unpooled runs are bit-identical.
+:class:`Packet` is a ``__slots__`` class; the hot senders build packets
+through :meth:`Packet.acquire`, which initialises every field in one frame.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from typing import Any
 __all__ = [
     "PacketKind",
     "Packet",
-    "PacketPool",
-    "POOL",
     "make_data_packet",
     "FANCY_TAG_BYTES",
     "MIN_FRAME_BYTES",
@@ -67,48 +61,11 @@ for _kind in PacketKind:
 del _kind
 
 
-class PacketPool:
-    """Free list of recycled :class:`Packet` objects.
-
-    Disabled by default; toggle through :func:`repro.simulator.fastpath.
-    configure` (which keeps ``CONFIG.packet_pool`` and ``POOL.enabled``
-    in sync).  The pool is bounded: beyond ``max_size`` released packets
-    are simply left to the garbage collector.
-    """
-
-    __slots__ = ("enabled", "max_size", "free", "reused", "released")
-
-    def __init__(self, max_size: int = 8192) -> None:
-        self.enabled = False
-        self.max_size = max_size
-        self.free: list["Packet"] = []
-        #: Lifetime stats (observability for the pool micro-benchmarks).
-        self.reused = 0
-        self.released = 0
-
-    def drain(self) -> None:
-        """Drop every pooled packet (used when disabling the pool)."""
-        self.free.clear()
-
-    def stats(self) -> dict[str, int | bool]:
-        return {
-            "enabled": self.enabled,
-            "free": len(self.free),
-            "reused": self.reused,
-            "released": self.released,
-        }
-
-
-#: The process-wide packet pool.
-POOL = PacketPool()
-
-
 class Packet:
     """A simulated packet.
 
     Attributes:
-        pid: globally unique packet id (monotonically increasing);
-            ``-1`` marks a packet currently parked in the pool.
+        pid: globally unique packet id (monotonically increasing).
         kind: one of :class:`PacketKind`.
         entry: monitoring-entry key (destination prefix id); drives both
             forwarding and FANcY counting.
@@ -182,20 +139,10 @@ class Packet:
         payload: dict[str, Any] | None = None,
         reverse: bool = False,
     ) -> "Packet":
-        """Pool-aware constructor: recycle a released packet when possible.
-
-        Allocates a bare object when the pool is disabled or empty and
-        initialises every field here either way (one frame per packet,
-        not ``acquire`` + ``__init__``).  The packet gets a fresh ``pid``
-        from the global counter, so pooled runs consume the id sequence
-        identically.
-        """
-        pool = POOL
-        if pool.enabled and pool.free:
-            packet = pool.free.pop()
-            pool.reused += 1
-        else:
-            packet = cls.__new__(cls)
+        """Constructor without the ``__init__`` frame: allocates a bare
+        object and initialises every field here (one frame per packet, not
+        ``acquire`` + ``__init__``)."""
+        packet = cls.__new__(cls)
         packet.pid = next(_packet_ids)
         packet.kind = kind
         packet.entry = entry
@@ -212,21 +159,7 @@ class Packet:
         return packet
 
     def release(self) -> None:
-        """Return this packet to the free list (no-op when pool disabled).
-
-        Safe against double release: a parked packet (``pid == -1``) is
-        never parked twice.  Callers must not touch the packet afterwards.
-        """
-        pool = POOL
-        if not pool.enabled or self.pid == -1:
-            return
-        if len(pool.free) < pool.max_size:
-            self.pid = -1
-            self.entry = None
-            self.payload = None
-            self.tag = None
-            pool.free.append(self)
-            pool.released += 1
+        """No-op, kept for callers written when packets were pooled."""
 
     @property
     def is_tagged(self) -> bool:
@@ -252,6 +185,6 @@ def make_data_packet(
     seq: int,
     now: float,
 ) -> Packet:
-    """Convenience constructor for forward data packets (pool-aware)."""
+    """Convenience constructor for forward data packets."""
     return Packet.acquire(PacketKind.DATA, entry, size, flow_id=flow_id, seq=seq,
                           created_at=now)

@@ -12,11 +12,8 @@ retransmit, and a 200 ms retransmission timeout with exponential backoff
 (the paper's stated flow parameters).  Sequence numbers are in packets,
 not bytes — the counting logic only sees packet counts anyway.
 
-Fast path: data and ACK packets are allocated through
-:meth:`repro.simulator.packet.Packet.acquire`, so enabling the packet
-pool (:mod:`repro.simulator.fastpath`) recycles them through the free
-list; the sink side of :class:`repro.simulator.apps.Host` releases
-consumed packets.
+Data and ACK packets are allocated through
+:meth:`repro.simulator.packet.Packet.acquire` (one frame per packet).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Packet tracing — the ns-3-style ascii-trace facility.
 
 Attach a :class:`PacketTracer` to links and switches to record per-packet
-events (enqueue/transmit/drop/deliver, ingress/forward) with timestamps.
+events (transmit/drop/deliver, ingress) with timestamps.
 Used for debugging protocol interactions and by tests that need to assert
 on exact packet orderings; deliberately opt-in, since tracing every packet
 of a large experiment is expensive.
@@ -76,7 +76,9 @@ class PacketTracer:
 
     # -- recording ----------------------------------------------------------
 
-    def record(self, location: str, event: str, packet: Packet) -> None:
+    def record(self, location: str, event: str, packet: Packet,
+               time: float | None = None) -> None:
+        """Append one event, stamped ``time`` (default: the current instant)."""
         if self.predicate is not None and not self.predicate(packet):
             return
         if len(self.events) >= self.max_events:
@@ -85,7 +87,7 @@ class PacketTracer:
                 return
             # deque(maxlen=...) evicts the oldest record on append.
         self.events.append(TraceEvent(
-            time=self.sim.now,
+            time=self.sim.now if time is None else time,
             location=location,
             event=event,
             pid=packet.pid,
@@ -98,32 +100,23 @@ class PacketTracer:
     # -- instrumentation ------------------------------------------------------
 
     def attach_link(self, link: Link) -> None:
-        """Record transmit/drop/deliver on a link (wraps its internals).
+        """Record tx / drop / deliver on a link through its tap slot.
 
-        Tracing needs the full serialize→propagate→deliver pipeline, so
-        the link's fused fast path is disabled for the link's lifetime.
+        Every departure is recorded once, as ``tx`` or — lost to the loss
+        model or dropped by chaos — as ``drop``, stamped with its departure
+        instant; deliveries carry their arrival instant.  The link keeps
+        its pipeline: a fused link records what a reference link records.
         """
-        link.fused = False  # the fused event would bypass _depart/_deliver
-        original_depart = link._depart
-        original_deliver = link._deliver
+        name = link.name
+        record = self.record
 
-        def traced_depart(packet: Packet) -> None:
-            delivered_before = link.stats.dropped_failure
-            original_depart(packet)
-            if link.stats.dropped_failure > delivered_before:
-                self.record(link.name, "drop", packet)
-            else:
-                self.record(link.name, "tx", packet)
+        def tap(event: str, packet: Packet, t: float) -> None:
+            if event == "tx" or event == "deliver":
+                record(name, event, packet, t)
+            elif event != "queue":
+                record(name, "drop", packet, t)
 
-        def traced_deliver(packet: Packet) -> None:
-            self.record(link.name, "deliver", packet)
-            original_deliver(packet)
-
-        # Deliberate wrapper injection over the link's internal pipeline;
-        # mypy (rightly) flags method assignment, but this is the tracer's
-        # whole mechanism and is scoped to the traced link instance.
-        link._depart = traced_depart  # type: ignore[method-assign]
-        link._deliver = traced_deliver  # type: ignore[method-assign]
+        link.taps += (tap,)
 
     def attach_switch(self, switch: Switch, ports: Iterable[int] | None = None) -> None:
         """Record ingress events on a switch (per port, before hooks)."""

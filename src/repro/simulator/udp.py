@@ -9,10 +9,10 @@ pure engine overhead — the source is open loop, so the packet stream is
 fully determined by the jitter RNG.  With ``train=B`` the source emits
 ``B`` packets per timer event instead of one.  Per-packet bookkeeping is
 preserved exactly: every packet carries the ``created_at`` timestamp it
-would have had on the reference path (``now`` plus the accumulated
+would have had with ``train=1`` (``now`` plus the accumulated
 jittered gaps), sequence numbers advance identically, and the jitter RNG
 is consumed once per packet in the same order, so the *stream metadata*
-is bit-identical and the next timer lands at the exact reference
+is bit-identical and the next timer lands at the exact ``train=1``
 instant.  What the train compresses is wire entry: all ``B`` packets are
 handed to ``send_fn`` at the head packet's departure time, so downstream
 serialization sees a burst rather than spaced arrivals.  For stationary

@@ -29,10 +29,10 @@ def test_exit_zero_on_clean(capsys):
 
 
 def test_select_restricts_rules(capsys):
-    rc = lint_main([str(FIXTURES), "--no-baseline", "--select", "FCY005"])
+    rc = lint_main([str(FIXTURES), "--no-baseline", "--select", "FCY004"])
     assert rc == 1
     codes = {line.split(" ")[1] for line in capsys.readouterr().out.splitlines() if line}
-    assert codes == {"FCY005"}
+    assert codes == {"FCY004"}
 
 
 def test_unknown_select_code_rejected():
@@ -59,7 +59,7 @@ def test_write_baseline_then_clean(tmp_path, capsys):
 def test_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("FCY001", "FCY002", "FCY003", "FCY004", "FCY005", "FCY006"):
+    for code in ("FCY001", "FCY002", "FCY003", "FCY004", "FCY006"):
         assert code in out
 
 

@@ -17,7 +17,6 @@ EXPECTED_BAD = {
     "FCY002": 2,
     "FCY003": 3,
     "FCY004": 3,
-    "FCY005": 1,
     "FCY006": 2,
     "FCY007": 3,
     "FCY008": 3,
@@ -239,46 +238,6 @@ class TestHotPathInstruments:
             "        self.metrics.counter('empty_total', 'x').inc()\n"
         )
         assert [d.code for d in lint_source(source, rel_path="core/x.py")] == ["FCY009"]
-
-
-class TestUseAfterReleaseControlFlow:
-    """FCY005 is block-aware: a release on a returning branch is fine."""
-
-    def test_branch_release_not_flagged(self):
-        source = (
-            "def send(packet, lossy, sim):\n"
-            "    if lossy:\n"
-            "        packet.release()\n"
-            "        return\n"
-            "    sim.deliver(packet)\n"
-        )
-        assert lint_source(source) == []
-
-    def test_straight_line_use_after_release_flagged(self):
-        source = (
-            "def send(packet, stats):\n"
-            "    packet.release()\n"
-            "    stats.n += packet.size\n"
-        )
-        assert [d.code for d in lint_source(source)] == ["FCY005"]
-
-    def test_rebind_clears_tracking(self):
-        source = (
-            "def send(packet, fresh):\n"
-            "    packet.release()\n"
-            "    packet = fresh()\n"
-            "    return packet.size\n"
-        )
-        assert lint_source(source) == []
-
-    def test_use_inside_later_nested_block_flagged(self):
-        source = (
-            "def send(packet, cond, sim):\n"
-            "    packet.release()\n"
-            "    if cond:\n"
-            "        sim.deliver(packet)\n"
-        )
-        assert [d.code for d in lint_source(source)] == ["FCY005"]
 
 
 class TestSimTimeEquality:

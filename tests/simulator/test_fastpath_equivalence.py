@@ -1,10 +1,14 @@
 """Determinism-equivalence tests for the simulator fast paths.
 
 The optimization contract (see ``docs/PERFORMANCE.md``) is that every
-fast-path mode — fused link events, packet pooling, flat-array tree
-counters, UDP packet trains — consumes the same RNG draws in the same
-order as the reference dataplane and therefore produces *identical*
-experiment outputs.  These tests enforce the contract end-to-end:
+fast path — fused link events, flat-array tree counters, UDP packet
+trains — consumes the same RNG draws in the same order as its reference
+and therefore produces *identical* experiment outputs.  The link
+reference is chosen per link: ``Link(fused=False)``, set here on every
+link a scenario builds.  Two modes are compared to it: ``fused`` (the
+shipped pipeline) and ``observed`` (the same pipeline with telemetry and
+a :class:`PacketTracer` on every link, which must not change a thing).
+These tests enforce the contract end-to-end:
 
 * fig7-style (dedicated counters) and fig9-style (hash-tree zooming)
   scenarios via the canonical :func:`repro.experiments.runner.
@@ -20,26 +24,56 @@ experiment outputs.  These tests enforce the contract end-to-end:
 from __future__ import annotations
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams, TreeCounters
 from repro.experiments.runner import ExperimentSpec, run_entry_failure
-from repro.simulator import fastpath
+from repro.simulator import topology
 from repro.simulator.apps import FlowGenerator
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import EntryLossFailure, UniformLossFailure
 from repro.simulator.link import Link
 from repro.simulator.topology import TwoSwitchTopology
+from repro.simulator.tracing import PacketTracer
 from repro.simulator.udp import UdpSource
+from repro.telemetry import Telemetry
 from repro.traffic.synthetic import EntrySize
 
-#: The fast-path configurations under test, each compared to "reference".
-MODES = {
-    "fused": dict(fused_links=True, packet_pool=False),
-    "fused+pool": dict(fused_links=True, packet_pool=True),
-}
+#: The link modes under test, each compared to "reference".
+MODES = ("fused", "observed")
+
+
+@contextmanager
+def _links_as(mode: str):
+    """Build every link of the enclosed scenario in ``mode``.
+
+    Yields the tracers attached in ``observed`` mode (empty otherwise) so
+    a test can check that they saw traffic.
+    """
+    tracers: list[PacketTracer] = []
+    build = topology.connect_duplex
+
+    def connect_duplex(*args, **kwargs):
+        links = build(*args, **kwargs)
+        for link in links:
+            if mode == "reference":
+                link.fused = False
+            elif mode == "observed":
+                tracers.append(PacketTracer(link.sim))
+                tracers[-1].attach_link(link)
+        return links
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "connect_duplex", connect_duplex)
+        yield tracers
+
+
+def _telemetry(mode: str) -> Telemetry | None:
+    return Telemetry() if mode == "observed" else None
 
 SPECS = {
     # §5.1.1-style: one failed entry on dedicated counters.
@@ -61,17 +95,23 @@ _RESULT_CACHE: dict[tuple[str, str], dict] = {}
 
 
 def _scored(spec_name: str, mode_name: str) -> dict:
-    """run_entry_failure under a fast-path config, memoized per module."""
+    """run_entry_failure with its links in one mode, memoized per module.
+
+    Telemetry adds the timeline's detection records to the scored result;
+    everything else must match the reference.
+    """
     key = (spec_name, mode_name)
     if key not in _RESULT_CACHE:
-        cfg = (dict(fused_links=False, packet_pool=False)
-               if mode_name == "reference" else MODES[mode_name])
-        with fastpath.scoped(**cfg):
-            _RESULT_CACHE[key] = run_entry_failure(SPECS[spec_name]).to_dict()
+        with _links_as(mode_name) as tracers:
+            result = run_entry_failure(SPECS[spec_name],
+                                       telemetry=_telemetry(mode_name)).to_dict()
+        assert all(tracers) if mode_name == "observed" else not tracers
+        result["extra"].pop("detections", None)
+        _RESULT_CACHE[key] = result
     return _RESULT_CACHE[key]
 
 
-@pytest.mark.parametrize("mode_name", sorted(MODES))
+@pytest.mark.parametrize("mode_name", MODES)
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 class TestRunnerEquivalence:
     def test_scored_results_identical(self, spec_name, mode_name):
@@ -90,7 +130,7 @@ class TestRunnerEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _run_fancy_drained(cfg: dict, mode: str) -> dict:
+def _run_fancy_drained(link_mode: str, mode: str) -> dict:
     """A small FANcY run with an explicit drain phase.
 
     Fused links book ``tx_packets`` at delivery rather than departure, so
@@ -98,10 +138,11 @@ def _run_fancy_drained(cfg: dict, mode: str) -> dict:
     run continues to the middle of a later counting session, when no data
     or control packet is in flight.
     """
-    with fastpath.scoped(**cfg):
+    with _links_as(link_mode):
         sim = Simulator()
         failure = EntryLossFailure(["victim"], 0.3, start_time=0.8, seed=21)
-        topo = TwoSwitchTopology(sim, link_delay_s=0.001, loss_model=failure)
+        topo = TwoSwitchTopology(sim, link_delay_s=0.001, loss_model=failure,
+                                 telemetry=_telemetry(link_mode))
         if mode == "dedicated":
             config = FancyConfig(high_priority=["victim", "healthy/0"],
                                  tree_params=None,
@@ -151,12 +192,11 @@ def _run_fancy_drained(cfg: dict, mode: str) -> dict:
 
 
 @pytest.mark.parametrize("mode", ["dedicated", "tree"])
-@pytest.mark.parametrize("mode_name", sorted(MODES))
+@pytest.mark.parametrize("mode_name", MODES)
 class TestDrainedScenarioEquivalence:
     def test_stats_counters_reports_identical(self, mode, mode_name):
-        reference = _run_fancy_drained(
-            dict(fused_links=False, packet_pool=False), mode)
-        fast = _run_fancy_drained(MODES[mode_name], mode)
+        reference = _run_fancy_drained("reference", mode)
+        fast = _run_fancy_drained(mode_name, mode)
         assert fast == reference
         assert reference["reports"], "scenario must produce detections"
         assert reference["ab"]["dropped_failure"] > 0
@@ -167,7 +207,7 @@ class TestDrainedScenarioEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _run_fancy_chaos_drained(cfg: dict) -> dict:
+def _run_fancy_chaos_drained(link_mode: str) -> dict:
     """The drained-scenario pattern with chaos models on both directions.
 
     Perturbations draw from their own private RNGs keyed off fixed seeds
@@ -183,10 +223,11 @@ def _run_fancy_chaos_drained(cfg: dict) -> dict:
     )
     from repro.simulator.packet import PacketKind
 
-    with fastpath.scoped(**cfg):
+    with _links_as(link_mode):
         sim = Simulator()
         failure = EntryLossFailure(["victim"], 0.3, start_time=0.8, seed=21)
-        topo = TwoSwitchTopology(sim, link_delay_s=0.001, loss_model=failure)
+        topo = TwoSwitchTopology(sim, link_delay_s=0.001, loss_model=failure,
+                                 telemetry=_telemetry(link_mode))
         # twait must cover the forward displacement bound so reordered
         # tagged packets still land inside their session (§4.1 T_wait).
         config = FancyConfig(high_priority=["victim", "healthy/0"],
@@ -234,12 +275,11 @@ def _run_fancy_chaos_drained(cfg: dict) -> dict:
         }
 
 
-@pytest.mark.parametrize("mode_name", sorted(MODES))
+@pytest.mark.parametrize("mode_name", MODES)
 class TestChaosDrainedEquivalence:
     def test_chaos_outputs_identical(self, mode_name):
-        reference = _run_fancy_chaos_drained(
-            dict(fused_links=False, packet_pool=False))
-        fast = _run_fancy_chaos_drained(MODES[mode_name])
+        reference = _run_fancy_chaos_drained("reference")
+        fast = _run_fancy_chaos_drained(mode_name)
         assert fast == reference
         # guard against vacuous equivalence: every fault class fired and
         # the scenario still detects through the noise
@@ -266,34 +306,60 @@ class _Collector:
         self.rows.append((packet.seq, packet.created_at, packet.pid))
 
 
-def _run_lossy_link(cfg: dict) -> dict:
-    with fastpath.scoped(**cfg):
-        sim = Simulator()
-        sink = _Collector()
-        loss = UniformLossFailure(0.25, start_time=0.0, seed=5)
-        link = Link(sim, sink, 0, bandwidth_bps=1e8, delay_s=0.002,
-                    loss_model=loss)
-        src = UdpSource(sim, link.send, "e", 1, rate_bps=4e6,
-                        packet_size=1000, jitter=0.2, seed=13)
-        src.start()
-        sim.run(until=1.0)
-        src.stop()
-        sim.run(until=1.2)  # drain the wire
-        base = min(pid for _, _, pid in sink.rows)
-        return {
-            "stats": link.stats.as_dict(),
-            "rows": [(seq, t, pid - base) for seq, t, pid in sink.rows],
-            "sent": src.packets_sent,
-        }
+def _run_lossy_link(link_mode: str, trace: bool = False) -> dict:
+    sim = Simulator()
+    sink = _Collector()
+    loss = UniformLossFailure(0.25, start_time=0.0, seed=5)
+    link = Link(sim, sink, 0, bandwidth_bps=1e8, delay_s=0.002,
+                loss_model=loss, telemetry=_telemetry(link_mode),
+                fused=link_mode != "reference")
+    tracer = PacketTracer(sim)
+    if trace or link_mode == "observed":
+        tracer.attach_link(link)
+    src = UdpSource(sim, link.send, "e", 1, rate_bps=4e6,
+                    packet_size=1000, jitter=0.2, seed=13)
+    src.start()
+    sim.run(until=1.0)
+    src.stop()
+    sim.run(until=1.2)  # drain the wire
+    base = min(pid for _, _, pid in sink.rows)
+    return {
+        "stats": link.stats.as_dict(),
+        "rows": [(seq, t, pid - base) for seq, t, pid in sink.rows],
+        "sent": src.packets_sent,
+        "fused_events": link.fused_events,
+        "trace": Counter((e.time, e.location, e.event, e.kind, e.size)
+                         for e in tracer.events),
+    }
 
 
-@pytest.mark.parametrize("mode_name", sorted(MODES))
+@pytest.mark.parametrize("mode_name", MODES)
 def test_lossy_link_sequences_identical(mode_name):
     """Same drops, same delivery order, same relative pid allocation."""
-    reference = _run_lossy_link(dict(fused_links=False, packet_pool=False))
-    fast = _run_lossy_link(MODES[mode_name])
+    reference = _run_lossy_link("reference")
+    fast = _run_lossy_link(mode_name)
+    assert fast.pop("fused_events") > 0
+    assert reference.pop("fused_events") == 0
+    fast.pop("trace")
+    reference.pop("trace")
     assert fast == reference
     assert reference["stats"]["dropped_failure"] > 0
+
+
+def test_traced_fused_link_records_what_the_reference_records():
+    """A tracer taps the fused link where it stands: the link keeps fusing,
+    and the records — departure instants for tx / drop, arrival instants
+    for deliver — are the reference link's, as a multiset."""
+    reference = _run_lossy_link("reference", trace=True)
+    fused = _run_lossy_link("fused", trace=True)
+    assert fused["fused_events"] > 0
+    assert fused["trace"] == reference["trace"]
+    events = Counter()
+    for (_t, _loc, event, _kind, _size), n in reference["trace"].items():
+        events[event] += n
+    stats = reference["stats"]
+    assert events == {"tx": stats["delivered"], "drop": stats["dropped_failure"],
+                      "deliver": stats["delivered"]}
 
 
 # ---------------------------------------------------------------------------

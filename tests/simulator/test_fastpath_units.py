@@ -2,8 +2,8 @@
 
 The equivalence suite (test_fastpath_equivalence.py) proves end-to-end
 output identity; this module pins the *mechanisms* — heap compaction,
-sequence-counter reset, the fused/kick link state machine, the packet
-pool free list, and the UDP packet-train bookkeeping — with small,
+sequence-counter reset, the fused/kick link state machine and its
+observer taps, and the UDP packet-train bookkeeping — with small,
 surgical scenarios.
 """
 
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator import fastpath
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
-from repro.simulator.packet import POOL, Packet, PacketKind, make_data_packet
+from repro.simulator.packet import Packet, PacketKind, make_data_packet
 from repro.simulator.tracing import PacketTracer
 from repro.simulator.udp import UdpSource
 from repro.telemetry import Telemetry
@@ -178,23 +177,75 @@ class TestFusedLink:
         assert link.stats.tx_packets == 1
         assert sink.received == []
 
-    def test_telemetry_forces_full_pipeline(self):
+    def test_telemetry_keeps_fused_pipeline(self):
+        telemetry = Telemetry()
         sim = Simulator()
         sink = _Sink(sim)
         link = Link(sim, sink, 0, bandwidth_bps=1e6, delay_s=0.01,
-                    telemetry=Telemetry(), fused=True)
-        assert link.fused is False
+                    telemetry=telemetry, fused=True)
+        assert link.fused is True
         link.send(_data())
         sim.run()
-        assert link.fused_events == 0
+        assert link.fused_events == 1
         assert len(sink.received) == 1
+        metrics = telemetry.metrics
+        assert metrics.value("link_tx_packets_total", link=link.name) == 1
+        assert metrics.value("link_tx_bytes_total", link=link.name) == 1000
+        assert metrics.value("link_delivered_total", link=link.name) == 1
 
-    def test_tracer_attach_disables_fusing(self):
+    def test_tracer_attach_keeps_fusing(self):
         sim = Simulator()
         sink = _Sink(sim)
         link = Link(sim, sink, 0, bandwidth_bps=1e6, delay_s=0.01, fused=True)
-        PacketTracer(sim).attach_link(link)
-        assert link.fused is False
+        tracer = PacketTracer(sim)
+        tracer.attach_link(link)
+        assert link.fused is True
+        link.send(_data())
+        sim.run()
+        assert link.fused_events == 1
+        depart = 1000 * 8 / 1e6
+        assert [(e.event, e.time) for e in tracer.events] == \
+            [("tx", depart), ("deliver", depart + 0.01)]
+
+    def test_taps_see_pinned_times_on_every_path(self):
+        """One stream of tap events per packet, whichever path booked it:
+        the departure instant for tx / drop, the arrival for deliver."""
+
+        def run(fused, bandwidth_bps):
+            sim = Simulator()
+            seen = []
+            link = Link(sim, _Sink(sim), 0, bandwidth_bps=bandwidth_bps,
+                        delay_s=0.01, fused=fused,
+                        loss_model=lambda p, _now: p.seq == 1)
+
+            def tap(event, packet, t):
+                if event != "queue":  # only queued packets wait
+                    seen.append((event, packet.seq, t))
+
+            link.taps += (tap,)
+            for seq in range(3):
+                link.send(_data(seq=seq))
+            sim.run()
+            return sorted(seen, key=lambda row: (row[2], row[1]))
+
+        for bandwidth_bps in (1e6, None):
+            fused = run(True, bandwidth_bps)
+            assert fused == run(False, bandwidth_bps)
+            assert [event for event, _, _ in fused].count("drop") == 1
+
+    def test_queue_depth_counts_waiting_packets_only(self):
+        telemetry = Telemetry()
+        sim = Simulator()
+        link = Link(sim, _Sink(sim), 0, bandwidth_bps=1e6, delay_s=0.01,
+                    telemetry=telemetry)
+        depth = telemetry.metrics.get("link_queue_depth", link=link.name)
+        link.send(_data(seq=0))           # fused: nothing waits
+        assert depth.max_value == 0
+        link.send(_data(seq=1))           # waits behind the first
+        link.send(_data(seq=2))
+        assert depth.value == 2
+        sim.run()
+        assert depth.value == 0 and depth.max_value == 2
 
     def test_instant_link_never_serialize_fuses(self):
         sim = Simulator()
@@ -261,71 +312,6 @@ class TestFusedLink:
         assert link.queue_len == 2
         sim.run()
         assert link.queue_len == 0
-
-
-# ---------------------------------------------------------------------------
-# Packet pool.
-# ---------------------------------------------------------------------------
-
-
-class TestPacketPool:
-    def setup_method(self):
-        fastpath.configure(packet_pool=False)  # drain + disable
-
-    def teardown_method(self):
-        fastpath.configure(packet_pool=False)
-
-    def test_release_then_acquire_recycles_object(self):
-        fastpath.configure(packet_pool=True)
-        reused_before = POOL.reused  # cumulative process-wide counter
-        first = Packet.acquire(PacketKind.DATA, "e", 100)
-        first.release()
-        assert first.pid == -1
-        second = Packet.acquire(PacketKind.DATA, "f", 200, seq=7)
-        assert second is first  # same object, recycled
-        assert (second.entry, second.size, second.seq) == ("f", 200, 7)
-        assert second.tag is None and second.tag_session == -1
-        assert POOL.reused == reused_before + 1
-
-    def test_pids_stay_fresh_and_monotonic_when_pooled(self):
-        """Pooled runs consume the global pid sequence identically."""
-        fastpath.configure(packet_pool=True)
-        pids = []
-        for _ in range(5):
-            p = Packet.acquire(PacketKind.DATA, "e", 100)
-            pids.append(p.pid)
-            p.release()
-        assert pids == sorted(pids)
-        assert len(set(pids)) == 5
-
-    def test_double_release_is_a_noop(self):
-        fastpath.configure(packet_pool=True)
-        p = Packet.acquire(PacketKind.DATA, "e", 100)
-        p.release()
-        n_free = len(POOL.free)
-        p.release()
-        assert len(POOL.free) == n_free
-
-    def test_release_without_pool_is_a_noop(self):
-        p = Packet.acquire(PacketKind.DATA, "e", 100)
-        p.release()
-        assert p.pid != -1
-        assert POOL.free == []
-
-    def test_disabling_pool_drains_free_list(self):
-        fastpath.configure(packet_pool=True)
-        Packet.acquire(PacketKind.DATA, "e", 100).release()
-        assert POOL.free
-        fastpath.configure(packet_pool=False)
-        assert POOL.free == []
-
-    def test_scoped_restores_previous_config(self):
-        before = fastpath.CONFIG.snapshot()
-        with fastpath.scoped(fused_links=False, packet_pool=True):
-            assert fastpath.CONFIG.packet_pool is True
-            assert POOL.enabled is True
-        assert fastpath.CONFIG.snapshot() == before
-        assert POOL.enabled is False
 
 
 # ---------------------------------------------------------------------------

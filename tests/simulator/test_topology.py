@@ -107,7 +107,8 @@ class TestChainTopology:
         tel = Telemetry()
         topo = ChainTopology(sim, n_switches=3, telemetry=tel)
         assert all(sw._telemetry is tel for sw in topo.switches)
-        assert all(link._telemetry is tel for link in topo.links)
+        assert all(tel.metrics.get("link_tx_packets_total", link=link.name)
+                   for link in topo.links)
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6,
                       flows_per_second=5, seed=1).start()
         sim.run(until=1.0)
@@ -172,4 +173,5 @@ class TestStarTopology:
         topo = StarTopology(sim, n_peers=2, telemetry=tel)
         assert topo.hub._telemetry is tel
         assert all(peer._telemetry is tel for peer in topo.peers)
-        assert all(link._telemetry is tel for link in topo.links)
+        assert all(tel.metrics.get("link_tx_packets_total", link=link.name)
+                   for link in topo.links)

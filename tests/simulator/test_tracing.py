@@ -4,13 +4,55 @@ from __future__ import annotations
 
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.simulator.apps import FlowGenerator
-from repro.simulator.failures import EntryLossFailure
-from repro.simulator.packet import PacketKind
+from repro.simulator.failures import EntryLossFailure, UniformLossFailure
+from repro.simulator.link import CHAOS_DROP, Link
+from repro.simulator.packet import PacketKind, make_data_packet
 from repro.simulator.topology import TwoSwitchTopology
 from repro.simulator.tracing import PacketTracer
 
 
+class _Sink:
+    def receive(self, packet, in_port):
+        pass
+
+
+class _DropAll:
+    """Chaos model that drops every packet on the wire."""
+
+    def on_wire(self, packet, depart_t, link):
+        return CHAOS_DROP
+
+
+def _send(sim, link, n):
+    for seq in range(n):
+        link.send(make_data_packet("e", 500, 1, seq, sim.now))
+    sim.run()
+
+
 class TestPacketTracer:
+    def test_instant_link_records_every_departure(self, sim):
+        """Access links depart at send time; each departure is still
+        recorded once, as tx or drop, next to every delivery."""
+        link = Link(sim, _Sink(), 0, bandwidth_bps=None, delay_s=0.001,
+                    loss_model=UniformLossFailure(0.5, start_time=0.0, seed=3))
+        tracer = PacketTracer(sim)
+        tracer.attach_link(link)
+        _send(sim, link, 20)
+        stats = link.stats
+        assert stats.tx_packets == 20 and 0 < stats.dropped_failure < 20
+        assert tracer.summary() == {"tx": stats.delivered,
+                                    "drop": stats.dropped_failure,
+                                    "deliver": stats.delivered}
+
+    def test_chaos_drops_are_recorded_as_drops(self, sim):
+        link = Link(sim, _Sink(), 0, bandwidth_bps=1e6, delay_s=0.001)
+        link.chaos = _DropAll()
+        tracer = PacketTracer(sim)
+        tracer.attach_link(link)
+        _send(sim, link, 5)
+        assert link.stats.dropped_chaos == 5
+        assert tracer.summary() == {"drop": 5}
+
     def test_records_link_events(self, sim):
         topo = TwoSwitchTopology(sim)
         tracer = PacketTracer(sim)

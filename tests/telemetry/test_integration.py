@@ -9,7 +9,9 @@ These are the acceptance tests of the observability layer:
   :class:`PacketTracer` count of control packets on the wire (the
   registry replaced the FSMs' private ad-hoc counters);
 * sweep cells run with ``RuntimeContext(telemetry=True)`` carry their
-  metrics snapshot in the JSONL run log.
+  metrics snapshot in the JSONL run log;
+* observing a run does not change which code runs: the instrumented run
+  processes exactly the plain run's events and scores the same.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import json
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.heatmaps import HeatmapScale, run_heatmap
 from repro.experiments.metrics import control_overhead
 from repro.experiments.runner import ExperimentSpec, run_entry_failure, run_cell
 from repro.runtime import RuntimeContext
+from repro.simulator.engine import Simulator
 from repro.simulator.tracing import PacketTracer
 from repro.telemetry import Telemetry
 from repro.traffic.synthetic import EntrySize
@@ -97,6 +101,30 @@ class TestDetectionScenario:
     def test_no_telemetry_keeps_result_clean(self):
         result = run_entry_failure(_quick_spec())
         assert "detections" not in result.extra
+
+
+class TestObserverEffect:
+    def test_telemetry_runs_the_plain_runs_events(self, monkeypatch):
+        """``sim_events_total`` of the instrumented run is the plain run's
+        ``events_processed``, and the scores agree but for the detection
+        records telemetry adds."""
+        sims: list[Simulator] = []
+
+        class _Recorded(Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
+
+        monkeypatch.setattr(runner, "Simulator", _Recorded)
+        spec = _quick_spec(loss_rate=0.5)
+        plain = run_entry_failure(spec).to_dict()
+        session = Telemetry()
+        observed = run_entry_failure(spec, telemetry=session).to_dict()
+        assert session.metrics.total("sim_events_total") == sims[0].events_processed
+        assert session.metrics.total("link_tx_packets_total") > 0
+        assert observed["extra"].pop("detections")
+        assert observed == plain
+        assert plain["n_detected"] == 1
 
 
 class TestControlOverheadCrossCheck:
