@@ -112,19 +112,18 @@ def _fsm_sum(monitor: Any, attr: str) -> int:
 
 
 def _trace_stats(collector: Any) -> tuple[list[float], int, int, int]:
-    """(fault latencies, unattributed episodes, n_traces, n_spans)."""
+    """(fault latencies, unattributed episodes, n_traces, n_spans), from
+    the collector's per-episode summaries — its spans are never decoded."""
     latencies: list[float] = []
     unattributed = 0
-    grouped = collector.traces()
-    for spans in grouped.values():
-        root = spans[0]
-        first_flag = next((s for s in spans if s.cat == "detect"), None)
-        if root.cat == "cause" and root.attrs.get("cause") == "fault":
+    summaries = collector.trace_summaries()
+    for cause, start, first_flag in summaries.values():
+        if cause == "fault":
             if first_flag is not None:
-                latencies.append(first_flag.start - root.start)
-        elif first_flag is not None or root.cat == "cause":
+                latencies.append(first_flag - start)
+        else:
             unattributed += 1
-    return latencies, unattributed, len(grouped), len(collector.spans)
+    return latencies, unattributed, len(summaries), len(collector)
 
 
 class FabricHealthReport:

@@ -63,12 +63,16 @@ class Telemetry:
                 scope=scope or "root"))
 
     def fork(self, scope: Optional[str] = None) -> "Telemetry":
-        """Sibling session: shared registry, fresh timeline and traces."""
+        """Sibling session: shared registry, fresh timeline and traces,
+        each with this session's cap."""
+        scope = self.scope if scope is None else scope
         return Telemetry(
             metrics=self.metrics,
             timeline=StateTimeline(max_events=self.timeline.max_events),
             profile=self.profile,
-            scope=self.scope if scope is None else scope,
+            traces=TraceCollector(scope=scope,
+                                  max_spans=self.traces.max_spans),
+            scope=scope,
         )
 
     def detection_records(self):

@@ -9,6 +9,7 @@ import pytest
 from repro.obs.trace import (
     _CHUNK_SPANS,
     CATEGORIES,
+    TRUNCATION_EVENT,
     Span,
     TraceCollector,
     chrome_trace,
@@ -199,8 +200,8 @@ class TestSerialization:
 
 
 class TestSlottedSpan:
-    """``Span`` carries no ``__dict__`` (a busy link holds tens of
-    thousands until export); its exports are what they were, recorded
+    """``Span`` carries no ``__dict__`` (the ``spans`` view of a busy link
+    decodes tens of thousands); its exports are what they were, recorded
     before the class was slotted."""
 
     def _collector(self):
@@ -304,13 +305,16 @@ class TestJsonlChunks:
         chunks = tc.jsonl_chunks()
         assert "".join(chunks) == tc.to_jsonl() == spans_to_jsonl(
             tc.span_dicts())
-        assert len(chunks) == -(-n_spans // _CHUNK_SPANS)
         assert all(chunk.endswith("\n") for chunk in chunks)
+        assert all(chunk.count("\n") <= _CHUNK_SPANS for chunk in chunks)
+        assert not any(TRUNCATION_EVENT in chunk for chunk in chunks)
 
     def test_capped_collector_closes_with_the_marker_chunk(self):
         tc = self._collector(_CHUNK_SPANS + 10, max_spans=_CHUNK_SPANS + 1)
         chunks = tc.jsonl_chunks()
-        assert len(chunks) == 3 and all(c.endswith("\n") for c in chunks)
+        assert all(c.endswith("\n") for c in chunks)
+        assert all(c.count("\n") <= _CHUNK_SPANS for c in chunks)
+        assert not any(TRUNCATION_EVENT in c for c in chunks[:-1])
         assert json.loads(chunks[-1]) == {
             "event": "trace_truncated", "scope": "s1->s2", "suppressed": 9,
             "max_spans": _CHUNK_SPANS + 1}

@@ -178,6 +178,34 @@ class TestSessionSemantics:
         assert child.timeline is not parent.timeline
         assert child.profile is True
 
+    def test_fork_keeps_the_session_caps(self):
+        """A fork's collector inherits ``max_spans`` as its timeline
+        inherits ``max_events`` — including every per-link fork of a
+        fabric deployment, whose collector once reverted to 100 000."""
+        from repro.core.detector import FancyConfig
+        from repro.fabric.builders import ring
+        from repro.fabric.deployment import FabricDeployment
+        from repro.fabric.graph import FabricNetwork
+        from repro.obs.trace import TraceCollector
+        from repro.simulator.engine import Simulator
+        from repro.telemetry import StateTimeline
+
+        parent = Telemetry(timeline=StateTimeline(max_events=5),
+                           traces=TraceCollector(max_spans=3), scope="root")
+        child = parent.fork(scope="s0->s1")
+        assert child.traces is not parent.traces
+        assert (child.traces.max_spans, child.timeline.max_events) == (3, 5)
+        assert child.traces.scope == "s0->s1"
+        assert parent.fork().traces.scope == "root"
+
+        deployment = FabricDeployment(
+            FabricNetwork(Simulator(), ring(4)),
+            config=FancyConfig(high_priority=["e0"], tree_params=None),
+            links=["s0->s1", "s1->s2"], telemetry=parent)
+        for link_id, monitor in deployment.monitors.items():
+            assert monitor.telemetry.traces.scope == link_id
+            assert monitor.telemetry.traces.max_spans == 3
+
     def test_run_cell_aggregates_metrics_across_reps(self):
         session = Telemetry()
         cell = run_cell(_quick_spec(duration_s=2.0), repetitions=2,
