@@ -39,16 +39,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, IO, Iterator, NamedTuple, Optional
 
 __all__ = ["TimelineEvent", "StateTimeline", "DetectionRecord"]
+
+#: Rows per sealed chunk (``obs.trace._CHUNK_SPANS``'s size).
+_CHUNK = 1024
 
 
 class TimelineEvent(NamedTuple):
     """One timeline entry: a timestamp, a source, an event type, fields.
 
-    A tuple record: :meth:`StateTimeline.record` builds one per event on
-    every FSM transition of every monitored link.
+    A tuple record: the timeline's views build one per stored row as
+    they decode it.
     """
 
     time: float
@@ -101,15 +105,19 @@ class DetectionRecord:
 
 
 class StateTimeline:
-    """Append-only, monotonically timestamped event log."""
+    """Append-only, monotonically timestamped event log, stored as
+    pickled chunks of ``_CHUNK`` rows that every view decodes."""
 
     def __init__(self, max_events: int = 1_000_000):
         self.max_events = max_events
-        self.events: list[TimelineEvent] = []
         self.suppressed = 0
         self._last_time = float("-inf")
         self._seq = 0
         self._suppression_counter: Any = None
+        #: Sealed chunks, ``_CHUNK`` pickled rows each.
+        self._sealed: list[bytes] = []
+        #: The filling chunk: ``(time, source, event, fields)`` rows.
+        self._rows: list[tuple] = []
 
     def bind_suppression_counter(self, counter: Any) -> None:
         """Mirror bounded-suppression drops into a registry counter.
@@ -133,36 +141,55 @@ class StateTimeline:
                 "monotonically timestamped (one StateTimeline per simulation)"
             )
         self._last_time = time
-        if len(self.events) >= self.max_events:
+        if self._seq >= self.max_events:
             self.suppressed += 1
             if self._suppression_counter is not None:
                 self._suppression_counter.inc()
             return
-        self.events.append(tuple.__new__(
-            TimelineEvent, (time, self._seq, source, event, fields)))
+        rows = self._rows
+        rows.append((time, source, event, fields))
         self._seq += 1
+        if len(rows) >= _CHUNK:
+            self._seal()
+
+    def _seal(self) -> None:
+        """The filling chunk is full: it becomes one pickled ``bytes``."""
+        import pickle  # only a run that fills a chunk pays for the module
+
+        self._sealed.append(pickle.dumps(self._rows, pickle.HIGHEST_PROTOCOL))
+        self._rows = []
+
+    def _chunks(self) -> Iterator[list[tuple]]:
+        """The stored rows, decoded one chunk at a time."""
+        if self._sealed:
+            import pickle
+
+            for blob in self._sealed:
+                yield pickle.loads(blob)
+        yield self._rows
 
     # -- queries --------------------------------------------------------------
 
+    @property
+    def events(self) -> list[TimelineEvent]:
+        """Every recorded event, decoded (a fresh list per call)."""
+        return list(self)
+
     def __len__(self) -> int:
-        return len(self.events)
+        return self._seq
 
     def __iter__(self) -> Iterator[TimelineEvent]:
-        return iter(self.events)
+        rows = chain.from_iterable(self._chunks())
+        for seq, (time, source, event, fields) in enumerate(rows):
+            yield tuple.__new__(TimelineEvent, (time, seq, source, event, fields))
 
     def select(self, event: Optional[str] = None, source: Optional[str] = None,
                predicate: Optional[Callable[[TimelineEvent], bool]] = None
                ) -> list[TimelineEvent]:
-        out = []
-        for ev in self.events:
-            if event is not None and ev.event != event:
-                continue
-            if source is not None and ev.source != source:
-                continue
-            if predicate is not None and not predicate(ev):
-                continue
-            out.append(ev)
-        return out
+        return [ev for ev in self
+                if (event is None or ev.event == event)
+                and (source is None or ev.source == source)
+                and (predicate is None or predicate(ev))]
 
     def transitions(self, fsm: Optional[str] = None) -> list[TimelineEvent]:
         """All ``fsm_transition`` events, optionally of one FSM."""
@@ -170,17 +197,24 @@ class StateTimeline:
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for ev in self.events:
-            out[ev.event] = out.get(ev.event, 0) + 1
+        for rows in self._chunks():
+            for _time, _source, event, _fields in rows:
+                out[event] = out.get(event, 0) + 1
         return out
 
     # -- detection accounting ---------------------------------------------------
 
     def detection_records(self) -> list[DetectionRecord]:
         """Pair every injected failure with its first matching detection."""
-        injections = self.select("failure_injected")
-        detections = self.select("detection")
-        session_opens = self.select("session_open")
+        injections: list[TimelineEvent] = []
+        detections: list[TimelineEvent] = []
+        session_opens: list[TimelineEvent] = []
+        kept = {"failure_injected": injections, "detection": detections,
+                "session_open": session_opens}
+        for ev in self:  # one decode for all three selections
+            bucket = kept.get(ev.event)
+            if bucket is not None:
+                bucket.append(ev)
         records = []
         for inj in injections:
             entry = inj.fields.get("entry")
@@ -209,14 +243,16 @@ class StateTimeline:
 
     def to_jsonl(self, fh: Optional[IO[str]] = None) -> Optional[str]:
         """Render as JSON Lines; returns the text when ``fh`` is None."""
-        lines = [ev.to_json() for ev in self.events]
+        lines = [ev.to_json() for ev in self]
         if self.suppressed:
             lines.append(json.dumps({
                 "event": "timeline_truncated",
                 "suppressed": self.suppressed,
                 "max_events": self.max_events,
             }))
-        text = "\n".join(lines) + ("\n" if lines else "")
+        if lines:
+            lines.append("")  # the closing newline, without copying the text
+        text = "\n".join(lines)
         if fh is None:
             return text
         fh.write(text)
