@@ -20,32 +20,34 @@ enforce the contract:
   flags shard-spec seeding that bypasses ``stable_seed``.)
 * each per-link probe runs its own :class:`~repro.telemetry.session.
   Telemetry` whose forks are scoped by link id, so minted trace ids are
-  grouping-independent, and hands back :func:`probe_payload` — text, not
-  simulator state: the batch worker reclaims each probe at its boundary.
+  grouping-independent, and hands back :func:`probe_payload` — packed
+  text, not simulator state: the batch worker reclaims each probe at its
+  boundary.
 * :func:`merge_link_results` folds the per-link payloads back together
   in **sorted link order**: detection records re-sorted under the
   deployment's contract, metric registries merged with
   :func:`~repro.telemetry.registry.merge_snapshots` (commutative over
-  sorted input), the links' trace JSONL chunks joined once — so the
-  Prometheus text and trace JSONL are byte-identical for any worker or
-  shard count.
+  sorted input), the links' trace chunks decoded one at a time and
+  appended to one text — so the Prometheus text and trace JSONL are
+  byte-identical for any worker or shard count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+import binascii
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..obs.trace import spans_to_jsonl
+from ..obs.trace import TraceCollector, spans_to_jsonl, unseal
 from ..runtime.context import RuntimeContext
 from ..runtime.executor import reclaim_at_boundary, run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
 
-__all__ = ["ShardSpec", "plan_shards", "probe_payload", "run_link_probes",
-           "merge_link_results"]
+__all__ = ["ShardSpec", "plan_shards", "probe_payload", "pack_trace",
+           "run_link_probes", "merge_link_results"]
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,8 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
 
     ``deployment`` monitors exactly one link under its own telemetry
     session; ``fluid`` is the probe's fluid engine, or None.  The trace
-    crosses the process boundary as its collector's JSONL text, in the
-    newline-terminated chunks of :meth:`~repro.obs.trace.TraceCollector.
-    jsonl_chunks` — no probe ever holds its whole trace as one string.
+    crosses the process boundary packed (:func:`pack_trace`) — no probe
+    ever holds its whole trace as text.
     """
     ((link_id, monitor),) = deployment.monitors.items()
     sim = deployment.net.sim
@@ -105,11 +106,19 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
         "link": link_id,
         "detections": deployment.detection_records(),
         "metrics": deployment.telemetry.metrics.snapshot(),
-        "trace_jsonl": traces.jsonl_chunks(),
+        "trace_packed": pack_trace(traces),
         "sessions_completed": deployment.sessions_completed()[link_id],
         "events_processed": sim.events_processed,
         "fluid_absorbed": fluid.absorbed if fluid is not None else 0,
     }
+
+
+def pack_trace(traces: TraceCollector) -> list[str]:
+    """The collector's :meth:`~repro.obs.trace.TraceCollector.zlib_chunks`,
+    each as its base64 text: a payload must stay JSON-safe, because the
+    result cache stores it as JSON."""
+    return [binascii.b2a_base64(chunk, newline=False).decode("ascii")
+            for chunk in traces.zlib_chunks()]
 
 
 def _probe_batch(payload: tuple) -> dict[str, Any]:
@@ -167,27 +176,40 @@ def run_link_probes(
     return merged, per_link
 
 
-def _trace_chunks(payload: Mapping[str, Any]) -> Sequence[str]:
-    """A payload's trace as chunks: result-cache entries written before
-    probes shipped chunks hold one ``str``, and in-memory callers may
-    give ``spans`` (dicts) instead of ``trace_jsonl``."""
+def _trace_chunks(payload: Mapping[str, Any]) -> Iterator[str]:
+    """A payload's trace as text pieces, decoded one at a time.
+
+    Probes ship ``trace_packed`` (:func:`pack_trace`); result-cache
+    entries written before that hold ``trace_jsonl`` as one ``str`` or
+    a list of chunks, and in-memory callers may give ``spans`` (dicts).
+    """
+    packed = payload.get("trace_packed")
+    if packed is not None:
+        for chunk in packed:
+            yield unseal(binascii.a2b_base64(chunk))
+        return
     text = payload.get("trace_jsonl")
     if text is None:
-        return (spans_to_jsonl(payload.get("spans", ())),)
-    return (text,) if isinstance(text, str) else text
+        yield spans_to_jsonl(payload.get("spans", ()))
+    elif isinstance(text, str):
+        yield text
+    else:
+        yield from text
 
 
 def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     """Deterministically merge per-link probe payloads.
 
     Each payload carries ``detections`` (deployment-contract tuples),
-    ``metrics`` (a registry snapshot dict), ``trace_jsonl`` (the link
-    collector's ``jsonl_chunks()``), ``sessions_completed``,
+    ``metrics`` (a registry snapshot dict), ``trace_packed`` (the link
+    collector's :func:`pack_trace`), ``sessions_completed``,
     ``events_processed`` and ``fluid_absorbed``.  Links are folded in
     sorted id order so the output is a pure function of the payload
     *set* — the shards 1/2/4 byte-equality contract; every trace chunk
-    ends in a newline, so one join over all links' chunks is one
-    ``spans_to_jsonl`` over all links' spans.
+    ends in a newline, so the text of all links' chunks in order is one
+    ``spans_to_jsonl`` over all links' spans.  That text is written
+    once: each chunk is decoded and appended to it in turn, never all
+    decoded at once for a join.
     """
     ordered = sorted(per_link)
     detections = sorted(
@@ -198,14 +220,19 @@ def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, A
     snapshots = [per_link[link_id]["metrics"] for link_id in ordered
                  if per_link[link_id].get("metrics") is not None]
     metrics = merge_snapshots(*snapshots) if snapshots else {"metrics": []}
+    trace_jsonl = ""
+    for link_id in ordered:
+        for piece in _trace_chunks(per_link[link_id]):
+            # One reference, so CPython grows the text in place; the
+            # piece goes before the next one is decoded.
+            trace_jsonl += piece
+            del piece
     return {
         "links": ordered,
         "detections": detections,
         "metrics": metrics,
         "prometheus": to_prometheus(metrics),
-        "trace_jsonl": "".join(
-            chunk for link_id in ordered
-            for chunk in _trace_chunks(per_link[link_id])),
+        "trace_jsonl": trace_jsonl,
         "sessions_completed": {
             link_id: per_link[link_id].get("sessions_completed", 0)
             for link_id in ordered

@@ -443,13 +443,22 @@ def _merge_health(per_link: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
     All probes share the same health grid (it is a pure function of the
     config), so grouping by snapshot index gives one fabric snapshot per
     grid point, links in sorted id order — byte-stable under sharding.
+    A link off the grid the other links share is a broken probe, not a
+    shorter fabric: ``ValueError`` names every such link.
     """
     ordered = sorted(per_link)
     if not ordered:
         return []
-    depth = min(len(per_link[lid]["snapshots"]) for lid in ordered)
+    grids = [tuple(snap["t"] for snap in per_link[lid]["snapshots"])
+             for lid in ordered]
+    grid = max(grids, key=grids.count)
+    differ = [lid for lid, own in zip(ordered, grids) if own != grid]
+    if differ:
+        raise ValueError(
+            f"health grids differ: {', '.join(differ)} off the "
+            f"{len(grid)}-snapshot grid t={list(grid)} of the other links")
     merged: list[dict[str, Any]] = []
-    for i in range(depth):
+    for i in range(len(grid)):
         first = per_link[ordered[0]]["snapshots"][i]
         rows = [per_link[lid]["snapshots"][i]["link"] for lid in ordered]
         status: dict[str, int] = {}

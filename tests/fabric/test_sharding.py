@@ -9,14 +9,24 @@ and byte-identical Prometheus text and trace JSONL.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import pickle
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import fabric
-from repro.fabric.sharding import ShardSpec, merge_link_results, plan_shards
-from repro.obs.trace import TraceCollector, spans_to_jsonl
+from repro.fabric import sharding
+from repro.fabric.sharding import (
+    ShardSpec,
+    merge_link_results,
+    plan_shards,
+    probe_payload,
+)
+from repro.obs.trace import _CHUNK_SPANS, TraceCollector, spans_to_jsonl
 from repro.runtime import RuntimeContext, stable_seed
 
 LINKS = ["a->b", "b->a", "b->c", "c->b", "a->c", "c->a"]
@@ -102,7 +112,7 @@ def _collector(link_id, n_spans, max_spans=100_000):
         for i in range(n_spans - 1):
             tc.emit("report", 1.0 + i * 0.01, category="control",
                     fsm=f"{link_id}/dedicated", path=(i, i + 1))
-        tc.finalize(9.0)
+        tc.finalize(max(9.0, 1.0 + n_spans * 0.01))
     return tc
 
 
@@ -168,6 +178,58 @@ class TestMergedTraceBytes:
             {"a->b": {"metrics": None}})["trace_jsonl"] == ""
 
 
+class _OneLinkDeployment:
+    """What :func:`probe_payload` reads of a one-link deployment."""
+
+    def __init__(self, traces: TraceCollector) -> None:
+        telemetry = SimpleNamespace(
+            traces=traces, metrics=SimpleNamespace(snapshot=lambda: None))
+        self.telemetry = telemetry
+        self.monitors = {traces.scope: SimpleNamespace(telemetry=telemetry)}
+        self.net = SimpleNamespace(
+            sim=SimpleNamespace(now=1e6, events_processed=0))
+
+    def detection_records(self) -> list:
+        return []
+
+    def sessions_completed(self) -> dict[str, int]:
+        return dict.fromkeys(self.monitors, 0)
+
+
+class TestMergeFootprint:
+    """The merge writes the trace once (docs/PERFORMANCE.md, "Footprint
+    and cold start")."""
+
+    def test_payloads_and_merge_hold_the_text_about_once(self):
+        """Three links, 20 full chunks each, their payloads unpickled as
+        the parent process receives them from a worker.  Live bytes of
+        the payloads plus the merge's peak increment, under
+        ``tracemalloc``: ≈ 2.0 × the text when payloads were text and the
+        merge joined them (both are a copy of it), ≈ 1.14 × with
+        compressed payloads appended to one text a chunk at a time.  A
+        ``"".join`` over the decoded chunks holds every piece at the join
+        and fails here."""
+        collectors = [_collector(link_id, 20 * _CHUNK_SPANS + 100)
+                      for link_id in ("c->a", "a->b", "b->c")]
+        assert all(len(tc.jsonl_chunks()) == 21 for tc in collectors)
+        blob = pickle.dumps({
+            tc.scope: probe_payload(_OneLinkDeployment(tc), None)
+            for tc in collectors})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            payloads = pickle.loads(blob)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = merge_link_results(payloads)["trace_jsonl"]
+            increment = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert text == "".join(
+            tc.to_jsonl() for tc in sorted(collectors, key=lambda tc: tc.scope))
+        assert live + increment <= 1.3 * len(text)
+
+
 @pytest.fixture(scope="module")
 def shard_runs():
     """One fluid ring case at shard counts 1, 2 and 4 (serial workers)."""
@@ -221,6 +283,32 @@ class TestShardCountInvariance:
         assert (shard_runs[1]["fluid_absorbed"]
                 == shard_runs[2]["fluid_absorbed"]
                 == shard_runs[4]["fluid_absorbed"])
+
+    def test_cached_run_merges_to_the_same_bytes(self, shard_runs,
+                                                 monkeypatch, tmp_path):
+        """The result cache stores payloads as JSON: a run served from it
+        merges to the fresh run's bytes.  A payload JSON cannot encode
+        (raw ``bytes``) is silently not cached, and the second run would
+        re-probe every shard."""
+        sweeps = []
+
+        def recorded(*args, _run_sweep=sharding.run_sweep, **kwargs):
+            sweeps.append(_run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(sharding, "run_sweep", recorded)
+        config = replace(fabric.FabricExpConfig(), duration_s=1.5,
+                         fluid=True, tree=True, background_entries=4)
+        runtime = RuntimeContext(cache_dir=tmp_path, progress=False)
+        fresh, cached = (
+            fabric.run_sharded(config, case="ring", shards=2,
+                               runtime=runtime, quick=False)
+            for _ in range(2))
+        assert [sweep.cache_hits for sweep in sweeps] == [0, 2]
+        assert cached["trace_jsonl"] == fresh["trace_jsonl"] == (
+            shard_runs[1]["trace_jsonl"])
+        assert cached["prometheus"] == fresh["prometheus"] == (
+            shard_runs[1]["prometheus"])
 
     def test_parallel_workers_match_serial(self, shard_runs):
         """Worker processes are an execution knob too: a 2-worker run

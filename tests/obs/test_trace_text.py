@@ -2,10 +2,14 @@
 replaced.
 
 ``TraceCollector`` encodes a chunk's closed spans into their JSONL lines
-when the chunk fills (a span still open then, when it closes) and keeps
-only open spans and the filling chunk as ``Span`` objects; its ``spans``,
-``span_dicts()``, ``traces()`` and ``counts()`` are decoded from the text,
-and the health report reads per-episode summaries kept while recording.
+when the chunk fills (a span still open then, when it closes), seals a
+chunk with no span left open as its compressed text, and keeps only open
+spans and the filling chunk as ``Span`` objects; its ``spans``,
+``span_dicts()``, ``traces()`` and ``counts()`` are decoded from the
+chunks, and the health report reads per-episode summaries kept while
+recording.  What a probe ships, :func:`~repro.fabric.sharding.pack_trace`,
+merges to the same text before and after a JSON round trip (the result
+cache's).
 The reference below is the collector as it was before: every span a
 ``Span`` in a list until export, ``spans_to_jsonl`` at export, and the
 health report's latency / unattributed figures grouped from its spans.
@@ -13,14 +17,17 @@ health report's latency / unattributed figures grouped from its spans.
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import gc
 import json
+import zlib
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.fabric.sharding import merge_link_results, pack_trace
 from repro.obs import health, trace
 from repro.obs.trace import (
     CATEGORIES,
@@ -256,6 +263,27 @@ class _TextMachine(RuleBasedStateMachine):
         assert text.suppressed == ref.suppressed
         assert text.active == (ref._root is not None)
         assert health._trace_stats(text) == grouped_trace_stats(ref.spans)
+
+    @invariant()
+    def a_sealed_chunk_is_bytes(self):
+        """A full chunk with no span left open is compressed text."""
+        text = self.text
+        recorded = min(text._next_span - 1, text.max_spans)
+        for k, chunk in enumerate(text._chunks[:recorded // trace._CHUNK_SPANS]):
+            assert isinstance(chunk, bytes) == (k not in text._waiting)
+
+    @invariant()
+    def the_packed_trace_is_the_text(self):
+        """The packed chunks are ``jsonl_chunks()``, and a payload merges
+        to the same text before and after a JSON round trip."""
+        packed = pack_trace(self.text)
+        assert [zlib.decompress(binascii.a2b_base64(chunk)).decode()
+                for chunk in packed] == self.text.jsonl_chunks()
+        payload = {"metrics": None, "trace_packed": packed}
+        merged = merge_link_results({"s1->s2": payload})["trace_jsonl"]
+        assert merged == self.ref.to_jsonl()
+        assert merge_link_results({"s1->s2": json.loads(json.dumps(payload))}
+                                  )["trace_jsonl"] == merged
 
     @invariant()
     def only_open_spans_and_the_filling_chunk_are_objects(self):
