@@ -15,6 +15,7 @@ CI runs them plain.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -143,22 +144,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     first = failing_seeds[0]
-    doc = results[first]
-    import dataclasses as _dc
-
-    from .schedule import FaultSpec
-    from .invariants import Violation
-
-    config = _dc.replace(base, seed=first)
-    failing = SoakResult(
-        seed=first,
-        violations=[Violation(v["invariant"], float(v["time"]), v["detail"])
-                    for v in doc["violations"]],
-        schedule=[FaultSpec.from_dict(d) for d in doc["schedule"]],
-        stats=doc.get("stats", {}),
-    )
-    if failing.schedule:
-        _shrink_and_write(config, failing, args)
+    if results[first]["schedule"]:  # a crashed seed has nothing to shrink
+        # A soak is a pure function of its config: the replay here is the
+        # worker's failing run.
+        config = dataclasses.replace(base, seed=first)
+        _shrink_and_write(config, run_soak(config), args)
     return 1
 
 

@@ -1,31 +1,36 @@
 """Invariant-checked soak harness (``fancy-repro chaos``).
 
-One soak run builds the canonical two-switch topology, deploys a full
-FANcY monitor (dedicated counters + a small zooming tree), drives
-jittered UDP over a handful of entries, materialises a seeded random
-fault schedule (:mod:`repro.chaos.schedule`), and then checks the
-robustness invariants (:mod:`repro.chaos.invariants`):
-
-* I1 liveness and I2 session monotonicity at every checkpoint;
-* I3 attribution, I4 eventual detection, I5 conservation and
-  I6 corruption integrity once, after the wind-down drain.
+Every soak runs through one driver, :func:`drive_soak`, on a
+:class:`~repro.fabric.graph.FabricNetwork`.  A builder lays out the
+fabric, its entries and its FANcY monitors; the driver drives jittered
+UDP over the entries, wires the fault schedule through
+:func:`repro.chaos.schedule.materialize`, and ticks one
+:class:`~repro.chaos.invariants.LinkInvariantObserver` per monitor — the
+observer the serve supervises with — at every checkpoint (I1, I2 and
+incremental I3/I6) and once after the wind-down drain (I3–I6).
+:func:`run_soak` builds the two-switch soak: a two-node fabric with one
+full monitor on ``A->B`` under a seeded random schedule; the ring soak
+(:func:`repro.fabric.chaos.fabric_soak`) is the other builder.
 
 Wind-down sequence — order matters: traffic stops at ``duration_s``, the
-monitor keeps running through a grace period (late detections of a
-just-started persistent fault land here), then the harness marks itself
-stopped, tears the monitor down, and drains the event queue completely
+monitors keep running through a grace period (late detections of a
+just-started persistent fault land here), then the driver marks itself
+stopped, tears the monitors down, and drains the event queue completely
 so conservation and integrity are checked against a quiescent wire.
 
-The harness also installs a *recovery hook*: when a sender FSM declares
-the link dead (state FAILED — terminal by design, §4.1 leaves
-re-establishment to the control plane), the harness plays control plane
-and revives the FSM shortly after.  Without this, one early LINK_DOWN
-would end monitoring and trivially mask every later invariant.
+The driver also installs a *recovery hook* on every monitor: when a
+sender FSM declares the link dead (state FAILED — terminal by design,
+§4.1 leaves re-establishment to the control plane), the driver plays
+control plane and revives the FSM shortly after.  Without this, one
+early LINK_DOWN would end monitoring and trivially mask every later
+invariant.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,27 +38,23 @@ from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams
 from repro.core.output import FailureKind
 from repro.core.protocol import SenderState
+from repro.fabric.graph import FabricGraph, FabricNetwork
 from repro.runtime.context import RuntimeContext
 from repro.runtime.executor import run_sweep
 from repro.runtime.jobs import Job, stable_seed
 from repro.simulator.engine import Simulator
-from repro.simulator.topology import PORT_TO_PEER, TwoSwitchTopology
 from repro.simulator.udp import UdpSource
 
-from .invariants import (
-    SessionTracker,
-    Violation,
-    check_attribution,
-    check_conservation,
-    check_detection,
-    check_integrity,
-    check_liveness,
-)
+from .invariants import LinkInvariantObserver, Violation
 from .schedule import FaultSpec, Materialized, generate_schedule, materialize
 
 __all__ = [
     "SoakConfig",
     "SoakResult",
+    "SoakRun",
+    "drive_soak",
+    "soak_entries",
+    "soak_fancy_config",
     "run_soak",
     "run_many",
     "soak_worker",
@@ -113,132 +114,187 @@ class SoakResult:
         }
 
 
-class _RecoveryState:
-    """Shared stop flag + revival counter for the link-failure hook."""
+class _Recovery:
+    """The driver's stand-in control plane: it revives a FAILED sender
+    FSM ``_REVIVE_DELAY_S`` after the FSM declared its link down."""
 
-    __slots__ = ("stopped", "revivals")
-
-    def __init__(self) -> None:
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
         self.stopped = False
         self.revivals = 0
 
+    def install(self, monitor: FancyLinkMonitor) -> None:
+        """Chain a delayed revival behind each sender's failure callback."""
+        for sender in (monitor.dedicated_sender, monitor.tree_sender):
+            if sender is not None:
+                sender.on_link_failure = functools.partial(
+                    self._declared, sender, sender.on_link_failure)
 
-def _install_recovery(monitor: FancyLinkMonitor, sim: Simulator,
-                      state: _RecoveryState) -> None:
-    """Chain a delayed FSM revival behind each sender's failure callback."""
-    for sender in (monitor.dedicated_sender, monitor.tree_sender):
-        if sender is None:
-            continue
+    def _declared(self, sender: Any, original: Any, fsm_id: str,
+                  now: float) -> None:
+        if original is not None:
+            original(fsm_id, now)  # record the LINK_DOWN report first
+        self.sim.schedule(_REVIVE_DELAY_S, self._revive, sender)
 
-        original = sender.on_link_failure
-
-        def wrapped(fsm_id: str, now: float, _sender: Any = sender,
-                    _original: Any = original) -> None:
-            if _original is not None:
-                _original(fsm_id, now)  # record the LINK_DOWN report first
-
-            def revive() -> None:
-                # Guarded: never revive after teardown (a post-stop restart
-                # would re-arm timers and the drain would never finish),
-                # and never touch an FSM something else already revived.
-                if state.stopped or _sender.state is not SenderState.FAILED:
-                    return
-                state.revivals += 1
-                _sender.restart()
-
-            sim.schedule(_REVIVE_DELAY_S, revive)
-
-        sender.on_link_failure = wrapped
+    def _revive(self, sender: Any) -> None:
+        # Guarded: never revive after teardown (a post-stop restart would
+        # re-arm timers and the drain would never finish), and never touch
+        # an FSM something else already revived.
+        if self.stopped or sender.state is not SenderState.FAILED:
+            return
+        self.revivals += 1
+        sender.restart()
 
 
-def _entries(config: SoakConfig) -> tuple[list[str], list[str]]:
+def soak_entries(config: Any) -> tuple[list[str], list[str]]:
+    """A soak's (dedicated, best-effort) entry names."""
     dedicated = [f"hp/{i}" for i in range(config.n_dedicated)]
     best_effort = [f"be/{i}" for i in range(config.n_best_effort)]
     return dedicated, best_effort
 
 
-def run_soak(config: SoakConfig,
-             schedule: list[FaultSpec] | None = None) -> SoakResult:
-    """Execute one seeded soak run; return its violations and stats.
-
-    ``schedule`` overrides the generated fault schedule — this is how the
-    shrinker replays reduced schedules and how reproducer files replay
-    pinned ones.  Everything else (traffic jitter, fault RNGs, hash
-    seeds) derives from ``config.seed`` via ``stable_seed``.
-    """
-    dedicated, best_effort = _entries(config)
-    if schedule is None:
-        schedule = generate_schedule(config.seed, config.duration_s,
-                                     dedicated, best_effort)
-
-    sim = Simulator()
-    topo = TwoSwitchTopology(sim)
-    fancy = FancyConfig(
+def soak_fancy_config(config: Any, dedicated: list[str],
+                      accept_stale_responses: bool = False) -> FancyConfig:
+    """The soak monitors' FANcY configuration, seeded from ``config.seed``."""
+    return FancyConfig(
         high_priority=dedicated,
         tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
         dedicated_session_s=0.050,
         tree_session_s=0.200,
         twait_s=0.015,  # > worst-case forward displacement budget (12 ms)
         seed=stable_seed(config.seed, "fancy", bits=31),
-        accept_stale_responses=config.regression == "stale-session",
+        accept_stale_responses=accept_stale_responses,
     )
-    monitor = FancyLinkMonitor(sim, topo.upstream, PORT_TO_PEER,
-                               topo.downstream, PORT_TO_PEER, config=fancy)
-    state = _RecoveryState()
-    _install_recovery(monitor, sim, state)
+
+
+@dataclass
+class SoakRun:
+    """What :func:`drive_soak` leaves for its builder's stats."""
+
+    violations: list[Violation]
+    packets_sent: int
+    materialized: Materialized
+    revivals: int
+
+
+def drive_soak(
+    config: Any,
+    net: FabricNetwork,
+    src: str,
+    monitors: Mapping[str, FancyLinkMonitor],
+    views: Mapping[str, list[FaultSpec]],
+    arm: Callable[[], Materialized],
+) -> SoakRun:
+    """Drive one soak on a built fabric and check I1–I6 per monitor.
+
+    ``config`` supplies the traffic and timing fields both soak configs
+    share.  The :func:`soak_entries` send from ``src``'s host.  ``arm``
+    wires the schedule and starts the monitors once the sources are
+    scheduled.  ``views[link_id]`` is the schedule as that link's monitor
+    sees it: its own wire ``"forward"``, the opposite wire ``"reverse"``.
+    The first monitor's observer checks conservation on every wire.
+    """
+    sim = net.sim
+    dedicated, best_effort = soak_entries(config)
+    recovery = _Recovery(sim)
+    for monitor in monitors.values():
+        recovery.install(monitor)
 
     sources: list[UdpSource] = []
     for i, entry in enumerate(dedicated + best_effort):
-        src = UdpSource(
-            sim, topo.source.send, entry, flow_id=i,
+        source = UdpSource(
+            sim, net.host(src).send, entry, flow_id=i,
             rate_bps=config.rate_bps, packet_size=config.packet_size,
             jitter=0.1, seed=stable_seed(config.seed, "src", i),
         )
-        src.start(delay=0.001 * i)
-        sources.append(src)
-        sim.schedule_at(config.duration_s, src.stop)
+        source.start(delay=0.001 * i)
+        sources.append(source)
+        sim.schedule_at(config.duration_s, source.stop)
 
-    materialized: Materialized = materialize(schedule, config.seed, sim,
-                                             topo, monitor)
-    monitor.start(delay=0.005)
+    materialized = arm()
+    wires = [net.links[lid] for lid in sorted(net.links)]
+    observers = []
+    for lid, monitor in monitors.items():
+        a, b = net.endpoints(lid)
+        observers.append(LinkInvariantObserver(
+            monitor, views[lid], dedicated, best_effort,
+            links=wires if not observers else [],
+            chaos_models=materialized.chaos_models(net.link(a, b),
+                                                   net.link(b, a)),
+            link_id=lid))
 
-    # -- run with periodic I1/I2 checkpoints --------------------------------
-    violations: list[Violation] = []
-    tracker = SessionTracker(monitor)
+    # -- run, ticking every observer at each checkpoint ---------------------
     end = config.duration_s + config.grace_s
     t = config.checkpoint_s
-    while t < end - 1e-9:
-        sim.run(until=t)
-        violations.extend(check_liveness(monitor, sim.now))
-        violations.extend(tracker.check(monitor, sim.now))
+    while True:
+        last = t >= end - 1e-9
+        sim.run(until=end if last else t)
+        for observer in observers:
+            observer.tick(sim.now)
+        if last:
+            break
         t += config.checkpoint_s
-    sim.run(until=end)
-    violations.extend(check_liveness(monitor, sim.now))
-    violations.extend(tracker.check(monitor, sim.now))
 
-    # -- wind-down: stop, then drain to quiescence --------------------------
-    state.stopped = True
-    monitor.stop()
+    # -- wind-down: stop, drain to quiescence, final checks -----------------
+    recovery.stopped = True
+    for monitor in monitors.values():
+        monitor.stop()
     sim.run()  # complete drain: in-flight packets, guarded revivals, etc.
+    for observer in observers:
+        observer.final(sim.now, horizon=config.duration_s)
 
-    violations.extend(check_attribution(monitor.log, schedule, monitor,
-                                        dedicated, best_effort))
-    violations.extend(check_detection(monitor.log, schedule, monitor,
-                                      dedicated, best_effort,
-                                      horizon=config.duration_s))
-    violations.extend(check_conservation([topo.link_ab, topo.link_ba],
-                                         sim.now))
-    violations.extend(check_integrity(monitor, materialized.chaos_models(),
-                                      sim.now))
-
-    stats = _collect_stats(monitor, topo, materialized, sources, state, sim)
-    return SoakResult(seed=config.seed, violations=violations,
-                      schedule=list(schedule), stats=stats)
+    return SoakRun(
+        violations=[v for observer in observers for v in observer.breaches],
+        packets_sent=sum(s.packets_sent for s in sources),
+        materialized=materialized,
+        revivals=recovery.revivals,
+    )
 
 
-def _collect_stats(monitor: FancyLinkMonitor, topo: TwoSwitchTopology,
-                   materialized: Materialized, sources: list[UdpSource],
-                   state: _RecoveryState, sim: Simulator) -> dict[str, Any]:
+def run_soak(config: SoakConfig,
+             schedule: list[FaultSpec] | None = None) -> SoakResult:
+    """Execute one seeded two-switch soak; return its violations and stats.
+
+    ``schedule`` overrides the generated fault schedule — this is how the
+    shrinker replays reduced schedules and how reproducer files replay
+    pinned ones.  Everything else (traffic jitter, fault RNGs, hash
+    seeds) derives from ``config.seed`` via ``stable_seed``.
+    """
+    dedicated, best_effort = soak_entries(config)
+    if schedule is None:
+        schedule = generate_schedule(config.seed, config.duration_s,
+                                     dedicated, best_effort)
+
+    sim = Simulator()
+    graph = FabricGraph("pair")
+    graph.add_edge("A", "B")
+    net = FabricNetwork(sim, graph)
+    for entry in dedicated + best_effort:
+        net.add_entry(entry, "A", "B")
+    monitor = FancyLinkMonitor(
+        sim, net.switch("A"), net.port_to("A", "B"),
+        net.switch("B"), net.port_to("B", "A"),
+        config=soak_fancy_config(
+            config, dedicated,
+            accept_stale_responses=config.regression == "stale-session"))
+
+    def arm() -> Materialized:
+        materialized = materialize(
+            schedule, config.seed, sim,
+            {"forward": net.link("A", "B"), "reverse": net.link("B", "A")},
+            {"forward": monitor})
+        monitor.start(delay=0.005)
+        return materialized
+
+    run = drive_soak(config, net, "A", {"A->B": monitor},
+                     {"A->B": schedule}, arm)
+    return SoakResult(seed=config.seed, violations=run.violations,
+                      schedule=list(schedule),
+                      stats=_collect_stats(monitor, net, run))
+
+
+def _collect_stats(monitor: FancyLinkMonitor, net: FabricNetwork,
+                   run: SoakRun) -> dict[str, Any]:
     fsms = {
         "dedicated_sender": monitor.dedicated_sender,
         "tree_sender": monitor.tree_sender,
@@ -251,11 +307,12 @@ def _collect_stats(monitor: FancyLinkMonitor, topo: TwoSwitchTopology,
         if n:
             reports[kind.value] = n
     return {
-        "sim_time": sim.now,
-        "packets_sent": sum(s.packets_sent for s in sources),
-        "link_ab": topo.link_ab.stats.as_dict(),
-        "link_ba": topo.link_ba.stats.as_dict(),
-        "chaos": {m.name: m.stats() for m in materialized.chaos_models()},
+        "sim_time": net.sim.now,
+        "packets_sent": run.packets_sent,
+        "link_ab": net.link("A", "B").stats.as_dict(),
+        "link_ba": net.link("B", "A").stats.as_dict(),
+        "chaos": {m.name: m.stats()
+                  for m in run.materialized.chaos_models()},
         "sessions_completed": {
             name: fsm.sessions_completed
             for name, fsm in fsms.items()
@@ -270,7 +327,7 @@ def _collect_stats(monitor: FancyLinkMonitor, topo: TwoSwitchTopology,
             name: fsm.restarts for name, fsm in fsms.items()
             if fsm is not None
         },
-        "revivals": state.revivals,
+        "revivals": run.revivals,
         "reports": reports,
     }
 
@@ -278,8 +335,7 @@ def _collect_stats(monitor: FancyLinkMonitor, topo: TwoSwitchTopology,
 # -- named protocol-regression fixtures ----------------------------------------
 
 
-def _stale_session_scenario(config: SoakConfig) -> tuple[SoakConfig,
-                                                         list[FaultSpec]]:
+def _stale_session_schedule() -> list[FaultSpec]:
     """Disable stale-session rejection, then reorder + duplicate Reports.
 
     Every B→A control message is displaced by up to 300 ms and
@@ -293,12 +349,7 @@ def _stale_session_scenario(config: SoakConfig) -> tuple[SoakConfig,
     (``accept_stale_responses=False``) passes this exact schedule
     silently (guarded by tests/chaos/test_harness.py).
     """
-    config = dataclasses.replace(
-        config,
-        regression="stale-session",
-        duration_s=max(config.duration_s, 8.0),
-    )
-    schedule = [
+    return [
         FaultSpec("reorder", "reverse",
                   {"rate": 1.0, "max_displacement_s": 0.3,
                    "start": 0.3, "end": None}, index=0),
@@ -306,11 +357,9 @@ def _stale_session_scenario(config: SoakConfig) -> tuple[SoakConfig,
                   {"rate": 1.0, "copies": 2, "start": 0.3, "end": None},
                   index=1),
     ]
-    return config, schedule
 
 
-def _control_plane_grey_scenario(config: SoakConfig) -> tuple[SoakConfig,
-                                                              list[FaultSpec]]:
+def _control_plane_grey_schedule() -> list[FaultSpec]:
     """Persistent asymmetric loss on the control channel only.
 
     20% of B→A control messages (ACKs, counter Reports) vanish while the
@@ -322,21 +371,14 @@ def _control_plane_grey_scenario(config: SoakConfig) -> tuple[SoakConfig,
     loss flag may appear because no data packet was dropped.  CI runs it
     without negation — a violation here is a real protocol regression.
     """
-    config = dataclasses.replace(
-        config,
-        regression="control-plane-grey",
-        duration_s=max(config.duration_s, 8.0),
-    )
-    schedule = [
-        FaultSpec("control_loss", "reverse",
-                  {"rate": 0.2, "start": 0.3, "end": None}, index=0),
-    ]
-    return config, schedule
+    return [FaultSpec("control_loss", "reverse",
+                      {"rate": 0.2, "start": 0.3, "end": None}, index=0)]
 
 
+#: Named fixture -> its pinned schedule; every fixture runs >= 8 s.
 REGRESSIONS = {
-    "stale-session": _stale_session_scenario,
-    "control-plane-grey": _control_plane_grey_scenario,
+    "stale-session": _stale_session_schedule,
+    "control-plane-grey": _control_plane_grey_schedule,
 }
 
 #: What each named fixture is expected to produce: ``"violate"`` fixtures
@@ -354,12 +396,13 @@ def regression_scenario(name: str,
                                                      list[FaultSpec]]:
     """Resolve a named regression fixture into (config, pinned schedule)."""
     try:
-        builder = REGRESSIONS[name]
+        schedule = REGRESSIONS[name]()
     except KeyError:
         raise ValueError(
             f"unknown regression {name!r}; "
             f"available: {', '.join(sorted(REGRESSIONS))}") from None
-    return builder(config)
+    return dataclasses.replace(config, regression=name,
+                               duration_s=max(config.duration_s, 8.0)), schedule
 
 
 # -- parallel multi-seed execution ---------------------------------------------

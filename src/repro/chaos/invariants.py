@@ -42,7 +42,6 @@ __all__ = [
     "Violation",
     "SessionTracker",
     "check_liveness",
-    "check_monotonicity",
     "check_attribution",
     "check_detection",
     "check_conservation",

@@ -8,8 +8,9 @@ hardened protocol is *supposed* to survive (e.g. total forward data
 displacement stays below the monitor's T_wait, so reordering alone can
 never legitimately produce a loss flag); :func:`materialize` turns specs
 into live loss models, :class:`~repro.chaos.perturbations.ChaosModel`
-instances and scheduled switch restarts on a
-:class:`~repro.simulator.topology.TwoSwitchTopology`.
+instances and scheduled switch restarts on the wires their targets name:
+``"forward"`` / ``"reverse"`` on the two-switch soak's link pair,
+``"link:A->B"`` (:func:`link_target`) on a fabric.
 
 Determinism contract: every fault gets its own RNG seeded by
 ``stable_seed(base_seed, "fault", index)``, where ``index`` is the
@@ -21,6 +22,7 @@ which is what makes greedy schedule shrinking sound.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
@@ -33,8 +35,8 @@ from repro.simulator.failures import (
     GrayFailure,
     UniformLossFailure,
 )
+from repro.simulator.link import Link
 from repro.simulator.packet import PacketKind
-from repro.simulator.topology import TwoSwitchTopology
 
 from .perturbations import (
     ChaosModel,
@@ -51,8 +53,9 @@ __all__ = [
     "Materialized",
     "generate_schedule",
     "materialize",
-    "build_loss",
-    "build_perturbation",
+    "LINK_TARGET_PREFIX",
+    "link_target",
+    "parse_link_target",
     "ATTRIBUTION_SLACK_S",
     "PERSISTENT_MIN_RATE",
 ]
@@ -85,6 +88,20 @@ _REVERSE_DISPLACEMENT_BUDGET_S = 0.300
 _LOSS_KINDS = frozenset({"entry_loss", "uniform_loss", "link_flap"})
 _CONTROL_KINDS = frozenset({"control_loss", "link_flap", "switch_restart"})
 
+LINK_TARGET_PREFIX = "link:"
+
+
+def link_target(a: str, b: str) -> str:
+    """The ``FaultSpec.target`` string addressing directed fabric link a→b."""
+    return f"{LINK_TARGET_PREFIX}{a}->{b}"
+
+
+def parse_link_target(target: str) -> str | None:
+    """``"link:A->B"`` → ``"A->B"``; ``None`` for non-link targets."""
+    if target.startswith(LINK_TARGET_PREFIX):
+        return target[len(LINK_TARGET_PREFIX):]
+    return None
+
 
 @dataclass
 class FaultSpec:
@@ -94,9 +111,11 @@ class FaultSpec:
         kind: one of ``entry_loss``, ``uniform_loss``, ``control_loss``,
             ``reorder``, ``duplicate``, ``corrupt``, ``delay_spike``,
             ``link_flap``, ``switch_restart``.
-        target: ``"forward"`` (A→B, the data direction) or ``"reverse"``
-            (B→A, ACKs/Reports).  Ignored by ``switch_restart``, which
-            uses ``params["side"]``.
+        target: the wire the fault sits on.  On the two-switch soak,
+            ``"forward"`` (A→B, the data direction) or ``"reverse"``
+            (B→A, ACKs/Reports); on a fabric, a directed link id
+            ``"link:A->B"``.  A ``switch_restart`` reboots the monitor
+            of its target's link, on ``params["side"]``.
         params: kind-specific parameters (JSON-scalar values only).
         index: position in the originally generated schedule; the fault's
             RNG seed is derived from it and survives shrinking.
@@ -323,18 +342,17 @@ def _draw_fault(
 
 @dataclass
 class Materialized:
-    """Live objects built from a schedule, for invariant bookkeeping."""
+    """Live objects built from a schedule, keyed by the target they sit on."""
 
-    schedule: list[FaultSpec]
-    chaos_forward: ChaosModel | None = None
-    chaos_reverse: ChaosModel | None = None
-    failures_forward: list[GrayFailure] = dc_field(default_factory=list)
-    failures_reverse: list[GrayFailure] = dc_field(default_factory=list)
+    #: target -> loss models composed on that target's wire.
+    losses: dict[str, list[GrayFailure]] = dc_field(default_factory=dict)
+    #: target -> the chaos (perturbation) model attached to its wire.
+    chaos: dict[str, ChaosModel] = dc_field(default_factory=dict)
     restarts: list[FaultSpec] = dc_field(default_factory=list)
 
-    def chaos_models(self) -> list[ChaosModel]:
-        return [m for m in (self.chaos_forward, self.chaos_reverse)
-                if m is not None]
+    def chaos_models(self, *links: Link) -> list[ChaosModel]:
+        """Chaos models attached to ``links`` (every model if none given)."""
+        return [m for m in self.chaos.values() if not links or m.link in links]
 
 
 #: PacketKind scopes for forward-direction displacement faults: only
@@ -386,61 +404,50 @@ def _build_loss(spec: FaultSpec, seed: int) -> GrayFailure:
     raise ValueError(f"not a loss kind: {spec.kind!r}")
 
 
-def build_loss(spec: FaultSpec, seed: int) -> GrayFailure:
-    """Public loss-model factory for one spec (used by fabric chaos).
-
-    ``seed`` must be ``stable_seed(base_seed, "fault", spec.index)`` —
-    the same derivation :func:`materialize` uses — so a spec replays the
-    identical RNG stream whether it runs on the two-switch topology or
-    addressed to a fabric link.
-    """
-    return _build_loss(spec, seed)
-
-
-def build_perturbation(spec: FaultSpec, seed: int) -> Perturbation:
-    """Public perturbation factory for one spec (see :func:`build_loss`)."""
-    return _build_perturbation(spec, seed)
-
-
 def materialize(
     schedule: list[FaultSpec],
     base_seed: int,
     sim: Simulator,
-    topo: TwoSwitchTopology,
-    monitor: Any,
+    wires: Mapping[str, Link],
+    monitors: Mapping[str, Any],
 ) -> Materialized:
-    """Wire a schedule onto a two-switch topology and its monitor.
+    """Wire a schedule onto the links its targets name.
 
-    Loss-model faults compose through
+    ``wires`` maps every target a spec may carry to the link it impairs;
+    ``monitors`` maps a target to the monitor a ``switch_restart`` on it
+    reboots.  Loss-model faults compose per wire through
     :class:`~repro.simulator.failures.CompositeFailure` (order-independent
     by design), perturbations through one
-    :class:`~repro.chaos.perturbations.ChaosModel` per direction, and
-    switch restarts become engine events calling
-    ``monitor.restart(side)``.
+    :class:`~repro.chaos.perturbations.ChaosModel` per wire — named after
+    the wire its target addresses — and switch restarts become engine
+    events calling ``monitor.restart(side)``.
     """
-    out = Materialized(schedule=list(schedule))
-    loss: dict[str, list[GrayFailure]] = {"forward": [], "reverse": []}
-    perts: dict[str, list[Perturbation]] = {"forward": [], "reverse": []}
+    out = Materialized()
+    perts: dict[str, list[Perturbation]] = {}
     for spec in schedule:
+        if spec.target not in wires:
+            raise KeyError(f"fault target {spec.target!r} names no wire")
         seed = stable_seed(base_seed, "fault", spec.index)
         if spec.kind in ("entry_loss", "uniform_loss", "control_loss"):
-            loss[spec.target].append(_build_loss(spec, seed))
+            out.losses.setdefault(spec.target, []).append(
+                _build_loss(spec, seed))
         elif spec.kind == "switch_restart":
+            monitor = monitors.get(spec.target)
+            if monitor is None:
+                raise ValueError(
+                    f"switch_restart targets {spec.target!r}, which has no "
+                    "monitor deployed")
             out.restarts.append(spec)
             sim.schedule_at(float(spec.params["time"]), monitor.restart,
                             str(spec.params["side"]))
         else:
-            perts[spec.target].append(_build_perturbation(spec, seed))
-    out.failures_forward = loss["forward"]
-    out.failures_reverse = loss["reverse"]
-    if loss["forward"]:
-        topo.link_ab.loss_model = CompositeFailure(loss["forward"])
-    if loss["reverse"]:
-        topo.link_ba.loss_model = CompositeFailure(loss["reverse"])
-    if perts["forward"]:
-        out.chaos_forward = ChaosModel(perts["forward"],
-                                       name="forward").attach(topo.link_ab)
-    if perts["reverse"]:
-        out.chaos_reverse = ChaosModel(perts["reverse"],
-                                       name="reverse").attach(topo.link_ba)
+            perts.setdefault(spec.target, []).append(
+                _build_perturbation(spec, seed))
+    for target, link in wires.items():
+        if target in out.losses:
+            link.loss_model = CompositeFailure(out.losses[target])
+        if target in perts:
+            out.chaos[target] = ChaosModel(
+                perts[target], name=parse_link_target(target) or target,
+            ).attach(link)
     return out

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
-from .harness import SoakConfig, SoakResult, run_soak
+from .harness import SoakConfig, SoakResult
 from .schedule import FaultSpec
 
 __all__ = ["shrink", "write_reproducer", "load_reproducer"]
@@ -72,19 +72,6 @@ def shrink(
                 changed = True
                 break  # restart the scan over the shorter schedule
     return current, best, runs
-
-
-def shrink_result(
-    config: SoakConfig,
-    failing: SoakResult,
-    max_runs: int = 48,
-) -> tuple[list[FaultSpec], SoakResult, int]:
-    """Convenience wrapper: shrink a failing run by replaying its config."""
-    return shrink(
-        failing.schedule, failing,
-        lambda candidate: run_soak(config, candidate),
-        max_runs=max_runs,
-    )
 
 
 def _replay_command(config: SoakConfig, path: str) -> str:

@@ -27,7 +27,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".builders": ("abilene", "clos", "fat_tree", "random_isp", "ring"),
-    ".chaos": ("FabricSoakConfig", "FabricSoakResult", "fabric_soak"),
+    ".chaos": ("FabricSoakConfig", "fabric_soak"),
     ".deployment": ("FabricDeployment",),
     ".graph": ("FabricGraph", "FabricNetwork"),
     ".reroute": ("FabricRerouteController", "LfaTable", "SelectiveRerouteApp"),

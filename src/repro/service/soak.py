@@ -36,13 +36,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..chaos.invariants import Violation
 from ..chaos.schedule import FaultSpec
 from ..core.detector import FancyConfig
 from ..core.hashtree import HashTreeParams
 from ..fabric.builders import ring
 from ..fabric.chaos import (
-    as_directional,
+    _fault_start,
+    directional_schedule,
     link_target,
     materialize_on_fabric,
     parse_link_target,
@@ -249,28 +249,6 @@ def default_serve_schedule(config: ServeConfig) -> list[FaultSpec]:
     )]
 
 
-def _directional_schedule(link_id: str,
-                          schedule: list[FaultSpec]) -> list[FaultSpec]:
-    """Link-addressed specs, translated for one monitor's invariants.
-
-    A spec on the monitored link itself is its *forward* (data)
-    direction; a spec on the opposite directed link is its *reverse*
-    (control-return) channel — which is how a ``control_loss`` on
-    ``B->A`` legitimately explains impairment seen by ``A->B``'s monitor.
-    """
-    a, b = link_id.split("->")
-    reverse_id = f"{b}->{a}"
-    out: list[FaultSpec] = []
-    for spec in schedule:
-        target = parse_link_target(spec.target)
-        if target == link_id:
-            out.append(as_directional(spec))
-        elif target == reverse_id:
-            out.append(FaultSpec(kind=spec.kind, target="reverse",
-                                 params=dict(spec.params), index=spec.index))
-    return out
-
-
 # -- the per-link probe --------------------------------------------------------
 
 
@@ -321,7 +299,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         declare_grace_s=config.declare_grace_s,
         max_absorbed_cycles=config.max_absorbed_cycles)
 
-    link_schedule = _directional_schedule(link_id, schedule)
+    link_schedule = directional_schedule(link_id, schedule)
     dedicated0 = list(rotations[0][1])
     dedicated0_set = set(dedicated0)
     best_effort0 = [e for e in flow_rates if e not in dedicated0_set]
@@ -330,7 +308,8 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     observer = supervisor.watch(
         link_id, monitor, link_schedule, dedicated0, best_effort0,
         links=[net.links[lid] for lid in sorted(net.links)],
-        chaos_models=materialized.chaos_models_for(link_id, reverse_id))
+        chaos_models=materialized.chaos_models(net.links[link_id],
+                                               net.links[reverse_id]))
     supervisor.start()
 
     # -- fluid flows crossing this link, grouped by delay chain -------------
@@ -363,7 +342,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     def _snapshot(t: float, label: str) -> dict[str, Any]:
         report = FabricHealthReport.from_deployment(
             deployment, sim_time=t, ladders={link_id: ladder},
-            breaches={link_id: _breach_counts(observer.breaches)})
+            breaches={link_id: supervisor.breach_counts()})
         row = report.links[0].to_dict()
         return {"t": t, "label": label, "link": row}
 
@@ -397,13 +376,6 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     }
 
 
-def _breach_counts(breaches: list[Violation]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for violation in breaches:
-        counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def _schedule_reverse_episodes(net: FabricNetwork, monitor: Any,
                                link_id: str, reverse_id: str,
                                schedule: list[FaultSpec],
@@ -421,8 +393,7 @@ def _schedule_reverse_episodes(net: FabricNetwork, monitor: Any,
     for spec in schedule:
         if parse_link_target(spec.target) != reverse_id:
             continue
-        start = float(spec.params.get("start") or spec.params.get("time")
-                      or 0.0)
+        start = _fault_start(spec)
 
         def _open(spec: FaultSpec = spec, start: float = start) -> None:
             traces.begin_episode(

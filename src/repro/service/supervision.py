@@ -1,9 +1,8 @@
 """Online invariant supervision for long-running serves.
 
-The chaos harness evaluates I1–I6 at teardown — fine for a soak that
-lasts minutes, useless for a service meant to run simulated days: a
-liveness deadlock at hour 2 must surface at hour 2, not in a post-run
-report.  :class:`InvariantSupervisor` owns one
+A service meant to run simulated days cannot wait for teardown to learn
+of a breach: a liveness deadlock at hour 2 must surface at hour 2, not
+in a post-run report.  :class:`InvariantSupervisor` owns one
 :class:`~repro.chaos.invariants.LinkInvariantObserver` per monitored
 link and ticks them on a simulated-clock cadence; every breach is
 exported as ``fancy_invariant_breach_total{invariant=,link=}`` and fed

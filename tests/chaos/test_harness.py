@@ -10,6 +10,8 @@ have teeth.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.chaos.harness import (
 from repro.chaos.invariants import Violation
 from repro.chaos.schedule import FaultSpec
 from repro.chaos.shrink import load_reproducer, shrink, write_reproducer
+from repro.fabric.chaos import FabricSoakConfig, fabric_soak
 from repro.runtime import RuntimeContext
 
 QUICK = SoakConfig(duration_s=4.0, grace_s=2.5)
@@ -70,6 +73,47 @@ PINNED_REJECTIONS = {
     "stale-session": {"dedicated_sender": (0, 267), "tree_sender": (0, 128)},
     "control-plane-grey": {},
 }
+
+
+#: SHA-256 of ``json.dumps(result.to_dict(), sort_keys=True)``: the
+#: whole soak result — violations, schedule and every stat — recorded
+#: while the two-switch soak still ran on its own topology, its own
+#: fault wiring and its own checkpoint loop, and the ring soak on a
+#: copy of each.  One driver on the fabric may change no byte of either.
+PINNED_RESULTS = {
+    0: "ed5b329aca331fa89bbeba64a5c6011cce6a5ed4d14f7f314f2d72e4d04bdefc",
+    6: "f89f8659cced9200d755cf7a3b2aa49561fa5824ca05011841fc357ed2b988af",
+    "stale-session":
+        "f366f2eb93f2c2d7909b4b0e3874f505858acb3e65bd64e3925c22ae3e207192",
+    "control-plane-grey":
+        "b19ea0b2e2d4485c6fb18fc70987d7952e7d9ccc103cbe00a62bfb141801f38b",
+    "ring/3":
+        "612b492bc09a467387dae50708e2968b60f39da5a0b6d0c27e3ab98398dfd197",
+}
+
+
+def _result_sha(result) -> str:
+    text = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestResultsPinned:
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_seeded_soak_bytes(self, seed):
+        result = run_soak(dataclasses.replace(QUICK, seed=seed))
+        assert _result_sha(result) == PINNED_RESULTS[seed]
+
+    def test_failing_fixture_bytes(self, regression_failure):
+        _, _, result = regression_failure
+        assert _result_sha(result) == PINNED_RESULTS["stale-session"]
+
+    def test_clean_fixture_bytes(self):
+        result = run_soak(*regression_scenario("control-plane-grey", QUICK))
+        assert _result_sha(result) == PINNED_RESULTS["control-plane-grey"]
+
+    def test_ring_soak_bytes(self):
+        result = fabric_soak(FabricSoakConfig(seed=3))
+        assert _result_sha(result) == PINNED_RESULTS["ring/3"]
 
 
 class TestRejectionTotalsPinned:

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
+
+import pytest
 
 from repro.chaos.schedule import (
     _FORWARD_DISPLACEMENT_BUDGET_S,
     _REVERSE_DISPLACEMENT_BUDGET_S,
     FaultSpec,
     generate_schedule,
+    link_target,
     materialize,
 )
+from repro.fabric.builders import ring
+from repro.fabric.chaos import materialize_on_fabric
+from repro.fabric.graph import FabricGraph, FabricNetwork
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import CompositeFailure
 from repro.simulator.packet import PacketKind
-from repro.simulator.topology import TwoSwitchTopology
 
 DEDICATED = ["hp/0", "hp/1", "hp/2", "hp/3"]
 BEST_EFFORT = ["be/0", "be/1"]
@@ -126,6 +132,8 @@ class TestGenerateSchedule:
 
 
 class _RestartRecorder:
+    telemetry = None  # no trace collector: the fabric adapter roots no episode
+
     def __init__(self):
         self.calls = []
 
@@ -133,55 +141,130 @@ class _RestartRecorder:
         self.calls.append(side)
 
 
+class _PairWires:
+    """The two-switch soak's addressing: ``"forward"`` / ``"reverse"``
+    name the A->B / B->A wires of a two-node fabric."""
+
+    forward, reverse = "forward", "reverse"
+    names = ("forward", "reverse")
+    forward_displaces = frozenset({PacketKind.DATA})
+
+    def __init__(self):
+        self.sim = Simulator()
+        graph = FabricGraph("pair")
+        graph.add_edge("A", "B")
+        self.net = FabricNetwork(self.sim, graph)
+        self.forward_link = self.net.link("A", "B")
+        self.reverse_link = self.net.link("B", "A")
+
+    def materialize(self, schedule, monitor=None):
+        return materialize(
+            schedule, 0, self.sim,
+            {"forward": self.forward_link, "reverse": self.reverse_link},
+            {} if monitor is None else {"forward": monitor})
+
+
+class _FabricWires:
+    """Link-addressed targets on a ring, through the fabric adapter."""
+
+    forward, reverse = link_target("s1", "s2"), link_target("s2", "s1")
+    names = ("s1->s2", "s2->s1")
+    forward_displaces = None
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.net = FabricNetwork(self.sim, ring(4))
+        self.forward_link = self.net.link("s1", "s2")
+        self.reverse_link = self.net.link("s2", "s1")
+
+    def materialize(self, schedule, monitor=None):
+        deployment = (None if monitor is None
+                      else SimpleNamespace(monitors={"s1->s2": monitor}))
+        return materialize_on_fabric(schedule, 0, self.net, deployment)
+
+
+@pytest.fixture(params=[_PairWires, _FabricWires], ids=["pair", "fabric"])
+def wires(request):
+    return request.param()
+
+
 class TestMaterialize:
-    def test_wiring_by_kind(self):
-        sim = Simulator()
-        topo = TwoSwitchTopology(sim)
+    def test_wiring_by_kind(self, wires):
         monitor = _RestartRecorder()
         schedule = [
-            FaultSpec("entry_loss", "forward",
+            FaultSpec("entry_loss", wires.forward,
                       {"entries": ["hp/0"], "rate": 0.5, "start": 0.0,
                        "end": None}, index=0),
-            FaultSpec("control_loss", "reverse",
+            FaultSpec("control_loss", wires.reverse,
                       {"rate": 0.3, "start": 0.0, "end": 2.0}, index=1),
-            FaultSpec("reorder", "forward",
+            FaultSpec("reorder", wires.forward,
                       {"rate": 0.5, "max_displacement_s": 0.004,
                        "start": 0.0, "end": None}, index=2),
-            FaultSpec("switch_restart", "forward",
+            FaultSpec("switch_restart", wires.forward,
                       {"time": 1.0, "side": "downstream"}, index=3),
         ]
-        m = materialize(schedule, base_seed=0, sim=sim, topo=topo,
-                        monitor=monitor)
-        assert isinstance(topo.link_ab.loss_model, CompositeFailure)
-        assert isinstance(topo.link_ba.loss_model, CompositeFailure)
-        assert m.chaos_forward is not None and m.chaos_reverse is None
-        assert topo.link_ab.chaos is m.chaos_forward
-        # forward displacement faults are scoped to DATA packets only
-        assert m.chaos_forward.perturbations[0].kinds == \
-            frozenset({PacketKind.DATA})
+        m = wires.materialize(schedule, monitor)
+        assert list(m.losses) == [wires.forward, wires.reverse]
+        assert isinstance(wires.forward_link.loss_model, CompositeFailure)
+        assert isinstance(wires.reverse_link.loss_model, CompositeFailure)
+        # every wire no target names stays clean
+        others = [link for link in wires.net.links.values()
+                  if link not in (wires.forward_link, wires.reverse_link)]
+        assert all(link.loss_model is None and link.chaos is None
+                   for link in others)
+        assert list(m.chaos) == [wires.forward]
+        assert wires.forward_link.chaos is m.chaos[wires.forward]
+        assert wires.reverse_link.chaos is None
+        # "forward" displacement faults are scoped to DATA packets only;
+        # link-addressed ones displace every packet class
+        assert m.chaos[wires.forward].perturbations[0].kinds == \
+            wires.forward_displaces
         assert m.restarts == [schedule[3]]
-        sim.run(until=2.0)
+        wires.sim.run(until=2.0)
         assert monitor.calls == ["downstream"]
 
-    def test_fault_seeds_survive_deletion(self):
+    def test_fault_seeds_survive_deletion(self, wires):
         """Per-fault RNG seeds key off the *original* index, so deleting
         one fault leaves the survivors' streams untouched (shrink
         soundness)."""
-        sim_a, sim_b = Simulator(), Simulator()
-        topo_a, topo_b = TwoSwitchTopology(sim_a), TwoSwitchTopology(sim_b)
         schedule = [
-            FaultSpec("duplicate", "forward",
+            FaultSpec("duplicate", wires.forward,
                       {"rate": 0.5, "copies": 1, "start": 0.0, "end": None},
                       index=0),
-            FaultSpec("reorder", "forward",
+            FaultSpec("reorder", wires.forward,
                       {"rate": 0.5, "max_displacement_s": 0.004,
                        "start": 0.0, "end": None}, index=1),
         ]
-        full = materialize(schedule, 0, sim_a, topo_a, _RestartRecorder())
-        reduced = materialize(schedule[1:], 0, sim_b, topo_b,
-                              _RestartRecorder())
-        survivor_full = full.chaos_forward.perturbations[1]
-        survivor_reduced = reduced.chaos_forward.perturbations[0]
+        full = wires.materialize(schedule)
+        reduced = type(wires)().materialize(schedule[1:])
+        survivor_full = full.chaos[wires.forward].perturbations[1]
+        survivor_reduced = reduced.chaos[wires.forward].perturbations[0]
         assert survivor_full.seed == survivor_reduced.seed
         assert [survivor_full.rng.random() for _ in range(5)] == \
             [survivor_reduced.rng.random() for _ in range(5)]
+
+    def test_restart_requires_deployed_monitor(self, wires):
+        restart = FaultSpec("switch_restart", wires.forward,
+                            {"time": 0.5, "side": "upstream"}, index=0)
+        with pytest.raises(ValueError, match="no monitor deployed"):
+            wires.materialize([restart])
+
+    def test_one_chaos_model_per_wire(self, wires):
+        schedule = [
+            FaultSpec("reorder", wires.forward,
+                      {"rate": 0.2, "max_displacement_s": 0.002,
+                       "start": 0.0, "end": None}, index=0),
+            FaultSpec("duplicate", wires.reverse,
+                      {"rate": 0.1, "copies": 1, "start": 0.0, "end": None},
+                      index=1),
+            FaultSpec("duplicate", wires.forward,
+                      {"rate": 0.1, "copies": 1, "start": 0.0, "end": None},
+                      index=2),
+        ]
+        m = wires.materialize(schedule)
+        forward, reverse = m.chaos[wires.forward], m.chaos[wires.reverse]
+        assert (forward.name, reverse.name) == wires.names
+        assert len(forward.perturbations) == 2
+        assert len(reverse.perturbations) == 1
+        assert m.chaos_models() == [forward, reverse]
+        assert m.chaos_models(wires.reverse_link) == [reverse]

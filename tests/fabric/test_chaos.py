@@ -8,16 +8,14 @@ from repro.chaos.schedule import FaultSpec
 from repro.fabric.builders import ring
 from repro.fabric.chaos import (
     FabricSoakConfig,
-    as_directional,
     default_fabric_schedule,
+    directional_schedule,
     fabric_soak,
     link_target,
     materialize_on_fabric,
     parse_link_target,
 )
-from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
-from repro.simulator.failures import CompositeFailure
 
 
 class TestLinkTargets:
@@ -29,32 +27,38 @@ class TestLinkTargets:
         assert parse_link_target("forward") is None
         assert parse_link_target("reverse") is None
 
-    def test_as_directional_rewrites_target_only(self):
-        spec = FaultSpec("entry_loss", target="link:s1->s2",
-                         params={"entries": ["e"], "rate": 0.5,
-                                 "start": 0.5, "end": None}, index=3)
-        translated = as_directional(spec)
-        assert translated.target == "forward"
-        assert translated.kind == spec.kind
-        assert translated.params == spec.params
-        assert translated.index == spec.index
+    def test_directional_schedule_names_each_monitors_sides(self):
+        own = FaultSpec("entry_loss", target="link:s1->s2",
+                        params={"entries": ["e"], "rate": 0.5,
+                                "start": 0.5, "end": None}, index=3)
+        back = FaultSpec("control_loss", target="link:s2->s1",
+                         params={"rate": 0.2, "start": 0.0, "end": None},
+                         index=4)
+        elsewhere = FaultSpec("uniform_loss", target="link:s0->s1",
+                              params={"rate": 0.5, "start": 0.0, "end": None},
+                              index=5)
+        schedule = [own, back, elsewhere]
+        forward, reverse = directional_schedule("s1->s2", schedule)
+        assert (forward.target, reverse.target) == ("forward", "reverse")
+        for translated, spec in ((forward, own), (reverse, back)):
+            assert translated.kind == spec.kind
+            assert translated.params == spec.params
+            assert translated.index == spec.index
         # A copy, not an alias: mutating one must not leak to the other.
-        translated.params["rate"] = 0.9
-        assert spec.params["rate"] == 0.5
+        forward.params["rate"] = 0.9
+        assert own.params["rate"] == 0.5
+        # The opposite monitor sees the same two faults from the other side.
+        assert [(s.target, s.index)
+                for s in directional_schedule("s2->s1", schedule)] == [
+            ("reverse", 3), ("forward", 4)]
+        # A link no fault touches gets an empty view.
+        assert directional_schedule("s2->s3", schedule) == []
 
 
 class TestMaterialize:
-    def spec(self, kind="entry_loss", link="s1->s2", **params):
-        defaults = {"entries": ["e"], "rate": 1.0, "start": 0.1, "end": None}
-        defaults.update(params)
-        return FaultSpec(kind, target=f"link:{link}", params=defaults, index=0)
-
-    def test_loss_installed_on_named_link_only(self, sim):
-        net = FabricNetwork(sim, ring(4))
-        materialized = materialize_on_fabric([self.spec()], 0, net)
-        assert list(materialized.losses) == ["s1->s2"]
-        assert isinstance(net.links["s1->s2"].loss_model, CompositeFailure)
-        assert net.links["s2->s1"].loss_model is None
+    """The fabric adapter's own target validation.  The materializer it
+    hands off to is tested over pair and link targets alike in
+    tests/chaos/test_schedule.py."""
 
     def test_rejects_two_switch_targets(self, sim):
         net = FabricNetwork(sim, ring(4))
@@ -66,28 +70,11 @@ class TestMaterialize:
 
     def test_rejects_unknown_link(self, sim):
         net = FabricNetwork(sim, ring(4))
+        spec = FaultSpec("entry_loss", target=link_target("s0", "s2"),
+                         params={"entries": ["e"], "rate": 1.0,
+                                 "start": 0.1, "end": None}, index=0)
         with pytest.raises(KeyError):
-            materialize_on_fabric([self.spec(link="s0->s2")], 0, net)
-
-    def test_restart_requires_deployed_monitor(self, sim):
-        net = FabricNetwork(sim, ring(4))
-        restart = FaultSpec("switch_restart", target="link:s1->s2",
-                            params={"time": 0.5, "side": "upstream"}, index=0)
-        with pytest.raises(ValueError, match="no monitor deployed"):
-            materialize_on_fabric([restart], 0, net, deployment=None)
-        dep = FabricDeployment(net, links=["s1->s2"])
-        materialized = materialize_on_fabric([restart], 0, net, dep)
-        assert materialized.restarts == [restart]
-
-    def test_perturbations_become_per_link_chaos_models(self, sim):
-        net = FabricNetwork(sim, ring(4))
-        reorder = FaultSpec("reorder", target="link:s0->s1",
-                            params={"rate": 0.2, "max_displacement_s": 0.002,
-                                    "start": 0.0, "end": None}, index=0)
-        materialized = materialize_on_fabric([reorder], 0, net)
-        assert list(materialized.chaos) == ["s0->s1"]
-        assert materialized.chaos_models_for("s0->s1", "s1->s2") == [
-            materialized.chaos["s0->s1"]]
+            materialize_on_fabric([spec], 0, net)
 
 
 class TestSoakConfig:
@@ -122,3 +109,19 @@ class TestFabricSoak:
         serialized = result.to_dict()
         assert serialized["ok"] is True
         assert serialized["seed"] == 3
+
+    @pytest.mark.parametrize("fault", [
+        FaultSpec("control_loss", target="link:s2->s1",
+                  params={"rate": 1.0, "start": 0.5, "end": None}, index=1),
+        FaultSpec("corrupt", target="link:s2->s1",
+                  params={"field": "snapshot", "rate": 0.3, "start": 0.5,
+                          "end": None}, index=1),
+    ], ids=["dead-control-return", "corrupt-reports"])
+    def test_reverse_wire_faults_are_attributed(self, fault):
+        """A fault on ``s2->s1`` is ``s1->s2``'s control-return channel:
+        its LINK_DOWNs (I3) and its rejected corrupt Reports (I6) are
+        explained by it, not reported as violations."""
+        config = FabricSoakConfig(seed=3)
+        schedule = default_fabric_schedule(config) + [fault]
+        result = fabric_soak(config, schedule)
+        assert result.ok, [v.to_dict() for v in result.violations]
