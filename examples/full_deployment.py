@@ -13,63 +13,65 @@ Run:
 
 from __future__ import annotations
 
-from repro import (
-    ChainTopology,
-    FancyConfig,
-    FancyDeployment,
-    FlowGenerator,
-    HashTreeParams,
-    Simulator,
-)
+from collections import Counter
+
+from repro import FancyConfig, FlowGenerator, HashTreeParams, Simulator
+from repro.fabric import FabricDeployment, FabricNetwork, line
 from repro.simulator.failures import EntryLossFailure
 
 PREFIXES = [f"172.16.{i}.0/24" for i in range(6)]
 VICTIM = PREFIXES[2]
-FAILURE_HOP = 2  # the S2 -> S3 link
+FAILURE_HOP = ("s2", "s3")
 
 
 def main() -> None:
     sim = Simulator()
-    failure = EntryLossFailure({VICTIM}, 0.3, start_time=1.5, seed=1)
-    topo = ChainTopology(sim, n_switches=5, failure_hop=FAILURE_HOP,
-                         loss_model=failure, link_delay_s=0.005)
+    net = FabricNetwork(sim, line(5), link_delay_s=0.005)
+    net.link(*FAILURE_HOP).loss_model = EntryLossFailure(
+        {VICTIM}, 0.3, start_time=1.5, seed=1)
+    for prefix in PREFIXES:
+        net.add_entry(prefix, "s0", "s4")
 
-    deployment = FancyDeployment.on_chain(
-        sim, topo.switches,
+    path = list(net.switches)
+    deployment = FabricDeployment(
+        net,
         config=FancyConfig(
             high_priority=PREFIXES[:3],
             tree_params=HashTreeParams(width=32, depth=3, split=2),
         ),
+        links=list(zip(path, path[1:])),
     )
 
     for i, prefix in enumerate(PREFIXES):
-        FlowGenerator(sim, topo.source, prefix, rate_bps=1e6,
+        FlowGenerator(sim, net.host("s0"), prefix, rate_bps=1e6,
                       flows_per_second=10, seed=i,
                       flow_id_base=(i + 1) * 1_000_000).start()
 
     deployment.start(stagger_s=0.005)
     sim.run(until=8.0)
 
-    hops = " -> ".join(sw.name for sw in topo.switches)
-    print(f"path: {hops}   (FANcY on every link)")
+    print(f"path: {' -> '.join(path)}   (FANcY on every link)")
     print(f"failure: 30% loss on {VICTIM} between "
-          f"S{FAILURE_HOP} and S{FAILURE_HOP + 1}, from t=1.5s\n")
+          f"{FAILURE_HOP[0]} and {FAILURE_HOP[1]}, from t=1.5s\n")
 
+    records = deployment.detection_records()
+    per_link = Counter(link_id for link_id, *_ in records)
     print("per-link monitor status:")
-    for name, reports in deployment.reports_by_link().items():
-        status = f"{len(reports)} reports" if reports else "clean"
-        print(f"  {name:<14} {status}")
+    for link_id in deployment.monitors:
+        reports = per_link[link_id]
+        status = f"{reports} reports" if reports else "clean"
+        print(f"  {link_id:<14} {status}")
 
-    flagged_links = deployment.localize(VICTIM)
+    flagged_links = [link_id for link_id, entries in deployment.flagged().items()
+                     if VICTIM in entries]
     print(f"\nlocalization for {VICTIM}: {flagged_links}")
     print("-> unlike the partial deployment, the operator knows the exact "
           "switch port to drain.")
 
-    first = deployment.all_reports()[:1]
-    if first:
-        name, report = first[0]
-        print(f"\nfirst report: t={report.time:.2f}s on {name} "
-              f"({report.time - 1.5:.2f}s after onset)")
+    if records:
+        link_id, _kind, _entry, time, _session = min(records, key=lambda r: r[3])
+        print(f"\nfirst report: t={time:.2f}s on {link_id} "
+              f"({time - 1.5:.2f}s after onset)")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".core.bloom": ("BloomFilter", "CountingBloomFilter"),
     ".core.congestion": ("QueueGuard",),
-    ".core.deployment": ("FancyDeployment", "LinkSpec"),
     ".core.detector": ("FancyConfig", "FancyLinkMonitor"),
     ".core.entries": ("MonitoringInput",),
     ".core.hashtree": ("HashTree", "HashTreeParams"),
@@ -49,7 +48,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".simulator.link": ("Link",),
     ".simulator.packet": ("Packet", "PacketKind"),
     ".simulator.switch": ("Switch",),
-    ".simulator.topology": ("ChainTopology", "TwoSwitchTopology"),
+    ".simulator.topology": ("TwoSwitchTopology",),
     ".simulator.udp": ("UdpSource",),
 })
 __all__.append("__version__")

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".classify": ("by_field", "by_packet_size", "by_prefix", "compose"),
     ".congestion": ("GuardedSenderStrategy", "QueueGuard"),
     ".counters": ("DedicatedReceiverCounters", "DedicatedSenderCounters"),
-    ".deployment": ("FancyDeployment", "LinkSpec"),
     ".detector": ("FancyConfig", "FancyLinkMonitor"),
     ".entries": ("MonitoringInput", "Priority"),
     ".hashtree": ("HashTree", "HashTreeParams", "TreeCounters"),

@@ -12,8 +12,10 @@ tree zooms every 200 ms in the paper's evaluation (§5.1).
 
 The monitor works unchanged across non-adjacent switches (partial
 deployment, §4.3): control messages are ordinary packets that middle
-switches forward, so a monitor across a :class:`~repro.simulator.topology.
-ChainTopology` detects failures anywhere on the path.
+switches forward, so a monitor across the ends of a
+:func:`~repro.fabric.builders.line` detects failures anywhere on the path
+once the legacy switches route control messages — which carry no entry —
+with ``net.add_entry(None, first, last)``.
 """
 
 from __future__ import annotations

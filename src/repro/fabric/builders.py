@@ -1,4 +1,4 @@
-"""Topology builders: ring, Clos/fat-tree, and ISP-style graphs.
+"""Topology builders: line, star, ring, Clos/fat-tree, and ISP-style graphs.
 
 All builders return a :class:`~repro.fabric.graph.FabricGraph` whose
 node and edge insertion order is a pure function of the arguments —
@@ -14,7 +14,39 @@ import random
 from ..runtime.jobs import stable_seed
 from .graph import FabricGraph
 
-__all__ = ["ring", "clos", "fat_tree", "abilene", "random_isp"]
+__all__ = ["line", "star", "ring", "clos", "fat_tree", "abilene", "random_isp"]
+
+
+def line(n: int) -> FabricGraph:
+    """``n`` switches in a path: ``s0 - s1 - ... - s{n-1}``.
+
+    The partial-deployment path of §4.3: a monitor across its two ends
+    counts over every legacy switch in between.
+    """
+    if n < 2:
+        raise ValueError("line needs at least two switches")
+    g = FabricGraph(f"line{n}")
+    for i in range(n):
+        g.add_node(f"s{i}")
+    for i in range(n - 1):
+        g.add_edge(f"s{i}", f"s{i + 1}")
+    return g
+
+
+def star(n: int) -> FabricGraph:
+    """One ``hub`` with ``n`` peers ``peer0 ... peer{n-1}``.
+
+    The paper's per-port framing (a switch keeping counting sessions with
+    *all* its downstream switches, §3/§5): hub port ``i + 1`` faces peer
+    ``i``.
+    """
+    if n < 1:
+        raise ValueError("star needs at least one peer")
+    g = FabricGraph(f"star{n}")
+    g.add_node("hub")
+    for i in range(n):
+        g.add_edge("hub", f"peer{i}")
+    return g
 
 
 def ring(n: int) -> FabricGraph:

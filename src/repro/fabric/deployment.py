@@ -39,7 +39,8 @@ class FabricDeployment:
         config: base monitor configuration; each link's monitor gets a
             copy with a link-derived hash seed.
         links: directed links to monitor — ``"A->B"`` ids or ``(a, b)``
-            pairs.  Defaults to every directed switch-switch link.
+            pairs; an empty selection raises ``ValueError``.  Defaults to
+            every directed switch-switch link.
         telemetry: optional shared telemetry session; monitors receive
             per-link forks off its registry.
     """
@@ -59,6 +60,8 @@ class FabricDeployment:
         else:
             wanted = [sel if isinstance(sel, str) else net.link_id(*sel)
                       for sel in links]
+            if not wanted:
+                raise ValueError("deployment needs at least one link")
         self.monitors: dict[str, FancyLinkMonitor] = {}
         for link_id in wanted:
             a, b = net.endpoints(link_id)

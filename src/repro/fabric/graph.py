@@ -272,6 +272,9 @@ class FabricNetwork:
             raise ValueError("entry endpoints must differ")
         if entry in self.entry_dst:
             raise ValueError(f"entry {entry!r} already registered")
+        for node in (src, dst):
+            if node not in self.switches:
+                raise KeyError(f"no node {node!r} in {self.graph.name}")
         self.host(src)
         self.host(dst)
         self.entry_src[entry] = src

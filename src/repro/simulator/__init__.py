@@ -24,7 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".packet": ("FANCY_TAG_BYTES", "MIN_FRAME_BYTES", "Packet", "PacketKind"),
     ".switch": ("Node", "Switch"),
     ".tcp": ("DEFAULT_RTO", "TcpFlow", "TcpSink"),
-    ".topology": ("ChainTopology", "StarTopology", "TwoSwitchTopology"),
+    ".topology": ("TwoSwitchTopology",),
     ".tracing": ("PacketTracer", "TraceEvent"),
     ".udp": ("UdpSource",),
 })

@@ -7,9 +7,9 @@ builds exactly that:
     source host --- upstream switch A === monitored link === downstream
     switch B --- sink host
 
-with the gray failure injected on the A→B wire.  ACKs travel B→A.  The
-:class:`ChainTopology` strings several switches for the partial-deployment
-scenario of §4.3, where FANcY runs only at the two ends of a path.
+with the gray failure injected on the A→B wire.  ACKs travel B→A.
+Topologies with more switches — the chains and stars of §4.3 — are
+:mod:`repro.fabric` builders.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .link import Link, connect_duplex
 from .packet import Packet
 from .switch import Switch
 
-__all__ = ["TwoSwitchTopology", "ChainTopology", "StarTopology"]
+__all__ = ["TwoSwitchTopology"]
 
 # Port conventions for the two-switch topology.
 PORT_TO_HOST = 0
@@ -106,158 +106,3 @@ class TwoSwitchTopology:
     @property
     def monitored_link(self) -> Link:
         return self.link_ab
-
-
-class ChainTopology:
-    """A chain of ``n`` switches between a source and a sink host.
-
-    Used for partial-deployment experiments: FANcY instances sit on the
-    first and last switch, and a failure anywhere along the chain must be
-    detected (though not pinpointed to a hop, per §4.3).
-
-    ``telemetry`` threads a :class:`repro.telemetry.Telemetry` session
-    into every switch and every inter-switch link pair, mirroring
-    :class:`TwoSwitchTopology` (host access links stay uninstrumented).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_switches: int = 3,
-        link_delay_s: float = 0.010,
-        link_bandwidth_bps: float | None = 100e9,
-        failure_hop: int | None = None,
-        loss_model: Callable[[Packet, float], bool] | None = None,
-        tm_queue_packets: int | None = 10000,
-        telemetry: Any | None = None,
-    ) -> None:
-        if n_switches < 2:
-            raise ValueError("chain needs at least two switches")
-        if failure_hop is not None and not 0 <= failure_hop < n_switches - 1:
-            raise ValueError(f"failure_hop must be in [0, {n_switches - 2}]")
-        self.sim = sim
-        self.source = Host(sim, "src-host")
-        self.sink = Host(sim, "dst-host", auto_sink=True)
-        self.switches = [Switch(sim, f"S{i}", tm_queue_packets=tm_queue_packets,
-                                telemetry=telemetry)
-                         for i in range(n_switches)]
-        self.links: list[Link] = []
-
-        connect_duplex(sim, self.source, 0, self.switches[0], PORT_TO_HOST,
-                       bandwidth_bps=None, delay_s=0.0001)
-        for i in range(n_switches - 1):
-            loss = loss_model if failure_hop == i else None
-            fwd, _rev = connect_duplex(
-                sim, self.switches[i], PORT_TO_PEER, self.switches[i + 1], 2,
-                bandwidth_bps=link_bandwidth_bps, delay_s=link_delay_s,
-                loss_model_ab=loss, telemetry=telemetry,
-            )
-            self.links.append(fwd)
-        connect_duplex(sim, self.switches[-1], PORT_TO_HOST, self.sink, 0,
-                       bandwidth_bps=None, delay_s=0.0001)
-
-        for i, sw in enumerate(self.switches):
-            if i < n_switches - 1:
-                sw.set_default_route(PORT_TO_PEER)
-            else:
-                sw.set_default_route(PORT_TO_HOST)
-
-        # Reverse path: hook every switch to bounce reverse packets back
-        # toward the source.
-        def make_reverse_hook(sw: Switch, out_port: int) -> Callable[[Packet, int], bool]:
-            def hook(packet: Packet, _in_port: int) -> bool:
-                if packet.reverse:
-                    sw._egress(packet, out_port)
-                    return False
-                return True
-            return hook
-
-        for i, sw in enumerate(self.switches):
-            back_port = PORT_TO_HOST if i == 0 else 2
-            if i < n_switches - 1:
-                sw.add_ingress_hook(PORT_TO_PEER, make_reverse_hook(sw, back_port))
-        last = self.switches[-1]
-        last.add_ingress_hook(PORT_TO_HOST, make_reverse_hook(last, 2))
-
-    @property
-    def first(self) -> Switch:
-        return self.switches[0]
-
-    @property
-    def last(self) -> Switch:
-        return self.switches[-1]
-
-
-class StarTopology:
-    """One central switch with ``n`` downstream peers — the paper's
-    per-port framing (a 64-port switch maintaining counting sessions with
-    *all* its downstream switches, §3/§5).
-
-    Traffic for peer ``i``'s entries enters at the source host, crosses
-    the hub, and exits on port ``i + 1``; each hub→peer link can carry its
-    own gray failure.  Port 0 faces the source host.
-
-    ``telemetry`` threads a :class:`repro.telemetry.Telemetry` session
-    into the hub, every peer switch, and every hub↔peer link pair.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_peers: int = 4,
-        link_delay_s: float = 0.010,
-        link_bandwidth_bps: float | None = 100e9,
-        loss_models: dict[int, Callable[[Packet, float], bool]] | None = None,
-        tm_queue_packets: int | None = 10000,
-        telemetry: Any | None = None,
-    ) -> None:
-        if n_peers < 1:
-            raise ValueError("star needs at least one peer")
-        self.sim = sim
-        self.n_peers = n_peers
-        self.source = Host(sim, "src-host")
-        self.hub = Switch(sim, "hub", tm_queue_packets=tm_queue_packets,
-                          telemetry=telemetry)
-        self.peers: list[Switch] = []
-        self.sinks: list[Host] = []
-        self.links: list[Link] = []
-        loss_models = loss_models or {}
-
-        connect_duplex(sim, self.source, 0, self.hub, 0,
-                       bandwidth_bps=None, delay_s=0.0001)
-        for i in range(n_peers):
-            peer = Switch(sim, f"peer{i}", tm_queue_packets=tm_queue_packets,
-                          telemetry=telemetry)
-            sink = Host(sim, f"sink{i}", auto_sink=True)
-            fwd, _rev = connect_duplex(
-                sim, self.hub, i + 1, peer, 1,
-                bandwidth_bps=link_bandwidth_bps, delay_s=link_delay_s,
-                loss_model_ab=loss_models.get(i), telemetry=telemetry,
-            )
-            connect_duplex(sim, peer, 0, sink, 0,
-                           bandwidth_bps=None, delay_s=0.0001)
-            peer.set_default_route(0)
-            self.peers.append(peer)
-            self.sinks.append(sink)
-            self.links.append(fwd)
-
-            def make_reverse(sw: Switch, port: int) -> Callable[[Packet, int], bool]:
-                def hook(packet: Packet, _in: int) -> bool:
-                    if packet.reverse:
-                        sw._egress(packet, port)
-                        return False
-                    return True
-                return hook
-
-            peer.add_ingress_hook(0, make_reverse(peer, 1))
-            self.hub.add_ingress_hook(i + 1, make_reverse(self.hub, 0))
-
-    def hub_port(self, peer_index: int) -> int:
-        """Hub egress port facing ``peer_index``."""
-        if not 0 <= peer_index < self.n_peers:
-            raise IndexError(f"no peer {peer_index}")
-        return peer_index + 1
-
-    def route_entries(self, peer_index: int, entries: Any) -> None:
-        """Steer the given entries toward one peer."""
-        self.hub.add_routes(entries, self.hub_port(peer_index))

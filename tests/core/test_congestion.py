@@ -6,16 +6,26 @@ from __future__ import annotations
 from repro.core.congestion import GuardedSenderStrategy, QueueGuard
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.output import FailureKind
+from repro.fabric import FabricNetwork, line
 from repro.simulator.apps import FlowGenerator
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import EntryLossFailure
-from repro.simulator.topology import ChainTopology
+
+
+def partial_monitor(sim, net, config):
+    """FANcY only at the two ends of ``net``'s line, control messages
+    (which carry no entry) routed across the legacy switches between."""
+    first, last = net.graph.nodes[0], net.graph.nodes[-1]
+    net.add_entry(None, first, last)
+    return FancyLinkMonitor(
+        sim, net.switch(first), net.port_to(first, net.graph.nodes[1]),
+        net.switch(last), net.port_to(last, net.graph.nodes[-2]), config)
 
 
 class TestQueueGuard:
     def test_no_traffic_no_congestion(self, sim):
-        topo = ChainTopology(sim, n_switches=3)
-        guard = QueueGuard(sim, topo.switches, threshold_packets=10)
+        net = FabricNetwork(sim, line(3))
+        guard = QueueGuard(sim, net.switches.values(), threshold_packets=10)
         guard.start()
         sim.run(until=1.0)
         assert guard.congested_intervals == []
@@ -23,10 +33,11 @@ class TestQueueGuard:
 
     def test_detects_congested_interval(self, sim):
         # 2 Mbps bottleneck chain, 10 Mbps offered: queues build fast.
-        topo = ChainTopology(sim, n_switches=3, link_bandwidth_bps=2e6)
-        guard = QueueGuard(sim, topo.switches, threshold_packets=10)
+        net = FabricNetwork(sim, line(3), link_bandwidth_bps=2e6)
+        net.add_entry("e", "s0", "s2")
+        guard = QueueGuard(sim, net.switches.values(), threshold_packets=10)
         guard.start()
-        FlowGenerator(sim, topo.source, "e", rate_bps=10e6, flows_per_second=20,
+        FlowGenerator(sim, net.host("s0"), "e", rate_bps=10e6, flows_per_second=20,
                       seed=1).start()
         sim.run(until=2.0)
         guard.stop()
@@ -94,23 +105,22 @@ class TestPartialDeploymentScenario:
         # Small TM queues keep drops (not just delay) flowing, and the
         # retransmission timeout is sized above the worst-case queueing
         # delay so the protocol itself survives the congestion.  The
-        # bottleneck must sit at a *legacy* (middle) switch: S1's TM drops
-        # happen between the two counting points, unlike S0's own TM.
-        topo = ChainTopology(sim, n_switches=4, tm_queue_packets=30)
-        topo.links[1].bandwidth_bps = 1.5e6
-        monitor = FancyLinkMonitor(
-            sim, topo.first, 1, topo.last, 2,
-            FancyConfig(high_priority=["e"], tree_params=None,
-                        rtx_timeout_s=0.4),
-        )
+        # bottleneck must sit at a *legacy* (middle) switch: s1's TM drops
+        # happen between the two counting points, unlike s0's own TM.
+        net = FabricNetwork(sim, line(4), tm_queue_packets=30)
+        net.link("s1", "s2").bandwidth_bps = 1.5e6
+        net.add_entry("e", "s0", "s3")
+        monitor = partial_monitor(
+            sim, net, FancyConfig(high_priority=["e"], tree_params=None,
+                                  rtx_timeout_s=0.4))
         if with_guard:
             # Threshold low enough that the guard trips before the first
             # congestion-dirtied session closes.
-            guard = QueueGuard(sim, topo.switches, threshold_packets=5,
+            guard = QueueGuard(sim, net.switches.values(), threshold_packets=5,
                                sample_interval_s=0.002)
             guard.start()
             monitor.attach_congestion_guard(guard)
-        FlowGenerator(sim, topo.source, "e", rate_bps=8e6, flows_per_second=20,
+        FlowGenerator(sim, net.host("s0"), "e", rate_bps=8e6, flows_per_second=20,
                       seed=1).start()
         monitor.start()
         sim.run(until=4.0)
@@ -130,17 +140,16 @@ class TestPartialDeploymentScenario:
     def test_guard_does_not_mask_real_failures_on_clean_path(self):
         """On an uncongested path, real gray failures still surface."""
         sim = Simulator()
-        failure = EntryLossFailure({"e"}, 0.5, start_time=1.0, seed=1)
-        topo = ChainTopology(sim, n_switches=4, failure_hop=1,
-                             loss_model=failure)
-        monitor = FancyLinkMonitor(
-            sim, topo.first, 1, topo.last, 2,
-            FancyConfig(high_priority=["e"], tree_params=None),
-        )
-        guard = QueueGuard(sim, topo.switches, threshold_packets=20)
+        net = FabricNetwork(sim, line(4))
+        net.link("s1", "s2").loss_model = EntryLossFailure(
+            {"e"}, 0.5, start_time=1.0, seed=1)
+        net.add_entry("e", "s0", "s3")
+        monitor = partial_monitor(
+            sim, net, FancyConfig(high_priority=["e"], tree_params=None))
+        guard = QueueGuard(sim, net.switches.values(), threshold_packets=20)
         guard.start()
         monitor.attach_congestion_guard(guard)
-        FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
+        FlowGenerator(sim, net.host("s0"), "e", rate_bps=1e6, flows_per_second=10,
                       seed=1).start()
         monitor.start()
         sim.run(until=5.0)

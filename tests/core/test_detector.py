@@ -7,9 +7,10 @@ import pytest
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams
 from repro.core.output import FailureKind
+from repro.fabric import FabricNetwork, line
 from repro.simulator.apps import FlowGenerator
 from repro.simulator.failures import ControlPlaneFailure, EntryLossFailure
-from repro.simulator.topology import ChainTopology, TwoSwitchTopology
+from repro.simulator.topology import TwoSwitchTopology
 
 SMALL_TREE = HashTreeParams(width=16, depth=3, split=2, pipelined=True)
 
@@ -150,12 +151,15 @@ class TestPartialDeployment:
     def test_monitor_across_chain_detects_midpath_failure(self, sim):
         """§4.3: FANcY at the ends of a path detects failures anywhere on
         it, without pinpointing the hop."""
-        failure = EntryLossFailure({"hp"}, 0.5, start_time=1.0, seed=1)
-        topo = ChainTopology(sim, n_switches=4, failure_hop=1,
-                             loss_model=failure)
+        net = FabricNetwork(sim, line(4))
+        net.link("s1", "s2").loss_model = EntryLossFailure(
+            {"hp"}, 0.5, start_time=1.0, seed=1)
+        net.add_entry("hp", "s0", "s3")
+        net.add_entry(None, "s0", "s3")  # routes the entry-less control messages
         config = FancyConfig(high_priority=["hp"], tree_params=None)
-        monitor = FancyLinkMonitor(sim, topo.first, 1, topo.last, 2, config)
-        FlowGenerator(sim, topo.source, "hp", rate_bps=1e6, flows_per_second=10,
+        monitor = FancyLinkMonitor(sim, net.switch("s0"), net.port_to("s0", "s1"),
+                                   net.switch("s3"), net.port_to("s3", "s2"), config)
+        FlowGenerator(sim, net.host("s0"), "hp", rate_bps=1e6, flows_per_second=10,
                       seed=1).start()
         monitor.start()
         sim.run(until=5.0)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from repro.core.detector import FancyConfig
-from repro.fabric.builders import ring
+import pytest
+
+from repro.core.detector import FancyConfig, FancyLinkMonitor
+from repro.fabric.builders import line, ring
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
+from repro.simulator.apps import FlowGenerator
+from repro.simulator.engine import Simulator
 from repro.simulator.failures import EntryLossFailure
 from repro.simulator.udp import UdpSource
 from repro.telemetry import Telemetry
@@ -34,6 +38,11 @@ class TestConstruction:
         _net, dep = monitored_ring(sim)
         seeds = {m.config.seed for m in dep.monitors.values()}
         assert len(seeds) == dep.n_sessions
+
+    def test_empty_deployment_rejected(self, sim):
+        net = FabricNetwork(sim, ring(4))
+        with pytest.raises(ValueError):
+            FabricDeployment(net, links=[])
 
     def test_telemetry_forks_share_registry(self, sim):
         telemetry = Telemetry()
@@ -90,3 +99,125 @@ class TestDetection:
         dep.stop()
         sim.run()  # drain: must terminate without monitors rescheduling
         assert sim.now < 10.0
+
+
+ENTRIES = ["e0", "e1", "e2"]
+
+
+def build_chain(sim, failure_hop=1, loss_rate=0.5):
+    """Per-link FANcY on every forward link of ``line(4)``, with ``e1``
+    lossy on the hop ``s{failure_hop} -> s{failure_hop + 1}``."""
+    net = FabricNetwork(sim, line(4))
+    net.link(f"s{failure_hop}", f"s{failure_hop + 1}").loss_model = \
+        EntryLossFailure({"e1"}, loss_rate, start_time=1.0, seed=1)
+    for entry in ENTRIES:
+        net.add_entry(entry, "s0", "s3")
+    path = list(net.switches)
+    deployment = FabricDeployment(
+        net, config=FancyConfig(high_priority=ENTRIES, tree_params=None),
+        links=list(zip(path, path[1:])),
+    )
+    for i, entry in enumerate(ENTRIES):
+        FlowGenerator(sim, net.host("s0"), entry, rate_bps=1e6, flows_per_second=10,
+                      seed=i + 1, flow_id_base=(i + 1) * 1_000_000).start()
+    return net, deployment
+
+
+def localize(deployment, entry):
+    """Links whose monitor flags ``entry``: the operator's localization."""
+    return [link_id for link_id, entries in deployment.flagged().items()
+            if entry in entries]
+
+
+class TestFullDeployment:
+    """§4.3: FANcY at every switch localizes a failure to one hop."""
+
+    def test_monitors_every_link(self, sim):
+        _net, deployment = build_chain(sim)
+        assert list(deployment.monitors) == ["s0->s1", "s1->s2", "s2->s3"]
+
+    def test_failure_localized_to_exactly_one_link(self, sim):
+        """The whole point of per-link deployment: the failing hop is
+        pinpointed, not just 'somewhere on the path'."""
+        _net, deployment = build_chain(sim, failure_hop=1)
+        deployment.start()
+        sim.run(until=5.0)
+        assert localize(deployment, "e1") == ["s1->s2"]
+
+    def test_healthy_entries_nowhere_flagged(self, sim):
+        _net, deployment = build_chain(sim)
+        deployment.start()
+        sim.run(until=5.0)
+        assert localize(deployment, "e0") == []
+        assert localize(deployment, "e2") == []
+
+    def test_reports_attributed_to_raising_link(self, sim):
+        _net, deployment = build_chain(sim, failure_hop=2)
+        deployment.start()
+        sim.run(until=5.0)
+        raising = {link_id for link_id, *_ in deployment.detection_records()}
+        assert raising == {"s2->s3"}
+
+    def test_flagged_entries_view(self, sim):
+        _net, deployment = build_chain(sim, failure_hop=0)
+        deployment.start()
+        sim.run(until=5.0)
+        assert deployment.flagged() == {"s0->s1": ["e1"]}
+
+    def test_staggered_start(self, sim):
+        _net, deployment = build_chain(sim)
+        deployment.start(stagger_s=0.01)
+        sim.run(until=5.0)
+        assert localize(deployment, "e1")
+
+    def test_distinct_seeds_across_links(self, sim):
+        net = FabricNetwork(sim, line(3))
+        deployment = FabricDeployment(
+            net, config=FancyConfig(high_priority=[]),
+            links=["s0->s1", "s1->s2"])
+        monitors = list(deployment.monitors.values())
+        paths = {m.tree_strategy.tree.hash_path("e") for m in monitors}
+        assert len(paths) == len(monitors)  # independent hash functions
+
+    def test_stop_all(self, sim):
+        _net, deployment = build_chain(sim)
+        deployment.start()
+        sim.run(until=1.0)
+        deployment.stop()
+        sessions = [m.dedicated_sender.session_id for m in deployment.monitors.values()]
+        sim.run(until=3.0)
+        assert [m.dedicated_sender.session_id
+                for m in deployment.monitors.values()] == sessions
+
+
+class TestPartialDeployment:
+    """§4.3: one monitor across the ends of a line of legacy switches."""
+
+    def _run(self, control_route: bool) -> FancyLinkMonitor:
+        sim = Simulator()
+        net = FabricNetwork(sim, line(4))
+        net.link("s1", "s2").loss_model = EntryLossFailure(
+            {"hp"}, 0.5, start_time=1.0, seed=1)
+        net.add_entry("hp", "s0", "s3")
+        if control_route:
+            net.add_entry(None, "s0", "s3")
+        monitor = FancyLinkMonitor(
+            sim, net.switch("s0"), net.port_to("s0", "s1"),
+            net.switch("s3"), net.port_to("s3", "s2"),
+            FancyConfig(high_priority=["hp"], tree_params=None),
+        )
+        FlowGenerator(sim, net.host("s0"), "hp", rate_bps=1e6,
+                      flows_per_second=10, seed=1).start()
+        monitor.start()
+        sim.run(until=5.0)
+        return monitor
+
+    def test_legacy_switches_drop_control_without_its_route(self):
+        monitor = self._run(control_route=False)
+        assert monitor.dedicated_sender.sessions_completed == 0
+        assert not monitor.entry_is_flagged("hp")
+
+    def test_control_route_completes_sessions_and_flags(self):
+        monitor = self._run(control_route=True)
+        assert monitor.dedicated_sender.sessions_completed > 0
+        assert monitor.entry_is_flagged("hp")

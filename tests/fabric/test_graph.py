@@ -108,6 +108,15 @@ class TestFabricNetwork:
         with pytest.raises(ValueError):
             net.add_entry("f", "a", "a")  # degenerate endpoints
 
+    @pytest.mark.parametrize("src,dst", [("s0", "s9"), ("s9", "s0")])
+    def test_add_entry_unknown_node_changes_nothing(self, sim, src, dst):
+        net = FabricNetwork(sim, ring(4))
+        with pytest.raises(KeyError, match="s9"):
+            net.add_entry("e", src, dst)
+        assert net.hosts == {}
+        assert net.entry_src == {} and net.entry_dst == {}
+        net.add_entry("e", "s0", "s2")  # the failed call reserved nothing
+
     def test_traffic_delivered_across_fabric(self, sim):
         net = FabricNetwork(sim, ring(6))
         net.add_entry("e", "s0", "s2")

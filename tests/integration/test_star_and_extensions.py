@@ -5,64 +5,64 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.deployment import FancyDeployment, LinkSpec
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.entries import MonitoringInput
 from repro.core.memory import MemoryBudgetError
 from repro.core.output import FailureKind
+from repro.fabric import FabricDeployment, FabricNetwork, star
 from repro.simulator.apps import FlowGenerator
 from repro.simulator.failures import EntryLossFailure, IntermittentFailure
-from repro.simulator.topology import StarTopology, TwoSwitchTopology
+from repro.simulator.topology import TwoSwitchTopology
 
 
-class TestStarTopology:
-    def _build(self, sim, n_peers=3, loss_models=None):
-        topo = StarTopology(sim, n_peers=n_peers, loss_models=loss_models)
+class TestStar:
+    def _build(self, sim, n_peers=3):
+        net = FabricNetwork(sim, star(n_peers))
         entries = {}
         for i in range(n_peers):
             peer_entries = [f"peer{i}/e{j}" for j in range(2)]
-            topo.route_entries(i, peer_entries)
+            for entry in peer_entries:
+                net.add_entry(entry, "hub", f"peer{i}")
             entries[i] = peer_entries
             for j, entry in enumerate(peer_entries):
-                FlowGenerator(sim, topo.source, entry, rate_bps=1e6,
+                FlowGenerator(sim, net.host("hub"), entry, rate_bps=1e6,
                               flows_per_second=10, seed=i * 10 + j,
                               flow_id_base=(i * 10 + j + 1) * 1_000_000).start()
-        return topo, entries
+        return net, entries
 
     def test_traffic_reaches_correct_peer(self, sim):
-        topo, entries = self._build(sim)
+        net, entries = self._build(sim)
         sim.run(until=2.0)
-        for i, sink in enumerate(topo.sinks):
-            assert sink.packets_received > 0
+        for i in entries:
+            assert net.host(f"peer{i}").packets_received > 0
 
     def test_per_port_monitors_localize_to_the_right_port(self, sim):
         """The hub monitors every port, like the paper's 64-port switch;
         a failure on one port flags only that port's monitor."""
-        failure = EntryLossFailure({"peer1/e0"}, 0.5, start_time=1.0, seed=1)
-        topo, entries = self._build(sim, loss_models={1: failure})
-        links = [
-            LinkSpec(topo.hub, topo.hub_port(i), topo.peers[i], 1)
-            for i in range(topo.n_peers)
-        ]
-        deployment = FancyDeployment(
-            sim, links,
+        net, entries = self._build(sim)
+        net.link("hub", "peer1").loss_model = EntryLossFailure(
+            {"peer1/e0"}, 0.5, start_time=1.0, seed=1)
+        deployment = FabricDeployment(
+            net,
             config=FancyConfig(
                 high_priority=[e for es in entries.values() for e in es],
                 tree_params=None,
             ),
+            links=[("hub", f"peer{i}") for i in entries],
         )
         deployment.start()
         sim.run(until=5.0)
-        flagged = deployment.localize("peer1/e0")
-        assert len(flagged) == 1
-        assert "hub:2" in flagged[0]
+        flagged = [link_id for link_id, flags in deployment.flagged().items()
+                   if "peer1/e0" in flags]
+        assert flagged == ["hub->peer1"]
+        assert deployment.monitors["hub->peer1"].up_port == 2
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):
-            StarTopology(sim, n_peers=0)
-        topo = StarTopology(sim, n_peers=2)
-        with pytest.raises(IndexError):
-            topo.hub_port(5)
+            star(0)
+        net = FabricNetwork(sim, star(2))
+        with pytest.raises(KeyError):
+            net.port_to("hub", "peer5")
 
 
 class TestIntermittentFailures:

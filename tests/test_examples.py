@@ -28,7 +28,7 @@ class TestExamples:
 
     def test_full_deployment(self, capsys):
         out = run_example("full_deployment.py", capsys)
-        assert "['S2:1->S3:2']" in out
+        assert "['s2->s3']" in out
 
     def test_capacity_planning(self, capsys):
         out = run_example("capacity_planning.py", capsys)
