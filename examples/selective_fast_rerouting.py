@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Selective fast rerouting (the §6.1 case study, Figure 10).
 
-A FANcY switch has a primary and a backup path to the next hop.  At
-t=2 s, the primary path starts silently dropping 10 % of one prefix's
-packets.  FANcY detects the mismatching counters, flags the entry, and
-the rerouting app steers *only that prefix* onto the backup path — in
-well under a second, while every other prefix stays on the primary.
+Three switches in a ring: ``s0`` reaches ``s1`` directly (the primary
+path) and through ``s2`` (the backup).  At t=2 s, the primary path
+starts silently dropping 10 % of one prefix's packets.  FANcY detects
+the mismatching counters, flags the entry, and the reroute controller
+installs a repair path for *only that prefix* — in well under a second,
+while every other prefix stays on the primary.
 
 Run:
     python examples/selective_fast_rerouting.py
@@ -13,76 +14,59 @@ Run:
 
 from __future__ import annotations
 
-from repro import FancyConfig, FancyLinkMonitor, FlowGenerator, Simulator, UdpSource
-from repro.apps.rerouting import FastRerouteApp
-from repro.simulator.apps import Host, ThroughputMeter
+from repro import FancyConfig, FlowGenerator, Simulator, UdpSource
+from repro.fabric import (
+    FabricDeployment,
+    FabricNetwork,
+    FabricRerouteController,
+    ring,
+)
+from repro.simulator.apps import ThroughputMeter
 from repro.simulator.failures import EntryLossFailure
-from repro.simulator.link import connect_duplex
-from repro.simulator.packet import Packet
-from repro.simulator.switch import Switch
 
 VICTIM, INNOCENT = "203.0.113.0/24", "198.51.100.0/24"
 FAILURE_TIME = 2.0
 
 
-def build(sim: Simulator):
-    failure = EntryLossFailure({VICTIM}, 0.10, start_time=FAILURE_TIME, seed=1)
-    source, sink = Host(sim, "src"), Host(sim, "dst", auto_sink=True)
-    fancy, peer = Switch(sim, "fancy"), Switch(sim, "peer")
-
-    connect_duplex(sim, source, 0, fancy, 0, bandwidth_bps=None, delay_s=1e-4)
-    connect_duplex(sim, fancy, 1, peer, 1, bandwidth_bps=100e9, delay_s=1e-3,
-                   loss_model_ab=failure)                      # primary
-    connect_duplex(sim, fancy, 2, peer, 2, bandwidth_bps=100e9, delay_s=1e-3)  # backup
-    connect_duplex(sim, peer, 0, sink, 0, bandwidth_bps=None, delay_s=1e-4)
-    fancy.set_default_route(1)
-    peer.set_default_route(0)
-
-    def bounce(sw: Switch, port: int):
-        def hook(packet: Packet, _in: int) -> bool:
-            if packet.reverse:
-                sw._egress(packet, port)
-                return False
-            return True
-        return hook
-
-    peer.add_ingress_hook(0, bounce(peer, 1))
-    fancy.add_ingress_hook(1, bounce(fancy, 0))
-    fancy.add_ingress_hook(2, bounce(fancy, 0))
-    return source, sink, fancy, peer
-
-
 def main() -> None:
     sim = Simulator()
-    source, sink, fancy, peer = build(sim)
+    net = FabricNetwork(sim, ring(3), link_delay_s=1e-3)
+    for prefix in (VICTIM, INNOCENT):
+        net.add_entry(prefix, "s0", "s1")
+    net.link("s0", "s1").loss_model = EntryLossFailure(
+        {VICTIM}, 0.10, start_time=FAILURE_TIME, seed=1)
 
-    monitor = FancyLinkMonitor(
-        sim, fancy, 1, peer, 1,
+    deployment = FabricDeployment(
+        net,
         FancyConfig(high_priority=[VICTIM, INNOCENT], tree_params=None,
                     dedicated_session_s=0.200),
+        links=["s0->s1"],
     )
-    app = FastRerouteApp(monitor, backup_port=2)
+    # Poll the flags every millisecond, close to the switch's per-packet read.
+    controller = FabricRerouteController(net, deployment, poll_interval_s=0.001)
 
     meter = ThroughputMeter(sim, bin_s=0.25, per_entry=True)
-    sink.rx_tap = meter
+    net.host("s1").rx_tap = meter
 
+    source = net.host("s0")
     for i, prefix in enumerate((VICTIM, INNOCENT)):
         FlowGenerator(sim, source, prefix, rate_bps=4e6, flows_per_second=20,
                       seed=i, flow_id_base=(i + 1) * 1_000_000).start()
     UdpSource(sim, source.send, VICTIM, flow_id=999, rate_bps=0.2e6).start()
 
-    monitor.start()
+    deployment.start()
+    controller.start()
     sim.run(until=6.0)
 
-    reroute_at = app.reroute_time(VICTIM)
-    print(f"failure on primary path at t={FAILURE_TIME:.1f}s "
+    reroute_at = controller.reroute_time(VICTIM)
+    print(f"failure on primary path s0->s1 at t={FAILURE_TIME:.1f}s "
           f"(10% loss on {VICTIM})")
     if reroute_at is not None:
-        print(f"rerouted to backup at   t={reroute_at:.2f}s "
+        print(f"rerouted to backup s0->s2->s1 at t={reroute_at:.2f}s "
               f"-> recovery in {(reroute_at - FAILURE_TIME) * 1e3:.0f} ms")
-    print(f"packets rerouted:       {app.rerouted_packets} "
+    print(f"packets rerouted at s0: {controller.apps['s0'].rerouted_packets} "
           f"(victim prefix only: innocent rerouted = "
-          f"{app.reroute_time(INNOCENT) is not None})")
+          f"{controller.reroute_time(INNOCENT) is not None})")
 
     print("\ngoodput (Mbps) per 250 ms bin:")
     print(f"{'t':>6}  {'victim':>8}  {'innocent':>9}")

@@ -54,8 +54,9 @@ class FailureReport:
 class HashPathFlags:
     """§4.3 output structure for the tree: a Bloom filter of failed paths.
 
-    The rerouting app queries it per packet; see
-    :mod:`repro.apps.rerouting`.
+    The data plane queries it per packet; the fabric's reroute
+    controller reads it through
+    :meth:`~repro.fabric.deployment.FabricDeployment.flagged`.
     """
 
     def __init__(self, n_cells: int = 100_000, seed: int = 0) -> None:

@@ -1,10 +1,11 @@
 """Experiment fig10 — fine-grained fast rerouting case study (Figure 10).
 
-Reproduces the §6.1 Tofino experiment in simulation: a FANcY switch with a
-primary and a backup path to the downstream switch, TCP plus UDP traffic,
-and a "link switch" dropping 1 %, 10 % or 100 % of packets on the primary
-path from t = 2 s.  The rerouting app steers an entry to the backup port
-as soon as FANcY flags it.
+Reproduces the §6.1 Tofino experiment in simulation on ``ring(3)``: the
+FANcY switch ``s0`` reaches ``s1`` directly (the primary path) and
+through ``s2`` (the backup), with TCP plus UDP traffic and a "link
+switch" dropping 1 %, 10 % or 100 % of packets on ``s0->s1`` from
+t = 2 s.  The fabric's reroute controller installs the repair path
+``s0 -> s2 -> s1`` as soon as FANcY flags the entry.
 
 Expected shape (paper, Figure 10): goodput dips at t = 2 s and recovers in
 under one second — after ≈ one counting-session duration (250 ms there)
@@ -19,30 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..apps.rerouting import FastRerouteApp
-from ..core.detector import FancyConfig, FancyLinkMonitor
+from ..core.detector import FancyConfig
 from ..core.hashtree import HashTreeParams
+from ..fabric.builders import ring
+from ..fabric.deployment import FabricDeployment
+from ..fabric.graph import FabricNetwork
+from ..fabric.reroute import FabricRerouteController
 from ..runtime.context import RuntimeContext, resolve
 from ..runtime.executor import run_sweep
 from ..runtime.jobs import Job, fingerprint
-from ..simulator.apps import FlowGenerator, Host, ThroughputMeter
+from ..simulator.apps import FlowGenerator, ThroughputMeter
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
-from ..simulator.link import connect_duplex
-from ..simulator.packet import Packet
-from ..simulator.switch import Switch
 from ..simulator.udp import UdpSource
 from .report import render_series
 
 __all__ = ["Fig10Config", "run_case", "run", "render", "main"]
 
-PORT_HOST = 0
-PORT_PRIMARY = 1
-PORT_BACKUP = 2
-
 #: §6.1 parameters: 500 dedicated counters exchanged every 200 ms; tree of
 #: depth 3, split 1, width 190 (the Tofino runs it non-pipelined).
 CASE_TREE = HashTreeParams(width=190, depth=3, split=1, pipelined=False)
+
+#: Flag-polling period of the reroute controller.  The Tofino reads the
+#: flag on every packet; the fabric's 50 ms default would double the
+#: dedicated recovery.
+POLL_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -64,61 +66,25 @@ def _build(config: Fig10Config, loss_rate: float, entry_kind: str) -> dict:
     """One case-study run for an entry on dedicated counters or the tree."""
     sim = Simulator()
     entry = "victim"
-    failure = EntryLossFailure(
+    net = FabricNetwork(sim, ring(3), link_delay_s=config.link_delay_s)
+    net.add_entry(entry, "s0", "s1")
+    net.link("s0", "s1").loss_model = EntryLossFailure(
         {entry}, loss_rate, start_time=config.failure_time_s, seed=config.seed + 1,
         affect_control=False,
     )
-
-    source = Host(sim, "sender")
-    sink = Host(sim, "receiver", auto_sink=True)
-    fancy_switch = Switch(sim, "fancy")
-    link_switch = Switch(sim, "link")
-
-    connect_duplex(sim, source, 0, fancy_switch, PORT_HOST,
-                   bandwidth_bps=None, delay_s=0.0001)
-    connect_duplex(sim, fancy_switch, PORT_PRIMARY, link_switch, PORT_PRIMARY,
-                   bandwidth_bps=100e9, delay_s=config.link_delay_s,
-                   loss_model_ab=failure)
-    connect_duplex(sim, fancy_switch, PORT_BACKUP, link_switch, PORT_BACKUP,
-                   bandwidth_bps=100e9, delay_s=config.link_delay_s)
-    connect_duplex(sim, link_switch, PORT_HOST, sink, 0,
-                   bandwidth_bps=None, delay_s=0.0001)
-
-    fancy_switch.set_default_route(PORT_PRIMARY)
-    link_switch.set_default_route(PORT_HOST)
-
-    def reverse_hook_link(packet: Packet, _in_port: int) -> bool:
-        if packet.reverse:
-            link_switch._egress(packet, PORT_PRIMARY)
-            return False
-        return True
-
-    def reverse_hook_fancy(packet: Packet, _in_port: int) -> bool:
-        if packet.reverse:
-            fancy_switch._egress(packet, PORT_HOST)
-            return False
-        return True
-
-    link_switch.add_ingress_hook(PORT_HOST, reverse_hook_link)
-    fancy_switch.add_ingress_hook(PORT_PRIMARY, reverse_hook_fancy)
-    fancy_switch.add_ingress_hook(PORT_BACKUP, reverse_hook_fancy)
-
-    high_priority = [entry] if entry_kind == "dedicated" else []
-    monitor = FancyLinkMonitor(
-        sim, fancy_switch, PORT_PRIMARY, link_switch, PORT_PRIMARY,
-        FancyConfig(
-            high_priority=high_priority,
-            tree_params=CASE_TREE if entry_kind == "tree" else None,
-            dedicated_session_s=config.dedicated_session_s,
-            tree_session_s=config.tree_session_s,
-            seed=config.seed,
-        ),
-    )
-    app = FastRerouteApp(monitor, backup_port=PORT_BACKUP)
+    deployment = FabricDeployment(net, FancyConfig(
+        high_priority=[entry] if entry_kind == "dedicated" else [],
+        tree_params=CASE_TREE if entry_kind == "tree" else None,
+        dedicated_session_s=config.dedicated_session_s,
+        tree_session_s=config.tree_session_s,
+        seed=config.seed,
+    ), links=["s0->s1"])
+    controller = FabricRerouteController(net, deployment, poll_interval_s=POLL_S)
 
     meter = ThroughputMeter(sim, bin_s=config.bin_s, per_entry=True)
-    sink.rx_tap = meter
+    net.host("s1").rx_tap = meter
 
+    source = net.host("s0")
     FlowGenerator(
         sim, source, entry,
         rate_bps=config.tcp_rate_bps,
@@ -128,18 +94,19 @@ def _build(config: Fig10Config, loss_rate: float, entry_kind: str) -> dict:
     ).start()
     UdpSource(sim, source.send, entry, flow_id=99,
               rate_bps=config.udp_rate_bps).start()
-    monitor.start()
+    deployment.start()
+    controller.start()
     sim.run(until=config.duration_s)
 
-    series = meter.entry_series_bps(entry)
-    reroute_at = app.reroute_time(entry)
+    reroute_at = controller.reroute_time(entry)
     return {
-        "series": series,
+        "series": meter.entry_series_bps(entry),
         "reroute_time": reroute_at,
         "recovery_delay": (
             None if reroute_at is None else reroute_at - config.failure_time_s
         ),
-        "rerouted_packets": app.rerouted_packets,
+        # The controller's own sum counts each repair-path hop.
+        "rerouted_packets": controller.apps["s0"].rerouted_packets,
     }
 
 
@@ -188,7 +155,7 @@ def render(result: dict) -> str:
         series,
         x_label="time (s)",
     )
-    lines = [text, "", "recovery delay (failure -> first rerouted packet):"]
+    lines = [text, "", "recovery delay (failure -> repair path installed):"]
     for name, case in result["cases"].items():
         delay = case["recovery_delay"]
         lines.append(

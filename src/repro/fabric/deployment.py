@@ -137,12 +137,23 @@ class FabricDeployment:
         return len(self.monitors)
 
     def flagged(self) -> dict[str, list[Any]]:
-        """Flagged dedicated entries per link, links in insertion order."""
+        """Flagged entries per link, links in insertion order.
+
+        Dedicated flags come first.  While the link's tree holds a
+        flagged leaf, they are followed by every registered entry whose
+        forward ECMP DAG crosses the link and whose hash path hits the
+        output Bloom filter — the check the data plane makes per packet.
+        """
         out: dict[str, list[Any]] = {}
         for link_id, monitor in self.monitors.items():
-            entries = monitor.flagged_entries()
+            entries = list(monitor.flagged_entries())
+            if monitor.flagged_leaf_paths():
+                entries += [entry for entry in self.net.entry_dst
+                            if entry not in entries
+                            and monitor.entry_is_flagged(entry)
+                            and link_id in self.net.entry_links(entry)]
             if entries:
-                out[link_id] = list(entries)
+                out[link_id] = entries
         return out
 
     def detection_records(self) -> list[tuple[str, str, str, float, int]]:

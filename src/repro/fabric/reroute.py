@@ -1,7 +1,7 @@
-"""Detection → selective reroute control plane for fabrics (§6.1 scaled up).
+"""Detection → selective reroute control plane for fabrics (§6.1).
 
-Three pieces close the loop the single-link ``apps/rerouting.py`` case
-study only gestures at:
+Three pieces close the loop of the Figure 10 case study
+(:mod:`repro.experiments.fig10` runs it on ``ring(3)``) at any scale:
 
 * :class:`LfaTable` precomputes loop-free alternates: for a (node,
   destination, protected directed link) triple it derives the full
@@ -16,9 +16,12 @@ study only gestures at:
   forwarder) for as long as it holds an override.
 * :class:`FabricRerouteController` polls every monitor's flags on a
   deterministic tick and, for each newly flagged ``(link, entry)``,
-  installs the repair path hop by hop.  Installed reroutes are sticky:
-  once traffic leaves the gray link it stops being counted there, the
-  flag may age out, and flapping back would re-enter the failure.
+  installs the repair path hop by hop.  Flags come from
+  :meth:`FabricDeployment.flagged`: a dedicated entry's 1-bit flag, or
+  a tree entry whose hash path hits the output Bloom filter.
+  Installed reroutes are sticky: once traffic leaves the gray link it
+  stops being counted there, the flag may age out, and flapping back
+  would re-enter the failure.
 """
 
 from __future__ import annotations
@@ -76,8 +79,7 @@ class SelectiveRerouteApp:
     app joins on its first override and leaves with its last — so a
     switch that reroutes nothing forwards exactly as if no app existed.
     Only forward DATA is steered — control messages and ACKs keep their
-    normal paths, same contract as the single-link
-    :class:`~repro.apps.rerouting.FastRerouteApp`.
+    normal paths.
     """
 
     def __init__(self, switch: Switch) -> None:

@@ -41,7 +41,9 @@ move.
 
 from __future__ import annotations
 
-import sys
+# StateTimeline imports pickle at its first chunk seal; loaded here, that
+# one-time import stays out of the profiled window whatever ran before.
+import pickle  # noqa: F401
 
 import pytest
 
@@ -51,6 +53,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.fluid import FluidFlow, FluidTraffic
 from repro.simulator.topology import TwoSwitchTopology
 from repro.telemetry import Telemetry
+from tests.frames import count_calls
 
 #: Measured Python frames per completed session at the parent commit.
 PARENT_FRAMES = {"dedicated": 166.70, "episode": 294.42, "tree_fluid": 300.20}
@@ -95,18 +98,7 @@ def frames_per_session(row: str) -> float:
     spans_before = len(telemetry.traces)
     events_before = len(telemetry.timeline)
 
-    frames = 0
-
-    def count(_frame, event, _arg):
-        nonlocal frames
-        if event == "call":
-            frames += 1
-
-    sys.setprofile(count)
-    try:
-        sim.run(until=1.0 + RUN_S)
-    finally:
-        sys.setprofile(None)
+    frames = count_calls(sim.run, until=1.0 + RUN_S)
 
     # The sessions measured are the sessions claimed: clean exchanges, the
     # timeline fed on every one, spans recorded exactly when an episode is

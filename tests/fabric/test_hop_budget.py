@@ -13,8 +13,6 @@ sinks' ACKs, and the difference is the ACK hops' cost.
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro.core.detector import FancyConfig
@@ -23,6 +21,7 @@ from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
 from repro.simulator.engine import Simulator
 from repro.simulator.udp import UdpSource
+from tests.frames import count_calls
 
 #: Measured Python frames per hop.  The parent commit (tree tag through
 #: ``hash_path`` / ``_tag_for`` / ``_count`` per packet, the FSMs'
@@ -54,18 +53,7 @@ def frames_and_hops(with_acks: bool) -> tuple[int, int]:
                   rate_bps=1_600_000, packet_size=400, seed=flow_id).start()
 
     hops_before = sum(sw.stats.received for sw in net.switches.values())
-    frames = 0
-
-    def count(_frame, event, _arg):
-        nonlocal frames
-        if event == "call":
-            frames += 1
-
-    sys.setprofile(count)
-    try:
-        sim.run(until=1.2)
-    finally:
-        sys.setprofile(None)
+    frames = count_calls(sim.run, until=1.2)
     hops = sum(sw.stats.received for sw in net.switches.values()) - hops_before
 
     # The hops measured are the hops claimed: every DATA packet was tagged

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.detector import FancyConfig
+from repro.core.hashtree import HashTreeParams
 from repro.fabric.builders import ring
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricGraph, FabricNetwork
@@ -145,3 +146,38 @@ class TestClosedLoop:
         ctl = FabricRerouteController(net, dep)
         ctl._install("p1->p2", "e")  # cut edge: no repair path exists
         assert ("p1->p2", "e") in ctl.unprotectable
+
+
+class TestTreeFlags:
+    """Entries the tree covers reroute too (§6.1: an output Bloom filter hit)."""
+
+    def test_tree_flag_installs_repair_path_for_victim_only(self, sim):
+        net = FabricNetwork(sim, ring(4))
+        net.add_entry("victim", "s0", "s1")
+        net.add_entry("innocent", "s0", "s1")
+        config = FancyConfig(
+            high_priority=[],
+            tree_params=HashTreeParams(width=16, depth=2, split=1),
+            tree_session_s=0.05, seed=5)
+        dep = FabricDeployment(net, config=config, links=["s0->s1"])
+        ctl = FabricRerouteController(net, dep, poll_interval_s=0.01)
+        net.link("s0", "s1").loss_model = EntryLossFailure(
+            {"victim"}, 1.0, start_time=0.3, seed=3)
+        for i, entry in enumerate(["victim", "innocent"]):
+            UdpSource(sim, net.host("s0").send, entry, flow_id=i,
+                      rate_bps=640_000, packet_size=400,
+                      seed=13 + i).start()
+        dep.start()
+        ctl.start()
+        sim.run(until=1.5)
+
+        monitor = dep.monitors["s0->s1"]
+        tree = monitor.tree_strategy.tree
+        assert tree.hash_path("victim") != tree.hash_path("innocent")
+        assert monitor.flagged_entries() == []
+        assert dep.flagged() == {"s0->s1": ["victim"]}
+        assert ("s0->s1", "victim") in ctl.reroute_times
+        assert ctl.reroute_time("innocent") is None
+        # The repair path s0 -> s3 -> s2 -> s1 carries the victim.
+        assert ctl.apps["s0"].overrides == {"victim": net.port_to("s0", "s3")}
+        assert net.link("s0", "s3").stats.delivered > 0

@@ -14,13 +14,12 @@ send path measured 54.12 frames per segment; this one 41.12 (-24 %).
 
 from __future__ import annotations
 
-import sys
-
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.protocol import ReceiverState, SenderState
 from repro.simulator.engine import Simulator
 from repro.simulator.tcp import TcpFlow
 from repro.simulator.topology import TwoSwitchTopology
+from tests.frames import count_calls
 
 #: Measured Python frames per ACKed segment.  The parent commit (tree tag
 #: re-derived through ``hash_path`` / ``_tag_for`` / ``_count`` per packet,
@@ -51,19 +50,7 @@ def frames_per_segment() -> float:
                    rate_bps=1_200_000)
     topo.source.register_flow(flow)
 
-    frames = 0
-
-    def count(_frame, event, _arg):
-        nonlocal frames
-        if event == "call":
-            frames += 1
-
-    sys.setprofile(count)
-    try:
-        flow.start()
-        sim.run(until=20.0)
-    finally:
-        sys.setprofile(None)
+    frames = count_calls(flow.start) + count_calls(sim.run, until=20.0)
 
     # The segments measured are the segments claimed: every one was tagged
     # and counted on both sides of the monitored link, and ACKed.

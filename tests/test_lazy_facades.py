@@ -66,7 +66,7 @@ except SystemExit:
 @pytest.mark.parametrize("statement, budget, forbidden", [
     ("import repro.experiments.fig9", 45,
      ["repro.chaos", "repro.fabric", "repro.service", "repro.lint",
-      "repro.baselines", "repro.hardware", "repro.apps"]),
+      "repro.baselines", "repro.hardware"]),
     ("from repro.runtime import *", 10, ["repro.core", "repro.simulator"]),
     ("import repro.cli", 10, ["repro.experiments.", "repro.core", "repro.simulator"]),
     (_CLI_HELP, 10, ["repro.experiments.", "repro.core", "repro.simulator"]),
