@@ -41,7 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".core.latency": ("LatencyModel",),
     ".core.memory": ("MemoryBudgetError", "MemoryPlan", "plan_memory"),
     ".core.output": ("FailureKind", "FailureLog", "FailureReport"),
-    ".scenario": ("Scenario", "ScenarioResult"),
     ".simulator.apps": ("FlowGenerator", "Host", "ThroughputMeter"),
     ".simulator.engine": ("Simulator",),
     ".simulator.failures": ("EntryLossFailure", "UniformLossFailure"),

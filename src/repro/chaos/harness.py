@@ -10,7 +10,8 @@ observer the serve supervises with — at every checkpoint (I1, I2 and
 incremental I3/I6) and once after the wind-down drain (I3–I6).
 :func:`run_soak` builds the two-switch soak: a two-node fabric with one
 full monitor on ``A->B`` under a seeded random schedule; the ring soak
-(:func:`repro.fabric.chaos.fabric_soak`) is the other builder.
+(:func:`repro.fabric.chaos.fabric_soak`) is the other builder.  Both
+read one :class:`SoakConfig`.
 
 Wind-down sequence — order matters: traffic stops at ``duration_s``, the
 monitors keep running through a grace period (late detections of a
@@ -146,16 +147,20 @@ class _Recovery:
         sender.restart()
 
 
-def soak_entries(config: Any) -> tuple[list[str], list[str]]:
+def soak_entries(config: SoakConfig) -> tuple[list[str], list[str]]:
     """A soak's (dedicated, best-effort) entry names."""
     dedicated = [f"hp/{i}" for i in range(config.n_dedicated)]
     best_effort = [f"be/{i}" for i in range(config.n_best_effort)]
     return dedicated, best_effort
 
 
-def soak_fancy_config(config: Any, dedicated: list[str],
-                      accept_stale_responses: bool = False) -> FancyConfig:
-    """The soak monitors' FANcY configuration, seeded from ``config.seed``."""
+def soak_fancy_config(config: SoakConfig,
+                      dedicated: list[str]) -> FancyConfig:
+    """The soak monitors' FANcY configuration, seeded from ``config.seed``.
+
+    The ``stale-session`` fixture is the one that turns stale-response
+    rejection off.
+    """
     return FancyConfig(
         high_priority=dedicated,
         tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
@@ -163,7 +168,7 @@ def soak_fancy_config(config: Any, dedicated: list[str],
         tree_session_s=0.200,
         twait_s=0.015,  # > worst-case forward displacement budget (12 ms)
         seed=stable_seed(config.seed, "fancy", bits=31),
-        accept_stale_responses=accept_stale_responses,
+        accept_stale_responses=config.regression == "stale-session",
     )
 
 
@@ -178,7 +183,7 @@ class SoakRun:
 
 
 def drive_soak(
-    config: Any,
+    config: SoakConfig,
     net: FabricNetwork,
     src: str,
     monitors: Mapping[str, FancyLinkMonitor],
@@ -187,12 +192,12 @@ def drive_soak(
 ) -> SoakRun:
     """Drive one soak on a built fabric and check I1–I6 per monitor.
 
-    ``config`` supplies the traffic and timing fields both soak configs
-    share.  The :func:`soak_entries` send from ``src``'s host.  ``arm``
-    wires the schedule and starts the monitors once the sources are
-    scheduled.  ``views[link_id]`` is the schedule as that link's monitor
-    sees it: its own wire ``"forward"``, the opposite wire ``"reverse"``.
-    The first monitor's observer checks conservation on every wire.
+    ``config`` supplies the traffic and timing.  The :func:`soak_entries`
+    send from ``src``'s host.  ``arm`` wires the schedule and starts the
+    monitors once the sources are scheduled.  ``views[link_id]`` is the
+    schedule as that link's monitor sees it: its own wire ``"forward"``,
+    the opposite wire ``"reverse"``.  The first monitor's observer checks
+    conservation on every wire.
     """
     sim = net.sim
     dedicated, best_effort = soak_entries(config)
@@ -274,9 +279,7 @@ def run_soak(config: SoakConfig,
     monitor = FancyLinkMonitor(
         sim, net.switch("A"), net.port_to("A", "B"),
         net.switch("B"), net.port_to("B", "A"),
-        config=soak_fancy_config(
-            config, dedicated,
-            accept_stale_responses=config.regression == "stale-session"))
+        config=soak_fancy_config(config, dedicated))
 
     def arm() -> Materialized:
         materialized = materialize(

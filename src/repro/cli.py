@@ -105,9 +105,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return serve_main(args_list[1:])
     if args_list and args_list[0] == "report":
-        # `fancy-repro report [...]` delegates to the observability CLI:
-        # the fabric health dashboard and trace-schema validation
-        # (see docs/TELEMETRY.md).
+        # `fancy-repro report --validate FILE...` delegates to the
+        # trace-schema gate (see docs/TELEMETRY.md).
         from .obs.cli import main as report_main
 
         return report_main(args_list[1:])
@@ -118,8 +117,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "(run `fancy-repro lint` for the static-analysis gate, "
                     "`fancy-repro chaos` for the fault-injection soak, "
                     "`fancy-repro serve` for the degraded-mode soak "
-                    "service, `fancy-repro report` for the fabric health "
-                    "dashboard).",
+                    "service, `fancy-repro report --validate` for the "
+                    "trace-schema gate).",
     )
     parser.add_argument(
         "experiment",

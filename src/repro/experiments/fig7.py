@@ -23,20 +23,18 @@ __all__ = ["run", "render", "main"]
 
 
 def run(scale: Optional[HeatmapScale] = None, quick: bool = True, seed: int = 0,
-        workers: Optional[int] = None,
         runtime: Optional[RuntimeContext] = None) -> dict:
     scale = scale or (QUICK_SCALE if quick else PAPER_SCALE)
-    return run_heatmap("dedicated", scale, seed=seed, workers=workers,
-                       runtime=runtime)
+    return run_heatmap("dedicated", scale, seed=seed, runtime=runtime)
 
 
 def render(result: dict) -> str:
     return render_heatmap_pair("Figure 7 — dedicated counters", result)
 
 
-def main(quick: bool = True, workers: Optional[int] = None,
+def main(quick: bool = True,
          runtime: Optional[RuntimeContext] = None) -> str:
-    runtime = resolve(runtime, workers=workers)
+    runtime = resolve(runtime)
     text = render(run(quick=quick, seed=runtime.seed, runtime=runtime))
     print(text)
     return text

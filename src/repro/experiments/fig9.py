@@ -40,19 +40,15 @@ PAPER_SCALE_MULTI = replace(PAPER_SCALE, rows=ENTRY_SIZE_GRID_100, n_failed=100)
 
 
 def run_single(scale: Optional[HeatmapScale] = None, quick: bool = True, seed: int = 0,
-               workers: Optional[int] = None,
                runtime: Optional[RuntimeContext] = None) -> dict:
     scale = scale or (QUICK_SCALE if quick else PAPER_SCALE)
-    return run_heatmap("tree", scale, seed=seed, n_failed=1, workers=workers,
-                       runtime=runtime)
+    return run_heatmap("tree", scale, seed=seed, n_failed=1, runtime=runtime)
 
 
 def run_multi(scale: Optional[HeatmapScale] = None, quick: bool = True, seed: int = 0,
-              workers: Optional[int] = None,
               runtime: Optional[RuntimeContext] = None) -> dict:
     scale = scale or (QUICK_SCALE_MULTI if quick else PAPER_SCALE_MULTI)
-    return run_heatmap("tree", scale, seed=seed, workers=workers,
-                       runtime=runtime)
+    return run_heatmap("tree", scale, seed=seed, runtime=runtime)
 
 
 def render(result: dict) -> str:
@@ -62,9 +58,8 @@ def render(result: dict) -> str:
 
 
 def main(quick: bool = True, multi: bool = False,
-         workers: Optional[int] = None,
          runtime: Optional[RuntimeContext] = None) -> str:
-    runtime = resolve(runtime, workers=workers)
+    runtime = resolve(runtime)
     result = (run_multi(quick=quick, seed=runtime.seed, runtime=runtime) if multi
               else run_single(quick=quick, seed=runtime.seed, runtime=runtime))
     text = render(result)

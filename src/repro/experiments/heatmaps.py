@@ -84,7 +84,6 @@ def _cell_worker(payload: tuple) -> dict:
 
 def run_heatmap(mode: str, scale: HeatmapScale, seed: int = 0,
                 n_failed: Optional[int] = None,
-                workers: Optional[int] = None,
                 runtime: Optional[RuntimeContext] = None) -> dict:
     """Sweep the grid; returns row/col labels plus TPR and latency maps.
 
@@ -92,11 +91,11 @@ def run_heatmap(mode: str, scale: HeatmapScale, seed: int = 0,
     in as they complete, finished cells are cached (when the runtime has
     a cache dir), crashed cells are retried and — if they keep failing —
     reported under ``result["errors"]`` without losing the rest of the
-    grid.  ``workers`` > 1 runs cells in parallel processes — the
+    grid.  ``runtime.workers`` > 1 runs cells in parallel processes — the
     intended way to run the paper-faithful ``PAPER_SCALE`` sweeps, whose
     cells are independent simulations.
     """
-    runtime = resolve(runtime, workers=workers)
+    runtime = resolve(runtime)
     failed = n_failed if n_failed is not None else scale.n_failed
     options = None
     if runtime.telemetry:

@@ -30,7 +30,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".builders": ("abilene", "clos", "fat_tree", "line", "random_isp", "ring", "star"),
-    ".chaos": ("FabricSoakConfig", "fabric_soak"),
+    ".chaos": ("fabric_soak",),
     ".deployment": ("FabricDeployment",),
     ".graph": ("FabricGraph", "FabricNetwork"),
     ".reroute": ("FabricRerouteController", "LfaTable", "SelectiveRerouteApp"),

@@ -9,7 +9,9 @@ index)`` (FCY007), so fabric schedules shrink and replay with the
 existing tooling and wire through the one materializer.
 
 :func:`fabric_soak` is the invariant-checked soak on a six-switch ring,
-built over :func:`repro.chaos.harness.drive_soak`: UDP
+configured by the two-switch soak's
+:class:`~repro.chaos.harness.SoakConfig` and built over
+:func:`repro.chaos.harness.drive_soak`: UDP
 entries cross three monitored hops, a fabric-link-addressed fault
 schedule runs, and the robustness invariants I1–I6 of
 :mod:`repro.chaos.invariants` are asserted *per monitored link* — the
@@ -20,11 +22,8 @@ and conservation/integrity hold on every wire.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any
-
 from ..chaos.harness import (
+    SoakConfig,
     SoakResult,
     drive_soak,
     soak_entries,
@@ -50,7 +49,6 @@ __all__ = [
     "parse_link_target",
     "directional_schedule",
     "materialize_on_fabric",
-    "FabricSoakConfig",
     "fabric_soak",
 ]
 
@@ -140,50 +138,22 @@ def _schedule_fault_episode(net: FabricNetwork,
 # -- the ring soak -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FabricSoakConfig:
-    """Knobs of the six-switch ring soak (JSON-round-trippable)."""
-
-    seed: int = 0
-    ring_size: int = 6
-    duration_s: float = 3.5          #: traffic horizon
-    grace_s: float = 2.5             #: monitor-only tail for late detections
-    checkpoint_s: float = 0.25       #: I1/I2 sampling period
-    n_dedicated: int = 3
-    n_best_effort: int = 2
-    rate_bps: float = 640_000.0
-    packet_size: int = 400
-    fault_link: str = "s1->s2"       #: directed fabric link the fault hits
-    fault_rate: float = 0.9
-    fault_start_s: float = 0.5
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "FabricSoakConfig":
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
-                      if f.name in d})
-
-
-def default_fabric_schedule(config: FabricSoakConfig) -> list[FaultSpec]:
-    """The pinned soak schedule: one persistent entry-loss gray failure
-    addressed to ``config.fault_link``, covering every entry."""
+def default_fabric_schedule(config: SoakConfig) -> list[FaultSpec]:
+    """The pinned soak schedule: one persistent 90 % entry-loss gray
+    failure on ``s1->s2`` from 0.5 s, covering every entry."""
     dedicated, best_effort = soak_entries(config)
     return [FaultSpec(
         "entry_loss",
-        target=LINK_TARGET_PREFIX + config.fault_link,
+        target=link_target("s1", "s2"),
         params={"entries": dedicated + best_effort,
-                "rate": config.fault_rate,
-                "start": config.fault_start_s, "end": None},
+                "rate": 0.9, "start": 0.5, "end": None},
         index=0,
     )]
 
 
-def fabric_soak(config: FabricSoakConfig,
-                schedule: list[FaultSpec] | None = None,
-                telemetry: Any | None = None) -> SoakResult:
-    """One invariant-checked soak on the ring fabric.
+def fabric_soak(config: SoakConfig,
+                schedule: list[FaultSpec] | None = None) -> SoakResult:
+    """One invariant-checked soak on the six-switch ring fabric.
 
     Entries travel ``s0 → s2`` over the unique two-hop shortest path
     (``dst`` is chosen off the ring's antipode so ECMP never splits the
@@ -192,21 +162,18 @@ def fabric_soak(config: FabricSoakConfig,
     false-positive sentinel.  Each monitor sees the schedule through
     :func:`directional_schedule`.
     """
-    if config.ring_size < 4:
-        raise ValueError("the ring soak needs at least four switches")
     dedicated, best_effort = soak_entries(config)
     if schedule is None:
         schedule = default_fabric_schedule(config)
 
     sim = Simulator()
-    net = FabricNetwork(sim, ring(config.ring_size))
+    net = FabricNetwork(sim, ring(6))
     src, dst, sentinel_hop = "s0", "s2", "s3"
     for entry in dedicated + best_effort:
         net.add_entry(entry, src, dst)
     monitored = ["s0->s1", "s1->s2", f"{dst}->{sentinel_hop}"]
     deployment = FabricDeployment(
-        net, config=soak_fancy_config(config, dedicated), links=monitored,
-        telemetry=telemetry)
+        net, config=soak_fancy_config(config, dedicated), links=monitored)
 
     def arm() -> Materialized:
         materialized = materialize_on_fabric(schedule, config.seed, net,
@@ -216,12 +183,6 @@ def fabric_soak(config: FabricSoakConfig,
 
     views = {lid: directional_schedule(lid, schedule) for lid in monitored}
     run = drive_soak(config, net, src, deployment.monitors, views, arm)
-
-    if telemetry is not None:
-        for monitor in deployment.monitors.values():
-            traces = getattr(monitor.telemetry, "traces", None)
-            if traces is not None:
-                traces.finalize(sim.now)
 
     stats = {
         "sim_time": sim.now,
@@ -235,10 +196,5 @@ def fabric_soak(config: FabricSoakConfig,
         },
         "detections": deployment.detection_records(),
     }
-    if telemetry is not None:
-        stats["trace_spans"] = {
-            lid: len(getattr(mon.telemetry, "traces", []) or [])
-            for lid, mon in deployment.monitors.items()
-        }
     return SoakResult(seed=config.seed, violations=run.violations,
                       schedule=list(schedule), stats=stats)

@@ -9,7 +9,8 @@ Three layers (docs/TELEMETRY.md):
   monitored link healthy/degraded/flagged/rerouted from monitor state
   and traces;
 * :mod:`repro.obs.report` — the self-contained offline HTML dashboard
-  behind ``fancy-repro report --html``.
+  that ``fancy-repro fabric --trace --out`` and ``fancy-repro serve
+  --out`` write.
 
 Import discipline: the trace/schema layer depends on nothing inside
 :mod:`repro` and ``repro.telemetry`` imports it, while

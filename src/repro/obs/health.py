@@ -274,34 +274,6 @@ class FabricHealthReport:
             "topology": list(self.topology),
         }
 
-    def render_text(self) -> str:
-        """Compact fixed-width table (the CLI's non-HTML output)."""
-        summary = self.summary()
-        status = " ".join(f"{k}={v}" for k, v in summary["status"].items())
-        lines = [
-            f"fabric health @ t={summary['sim_time']:.2f}s — "
-            f"{summary['links']} links, {status}",
-            f"{'link':<14} {'status':<9} {'sessions':>8} {'flags':>6} "
-            f"{'latency':>9}  rerouted",
-        ]
-        for link in self.links:
-            lat = (f"{min(link.detection_latencies) * 1e3:.0f} ms"
-                   if link.detection_latencies else "-")
-            flags = len(link.flagged_entries) + link.flagged_leaf_paths
-            lines.append(
-                f"{link.link_id:<14} {link.status:<9} "
-                f"{link.sessions_completed:>8} {flags:>6} {lat:>9}  "
-                f"{','.join(link.rerouted_entries) or '-'}"
-            )
-        if summary["unattributed_detections"]:
-            lines.append(f"!! {summary['unattributed_detections']} "
-                         "unattributed detection(s) — check FP sentinels")
-        if summary["invariant_breaches"]:
-            counts = " ".join(f"{k}={v}" for k, v in
-                              summary["invariant_breaches"].items())
-            lines.append(f"!! invariant breaches: {counts}")
-        return "\n".join(lines)
-
 
 def _score(health: LinkHealth) -> str:
     if health.rerouted_entries:

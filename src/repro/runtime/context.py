@@ -14,7 +14,6 @@ a live progress line.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -55,27 +54,11 @@ class RuntimeContext:
     def parallel(self) -> bool:
         return bool(self.workers and self.workers > 1)
 
-    def with_(self, **changes) -> "RuntimeContext":
-        return dataclasses.replace(self, **changes)
-
 
 #: Hermetic default used when experiments are called as a library.
 _DEFAULT = RuntimeContext()
 
 
-def resolve(runtime: Optional[RuntimeContext] = None, *,
-            workers: Optional[int] = None,
-            seed: Optional[int] = None) -> RuntimeContext:
-    """Merge an optional context with legacy ``workers=``/``seed=`` kwargs.
-
-    Experiments keep their historical ``workers=N`` keyword for
-    backwards compatibility; a bare ``workers=`` call gets the hermetic
-    default context with just the parallelism set.
-    """
-    ctx = runtime if runtime is not None else _DEFAULT
-    changes = {}
-    if workers is not None and ctx.workers is None:
-        changes["workers"] = workers
-    if seed is not None:
-        changes["seed"] = seed
-    return ctx.with_(**changes) if changes else ctx
+def resolve(runtime: Optional[RuntimeContext] = None) -> RuntimeContext:
+    """``runtime``, or the hermetic default when it is ``None``."""
+    return runtime if runtime is not None else _DEFAULT

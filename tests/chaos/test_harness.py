@@ -25,10 +25,13 @@ from repro.chaos.harness import (
 from repro.chaos.invariants import Violation
 from repro.chaos.schedule import FaultSpec
 from repro.chaos.shrink import load_reproducer, shrink, write_reproducer
-from repro.fabric.chaos import FabricSoakConfig, fabric_soak
+from repro.fabric.chaos import fabric_soak
 from repro.runtime import RuntimeContext
 
 QUICK = SoakConfig(duration_s=4.0, grace_s=2.5)
+#: The ring soak's config, pinned as ``ring/3`` below and shared with
+#: tests/fabric/test_chaos.py.
+RING = SoakConfig(seed=3, duration_s=3.5, n_dedicated=3)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +115,7 @@ class TestResultsPinned:
         assert _result_sha(result) == PINNED_RESULTS["control-plane-grey"]
 
     def test_ring_soak_bytes(self):
-        result = fabric_soak(FabricSoakConfig(seed=3))
+        result = fabric_soak(RING)
         assert _result_sha(result) == PINNED_RESULTS["ring/3"]
 
 

@@ -11,6 +11,7 @@ from repro.experiments.heatmaps import (
     render_heatmap_pair,
     run_heatmap,
 )
+from repro.runtime import RuntimeContext
 from repro.traffic.synthetic import ENTRY_SIZE_GRID, EntrySize
 
 MICRO = HeatmapScale(
@@ -74,6 +75,7 @@ class TestParallelExecution:
     def test_parallel_matches_serial(self):
         """Process-pool cells must produce identical results (seeded)."""
         serial = run_heatmap("dedicated", MICRO, seed=9)
-        parallel = run_heatmap("dedicated", MICRO, seed=9, workers=2)
+        parallel = run_heatmap("dedicated", MICRO, seed=9,
+                               runtime=RuntimeContext(workers=2))
         assert serial["tpr"] == parallel["tpr"]
         assert serial["latency"] == parallel["latency"]

@@ -7,7 +7,6 @@ import pytest
 from repro.chaos.schedule import FaultSpec
 from repro.fabric.builders import ring
 from repro.fabric.chaos import (
-    FabricSoakConfig,
     default_fabric_schedule,
     directional_schedule,
     fabric_soak,
@@ -16,6 +15,7 @@ from repro.fabric.chaos import (
     parse_link_target,
 )
 from repro.fabric.graph import FabricNetwork
+from tests.chaos.test_harness import RING
 
 
 class TestLinkTargets:
@@ -78,25 +78,16 @@ class TestMaterialize:
 
 
 class TestSoakConfig:
-    def test_round_trips_through_dict(self):
-        config = FabricSoakConfig(seed=4, fault_rate=0.5)
-        assert FabricSoakConfig.from_dict(config.to_dict()) == config
-
     def test_default_schedule_covers_all_entries(self):
-        config = FabricSoakConfig()
-        (spec,) = default_fabric_schedule(config)
+        (spec,) = default_fabric_schedule(RING)
         assert spec.target == "link:s1->s2"
         assert spec.params["entries"] == ["hp/0", "hp/1", "hp/2",
                                           "be/0", "be/1"]
 
 
 class TestFabricSoak:
-    def test_ring_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            fabric_soak(FabricSoakConfig(ring_size=3))
-
     def test_soak_holds_invariants(self):
-        result = fabric_soak(FabricSoakConfig(seed=3))
+        result = fabric_soak(RING)
         assert result.ok, [v.to_dict() for v in result.violations]
         # Reports live only on the faulted link; the sentinel monitors
         # (no fault, or no traffic at all) stay silent.
@@ -121,7 +112,6 @@ class TestFabricSoak:
         """A fault on ``s2->s1`` is ``s1->s2``'s control-return channel:
         its LINK_DOWNs (I3) and its rejected corrupt Reports (I6) are
         explained by it, not reported as violations."""
-        config = FabricSoakConfig(seed=3)
-        schedule = default_fabric_schedule(config) + [fault]
-        result = fabric_soak(config, schedule)
+        schedule = default_fabric_schedule(RING) + [fault]
+        result = fabric_soak(RING, schedule)
         assert result.ok, [v.to_dict() for v in result.violations]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.cli import main
+import pytest
+
+from repro.obs.cli import _build_parser, main
 from repro.obs.trace import TraceCollector
 
 
@@ -77,3 +79,16 @@ class TestValidateMode:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestParserSurface:
+    def test_options_are_help_and_validate_only(self):
+        options = {flag for action in _build_parser()._actions
+                   for flag in action.option_strings}
+        assert options == {"-h", "--help", "--validate"}
+
+    def test_no_arguments_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "--validate" in capsys.readouterr().err

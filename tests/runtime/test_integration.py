@@ -81,9 +81,10 @@ class TestHeatmapCrashTolerance:
 
 class TestParallelDeterminism:
     def test_fig9_parallel_matches_serial(self):
-        """workers=4 and serial runs of the same seeded grid are identical."""
+        """4-worker and serial runs of the same seeded grid are identical."""
         serial = fig9.run_single(scale=MICRO_TREE, seed=5)
-        parallel = fig9.run_single(scale=MICRO_TREE, seed=5, workers=4)
+        parallel = fig9.run_single(scale=MICRO_TREE, seed=5,
+                                   runtime=RuntimeContext(workers=4))
         assert serial["tpr"] == parallel["tpr"]
         assert serial["latency"] == parallel["latency"]
         assert not serial["errors"] and not parallel["errors"]
