@@ -605,3 +605,17 @@ class FancyLinkMonitor:
         if self.tree_strategy is None:
             return False
         return self.output_flags.is_flagged(self.tree_strategy.tree.hash_path(entry))
+
+    def first_flag_time(self, entry: Any) -> float | None:
+        """When was ``entry`` first reported failed?  ``None`` if never.
+
+        The entry's dedicated-counter report if it has one, else the tree
+        report on its leaf hash path — the detection verdict every
+        experiment scores.
+        """
+        report = self.log.first_report(kind=FailureKind.DEDICATED_ENTRY, entry=entry)
+        if report is None and self.tree_strategy is not None:
+            report = self.log.first_report(
+                kind=FailureKind.TREE_LEAF,
+                hash_path=self.tree_strategy.tree.hash_path(entry))
+        return report.time if report is not None else None

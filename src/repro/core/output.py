@@ -111,12 +111,5 @@ class FailureLog:
                 best = r
         return best
 
-    def detection_time(self, failure_time: float, **filters: Any) -> float | None:
-        """Delay between ``failure_time`` and the first matching report."""
-        first = self.first_report(**filters)
-        if first is None:
-            return None
-        return max(0.0, first.time - failure_time)
-
     def flagged_leaf_paths(self) -> set[tuple[int, ...]]:
         return {r.hash_path for r in self.by_kind(FailureKind.TREE_LEAF) if r.hash_path}

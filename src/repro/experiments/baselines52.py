@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from ..baselines.simple import (
     CountingBloomReceiver,
@@ -30,14 +30,11 @@ from ..baselines.simple import (
 )
 from ..core.analysis import max_dedicated_entries
 from ..core.detector import FancyConfig, FancyLinkMonitor
-from ..core.output import FailureKind
 from ..runtime.jobs import stable_seed
-from ..simulator.apps import FlowGenerator
-from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
-from ..simulator.topology import TwoSwitchTopology
 from .report import render_table
-from .table3 import QUICK_CONFIG, Table3Config, build_slice
+from .runner import link_trial
+from .table3 import QUICK_CONFIG, Table3Config, build_slice, slice_flows
 
 __all__ = ["BaselineComparisonConfig", "run", "render", "main"]
 
@@ -59,64 +56,36 @@ def _run_design(design: str, failed_prefix: str, cfg: BaselineComparisonConfig,
                 trace, sl) -> dict:
     t3 = cfg.table3
     rng = random.Random(stable_seed(cfg.seed, design, failed_prefix))
-    sim = Simulator()
     failure_time = rng.uniform(0.5, 2.0)
     failure = EntryLossFailure({failed_prefix}, cfg.loss_rate,
                                start_time=failure_time, seed=rng.randrange(2 ** 31))
-    topo = TwoSwitchTopology(sim, loss_model=failure)
+    sim, topo = link_trial(failure, slice_flows(sl, t3.max_flows_per_second, rng))
+    link = (sim, topo.upstream, 1, topo.downstream, 1)
 
-    fancy_monitor = None
-    strategy_monitor = None
-    sender = None
-    dedicated_prefixes: list = []
-
+    monitor: Any
     if design == "fancy":
-        dedicated_prefixes = trace.top_prefixes(t3.n_dedicated)
-        fancy_monitor = FancyLinkMonitor(
-            sim, topo.upstream, 1, topo.downstream, 1,
-            FancyConfig(high_priority=dedicated_prefixes, tree_params=t3.tree,
-                        seed=cfg.seed),
-        )
-        fancy_monitor.start()
+        monitor = FancyLinkMonitor(*link, FancyConfig(
+            high_priority=trace.top_prefixes(t3.n_dedicated), tree_params=t3.tree,
+            seed=cfg.seed))
     elif design == "single_counter":
         sender = SingleLinkCounterSender()
-        strategy_monitor = StrategyLinkMonitor(
-            sim, topo.upstream, 1, topo.downstream, 1,
-            sender, SingleLinkCounterReceiver(), fsm_id="single",
-        )
-        strategy_monitor.start()
+        monitor = StrategyLinkMonitor(*link, sender, SingleLinkCounterReceiver(),
+                                      fsm_id="single")
     elif design == "dedicated_only":
-        budget_entries = max_dedicated_entries(PORT_BUDGET_BYTES)
-        n = min(budget_entries, len(sl.prefixes))
-        dedicated_prefixes = list(sl.prefixes[:n])
-        fancy_monitor = FancyLinkMonitor(
-            sim, topo.upstream, 1, topo.downstream, 1,
-            FancyConfig(high_priority=dedicated_prefixes, tree_params=None,
-                        seed=cfg.seed),
-        )
-        fancy_monitor.start()
+        n = min(max_dedicated_entries(PORT_BUDGET_BYTES), len(sl.prefixes))
+        monitor = FancyLinkMonitor(*link, FancyConfig(
+            high_priority=list(sl.prefixes[:n]), tree_params=None, seed=cfg.seed))
     elif design == "counting_bloom":
         cells = cfg.cbf_cells or (PORT_BUDGET_BYTES * 8) // 32
         sender = CountingBloomSender(cells, candidate_entries=sl.prefixes,
                                      seed=cfg.seed)
-        strategy_monitor = StrategyLinkMonitor(
-            sim, topo.upstream, 1, topo.downstream, 1,
-            sender, CountingBloomReceiver(cells, seed=cfg.seed),
+        monitor = StrategyLinkMonitor(
+            *link, sender, CountingBloomReceiver(cells, seed=cfg.seed),
             fsm_id="cbf", report_size_bytes=max(64, cells * 4 + 30),
         )
-        strategy_monitor.start()
     else:
         raise ValueError(f"unknown design {design!r}")
-
-    for i, prefix in enumerate(sl.prefixes):
-        FlowGenerator(
-            sim, topo.source, prefix,
-            rate_bps=sl.rates_bps[prefix],
-            flows_per_second=min(sl.flows_per_second[prefix], t3.max_flows_per_second),
-            packet_size=sl.packet_size,
-            seed=rng.randrange(2 ** 31),
-            flow_id_base=(i + 1) * 1_000_000,
-        ).start()
+    monitor.start()
     sim.run(until=t3.duration_s)
 
     n_prefixes = len(sl.prefixes)
@@ -127,17 +96,9 @@ def _run_design(design: str, failed_prefix: str, cfg: BaselineComparisonConfig,
         detected = failed_prefix in sender.flagged
         fps = len(sender.flagged - {failed_prefix})
     else:
-        report = fancy_monitor.log.first_report(
-            kind=FailureKind.DEDICATED_ENTRY, entry=failed_prefix
-        )
-        if report is None and fancy_monitor.tree_strategy is not None:
-            hp = fancy_monitor.tree_strategy.tree.hash_path(failed_prefix)
-            report = fancy_monitor.log.first_report(
-                kind=FailureKind.TREE_LEAF, hash_path=hp
-            )
-        detected = report is not None
+        detected = monitor.first_flag_time(failed_prefix) is not None
         fps = sum(1 for p in sl.prefixes
-                  if p != failed_prefix and fancy_monitor.entry_is_flagged(p))
+                  if p != failed_prefix and monitor.entry_is_flagged(p))
     return {"detected": detected, "false_positives": fps,
             "rate_bps": sl.rates_bps[failed_prefix]}
 

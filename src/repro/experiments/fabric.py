@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..core.detector import FancyConfig
-from ..core.output import FailureKind
 from ..fabric.builders import fat_tree, ring
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
@@ -90,13 +89,6 @@ class FabricExpConfig:
 def _mean_bps(series: list[tuple[float, float]], lo: float, hi: float) -> float:
     window = [bps for t, bps in series if lo <= t < hi]
     return sum(window) / len(window) if window else 0.0
-
-
-def _first_flag_time(deployment: FabricDeployment, link_id: str,
-                     entry: Any) -> Optional[float]:
-    report = deployment.monitors[link_id].log.first_report(
-        FailureKind.DEDICATED_ENTRY, entry)
-    return report.time if report is not None else None
 
 
 def _scenario(case: str, config: FabricExpConfig, links: Optional[list[str]],
@@ -223,7 +215,7 @@ def _close_the_loop(case: str, config: FabricExpConfig,
 
     victim_dst = entries[victim][1]
     series = meters[victim_dst].entry_series_bps(victim)
-    detect_at = _first_flag_time(deployment, failed_link, victim)
+    detect_at = deployment.monitors[failed_link].first_flag_time(victim)
     reroute_at = controller.reroute_times.get((failed_link, victim))
     pre = _mean_bps(series, 0.3, config.failure_time_s)
     post = (0.0 if reroute_at is None else

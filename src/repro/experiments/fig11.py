@@ -25,13 +25,11 @@ from ..core.analysis import tree_total_memory_bits
 from ..runtime.context import RuntimeContext, resolve
 from ..runtime.executor import run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
-from ..simulator.apps import FlowGenerator
-from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
-from ..simulator.topology import TwoSwitchTopology
 from ..traffic.zipf import assign_rates
 from .metrics import median
 from .report import render_table
+from .runner import link_trial
 
 __all__ = ["Fig11Config", "TREE_DESIGNS", "run", "render", "main"]
 
@@ -77,7 +75,6 @@ QUICK_CONFIG = Fig11Config(
 def run_once(params: HashTreeParams, burst: int, config: Fig11Config, rep: int) -> dict:
     rng = random.Random(stable_seed(config.seed, params.width, params.depth,
                                     params.split, burst, rep))
-    sim = Simulator()
     entries = [f"p{i}" for i in range(config.n_prefixes)]
     rates = assign_rates(entries, config.total_rate_bps, alpha=1.0)
     # Fail prefixes with observable traffic (paper: only prefixes detectable
@@ -88,33 +85,29 @@ def run_once(params: HashTreeParams, burst: int, config: Fig11Config, rep: int) 
     failure = EntryLossFailure(failed, config.loss_rate,
                                start_time=config.failure_time_s,
                                seed=rng.randrange(2 ** 31))
-    topo = TwoSwitchTopology(sim, loss_model=failure)
+    sim, topo = link_trial(failure, [
+        (entry, rates[entry],
+         min(max(0.5, rates[entry] / 100e3), config.max_flows_per_second),
+         1500, rng.randrange(2 ** 31))
+        for entry in entries
+    ])
     monitor = FancyLinkMonitor(
         sim, topo.upstream, 1, topo.downstream, 1,
         FancyConfig(high_priority=[], tree_params=params,
                     tree_session_s=config.zooming_speed_s, seed=config.seed + rep),
     )
-    for i, entry in enumerate(entries):
-        FlowGenerator(
-            sim, topo.source, entry, rate_bps=rates[entry],
-            flows_per_second=min(max(0.5, rates[entry] / 100e3),
-                                 config.max_flows_per_second),
-            seed=rng.randrange(2 ** 31), flow_id_base=(i + 1) * 1_000_000,
-        ).start()
     monitor.start()
     sim.run(until=config.duration_s)
 
-    tree = monitor.tree_strategy.tree
     detection_times = []
     detected_rate = 0.0
     detected = 0
     for entry in failed:
-        hp = tree.hash_path(entry)
-        report = monitor.log.first_report(hash_path=hp)
-        if report is not None and report.time >= config.failure_time_s:
+        when = monitor.first_flag_time(entry)
+        if when is not None and when >= config.failure_time_s:
             detected += 1
             detected_rate += rates[entry]
-            detection_times.append(report.time - config.failure_time_s)
+            detection_times.append(when - config.failure_time_s)
     failed_set = set(failed)
     fps = sum(1 for e in entries if e not in failed_set and monitor.entry_is_flagged(e))
     total_failed_rate = sum(rates[e] for e in failed)

@@ -1,9 +1,11 @@
 """Shared experiment runner for the §5.1 benchmarking experiments.
 
-``run_entry_failure`` builds the canonical evaluation setup — the
-two-switch topology, FANcY on the monitored link, one TCP flow generator
-per entry — injects a gray failure on a chosen subset of entries at a
-random time, runs the simulation, and scores TPR / detection time /
+``link_trial`` builds the canonical evaluation setup every single-link
+experiment shares — the two-switch topology with a gray failure on the
+monitored link and one TCP flow generator per entry.
+``run_entry_failure`` puts FANcY on that link, injects the failure on a
+chosen subset of entries at a random time, runs the simulation, and
+scores TPR / detection time (:meth:`FancyLinkMonitor.first_flag_time`) /
 false positives.
 
 Scaling knobs (`max_pps_per_entry`, `duration_s`, `repetitions`) let the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
@@ -31,7 +33,7 @@ from ..telemetry.session import Telemetry
 from ..traffic.synthetic import EntrySize
 from .metrics import CellResult, RunResult
 
-__all__ = ["ExperimentSpec", "run_entry_failure", "run_cell"]
+__all__ = ["EVAL_TREE", "ExperimentSpec", "link_trial", "run_entry_failure", "run_cell"]
 
 #: Default tree geometry of the evaluation (§5: depth 3, split 2, width 190).
 EVAL_TREE = HashTreeParams(width=190, depth=3, split=2, pipelined=True)
@@ -55,7 +57,6 @@ class ExperimentSpec:
         tree_params: tree geometry (``mode != "dedicated"``).
         dedicated_session_s / tree_session_s: exchange frequency and
             zooming speed.
-        link_delay_s: monitored-link one-way delay (paper: 10 ms).
         duration_s: experiment horizon after which TPR/latency are scored.
         failure_window_s: failure starts uniformly in [0.5, window].
         max_pps_per_entry: packet-rate cap per entry (None = uncapped).
@@ -73,7 +74,6 @@ class ExperimentSpec:
     tree_params: HashTreeParams = EVAL_TREE
     dedicated_session_s: float = 0.050
     tree_session_s: float = 0.200
-    link_delay_s: float = 0.010
     duration_s: float = 30.0
     failure_window_s: float = 2.0
     max_pps_per_entry: Optional[float] = None
@@ -93,6 +93,27 @@ class ExperimentSpec:
         return base.scaled(self.max_pps_per_entry)
 
 
+def link_trial(failure: Any, flows: Iterable[tuple[Any, float, float, int, int]],
+               telemetry: Optional[Telemetry] = None) -> tuple[Simulator, TwoSwitchTopology]:
+    """Build one single-link trial: two switches, ``failure`` on A→B, traffic.
+
+    ``flows`` holds one ``(entry, rate_bps, flows_per_second, packet_size,
+    seed)`` tuple per entry; each becomes a started :class:`FlowGenerator`.
+    The caller attaches its monitor on port 1 and starts it: a monitor's
+    first sessions open at t = 0 and every first spawn is at t > 0, so
+    starting it after the flows reorders no event.
+    """
+    sim = Simulator(telemetry=telemetry)
+    topo = TwoSwitchTopology(sim, loss_model=failure, telemetry=telemetry)
+    for i, (entry, rate_bps, flows_per_second, packet_size, seed) in enumerate(flows):
+        FlowGenerator(
+            sim, topo.source, entry, rate_bps=rate_bps,
+            flows_per_second=flows_per_second, packet_size=packet_size,
+            seed=seed, flow_id_base=(i + 1) * 10_000_000,
+        ).start()
+    return sim, topo
+
+
 def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
                       telemetry: Optional[Telemetry] = None) -> RunResult:
     """One repetition of an entry-failure experiment.
@@ -110,8 +131,9 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
     timeline's injection→flag pairing; see
     :meth:`repro.telemetry.StateTimeline.detection_records`).
     """
+    if spec.mode not in ("dedicated", "tree", "full"):
+        raise ValueError(f"unknown mode {spec.mode!r}")
     rng = random.Random(stable_seed(spec.seed, rep, "setup"))
-    sim = Simulator(telemetry=telemetry)
 
     failed = [f"failed/{i}" for i in range(spec.n_failed)]
     background = [f"bg/{i}" for i in range(spec.n_background)]
@@ -125,60 +147,23 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
         failure = EntryLossFailure(
             failed, spec.loss_rate, start_time=failure_time, seed=rng.randrange(2 ** 31)
         )
-    topo = TwoSwitchTopology(sim, link_delay_s=spec.link_delay_s, loss_model=failure,
-                             telemetry=telemetry)
-
-    if spec.mode == "dedicated":
-        config = FancyConfig(
-            high_priority=list(failed),
-            tree_params=None,
-            dedicated_session_s=spec.dedicated_session_s,
-            seed=spec.seed + rep,
-        )
-    elif spec.mode == "tree":
-        config = FancyConfig(
-            high_priority=[],
-            tree_params=spec.tree_params,
-            tree_session_s=spec.tree_session_s,
-            seed=spec.seed + rep,
-            suppress_known=spec.suppress_known,
-        )
-    elif spec.mode == "full":
-        config = FancyConfig(
-            high_priority=list(failed),
-            tree_params=spec.tree_params,
-            dedicated_session_s=spec.dedicated_session_s,
-            tree_session_s=spec.tree_session_s,
-            seed=spec.seed + rep,
-            suppress_known=spec.suppress_known,
-        )
-    else:
-        raise ValueError(f"unknown mode {spec.mode!r}")
-
+    sizes = ([spec.effective_entry_size()] * len(failed)
+             + [spec.effective_background_size()] * len(background))
+    sim, topo = link_trial(failure, [
+        (entry, size.rate_bps, size.flows_per_second, 1500, rng.randrange(2 ** 31))
+        for entry, size in zip(failed + background, sizes)
+    ], telemetry)
+    # Each mode switches one structure off; the other's knobs are unused.
+    config = FancyConfig(
+        high_priority=[] if spec.mode == "tree" else list(failed),
+        tree_params=None if spec.mode == "dedicated" else spec.tree_params,
+        dedicated_session_s=spec.dedicated_session_s,
+        tree_session_s=spec.tree_session_s,
+        seed=spec.seed + rep,
+        suppress_known=spec.suppress_known,
+    )
     monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1, config,
                                telemetry=telemetry)
-
-    entry_profile = spec.effective_entry_size()
-    bg_profile = spec.effective_background_size()
-    generators = []
-    for i, entry in enumerate(failed):
-        generators.append(FlowGenerator(
-            sim, topo.source, entry,
-            rate_bps=entry_profile.rate_bps,
-            flows_per_second=entry_profile.flows_per_second,
-            seed=rng.randrange(2 ** 31),
-            flow_id_base=(i + 1) * 10_000_000,
-        ))
-    for j, entry in enumerate(background):
-        generators.append(FlowGenerator(
-            sim, topo.source, entry,
-            rate_bps=bg_profile.rate_bps,
-            flows_per_second=bg_profile.flows_per_second,
-            seed=rng.randrange(2 ** 31),
-            flow_id_base=(spec.n_failed + j + 1) * 10_000_000,
-        ))
-    for gen in generators:
-        gen.start()
     monitor.start()
     if telemetry is not None and failure_time <= spec.duration_s:
         # The injection is recorded by pausing the clock at its instant,
@@ -229,7 +214,7 @@ def _score(
         )
 
     for entry in failed:
-        when = _first_detection_time(monitor, entry)
+        when = monitor.first_flag_time(entry)
         if when is not None and when >= failure_time:
             detected += 1
             detection_times.append(when - failure_time)
@@ -242,19 +227,6 @@ def _score(
         horizon_s=horizon,
         extra={"failure_time": failure_time},
     )
-
-
-def _first_detection_time(monitor: FancyLinkMonitor, entry: str) -> Optional[float]:
-    """Earliest report that flags ``entry`` (dedicated or tree path)."""
-    report = monitor.log.first_report(kind=FailureKind.DEDICATED_ENTRY, entry=entry)
-    if report is not None:
-        return report.time
-    if monitor.tree_strategy is not None:
-        hp = monitor.tree_strategy.tree.hash_path(entry)
-        report = monitor.log.first_report(kind=FailureKind.TREE_LEAF, hash_path=hp)
-        if report is not None:
-            return report.time
-    return None
 
 
 def run_cell(spec: ExperimentSpec, repetitions: int = 3,

@@ -18,37 +18,32 @@ from ..catalog import (
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
 from ..core.output import FailureKind
-from ..simulator.apps import FlowGenerator
-from ..simulator.engine import Simulator
-from ..simulator.topology import TwoSwitchTopology
 from .report import render_table
+from .runner import link_trial
 
 __all__ = ["run", "render", "main"]
 
 
 def _detect_one(bug, seed: int = 0) -> bool:
     """Instantiate ``bug`` live and check FANcY detects it."""
-    sim = Simulator()
     entries = [f"e{i}" for i in range(8)]
     victims = entries[:2] if bug.entry_scope is EntryScope.SOME_PREFIXES else entries
     loss = 1.0 if bug.packet_scope is PacketScope.ALL_PACKETS else 0.5
     failure = failure_for(bug, entries=victims, loss_rate=loss,
                           start_time=1.0, seed=seed)
-    topo = TwoSwitchTopology(sim, loss_model=failure)
+    # Mixed packet sizes so size-selective bugs (e.g. CSCtc33158) have
+    # affected traffic to drop.
+    sizes = (96, 160, 256, 600, 1500)
+    sim, topo = link_trial(failure, [
+        (entry, 1.5e6, 15, sizes[i % len(sizes)], seed + i)
+        for i, entry in enumerate(entries)
+    ])
     monitor = FancyLinkMonitor(
         sim, topo.upstream, 1, topo.downstream, 1,
         FancyConfig(high_priority=entries[:2],
                     tree_params=HashTreeParams(width=16, depth=3, split=2),
                     seed=seed),
     )
-    # Mixed packet sizes so size-selective bugs (e.g. CSCtc33158) have
-    # affected traffic to drop.
-    sizes = (96, 160, 256, 600, 1500)
-    for i, entry in enumerate(entries):
-        FlowGenerator(sim, topo.source, entry, rate_bps=1.5e6,
-                      flows_per_second=15, seed=seed + i,
-                      packet_size=sizes[i % len(sizes)],
-                      flow_id_base=(i + 1) * 1_000_000).start()
     monitor.start()
     sim.run(until=6.0)
     if bug.entry_scope is EntryScope.SOME_PREFIXES:

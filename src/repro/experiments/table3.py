@@ -26,20 +26,16 @@ from typing import Optional
 
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
-from ..core.output import FailureKind
 from ..runtime.context import RuntimeContext, resolve
 from ..runtime.executor import run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
-from ..simulator.apps import FlowGenerator
-from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
-from ..simulator.topology import TwoSwitchTopology
 from ..traffic.caida import CAIDA_TRACES, SyntheticCaidaTrace, TraceSlice
 from .report import render_table
+from .runner import EVAL_TREE, link_trial
 
-__all__ = ["Table3Config", "run", "render", "main", "run_one_failure", "build_slice"]
-
-EVAL_TREE = HashTreeParams(width=190, depth=3, split=2, pipelined=True)
+__all__ = ["Table3Config", "run", "render", "main", "run_one_failure", "build_slice",
+           "slice_flows"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +84,17 @@ def build_slice(trace_index: int, config: Table3Config) -> tuple[SyntheticCaidaT
     return trace, sl
 
 
+def slice_flows(sl: TraceSlice, max_flows_per_second: float,
+                rng: random.Random) -> list[tuple[str, float, float, int, int]]:
+    """One :func:`~repro.experiments.runner.link_trial` flow per slice prefix."""
+    return [
+        (prefix, sl.rates_bps[prefix],
+         min(sl.flows_per_second[prefix], max_flows_per_second),
+         sl.packet_size, rng.randrange(2 ** 31))
+        for prefix in sl.prefixes
+    ]
+
+
 def run_one_failure(
     failed_prefix: str,
     loss_rate: float,
@@ -98,40 +105,22 @@ def run_one_failure(
 ) -> dict:
     """Replay the slice with one prefix failing; score the detection."""
     rng = random.Random(stable_seed(config.seed, failed_prefix, loss_rate, rep))
-    sim = Simulator()
     failure_time = rng.uniform(0.5, 2.0)
     failure = EntryLossFailure(
         {failed_prefix}, loss_rate, start_time=failure_time, seed=rng.randrange(2 ** 31)
     )
-    topo = TwoSwitchTopology(sim, loss_model=failure)
+    sim, topo = link_trial(failure, slice_flows(sl, config.max_flows_per_second, rng))
     dedicated = trace.top_prefixes(config.n_dedicated)
     monitor = FancyLinkMonitor(
         sim, topo.upstream, 1, topo.downstream, 1,
         FancyConfig(high_priority=dedicated, tree_params=config.tree,
                     seed=config.seed + rep),
     )
-    for i, prefix in enumerate(sl.prefixes):
-        FlowGenerator(
-            sim, topo.source, prefix,
-            rate_bps=sl.rates_bps[prefix],
-            flows_per_second=min(sl.flows_per_second[prefix], config.max_flows_per_second),
-            packet_size=sl.packet_size,
-            seed=rng.randrange(2 ** 31),
-            flow_id_base=(i + 1) * 1_000_000,
-        ).start()
     monitor.start()
     sim.run(until=config.duration_s)
 
     is_dedicated = failed_prefix in set(dedicated)
-    when = None
-    report = monitor.log.first_report(kind=FailureKind.DEDICATED_ENTRY, entry=failed_prefix)
-    if report is not None:
-        when = report.time
-    elif monitor.tree_strategy is not None:
-        hp = monitor.tree_strategy.tree.hash_path(failed_prefix)
-        report = monitor.log.first_report(kind=FailureKind.TREE_LEAF, hash_path=hp)
-        if report is not None:
-            when = report.time
+    when = monitor.first_flag_time(failed_prefix)
     detected = when is not None and when >= failure_time
     false_positives = sum(
         1 for p in sl.prefixes if p != failed_prefix and monitor.entry_is_flagged(p)

@@ -20,12 +20,10 @@ from ..core.output import FailureKind
 from ..runtime.context import RuntimeContext, resolve
 from ..runtime.executor import run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
-from ..simulator.apps import FlowGenerator
-from ..simulator.engine import Simulator
 from ..simulator.failures import UniformLossFailure
-from ..simulator.topology import TwoSwitchTopology
 from ..traffic.zipf import assign_rates
 from .report import render_table
+from .runner import EVAL_TREE, link_trial
 
 __all__ = ["UniformConfig", "run", "render", "main"]
 
@@ -43,7 +41,7 @@ class UniformConfig:
     n_entries: int = 500
     total_rate_bps: float = 600e6
     zipf_alpha: float = 1.0
-    tree: HashTreeParams = HashTreeParams(width=190, depth=3, split=2, pipelined=True)
+    tree: HashTreeParams = EVAL_TREE
     tree_session_s: float = 0.200
     duration_s: float = 5.0
     failure_time_s: float = 1.5
@@ -63,25 +61,22 @@ QUICK_CONFIG = UniformConfig(
 
 def run_once(loss_rate: float, config: UniformConfig, rep: int) -> dict:
     rng = random.Random(stable_seed(config.seed, rep, loss_rate))
-    sim = Simulator()
     failure = UniformLossFailure(
         loss_rate, start_time=config.failure_time_s, seed=rng.randrange(2 ** 31)
     )
-    topo = TwoSwitchTopology(sim, loss_model=failure)
+    entries = [f"p{i}" for i in range(config.n_entries)]
+    rates = assign_rates(entries, config.total_rate_bps, config.zipf_alpha)
+    # Modest flows/s per entry.
+    sim, topo = link_trial(failure, [
+        (entry, rates[entry], max(0.5, rates[entry] / 200e3), 1500,
+         rng.randrange(2 ** 31))
+        for entry in entries
+    ])
     monitor = FancyLinkMonitor(
         sim, topo.upstream, 1, topo.downstream, 1,
         FancyConfig(high_priority=[], tree_params=config.tree,
                     tree_session_s=config.tree_session_s, seed=config.seed + rep),
     )
-    entries = [f"p{i}" for i in range(config.n_entries)]
-    rates = assign_rates(entries, config.total_rate_bps, config.zipf_alpha)
-    for i, entry in enumerate(entries):
-        rate = rates[entry]
-        fps = max(0.5, rate / 200e3)  # modest flows/s per entry
-        FlowGenerator(
-            sim, topo.source, entry, rate_bps=rate, flows_per_second=fps,
-            seed=rng.randrange(2 ** 31), flow_id_base=(i + 1) * 1_000_000,
-        ).start()
     monitor.start()
     sim.run(until=config.duration_s)
 

@@ -17,7 +17,8 @@ stage/SRAM budget.  It is an AST rule engine with per-file repo-specific
 rules (FCY001–FCY013, see :mod:`repro.lint.rules`), ruff-style
 ``file:line:col: CODE message`` diagnostics with fix hints, per-line
 ``# fancylint: disable=FCYnnn`` suppressions (stale ones are reported
-as FCY014), and a checked-in baseline file for grandfathered findings.
+as FCY014).  Every finding fails the run: there is no baseline of
+grandfathered findings.
 
 On top of the per-file layer, ``--deep`` runs the **whole-program**
 passes over a shared parse-once AST cache: a project call graph
@@ -37,7 +38,6 @@ from __future__ import annotations
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".baseline": ("Baseline", "BaselineEntry"),
     ".callgraph": ("CallGraph", "build_callgraph"),
     ".diagnostics": ("Diagnostic",),
     ".engine": ("AstCache", "LintResult", "lint_file", "lint_paths", "lint_source"),

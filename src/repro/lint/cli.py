@@ -1,15 +1,13 @@
 """Command-line front end: ``python -m repro.lint`` / ``fancy-repro lint``.
 
-Exit status is 0 when no unbaselined findings remain, 1 otherwise —
-suitable as a CI gate (see the ``lint`` job in
-``.github/workflows/ci.yml``) and as a pre-commit hook.
+Exit status is 0 when there are no findings, 1 otherwise — suitable as
+a CI gate (see the ``lint`` job in ``.github/workflows/ci.yml``) and as
+a pre-commit hook.
 
 ``--deep`` adds the whole-program passes (FCY011 determinism taint over
 the project call graph, FCY012 FSM model checking) on top of the
-per-file rules, gated by its own baseline file
-(``.fancylint-deep-baseline.json``) so the shallow gate's baseline
-stays byte-identical; ``--fsm-out DIR`` additionally exports the
-extracted FSM models as ``fsm.json`` + Graphviz ``.dot`` artifacts.
+per-file rules; ``--fsm-out DIR`` additionally exports the extracted
+FSM models as ``fsm.json`` + Graphviz ``.dot`` artifacts.
 """
 
 from __future__ import annotations
@@ -19,14 +17,10 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .baseline import DEFAULT_BASELINE, Baseline
 from .engine import DEEP_CODES, UNUSED_SUPPRESSION_CODE, lint_paths
 from .rules import ALL_RULES, Rule, rule_catalog
 
-__all__ = ["main", "DEFAULT_DEEP_BASELINE"]
-
-#: findings from ``--deep`` are gated separately from the per-file ones.
-DEFAULT_DEEP_BASELINE = ".fancylint-deep-baseline.json"
+__all__ = ["main"]
 
 #: codes valid in ``--select`` beyond the per-file registry.
 _ENGINE_CODES = DEEP_CODES | {UNUSED_SUPPRESSION_CODE}
@@ -101,19 +95,6 @@ def main(argv: Sequence[str] | None = None) -> int:
              "artifacts of the extracted protocol FSMs to DIR",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline file of grandfathered findings (default: "
-             f"{DEFAULT_BASELINE}, or {DEFAULT_DEEP_BASELINE} with --deep)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="diagnostic output format (default: text)",
     )
@@ -136,12 +117,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     codes = _select_codes(args.select)
     rules = _select_rules(codes)
-    baseline_path = args.baseline if args.baseline is not None else (
-        DEFAULT_DEEP_BASELINE if args.deep else DEFAULT_BASELINE)
-    baseline = None if (args.no_baseline or args.write_baseline) \
-        else Baseline.load(baseline_path)
-    result = lint_paths(list(args.paths), rules=rules, baseline=baseline,
-                        deep=args.deep, codes=codes)
+    result = lint_paths(list(args.paths), rules=rules, deep=args.deep,
+                        codes=codes)
 
     if args.fsm_out is not None:
         from .fsm import write_fsm_artifacts
@@ -149,13 +126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.quiet:
             print(f"fancylint: wrote {len(written)} FSM artifact(s) to "
                   f"{args.fsm_out}", file=sys.stderr)
-
-    if args.write_baseline:
-        Baseline.from_diagnostics(result.diagnostics).save(baseline_path)
-        if not args.quiet:
-            print(f"fancylint: wrote {len(result.diagnostics)} finding(s) "
-                  f"to {baseline_path}")
-        return 0
 
     findings = result.parse_errors + result.diagnostics
     if args.format == "json":

@@ -8,9 +8,7 @@ flake8 output pick fancylint findings up for free.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -24,8 +22,6 @@ class Diagnostic:
         code: rule code, e.g. ``"FCY001"``.
         message: what is wrong, with the offending expression quoted.
         hint: how to fix it (rendered after the message).
-        line_text: stripped source line, used for the location-independent
-            baseline fingerprint.
     """
 
     path: str
@@ -34,7 +30,6 @@ class Diagnostic:
     code: str
     message: str
     hint: str = ""
-    line_text: str = field(default="", compare=False)
 
     def render(self) -> str:
         """``path:line:col: CODE message (hint: ...)`` — one line."""
@@ -42,20 +37,6 @@ class Diagnostic:
         if self.hint:
             text += f" (hint: {self.hint})"
         return text
-
-    def fingerprint(self, occurrence: int = 0) -> str:
-        """Location-independent identity for baseline matching.
-
-        Hashes ``(code, path, stripped source line, occurrence index)``:
-        stable when unrelated lines are inserted above the finding, and
-        disambiguated when the same violating line appears several times
-        in one file.
-        """
-        payload = json.dumps(
-            [self.code, self.path, self.line_text, occurrence],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_json(self) -> dict[str, object]:
         """Machine-readable form for ``--format json``."""

@@ -5,7 +5,7 @@ hook: discover ``*.py`` files, parse each **once** into a shared
 :class:`AstCache`, run every applicable per-file rule, optionally run
 the whole-program deep passes (call graph → FCY011 taint, FSM model
 check → FCY012) on the *same* parsed trees, drop per-line suppressions,
-report unused ones (FCY014), then subtract the baseline.
+then report unused ones (FCY014).
 
 The AST cache is the load-bearing piece for ``--deep``: the shallow
 rules, the call-graph builder and the FSM extractor all consume the one
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .baseline import Baseline
 from .diagnostics import Diagnostic
 from .rules import ALL_RULES, FileContext, Rule
 from .suppress import ALL_CODES, is_suppressed, parse_suppressions
@@ -73,7 +72,6 @@ class ParsedFile:
     tree: ast.Module | None
     error: Diagnostic | None
     suppressions: dict[int, frozenset[str]]
-    lines: list[str]
 
 
 class AstCache:
@@ -124,7 +122,6 @@ class AstCache:
         entry = ParsedFile(
             path=key, source=source, rel_path=rel, tree=tree, error=error,
             suppressions=parse_suppressions(source),
-            lines=source.splitlines(),
         )
         self._entries[key] = entry
         return entry
@@ -137,7 +134,6 @@ class LintResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: list[Diagnostic] = field(default_factory=list)
     #: extracted FSM models (``--deep`` only), for artifact export.
     fsm_models: list[Any] = field(default_factory=list)
@@ -151,8 +147,6 @@ class LintResult:
         parts = [f"{n} finding{'s' if n != 1 else ''} in {self.files_checked} files"]
         if self.suppressed:
             parts.append(f"{self.suppressed} suppressed")
-        if self.baselined:
-            parts.append(f"{self.baselined} baselined")
         return ", ".join(parts)
 
 
@@ -191,8 +185,7 @@ def lint_source(
     if pf.error is not None:
         return [pf.error]
     assert pf.tree is not None
-    ctx = FileContext.for_tree(pf.tree, path=path, rel_path=rel_path,
-                               source=source)
+    ctx = FileContext.for_tree(pf.tree, path=path, rel_path=rel_path)
     findings: list[Diagnostic] = []
     n_suppressed = 0
     for diag in _run_rules(pf.tree, ctx, rules, rel_path):
@@ -256,8 +249,6 @@ def _unused_suppression_findings(
                 )
             if not unused_codes:
                 continue
-            text = (pf.lines[line - 1].strip()
-                    if 1 <= line <= len(pf.lines) else "")
             diag = Diagnostic(
                 path=pf.path, line=line, col=1,
                 code=UNUSED_SUPPRESSION_CODE,
@@ -267,7 +258,6 @@ def _unused_suppression_findings(
                 ),
                 hint="remove the stale directive (or fix the code it was "
                      "meant to sanction)",
-                line_text=text,
             )
             explicitly_silenced = (codes is not ALL_CODES
                                    and UNUSED_SUPPRESSION_CODE in codes)
@@ -281,14 +271,13 @@ def _unused_suppression_findings(
 def lint_paths(
     paths: list[str | Path],
     rules: tuple[Rule, ...] = ALL_RULES,
-    baseline: Baseline | None = None,
     *,
     deep: bool = False,
     codes: frozenset[str] | None = None,
     cache: AstCache | None = None,
     check_suppressions: bool = True,
 ) -> LintResult:
-    """Lint files/directories; apply suppressions, then the baseline.
+    """Lint files/directories and apply suppressions.
 
     ``deep=True`` additionally builds the project call graph over the
     same parsed trees and runs the FCY011 taint and FCY012 FSM passes.
@@ -325,8 +314,7 @@ def lint_paths(
             result.parse_errors.append(pf.error)
             continue
         assert pf.tree is not None
-        ctx = FileContext.for_tree(pf.tree, path=pf.path,
-                                   rel_path=pf.rel_path, source=pf.source)
+        ctx = FileContext.for_tree(pf.tree, path=pf.path, rel_path=pf.rel_path)
         apply_suppressions(_run_rules(pf.tree, ctx, rules, pf.rel_path))
 
     # -- whole-program passes --------------------------------------------
@@ -338,12 +326,11 @@ def lint_paths(
 
         trees = [(pf.path, pf.tree) for pf in parsed if pf.tree is not None]
         rel_paths = {pf.path: pf.rel_path for pf in parsed}
-        lines = {pf.path: pf.lines for pf in parsed}
 
         deep_codes = DEEP_CODES if codes is None else DEEP_CODES & codes
         if "FCY011" in deep_codes:
             graph = build_callgraph(trees)
-            taint = run_taint(graph, rel_paths, lines, supp_by_path)
+            taint = run_taint(graph, rel_paths, supp_by_path)
             apply_suppressions(taint.diagnostics)
             # barriers are suppressions consumed at the taint *source*
             for barrier_path, barrier_line in taint.used_barriers:
@@ -351,7 +338,7 @@ def lint_paths(
                 used.setdefault((barrier_path, barrier_line),
                                 set()).add("FCY011")
         if "FCY012" in deep_codes:
-            models, fsm_diags = run_fsm_pass(trees, lines)
+            models, fsm_diags = run_fsm_pass(trees)
             result.fsm_models = models
             apply_suppressions(fsm_diags)
         ran_codes |= deep_codes
@@ -369,8 +356,5 @@ def lint_paths(
     if codes is not None:
         all_findings = [d for d in all_findings if d.code in codes]
 
-    if baseline is not None and len(baseline):
-        all_findings, matched = baseline.filter(all_findings)
-        result.baselined = matched
     result.diagnostics = sorted(all_findings)
     return result

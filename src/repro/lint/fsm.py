@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import ast
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -146,15 +146,13 @@ def _literal_specs(tree: ast.Module, path: str) -> list[tuple[str, dict[str, Any
 
 
 def _parse_spec(name: str, literal: dict[str, Any], path: str,
-                lineno: int, diags: list[Diagnostic],
-                line_text: str) -> FsmSpec | None:
+                lineno: int, diags: list[Diagnostic]) -> FsmSpec | None:
     missing = [key for key in _REQUIRED_KEYS if key not in literal]
     if missing:
         diags.append(Diagnostic(
             path=path, line=lineno, col=1, code=FSM_CODE,
             message=f"FSM spec `{name}` is missing keys: {', '.join(missing)}",
             hint="see docs/STATIC_ANALYSIS.md for the spec format",
-            line_text=line_text,
         ))
         return None
     transitions = tuple(
@@ -527,22 +525,14 @@ class _ClassExtractor:
 
 def extract_fsms(
     parsed: Sequence[tuple[str, ast.Module]],
-    lines: Mapping[str, Sequence[str]],
 ) -> tuple[list[FsmModel], list[Diagnostic]]:
     """Find every declared FSM spec and extract its implementation."""
     models: list[FsmModel] = []
     spec_diags: list[Diagnostic] = []
 
-    def text(path: str, lineno: int) -> str:
-        file_lines = lines.get(path, ())
-        if 1 <= lineno <= len(file_lines):
-            return file_lines[lineno - 1].strip()
-        return ""
-
     for path, tree in parsed:
         for name, literal, lineno in _literal_specs(tree, path):
-            spec = _parse_spec(name, literal, path, lineno, spec_diags,
-                               text(path, lineno))
+            spec = _parse_spec(name, literal, path, lineno, spec_diags)
             if spec is None:
                 continue
             members = _enum_members(tree, spec.state_enum)
@@ -555,7 +545,6 @@ def extract_fsms(
                     message=f"FSM spec `{name}` references unknown {what} "
                             "in this module",
                     hint="declare the spec next to the FSM it describes",
-                    line_text=text(path, lineno),
                 ))
                 continue
             extractor = _ClassExtractor(cls, spec.state_enum, members)
@@ -606,22 +595,14 @@ def _covered_by(edge: tuple[str, str], declared: set[tuple[str, str]]) -> bool:
     return edge in declared or ("*", edge[1]) in declared
 
 
-def check_fsm(model: FsmModel,
-              lines: Mapping[str, Sequence[str]]) -> list[Diagnostic]:
+def check_fsm(model: FsmModel) -> list[Diagnostic]:
     """All FCY012 findings for one extracted model."""
     spec = model.spec
     diags: list[Diagnostic] = []
 
-    def text(lineno: int) -> str:
-        file_lines = lines.get(spec.path, ())
-        if 1 <= lineno <= len(file_lines):
-            return file_lines[lineno - 1].strip()
-        return ""
-
     def at_spec(message: str, hint: str = "") -> Diagnostic:
         return Diagnostic(path=spec.path, line=spec.lineno, col=1,
-                          code=FSM_CODE, message=message, hint=hint,
-                          line_text=text(spec.lineno))
+                          code=FSM_CODE, message=message, hint=hint)
 
     states = set(model.states)
     declared_prot = {(t[0], t[1]) for t in spec.transitions
@@ -650,7 +631,6 @@ def check_fsm(model: FsmModel,
                     "FSM spec"
                 ),
                 hint="add it to the spec's transitions, or remove the code path",
-                line_text=text(edge.lineno),
             ))
     for edge in model.lifecycle_edges:
         if not _covered_by(edge.key(), declared_life | declared_prot):
@@ -661,7 +641,6 @@ def check_fsm(model: FsmModel,
                     f"implements undeclared transition {edge.src} -> {edge.dst}"
                 ),
                 hint="declare it with kind \"lifecycle\" in the FSM spec",
-                line_text=text(edge.lineno),
             ))
 
     # drift: spec ahead of code
@@ -722,7 +701,6 @@ def check_fsm(model: FsmModel,
                     f"{edge.src} outside a lifecycle method"
                 ),
                 hint="only lifecycle methods may reset a terminal FSM",
-                line_text=text(edge.lineno),
             ))
 
     # timeout edges require a capped-backoff path
@@ -773,12 +751,11 @@ def _callers_arm_backoff(model: FsmModel, witness: str) -> bool:
 
 def run_fsm_pass(
     parsed: Sequence[tuple[str, ast.Module]],
-    lines: Mapping[str, Sequence[str]],
 ) -> tuple[list[FsmModel], list[Diagnostic]]:
     """Extract and check every declared FSM; return models + findings."""
-    models, diags = extract_fsms(parsed, lines)
+    models, diags = extract_fsms(parsed)
     for model in models:
-        diags.extend(check_fsm(model, lines))
+        diags.extend(check_fsm(model))
     return models, sorted(diags)
 
 

@@ -74,13 +74,12 @@ class FileContext:
     #: or ``None`` for files outside the package (rule scoping then
     #: defaults to "applies").
     rel_path: str | None
-    lines: list[str]
     #: local name -> canonical dotted module/object path.
     aliases: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def for_tree(cls, tree: ast.AST, path: str, rel_path: str | None, source: str) -> FileContext:
-        ctx = cls(path=path, rel_path=rel_path, lines=source.splitlines())
+    def for_tree(cls, tree: ast.AST, path: str, rel_path: str | None) -> FileContext:
+        ctx = cls(path=path, rel_path=rel_path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for name in node.names:
@@ -114,11 +113,6 @@ class FileContext:
         parts.append(base)
         return ".".join(reversed(parts))
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def diagnostic(
         self, node: ast.AST, code: str, message: str, hint: str = ""
     ) -> Diagnostic:
@@ -131,7 +125,6 @@ class FileContext:
             code=code,
             message=message,
             hint=hint,
-            line_text=self.line_text(lineno),
         )
 
 

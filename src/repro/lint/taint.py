@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .callgraph import CallGraph, FunctionInfo
@@ -168,21 +168,14 @@ def _seed_expr_ok(expr: ast.expr, caller: FunctionInfo, graph: CallGraph,
 def run_taint(
     graph: CallGraph,
     rel_paths: Mapping[str, str | None],
-    lines: Mapping[str, Sequence[str]],
     suppressions: Mapping[str, Mapping[int, frozenset[str]]],
 ) -> TaintResult:
     """Run both FCY011 analyses over a built call graph.
 
-    ``rel_paths``/``lines``/``suppressions`` are keyed by the same path
+    ``rel_paths``/``suppressions`` are keyed by the same path
     strings the graph was built from (the engine's AST cache keys).
     """
     result = TaintResult()
-
-    def line_text(path: str, lineno: int) -> str:
-        file_lines = lines.get(path, ())
-        if 1 <= lineno <= len(file_lines):
-            return file_lines[lineno - 1].strip()
-        return ""
 
     # -- pass 1: seed primitive sources (honoring barriers) ---------------
     taint: dict[str, tuple[str, tuple[str, ...]]] = {}
@@ -244,7 +237,6 @@ def run_taint(
                 hint="thread the simulated clock / a seeded RNG into the "
                      "helper, or sanction the primitive line with "
                      "`# fancylint: disable=FCY011 -- <why>`",
-                line_text=line_text(fn.path, edge.lineno),
             ))
 
     # -- pass 4: seed provenance at sink call sites -----------------------
@@ -291,7 +283,6 @@ def run_taint(
                     ),
                     hint="derive per-entity seeds with "
                          "repro.runtime.stable_seed(base, ...entity key...)",
-                    line_text=line_text(fn.path, edge.lineno),
                 ))
 
     result.diagnostics = sorted(diags)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams
-from repro.core.output import FailureKind
+from repro.core.output import FailureKind, FailureReport
 from repro.fabric import FabricNetwork, line
 from repro.simulator.apps import FlowGenerator
 from repro.simulator.failures import ControlPlaneFailure, EntryLossFailure
@@ -53,10 +53,9 @@ class TestDedicatedPath:
         traffic(sim, topo, ["hp"], rate=2e6, fps=20)
         monitor.start()
         sim.run(until=3.0)
-        dt = monitor.log.detection_time(1.0, kind=FailureKind.DEDICATED_ENTRY,
-                                        entry="hp")
+        flagged_at = monitor.first_flag_time("hp")
         # §5.1.1: roughly exchange frequency (50 ms) + open/close (~40 ms).
-        assert dt is not None and dt < 0.4
+        assert flagged_at is not None and flagged_at - 1.0 < 0.4
 
     def test_no_failure_no_reports(self, sim):
         topo, monitor = build(sim, high_priority=["hp"], tree=None)
@@ -94,12 +93,10 @@ class TestTreePath:
         traffic(sim, topo, ["be0", "be1"], rate=2e6, fps=20)
         monitor.start()
         sim.run(until=6.0)
-        hp = monitor.tree_strategy.tree.hash_path("be0")
-        dt = monitor.log.detection_time(1.0, kind=FailureKind.TREE_LEAF,
-                                        hash_path=hp)
+        flagged_at = monitor.first_flag_time("be0")
         # §5.1.2: lower bound ≈ 3 × 200 ms zooming; allow protocol overhead.
-        assert dt is not None
-        assert 0.3 < dt < 1.5
+        assert flagged_at is not None
+        assert 0.3 < flagged_at - 1.0 < 1.5
 
     def test_dedicated_entry_never_counted_by_tree(self, sim):
         failure = EntryLossFailure({"hp"}, 1.0, start_time=1.0, seed=1)
@@ -119,6 +116,40 @@ class TestTreePath:
         assert monitor.entry_is_flagged("hp")
         assert monitor.entry_is_flagged("be0")
         assert not monitor.entry_is_flagged("be1")
+
+
+class TestFirstFlagTime:
+    @pytest.fixture
+    def run(self, sim):
+        """``hp`` (dedicated) and ``be3`` (tree) fail; the rest stay healthy."""
+        failure = EntryLossFailure({"hp", "be3"}, 1.0, start_time=1.0, seed=1)
+        topo, monitor = build(sim, loss_model=failure, high_priority=["hp"])
+        traffic(sim, topo, ["hp"] + [f"be{i}" for i in range(6)])
+        monitor.start()
+        sim.run(until=6.0)
+        return monitor
+
+    def test_dedicated_entry_returns_its_dedicated_report(self, run):
+        report = run.log.first_report(kind=FailureKind.DEDICATED_ENTRY, entry="hp")
+        assert report is not None
+        assert run.first_flag_time("hp") == report.time
+
+    def test_tree_entry_returns_its_leaf_report(self, run):
+        hp = run.tree_strategy.tree.hash_path("be3")
+        report = run.log.first_report(kind=FailureKind.TREE_LEAF, hash_path=hp)
+        assert report is not None
+        assert run.first_flag_time("be3") == report.time
+
+    def test_entry_with_neither_returns_none(self, run):
+        assert not run.entry_is_flagged("be0")
+        assert run.first_flag_time("be0") is None
+
+    def test_dedicated_report_wins_over_an_earlier_leaf_report(self, sim):
+        _, monitor = build(sim, high_priority=["hp"])
+        leaf = monitor.tree_strategy.tree.hash_path("hp")
+        monitor.log.record(FailureReport(FailureKind.TREE_LEAF, 1.0, hash_path=leaf))
+        monitor.log.record(FailureReport(FailureKind.DEDICATED_ENTRY, 2.0, entry="hp"))
+        assert monitor.first_flag_time("hp") == 2.0
 
 
 class TestControlResilience:

@@ -98,9 +98,7 @@ def test_static_model_check_proves_both_fsms():
     declared tables."""
     with open(protocol_mod.__file__, encoding="utf-8") as fh:
         source = fh.read()
-    models, diags = run_fsm_pass(
-        [(protocol_mod.__file__, ast.parse(source))],
-        {protocol_mod.__file__: source.splitlines()})
+    models, diags = run_fsm_pass([(protocol_mod.__file__, ast.parse(source))])
     assert diags == [], [d.render() for d in diags]
     by_role = {m.spec.role: m for m in models}
     assert set(by_role) == {"sender", "receiver"}

@@ -36,17 +36,6 @@ class TestFailureLog:
         assert log.first_report(entry="missing") is None
         assert log.first_report(hash_path=(9,)) is None
 
-    def test_detection_time(self):
-        log = FailureLog()
-        log.record(report(time=3.0, entry="e"))
-        assert log.detection_time(2.0, entry="e") == 1.0
-        assert log.detection_time(2.0, entry="missing") is None
-
-    def test_detection_time_clamped_at_zero(self):
-        log = FailureLog()
-        log.record(report(time=1.0, entry="e"))
-        assert log.detection_time(2.0, entry="e") == 0.0
-
     def test_flagged_leaf_paths(self):
         log = FailureLog()
         log.record(report(FailureKind.TREE_LEAF, hash_path=(1, 2)))

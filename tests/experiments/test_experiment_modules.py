@@ -3,9 +3,16 @@
 The benchmark harness runs these at quick scale; here they run at *micro*
 scale so `pytest tests/` alone exercises every experiment code path
 (config plumbing, aggregation, rendering) in seconds.
+
+The single-link runs also pin the SHA-256 of their result rows: a
+refactor of how the two-switch trial is built or scored must not move a
+simulated event, an RNG draw or a reported number.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -20,6 +27,12 @@ from repro.experiments import (
     uniform,
 )
 from repro.traffic.synthetic import EntrySize
+
+
+def rows_sha(rows) -> str:
+    """SHA-256 of ``rows`` serialized as key-sorted JSON."""
+    text = json.dumps(rows, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestFig8Module:
@@ -52,6 +65,8 @@ class TestUniformModule:
         )
         result = uniform.run(config=config)
         assert result["rows"][0.5]["detection_rate"] == 1.0
+        assert rows_sha(result["rows"]) == (
+            "00532ef53d5b817d23df71acd254b4de674749eb5f74b95432bb1c779adbfb95")
         assert "uniform" in uniform.render(result)
 
 
@@ -75,6 +90,10 @@ class TestTable3Module:
         assert agg["n"] == 4
         assert agg["tpr_dedicated"] is not None
         assert agg["tpr_tree"] is not None
+
+    def test_rows_pinned(self, micro_result):
+        assert rows_sha(micro_result["rows"]) == (
+            "b9a8372b519c8164c0b7b570533474405d547f5e546bb2718818e01d62f289c7")
 
     def test_render(self, micro_result):
         text = table3.render(micro_result)
@@ -111,6 +130,10 @@ class TestFig11Module:
         (label, burst), data = next(iter(result["results"].items()))
         assert burst == 5
         assert data["tpr"] > 0
+        rows = {f"{label}|{burst}": data
+                for (label, burst), data in result["results"].items()}
+        assert rows_sha(rows) == (
+            "c916d25b90ca7e7e03c66b11346ab5cec9be64959467b9967abc6b6fff5ec777")
         assert "sensitivity" in fig11.render(result)
 
 
@@ -122,6 +145,14 @@ class TestTable1Module:
         text = table1.render(result)
         assert "Table 1" in text
         assert "coverage" not in text.lower() or "Live coverage" not in text
+
+    def test_live_bug_pinned(self):
+        bug = table1.bugs_in_class(table1.EntryScope.SOME_PREFIXES,
+                                   table1.PacketScope.SOME_PACKETS)[0]
+        row = {"bug": bug.bug_id, "detected": table1._detect_one(bug)}
+        assert row["detected"]
+        assert rows_sha(row) == (
+            "c09f5862592ac6fef93d4eac38bb7cc4ba233fdb9e0199ca00a502923a26a4f5")
 
 
 class TestBaselines52Module:
@@ -143,5 +174,7 @@ class TestBaselines52Module:
         result = baselines52.run(config=config)
         for design in baselines52.DESIGNS:
             assert result[design]["n"] == 2
+        assert rows_sha(result) == (
+            "4ef0576584952c41cadbc4c895c9d31a56ba8c8806f9eb12154587b587645e40")
         text = baselines52.render(result)
         assert "single counter per link" in text

@@ -113,11 +113,8 @@ class TestMixedDeployment:
         _, monitor = deploy(sim, failure, ENTRIES,
                             high_priority=ENTRIES[:2], rate=2e6, fps=20)
         sim.run(until=8.0)
-        t_ded = monitor.log.detection_time(
-            1.0, kind=FailureKind.DEDICATED_ENTRY, entry=ENTRIES[0])
-        hp4 = monitor.tree_strategy.tree.hash_path(ENTRIES[4])
-        t_tree = monitor.log.detection_time(
-            1.0, kind=FailureKind.TREE_LEAF, hash_path=hp4)
+        t_ded = monitor.first_flag_time(ENTRIES[0])
+        t_tree = monitor.first_flag_time(ENTRIES[4])
         assert t_ded is not None and t_tree is not None
         assert t_ded < t_tree
 

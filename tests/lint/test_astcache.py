@@ -37,7 +37,7 @@ def test_source_override_skips_disk(tmp_path):
     cache = AstCache()
     pf = cache.load("virtual.py", source="y = 2\n")
     assert pf.tree is not None
-    assert pf.lines == ["y = 2"]
+    assert pf.source == "y = 2\n"
 
 
 def test_parse_error_cached_not_raised(tmp_path):

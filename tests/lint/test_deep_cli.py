@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import DEFAULT_DEEP_BASELINE, main as lint_main
+from repro.lint.cli import main as lint_main
 
 REPO = Path(__file__).parents[2]
 
@@ -49,12 +49,12 @@ def test_list_rules_includes_deep_catalog(capsys):
 
 def test_shallow_run_misses_interprocedural_taint(tmp_path, capsys):
     src = write_tainted_project(tmp_path)
-    assert lint_main([str(src), "--no-baseline", "--quiet"]) == 0
+    assert lint_main([str(src), "--quiet"]) == 0
 
 
 def test_deep_run_catches_interprocedural_taint(tmp_path, capsys):
     src = write_tainted_project(tmp_path)
-    rc = lint_main([str(src), "--deep", "--no-baseline", "--quiet"])
+    rc = lint_main([str(src), "--deep", "--quiet"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FCY011" in out
@@ -63,28 +63,16 @@ def test_deep_run_catches_interprocedural_taint(tmp_path, capsys):
 
 def test_deep_select_restricts_output(tmp_path, capsys):
     src = write_tainted_project(tmp_path)
-    rc = lint_main([str(src), "--deep", "--no-baseline", "--quiet",
+    rc = lint_main([str(src), "--deep", "--quiet",
                     "--select", "FCY012"])
     assert rc == 0  # the taint finding is FCY011; FSM pass is clean here
     assert "FCY011" not in capsys.readouterr().out
 
 
-def test_deep_baseline_gates_separately(tmp_path, capsys, monkeypatch):
-    src = write_tainted_project(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    # grandfather the deep finding into the *deep* baseline
-    assert lint_main([str(src), "--deep", "--write-baseline",
-                      "--quiet"]) == 0
-    assert (tmp_path / DEFAULT_DEEP_BASELINE).exists()
-    assert lint_main([str(src), "--deep", "--quiet"]) == 0
-    # the shallow default baseline is untouched
-    assert not (tmp_path / ".fancylint-baseline.json").exists()
-
-
 def test_fsm_artifacts_written(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     protocol = REPO / "src" / "repro" / "core" / "protocol.py"
-    rc = lint_main([str(protocol), "--deep", "--no-baseline", "--quiet",
+    rc = lint_main([str(protocol), "--deep", "--quiet",
                     "--fsm-out", str(out_dir)])
     assert rc == 0
     payload = json.loads((out_dir / "fsm.json").read_text(encoding="utf-8"))
@@ -96,8 +84,8 @@ def test_fsm_artifacts_written(tmp_path, capsys):
 
 
 def test_repo_source_tree_is_deep_clean():
-    """Acceptance: `fancy-repro lint --deep src` comes back clean with an
-    empty deep baseline — the taint and FSM passes hold on the real code."""
+    """Acceptance: `fancy-repro lint --deep src` comes back clean — the
+    taint and FSM passes hold on the real code."""
     from repro.lint import lint_paths
 
     result = lint_paths([REPO / "src"], deep=True)

@@ -69,7 +69,7 @@ class Toy:
 def check(source: str, path: str = "toy.py"):
     source = textwrap.dedent(source)
     tree = ast.parse(source)
-    return run_fsm_pass([(path, tree)], {path: source.splitlines()})
+    return run_fsm_pass([(path, tree)])
 
 
 class TestExtraction:
@@ -293,8 +293,7 @@ def _protocol_source() -> str:
 
 def _check_source(source: str):
     tree = ast.parse(source)
-    return run_fsm_pass([("scratch_protocol.py", tree)],
-                        {"scratch_protocol.py": source.splitlines()})
+    return run_fsm_pass([("scratch_protocol.py", tree)])
 
 
 def test_real_protocol_is_clean():

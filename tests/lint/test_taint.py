@@ -16,7 +16,7 @@ def run(tmp_path: Path, files: dict[str, tuple[str, str | None]]):
 
     Returns the TaintResult over the built call graph.
     """
-    paths, rel_paths, lines, suppressions = [], {}, {}, {}
+    paths, rel_paths, suppressions = [], {}, {}
     for name, (source, rel) in files.items():
         source = textwrap.dedent(source)
         path = tmp_path / name
@@ -25,12 +25,11 @@ def run(tmp_path: Path, files: dict[str, tuple[str, str | None]]):
         key = str(path)
         paths.append(path)
         rel_paths[key] = rel
-        lines[key] = source.splitlines()
         suppressions[key] = parse_suppressions(source)
     parsed = [(str(p), ast.parse(p.read_text(encoding="utf-8")))
               for p in sorted(paths)]
     graph = build_callgraph(parsed)
-    return run_taint(graph, rel_paths, lines, suppressions)
+    return run_taint(graph, rel_paths, suppressions)
 
 
 HELPER_CLOCK = """
