@@ -24,22 +24,25 @@ def test_overhead_measured_in_simulation(benchmark, save_artifact):
     """Cross-check the closed form against bytes actually injected by the
     FSMs in a short simulated run."""
     from repro.core.detector import FancyConfig, FancyLinkMonitor
+    from repro.experiments.metrics import control_overhead
     from repro.simulator.engine import Simulator
     from repro.simulator.topology import TwoSwitchTopology
+    from repro.telemetry import Telemetry
 
     def run():
-        sim = Simulator()
-        topo = TwoSwitchTopology(sim)
+        telemetry = Telemetry()
+        sim = Simulator(telemetry=telemetry)
+        topo = TwoSwitchTopology(sim, telemetry=telemetry)
         monitor = FancyLinkMonitor(
             sim, topo.upstream, 1, topo.downstream, 1,
             FancyConfig(high_priority=["e"], tree_params=None,
                         dedicated_session_s=0.050),
+            telemetry=telemetry,
         )
         monitor.start()
         sim.run(until=10.0)
-        control_packets = (monitor.dedicated_sender.control_messages_sent
-                           + monitor.dedicated_receiver.control_messages_sent)
-        return control_packets / 10.0  # per second
+        # Both FSMs of the pair count into one registry.
+        return control_overhead(telemetry.metrics)["messages"] / 10.0
 
     rate = benchmark.pedantic(run, rounds=1, iterations=1)
     # One session ≈ 90 ms (50 ms + 2 RTTs) → ~11 sessions/s × 4 messages.

@@ -386,9 +386,10 @@ def run_sharded(config: Optional[FabricExpConfig] = None,
     into ``shards`` worker jobs by :func:`~repro.fabric.sharding.
     run_link_probes` and merged deterministically — the merged detection
     records, Prometheus text and trace JSONL are byte-identical for any
-    shard/worker count.
+    shard/worker count.  ``trace_jsonl`` is decoded here from the merge's
+    packed ``trace_parts``, each chunk appended to one text in turn.
     """
-    from ..fabric.sharding import run_link_probes
+    from ..fabric.sharding import run_link_probes, trace_text
 
     config = config or FabricExpConfig()
     if quick:
@@ -399,6 +400,7 @@ def run_sharded(config: Optional[FabricExpConfig] = None,
         f"fabric-shard[{case}]",
         config.duration_s if case == "ring" else config.fat_tree_duration_s,
         runtime)
+    merged["trace_jsonl"] = trace_text(merged.pop("trace_parts"))
     merged["case"] = case
     return merged
 

@@ -6,7 +6,10 @@ renders identically from a file:// URL on an air-gapped laptop.  Input
 is the serialization-boundary shape the fabric experiments cache:
 ``{"name", "health" (FabricHealthReport.to_dict()), "spans" (span
 dicts)}`` per section, so the renderer works equally off a live run or
-a cached/unpickled result.
+a cached/unpickled result.  The spans are walked twice and never
+grouped, so they may come decoded from a packed trace on each walk
+(:class:`~repro.obs.trace.JsonlSpans`), and :func:`html_pieces` hands
+the page out a piece at a time.
 
 Layout per section: summary tiles → topology table → per-link health
 table (status colour-coded) → one trace waterfall per detection episode
@@ -17,9 +20,10 @@ category).
 from __future__ import annotations
 
 import html
+from collections.abc import Iterable, Iterator
 from typing import Any
 
-__all__ = ["render_html"]
+__all__ = ["html_pieces", "render_html"]
 
 #: Category → bar colour (matches CATEGORIES in repro.obs.trace).
 _CAT_COLORS = {
@@ -155,40 +159,80 @@ def _links_table(links: list[dict[str, Any]]) -> str:
             + "".join(rows) + "</table>")
 
 
-def _group_traces(spans: list[dict[str, Any]]
-                  ) -> dict[str, list[dict[str, Any]]]:
-    grouped: dict[str, list[dict[str, Any]]] = {}
+def _trace_bounds(spans: Iterable[dict[str, Any]]) -> dict[str, list[Any]]:
+    """Trace id -> ``[t0, t1, span count, scope]``, in encounter order."""
+    bounds: dict[str, list[Any]] = {}
     for span in spans:
-        grouped.setdefault(span["trace"], []).append(span)
-    return grouped
+        start = span["start"]
+        end = span["end"] if span["end"] is not None else start
+        b = bounds.get(span["trace"])
+        if b is None:
+            bounds[span["trace"]] = [start, end, 1, span.get("scope", "")]
+        else:
+            b[0] = min(b[0], start)
+            b[1] = max(b[1], end)
+            b[2] += 1
+    return bounds
 
 
-def _waterfall(trace_id: str, spans: list[dict[str, Any]]) -> str:
-    t0 = min(s["start"] for s in spans)
-    t1 = max(s["end"] if s["end"] is not None else s["start"] for s in spans)
-    width = max(t1 - t0, 1e-9)
-    rows = []
-    for span in spans:
-        end = span["end"] if span["end"] is not None else t1
-        left = (span["start"] - t0) / width * 100.0
-        bar_w = max((end - span["start"]) / width * 100.0, 0.35)
-        color = _CAT_COLORS.get(span["cat"], "#555")
-        attrs = "; ".join(f"{k}={v}" for k, v in span["attrs"].items())
-        tip = (f"{span['cat']}:{span['name']} "
-               f"t={span['start']:.4f}s d={end - span['start']:.4f}s"
-               + (f" [{attrs}]" if attrs else ""))
-        rows.append(
-            f'<div class="row"><div class="bar" title="{_esc(tip)}" '
-            f'style="left:{left:.2f}%;width:{bar_w:.2f}%;'
-            f'background:{color}"></div>'
-            f'<div class="lbl">{_esc(span["name"])}</div></div>')
-    scope = spans[0].get("scope", "")
+def _waterfall_head(trace_id: str, t0: float, t1: float, count: int,
+                    scope: str) -> str:
     head = (f"<h3>{_esc(trace_id)}"
             + (f' <span class="note">on {_esc(scope)}</span>' if scope else "")
             + "</h3>")
     axis = (f'<div class="axis">t = {t0:.4f} s … {t1:.4f} s '
-            f"({(t1 - t0) * 1e3:.1f} ms, {len(spans)} spans)</div>")
-    return head + axis + f'<div class="wf">{"".join(rows)}</div>'
+            f"({(t1 - t0) * 1e3:.1f} ms, {count} spans)</div>")
+    return head + axis + '<div class="wf">'
+
+
+def _waterfall_row(span: dict[str, Any], t0: float, t1: float) -> str:
+    width = max(t1 - t0, 1e-9)
+    end = span["end"] if span["end"] is not None else t1
+    left = (span["start"] - t0) / width * 100.0
+    bar_w = max((end - span["start"]) / width * 100.0, 0.35)
+    color = _CAT_COLORS.get(span["cat"], "#555")
+    attrs = "; ".join(f"{k}={v}" for k, v in span["attrs"].items())
+    tip = (f"{span['cat']}:{span['name']} "
+           f"t={span['start']:.4f}s d={end - span['start']:.4f}s"
+           + (f" [{attrs}]" if attrs else ""))
+    return (f'<div class="row"><div class="bar" title="{_esc(tip)}" '
+            f'style="left:{left:.2f}%;width:{bar_w:.2f}%;'
+            f'background:{color}"></div>'
+            f'<div class="lbl">{_esc(span["name"])}</div></div>')
+
+
+def _waterfalls(spans: Iterable[dict[str, Any]],
+                bounds: dict[str, list[Any]]) -> Iterator[str]:
+    """The first ``_MAX_WATERFALLS`` traces' waterfalls, one row at a time.
+
+    A second walk over ``spans``: rows of the trace being written go out
+    as they come, rows of a later shown trace wait for its turn, and the
+    walk stops once every shown trace is complete.
+    """
+    shown = list(bounds)[:_MAX_WATERFALLS]
+    waiting: dict[str, list[str]] = {trace: [] for trace in shown[1:]}
+    left = {trace: bounds[trace][2] for trace in shown}
+    turn = 0
+    yield _waterfall_head(shown[0], *bounds[shown[0]])
+    for span in spans:
+        trace = span["trace"]
+        if trace not in left:
+            continue
+        t0, t1 = bounds[trace][:2]
+        if trace == shown[turn]:
+            yield _waterfall_row(span, t0, t1)
+        else:
+            waiting[trace].append(_waterfall_row(span, t0, t1))
+        left[trace] -= 1
+        while left[shown[turn]] == 0:
+            yield "</div>"
+            turn += 1
+            if turn == len(shown):
+                return
+            yield _waterfall_head(shown[turn], *bounds[shown[turn]])
+            yield from waiting.pop(shown[turn])
+    raise ValueError("spans must be re-iterable: the second walk ended "
+                     "before every shown trace was complete")
 
 
 def _legend() -> str:
@@ -204,33 +248,40 @@ def render_html(sections: list[dict[str, Any]],
     """Render health + trace sections into one offline HTML page.
 
     Each section: ``{"name": str, "health": FabricHealthReport.to_dict()
-    shape, "spans": [span dicts]}`` — ``health``/``spans`` may each be
-    missing/empty.
+    shape, "spans": span dicts}`` — ``health``/``spans`` may each be
+    missing/empty.  ``spans`` is walked twice (trace bounds, then rows),
+    so it may be any re-iterable source, e.g. one that decodes a trace
+    JSONL on each walk.
     """
-    body: list[str] = [f"<h1>{_esc(title)}</h1>"]
+    return "".join(html_pieces(sections, title))
+
+
+def html_pieces(sections: list[dict[str, Any]],
+                title: str = "FANcY fabric health report") -> Iterator[str]:
+    """:func:`render_html`'s page in pieces, for writing as it renders:
+    no waterfall is held whole, and no span beyond the one being read."""
+    yield ("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
+           f"<title>{_esc(title)}</title><style>{_STYLE}</style></head>"
+           "<body>")
+    yield f"<h1>{_esc(title)}</h1>"
     for section in sections:
-        body.append(f"<h2>{_esc(section.get('name', 'fabric'))}</h2>")
+        yield f"<h2>{_esc(section.get('name', 'fabric'))}</h2>"
         health = section.get("health") or {}
         if health:
-            body.append(_tiles(health.get("summary", {})))
-            body.append("<h3>topology</h3>")
-            body.append(_topology_table(health.get("topology", [])))
-            body.append("<h3>per-link health</h3>")
-            body.append(_links_table(health.get("links", [])))
+            yield _tiles(health.get("summary", {}))
+            yield "<h3>topology</h3>"
+            yield _topology_table(health.get("topology", []))
+            yield "<h3>per-link health</h3>"
+            yield _links_table(health.get("links", []))
         spans = section.get("spans") or []
-        if spans:
-            body.append("<h3>detection traces</h3>")
-            body.append(_legend())
-            grouped = _group_traces(spans)
-            for i, (trace_id, trace_spans) in enumerate(grouped.items()):
-                if i >= _MAX_WATERFALLS:
-                    body.append(
-                        f'<p class="note">… {len(grouped) - _MAX_WATERFALLS} '
-                        "more trace(s) in the JSONL export</p>")
-                    break
-                body.append(_waterfall(trace_id, trace_spans))
+        bounds = _trace_bounds(spans)
+        if bounds:
+            yield "<h3>detection traces</h3>"
+            yield _legend()
+            yield from _waterfalls(spans, bounds)
+            if len(bounds) > _MAX_WATERFALLS:
+                yield (f'<p class="note">… {len(bounds) - _MAX_WATERFALLS} '
+                       "more trace(s) in the JSONL export</p>")
         elif health:
-            body.append('<p class="note">no detection traces recorded</p>')
-    return ("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-            f"<title>{_esc(title)}</title><style>{_STYLE}</style></head>"
-            f"<body>{''.join(body)}</body></html>\n")
+            yield '<p class="note">no detection traces recorded</p>'
+    yield "</body></html>\n"

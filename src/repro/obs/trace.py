@@ -49,12 +49,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
     "CATEGORIES",
+    "JsonlSpans",
     "Span",
     "TRUNCATION_EVENT",
     "TraceCollector",
@@ -485,6 +486,20 @@ def spans_from_jsonl(text: str) -> list[dict[str, Any]]:
     """Span dicts of a trace JSONL text (a truncation marker is no span)."""
     objs = (json.loads(line) for line in text.splitlines() if line.strip())
     return [obj for obj in objs if "event" not in obj]
+
+
+class JsonlSpans:
+    """Span dicts of a trace JSONL that arrives in pieces, decoded anew
+    on every iteration: ``pieces()`` returns newline-terminated text
+    pieces, and only one piece's spans are dicts at a time.  What the
+    HTML report walks twice instead of a list of every span."""
+
+    def __init__(self, pieces: Callable[[], Iterable[str]]) -> None:
+        self._pieces = pieces
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        for piece in self._pieces():
+            yield from spans_from_jsonl(piece)
 
 
 def chrome_trace(collectors: Sequence[TraceCollector]) -> dict[str, Any]:

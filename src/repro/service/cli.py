@@ -24,7 +24,7 @@ import json
 import pathlib
 from typing import Any, Optional, Sequence
 
-from ..obs.trace import spans_from_jsonl
+from ..obs.trace import JsonlSpans
 from ..runtime.context import RuntimeContext
 from .soak import ServeConfig, ServeResult, run_serve
 
@@ -124,21 +124,24 @@ def _health_section(result: ServeResult) -> dict[str, Any]:
     }
     return {"name": "serve soak", "health": {"summary": summary,
                                              "links": rows, "topology": []},
-            "spans": spans_from_jsonl(result.trace_jsonl)}
+            "spans": JsonlSpans(result.trace_chunks)}
 
 
 def _write_artifacts(result: ServeResult, out_dir: pathlib.Path) -> None:
-    from ..obs.report import render_html
+    """Write the artifact set; the trace and the dashboard are written a
+    piece at a time, so neither is ever held whole."""
+    from ..obs.report import html_pieces
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "serve-health.json").write_text(result.health_json + "\n")
-    (out_dir / "serve-traces.jsonl").write_text(result.trace_jsonl)
+    with (out_dir / "serve-traces.jsonl").open("w") as out:
+        out.writelines(result.trace_chunks())
     (out_dir / "serve-metrics.prom").write_text(result.prometheus)
     (out_dir / "serve-result.json").write_text(
         json.dumps(result.to_dict(), sort_keys=True) + "\n")
-    (out_dir / "serve-report.html").write_text(
-        render_html([_health_section(result)],
-                    title="FANcY serve soak report"))
+    with (out_dir / "serve-report.html").open("w") as out:
+        out.writelines(html_pieces([_health_section(result)],
+                                   title="FANcY serve soak report"))
     for name in ("serve-health.json", "serve-traces.jsonl",
                  "serve-metrics.prom", "serve-result.json",
                  "serve-report.html"):

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..chaos.schedule import FaultSpec
@@ -49,7 +50,12 @@ from ..fabric.chaos import (
 )
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
-from ..fabric.sharding import probe_payload, run_link_probes
+from ..fabric.sharding import (
+    probe_payload,
+    run_link_probes,
+    trace_text,
+    trace_text_chunks,
+)
 from ..obs.health import FabricHealthReport
 from ..runtime.context import RuntimeContext
 from ..runtime.jobs import stable_seed
@@ -128,7 +134,13 @@ class ServeConfig:
 
 @dataclass
 class ServeResult:
-    """Merged outcome of one serve (all links, all shards)."""
+    """Merged outcome of one serve (all links, all shards).
+
+    The trace stays as the probes packed it (``trace_parts``, one entry
+    per link in sorted order): :meth:`trace_chunks` decodes it a piece
+    at a time for writers, and :attr:`trace_jsonl` decodes all of it on
+    every access.
+    """
 
     config: ServeConfig
     links: list[str]
@@ -140,7 +152,7 @@ class ServeResult:
     sessions_completed: dict[str, int]
     absorbed_exhaustions: int
     prometheus: str
-    trace_jsonl: str
+    trace_parts: list[dict[str, Any]]
     health_json: str
     events_processed: int
     fluid_absorbed: int
@@ -149,6 +161,16 @@ class ServeResult:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def trace_jsonl(self) -> str:
+        """The merged trace JSONL as one text, decoded on each access."""
+        return trace_text(self.trace_parts)
+
+    def trace_chunks(self) -> Iterator[str]:
+        """:attr:`trace_jsonl` in newline-terminated pieces, decoded one
+        at a time."""
+        return trace_text_chunks(self.trace_parts)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -504,7 +526,7 @@ def run_serve(config: Optional[ServeConfig] = None,
         absorbed_exhaustions=sum(
             per_link[lid]["absorbed_exhaustions"] for lid in ordered),
         prometheus=merged["prometheus"],
-        trace_jsonl=merged["trace_jsonl"],
+        trace_parts=merged["trace_parts"],
         health_json=health_json,
         events_processed=merged["events_processed"],
         fluid_absorbed=merged["fluid_absorbed"],

@@ -25,6 +25,8 @@ from repro.fabric.sharding import (
     merge_link_results,
     plan_shards,
     probe_payload,
+    trace_text,
+    trace_text_chunks,
 )
 from repro.obs.trace import _CHUNK_SPANS, TraceCollector, spans_to_jsonl
 from repro.runtime import RuntimeContext, stable_seed
@@ -127,9 +129,9 @@ class TestMergedTraceBytes:
                   "a->c": _collector("a->c", 7)}
 
     def _merged(self, payload_of):
-        return merge_link_results({
+        return trace_text(merge_link_results({
             link_id: {"metrics": None, **payload_of(tc)}
-            for link_id, tc in self.COLLECTORS.items()})["trace_jsonl"]
+            for link_id, tc in self.COLLECTORS.items()})["trace_parts"])
 
     def test_text_dict_and_single_dump_agree(self):
         as_text = self._merged(lambda tc: {"trace_jsonl": tc.to_jsonl()})
@@ -165,17 +167,17 @@ class TestMergedTraceBytes:
         link's spans and before the next link's."""
         cut = _collector("a->b", 10, max_spans=4)
         assert cut.suppressed == 6
-        merged = merge_link_results({
+        merged = trace_text(merge_link_results({
             "b->c": {"metrics": None,
                      "trace_jsonl": self.COLLECTORS["b->c"].jsonl_chunks()},
             "a->b": {"metrics": None, "trace_jsonl": cut.jsonl_chunks()},
-        })["trace_jsonl"]
+        })["trace_parts"])
         assert merged == cut.to_jsonl() + self.COLLECTORS["b->c"].to_jsonl()
         assert merged.splitlines()[4].startswith('{"event": "trace_truncated"')
 
     def test_payload_without_either_key_merges_as_empty(self):
-        assert merge_link_results(
-            {"a->b": {"metrics": None}})["trace_jsonl"] == ""
+        assert trace_text(merge_link_results(
+            {"a->b": {"metrics": None}})["trace_parts"]) == ""
 
 
 class _OneLinkDeployment:
@@ -197,18 +199,17 @@ class _OneLinkDeployment:
 
 
 class TestMergeFootprint:
-    """The merge writes the trace once (docs/PERFORMANCE.md, "Footprint
-    and cold start")."""
+    """The merge decodes no trace; its readers decode it a piece at a
+    time (docs/PERFORMANCE.md, "Footprint and cold start")."""
 
     def test_payloads_and_merge_hold_the_text_about_once(self):
         """Three links, 20 full chunks each, their payloads unpickled as
-        the parent process receives them from a worker.  Live bytes of
-        the payloads plus the merge's peak increment, under
-        ``tracemalloc``: ≈ 2.0 × the text when payloads were text and the
-        merge joined them (both are a copy of it), ≈ 1.14 × with
-        compressed payloads appended to one text a chunk at a time.  A
-        ``"".join`` over the decoded chunks holds every piece at the join
-        and fails here."""
+        the parent process receives them from a worker.  The merge's peak
+        increment under ``tracemalloc`` is below the size of one decoded
+        chunk: it hands the packed chunks on.  It was ≈ 1.14 × the text
+        when the merge appended each decoded chunk to one text, and ≈ 2 ×
+        with a ``"".join`` over them.  Decoded a piece at a time, the
+        parts give the links' text in sorted link order."""
         collectors = [_collector(link_id, 20 * _CHUNK_SPANS + 100)
                       for link_id in ("c->a", "a->b", "b->c")]
         assert all(len(tc.jsonl_chunks()) == 21 for tc in collectors)
@@ -221,13 +222,15 @@ class TestMergeFootprint:
             payloads = pickle.loads(blob)
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            text = merge_link_results(payloads)["trace_jsonl"]
+            parts = merge_link_results(payloads)["trace_parts"]
             increment = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
-        assert text == "".join(
+        pieces = list(trace_text_chunks(parts))
+        assert "".join(pieces) == "".join(
             tc.to_jsonl() for tc in sorted(collectors, key=lambda tc: tc.scope))
-        assert live + increment <= 1.3 * len(text)
+        assert len(pieces) == 63
+        assert increment < min(len(piece) for piece in pieces)
 
 
 @pytest.fixture(scope="module")

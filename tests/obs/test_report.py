@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import re
 
-from repro.obs.report import render_html
-from repro.obs.trace import TraceCollector
+import pytest
+
+from repro.obs.report import html_pieces, render_html
+from repro.obs.trace import JsonlSpans, TraceCollector
 
 
 def _section():
@@ -88,3 +90,39 @@ class TestContent:
         page = render_html([_section()])
         for left in re.findall(r"left:([\d.]+)%", page):
             assert 0.0 <= float(left) <= 100.0
+
+
+class TestTwoWalkSource:
+    """``spans`` is walked twice, never grouped: a source that decodes a
+    JSONL on each walk renders the page a list of the same dicts does."""
+
+    def test_jsonl_source_renders_the_list_page(self):
+        tc = TraceCollector(scope="l")
+        for i in range(15):
+            tc.begin_episode(float(i), cause="fault")
+            tc.emit("flag", float(i) + 0.25, category="detect")
+            tc.end_episode(float(i) + 0.5)
+        listed = [{"name": "many", "spans": tc.span_dicts()}]
+        walked = [{"name": "many", "spans": JsonlSpans(tc.jsonl_chunks)}]
+        page = render_html(listed)
+        assert render_html(walked) == page
+        assert "".join(html_pieces(walked)) == page
+
+    def test_interleaved_traces_render_grouped(self):
+        """Rows of a trace whose turn has not come wait for it: the page
+        is the one the trace-by-trace order of the same spans gives."""
+        spans = _section()["spans"]
+        other = [dict(d, trace="s1->s2#002", start=d["start"] + 0.1,
+                      end=None if d["end"] is None else d["end"] + 0.1)
+                 for d in spans]
+        interleaved = [d for pair in zip(spans, other) for d in pair]
+        page = render_html([{"name": "x", "spans": interleaved}])
+        assert page == render_html([{"name": "x", "spans": spans + other}])
+        assert page.index("s1-&gt;s2#001") < page.index("s1-&gt;s2#002")
+
+    def test_a_one_shot_iterator_is_refused(self):
+        """A generator is spent by the first walk: the page would lose
+        every row, so rendering refuses it."""
+        spans = _section()["spans"]
+        with pytest.raises(ValueError, match="re-iterable"):
+            render_html([{"name": "x", "spans": iter(spans)}])

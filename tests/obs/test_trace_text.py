@@ -27,7 +27,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.fabric.sharding import merge_link_results, pack_trace
+from repro.fabric.sharding import merge_link_results, pack_trace, trace_text
 from repro.obs import health, trace
 from repro.obs.trace import (
     CATEGORIES,
@@ -280,10 +280,12 @@ class _TextMachine(RuleBasedStateMachine):
         assert [zlib.decompress(binascii.a2b_base64(chunk)).decode()
                 for chunk in packed] == self.text.jsonl_chunks()
         payload = {"metrics": None, "trace_packed": packed}
-        merged = merge_link_results({"s1->s2": payload})["trace_jsonl"]
+        merged = trace_text(
+            merge_link_results({"s1->s2": payload})["trace_parts"])
         assert merged == self.ref.to_jsonl()
-        assert merge_link_results({"s1->s2": json.loads(json.dumps(payload))}
-                                  )["trace_jsonl"] == merged
+        assert trace_text(merge_link_results(
+            {"s1->s2": json.loads(json.dumps(payload))})["trace_parts"]
+        ) == merged
 
     @invariant()
     def only_open_spans_and_the_filling_chunk_are_objects(self):

@@ -161,8 +161,9 @@ class TestProbeBoundary:
         ≈ 2.4 MB once timeline events are pickled chunks, and at ≈ 1.9 MB
         once a sealed trace chunk is compressed.  The merge was 8 029 752
         when probes still returned span dicts; text payloads measured
-        ≈ 3.1 MB (the links' text plus its join), and compressed payloads
-        appended to one text a chunk at a time ≈ 2.2 MB.
+        ≈ 3.1 MB (the links' text plus its join), compressed payloads
+        appended to one text a chunk at a time 2 193 661, and ≈ 0.47 MB
+        once the merge hands the packed chunks on undecoded.
         """
         phases = {}
 
@@ -182,7 +183,29 @@ class TestProbeBoundary:
             tracemalloc.stop()
         assert result.trace_jsonl == short_result.trace_jsonl
         assert phases["probes"] <= 2_300_000
-        assert phases["merge"] <= 2_600_000
+        assert phases["merge"] <= 560_000
+
+    def test_result_holds_no_trace_text(self, short_result):
+        """The result keeps the probes' packed chunks: no ``str`` it
+        reaches is a tenth as long as the trace it decodes to (the
+        longest is one base64 chunk, ≈ 1/40 of it)."""
+        seen, stack, longest = set(), [short_result], 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, str):
+                longest = max(longest, len(obj))
+            elif isinstance(obj, dict):
+                stack.extend(obj)
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple, set)):
+                stack.extend(obj)
+            elif dataclasses.is_dataclass(obj):
+                stack.append(vars(obj))
+        assert longest * 10 < len(short_result.trace_jsonl)
+        assert "".join(short_result.trace_chunks()) == short_result.trace_jsonl
 
     def test_a_batch_leaves_one_payload_behind(self):
         """A shard runs its probes back to back: four identical light
