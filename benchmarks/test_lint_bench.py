@@ -5,7 +5,8 @@ per-file rules, the call-graph builder and the FSM extractor.  Without
 the shared :class:`repro.lint.engine.AstCache` each consumer would
 re-read and re-parse the tree.  This bench pins both the *count*
 contract (one ``ast.parse`` per file, no matter how many passes) and the
-wall-clock speedup of the memoized path.
+wall-clock speedup of the memoized path; its artifact records the counts
+only, so it is the same on every run.
 """
 
 from __future__ import annotations
@@ -80,11 +81,13 @@ def test_cached_extra_passes_beat_naive_reparse(save_artifact):
     t_naive = best_of(naive)
     t_cached = best_of(cached)
     speedup = t_naive / t_cached
+    # Only deterministic facts go into the artifact, so a rerun rewrites
+    # the same bytes; the timings stay in the assertion below.
     save_artifact(
         "BENCH_lint_astcache",
-        f"lint AST cache: {len(files)} files, {extra} extra passes — "
-        f"re-parse {t_naive * 1e3:.2f} ms, cached {t_cached * 1e3:.2f} ms, "
-        f"speedup {speedup:.1f}x",
+        f"lint AST cache: {len(files)} files, {N_PASSES} passes — "
+        f"{cache.parse_count} parses cached against "
+        f"{len(files) * N_PASSES} re-parsing every pass",
     )
     # A memoized load is a dict hit vs a full ast.parse; anything under
     # 5x means the cache is not being hit at all.

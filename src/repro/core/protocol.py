@@ -96,6 +96,13 @@ def _encode_refused(payload: dict[str, Any]) -> bytes:
     return repr(fields).encode("utf-8", "backslashreplace")
 
 
+#: CRC-32 of the ``("fsm", id)`` field, per FSM id (see payload_checksum).
+_FSM_FIELD_CRC: dict[str, int] = {}
+#: One entry per FSM in a run; the bound only stops a stream of crafted
+#: ids from growing the memo without end.
+_FSM_FIELD_CRC_MAX = 4096
+
+
 def payload_checksum(payload: dict[str, Any]) -> int:
     """CRC-32 of a control payload's canonical binary encoding.
 
@@ -117,10 +124,26 @@ def payload_checksum(payload: dict[str, Any]) -> int:
     fixed-width field, so CRC-32 *guarantees* detection of any
     single-cell change (a burst of at most 32 bits).
     docs/ROBUSTNESS.md §2 has the details.
+
+    Start, Stop and StartACK payloads are ``{fsm, session}`` (plus the
+    checksum): their first field in key order, ``("fsm", id)``, is one
+    CRC per FSM, memoised, and the running CRC goes on from it.
     """
-    crc = 0
+    fsm = payload.get("fsm")
     try:
-        for key in sorted(payload):
+        if (type(fsm) is str and "session" in payload
+                and len(payload) == 2 + ("csum" in payload)):
+            crc = _FSM_FIELD_CRC.get(fsm)
+            if crc is None:
+                if len(_FSM_FIELD_CRC) >= _FSM_FIELD_CRC_MAX:
+                    _FSM_FIELD_CRC.clear()
+                crc = _FSM_FIELD_CRC[fsm] = zlib.crc32(
+                    marshal.dumps(("fsm", fsm), 2))
+            keys: Any = ("session",)
+        else:
+            crc = 0
+            keys = sorted(payload)
+        for key in keys:
             if key != "csum":
                 value = payload[key]
                 crc = zlib.crc32(marshal.dumps(

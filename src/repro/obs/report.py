@@ -78,6 +78,8 @@ th { background: #eee; }
 
 #: Waterfalls rendered per section before truncating with a note.
 _MAX_WATERFALLS = 12
+#: Rows drawn per waterfall; a longer trace ends with a note row.
+_MAX_ROWS = 200
 
 
 def _esc(value: Any) -> str:
@@ -207,7 +209,9 @@ def _waterfalls(spans: Iterable[dict[str, Any]],
 
     A second walk over ``spans``: rows of the trace being written go out
     as they come, rows of a later shown trace wait for its turn, and the
-    walk stops once every shown trace is complete.
+    walk stops once every shown trace is complete.  A waterfall draws its
+    first ``_MAX_ROWS`` spans and ends with a note row counting the rest,
+    so no trace waits with more than that many rows.
     """
     shown = list(bounds)[:_MAX_WATERFALLS]
     waiting: dict[str, list[str]] = {trace: [] for trace in shown[1:]}
@@ -218,14 +222,15 @@ def _waterfalls(spans: Iterable[dict[str, Any]],
         trace = span["trace"]
         if trace not in left:
             continue
-        t0, t1 = bounds[trace][:2]
-        if trace == shown[turn]:
-            yield _waterfall_row(span, t0, t1)
-        else:
-            waiting[trace].append(_waterfall_row(span, t0, t1))
+        t0, t1, count = bounds[trace][:3]
+        if count - left[trace] < _MAX_ROWS:
+            if trace == shown[turn]:
+                yield _waterfall_row(span, t0, t1)
+            else:
+                waiting[trace].append(_waterfall_row(span, t0, t1))
         left[trace] -= 1
         while left[shown[turn]] == 0:
-            yield "</div>"
+            yield _waterfall_tail(bounds[shown[turn]][2])
             turn += 1
             if turn == len(shown):
                 return
@@ -233,6 +238,13 @@ def _waterfalls(spans: Iterable[dict[str, Any]],
             yield from waiting.pop(shown[turn])
     raise ValueError("spans must be re-iterable: the second walk ended "
                      "before every shown trace was complete")
+
+
+def _waterfall_tail(count: int) -> str:
+    if count <= _MAX_ROWS:
+        return "</div>"
+    return (f'<div class="row"><div class="lbl">… {count - _MAX_ROWS} '
+            "more spans in the JSONL export</div></div></div>")
 
 
 def _legend() -> str:

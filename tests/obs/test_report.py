@@ -126,3 +126,46 @@ class TestTwoWalkSource:
         spans = _section()["spans"]
         with pytest.raises(ValueError, match="re-iterable"):
             render_html([{"name": "x", "spans": iter(spans)}])
+
+
+class TestRowCap:
+    """A waterfall draws at most ``_MAX_ROWS`` spans and says how many it
+    left out; a trace waiting for its turn holds no more rows than that."""
+
+    @staticmethod
+    def _trace(name, n):
+        return [{"trace": name, "name": f"s{i}", "cat": "protocol",
+                 "start": 1.0 + i * 1e-3, "end": 1.0 + i * 1e-3 + 5e-4,
+                 "attrs": {}, "scope": "l"} for i in range(n)]
+
+    def test_long_trace_ends_with_a_note_row(self):
+        from repro.obs.report import _MAX_ROWS
+
+        spans = self._trace("l#001", _MAX_ROWS + 250)
+        page = render_html([{"name": "x", "spans": spans}])
+        assert page.count('class="bar"') == _MAX_ROWS
+        assert "… 250 more spans in the JSONL export" in page
+        assert f"{_MAX_ROWS + 250} spans)" in page  # the axis keeps the count
+        short = render_html([{"name": "x", "spans": spans[:_MAX_ROWS]}])
+        assert "more spans" not in short
+        assert short.count('class="bar"') == _MAX_ROWS
+
+    def test_waiting_rows_are_capped(self, monkeypatch):
+        from repro.obs import report
+
+        first = self._trace("l#001", 3)
+        second = self._trace("l#002", report._MAX_ROWS + 50)
+        # The second trace's spans all arrive before the first completes.
+        spans = first[:2] + second + first[2:]
+        held = []
+        original = report._waterfall_row
+
+        def counting_row(span, t0, t1):
+            held.append(span["trace"])
+            return original(span, t0, t1)
+
+        monkeypatch.setattr(report, "_waterfall_row", counting_row)
+        page = render_html([{"name": "x", "spans": spans}])
+        assert held.count("l#002") == report._MAX_ROWS
+        assert page.count('class="bar"') == 3 + report._MAX_ROWS
+        assert "… 50 more spans" in page
