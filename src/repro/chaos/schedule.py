@@ -362,6 +362,14 @@ class Materialized:
 _FORWARD_DISPLACE_KINDS = (PacketKind.DATA,)
 
 
+def _is_forward(target: str) -> bool:
+    """Whether ``target`` is a data-direction wire: ``"forward"`` on the
+    two-switch soak, and every ``"link:A->B"`` on a fabric — the forward
+    wire of that link's own monitor, as
+    :func:`repro.fabric.chaos.directional_schedule` reads it."""
+    return target == "forward" or target.startswith(LINK_TARGET_PREFIX)
+
+
 def _build_perturbation(spec: FaultSpec, seed: int) -> Perturbation:
     p = spec.params
     start = float(p.get("start", 0.0))
@@ -370,12 +378,12 @@ def _build_perturbation(spec: FaultSpec, seed: int) -> Perturbation:
     common: dict[str, Any] = {"start_time": start, "end_time": end_f,
                               "seed": seed}
     if spec.kind == "reorder":
-        if spec.target == "forward":
+        if _is_forward(spec.target):
             common["kinds"] = _FORWARD_DISPLACE_KINDS
         return Reorder(float(p["rate"]), float(p["max_displacement_s"]),
                        **common)
     if spec.kind == "delay_spike":
-        if spec.target == "forward":
+        if _is_forward(spec.target):
             common["kinds"] = _FORWARD_DISPLACE_KINDS
         return DelaySpike(float(p["spike_s"]), float(p.get("jitter_s", 0.0)),
                           rate=float(p.get("rate", 1.0)), **common)

@@ -24,6 +24,7 @@ __all__ = [
     "dedicated_memory_bits",
     "tree_total_memory_bits",
     "max_dedicated_entries",
+    "widest_tree_for_budget",
 ]
 
 #: §4.3: each dedicated counter occupies 80 bits in total (both sides,
@@ -104,9 +105,6 @@ def widest_tree_for_budget(
     if memory_bits <= fixed_bits:
         return 0
     return (memory_bits - fixed_bits) // per_width_bits
-
-
-__all__.append("widest_tree_for_budget")
 
 
 def entries_per_counter(params: HashTreeParams, n_entries: int, level: int) -> float:

@@ -106,17 +106,19 @@ class DedicatedSenderCounters:
     def owns(self, entry: Any) -> bool:
         return entry in self.index
 
-    def absorb(self, entry: Any, count: int) -> int:
-        """Bulk-add ``count`` sent packets for ``entry`` in one update.
+    def tag_for_entry(self, entry: Any) -> tuple[int] | None:
+        """The tag :meth:`process_packet` stamps on ``entry``'s packets,
+        ``None`` for an entry without a dedicated counter."""
+        idx = self.index.get(entry)
+        return None if idx is None else (idx,)
 
-        The fluid traffic model (docs/PERFORMANCE.md) feeds whole
-        counting windows at session boundaries instead of calling
-        :meth:`process_packet` per packet.  Returns the counter index so
-        the caller can mirror the receiver side of the link.
+    def absorb(self, tag: tuple[int], n: int) -> None:
+        """Count ``n`` packets of one tag (a fluid window).
+
+        :meth:`process_packet` makes the same one-cell add with ``n = 1``,
+        written inline: a call would cost a Python frame per packet.
         """
-        idx = self.index[entry]
-        self.counters[idx] += count
-        return idx
+        self.counters[tag[0]] += n
 
     def end_session(self, remote_counters: Sequence[int], session_id: int) -> list[Any]:
         """Compare against the downstream's Report; flag mismatching entries.
@@ -194,14 +196,11 @@ class DedicatedReceiverCounters:
             return True
         return False
 
-    def absorb(self, idx: int, count: int) -> None:
-        """Bulk-add ``count`` received packets at counter ``idx``.
-
-        The receiver-side twin of
-        :meth:`DedicatedSenderCounters.absorb`: the fluid model credits
-        a window's surviving packets in one update.
-        """
-        self.counters[idx] += count
+    def absorb(self, tag: tuple[int], n: int) -> None:
+        """Count ``n`` packets of one tag (a fluid window's survivors);
+        :meth:`process_packet` makes the same add inline, after its
+        checks."""
+        self.counters[tag[0]] += n
 
     def snapshot(self) -> list[int]:
         return list(self.counters)

@@ -22,9 +22,10 @@ flat-register layout a Tofino pipeline uses.  Zoom paths map to rows via
 a small dict; freed rows go on a free list and are re-zeroed at
 activation, and the arena doubles if the zooming algorithm ever activates
 more nodes than the physical budget (useful for unit tests that exercise
-pathological interleavings).  :meth:`TreeCounters.node` returns a live
-:class:`_NodeView` onto the row with full sequence semantics, so callers
-that mutate nodes in place keep working unchanged.  Hash paths are
+pathological interleavings).  Every counting event on either side of the
+link — one tagged packet, or a fluid window of ``n`` packets of one tag —
+goes through :meth:`TreeCounters.add`; readers take
+:meth:`TreeCounters.snapshot`.  Hash paths are
 memoized in an LRU cache *shared across sessions and tree instances* with
 the same ``(seed, width, depth)`` — the per-run tree seed is fixed, so a
 packet's path never changes and the blake2b work is paid once per entry.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -174,74 +175,17 @@ class HashTree:
         return [e for e in entries if self.hash_path(e)[:n] == prefix]
 
 
-class _NodeView:
-    """Live, list-like view of one node's counter row in the flat arena.
-
-    Supports the full read/write sequence protocol the zooming code and
-    tests use (indexing, iteration, ``len``, ``sum``, ``==`` against any
-    sequence).  The view stays valid across arena growth (the backing
-    ``array`` is extended in place), but like a raw register row it
-    aliases whatever the row currently holds — do not retain views across
-    ``deactivate``/``activate`` cycles.
-    """
-
-    __slots__ = ("_data", "_base", "_width")
-
-    def __init__(self, data: array[int], base: int, width: int) -> None:
-        self._data = data
-        self._base = base
-        self._width = width
-
-    def __len__(self) -> int:
-        return self._width
-
-    def _index(self, i: int) -> int:
-        if i < 0:
-            i += self._width
-        if not 0 <= i < self._width:
-            raise IndexError(f"counter index {i} out of range for width {self._width}")
-        return self._base + i
-
-    def __getitem__(self, i: int) -> int:
-        return self._data[self._index(i)]
-
-    def __setitem__(self, i: int, value: int) -> None:
-        self._data[self._index(i)] = value
-
-    def __iter__(self) -> Iterator[int]:
-        data, base = self._data, self._base
-        return iter(data[base:base + self._width])
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _NodeView):
-            other = list(other)
-        try:
-            n = len(other)
-        except TypeError:
-            return NotImplemented
-        if n != self._width:
-            return False
-        data, base = self._data, self._base
-        return all(data[base + i] == other[i] for i in range(self._width))
-
-    __hash__ = None  # type: ignore[assignment]  # mutable view
-
-    def tolist(self) -> list[int]:
-        data, base = self._data, self._base
-        return data[base:base + self._width].tolist()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_NodeView({self.tolist()})"
-
-
 class TreeCounters:
     """Counter storage for one side of one counting session.
 
     Only nodes that the zooming algorithm activated exist; the root always
-    does.  ``increment_path`` applies a packet tag: a tag of length L+1
-    increments the counter at every level 0..L along its prefix chain
-    (matching Figure 6b, where root counters keep being updated while a
-    deeper node is being populated).
+    does.  :meth:`add` is the one write path both sides of the link use,
+    for a packet (``n = 1``) and for a fluid window alike.
+    ``increment_path`` is the older every-level model, kept as the
+    reference the tests and the micro-benchmark count against: a tag of
+    length L+1 increments the counter at every level 0..L along its prefix
+    chain (matching Figure 6b, where root counters keep being updated
+    while a deeper node is being populated).
 
     Storage is a single flat ``array('Q')`` of ``rows * width`` counters:
     the root is row 0 forever, zoom nodes get rows from a free list and
@@ -249,10 +193,12 @@ class TreeCounters:
     A.3 ``node_count()`` budget and doubles when exceeded.
     """
 
-    __slots__ = ("params", "packets", "_width", "_data", "_offsets", "_free", "_zero_row")
+    __slots__ = ("params", "packets", "_width", "_data", "_offsets", "_free", "_zero_row",
+                 "_pipelined")
 
     def __init__(self, params: HashTreeParams) -> None:
         self.params = params
+        self._pipelined = params.pipelined
         self.packets = 0
         width = params.width
         self._width = width
@@ -272,7 +218,7 @@ class TreeCounters:
             return self._free.pop()
         rows = len(self._data) // self._width
         grow = max(rows, 1)
-        self._data.extend(self._zero_row * grow)  # in place: views stay valid
+        self._data.extend(self._zero_row * grow)
         self._free.extend(range(rows + grow - 1, rows, -1))
         return rows
 
@@ -292,15 +238,6 @@ class TreeCounters:
             row = self._offsets.pop(path, None)
             if row is not None:
                 self._free.append(row)
-
-    def deactivate_below(self, path: NodePath) -> None:
-        """Free the node at ``path`` and all its descendants (zoom retreat)."""
-        doomed = [
-            p for p in self._offsets
-            if len(p) >= max(len(path), 1) and p[: len(path)] == path
-        ]
-        for p in doomed:
-            self._free.append(self._offsets.pop(p))
 
     def clear(self) -> None:
         """Drop every zoom node and zero the root — a fresh session's state.
@@ -335,119 +272,33 @@ class TreeCounters:
             if row is not None:
                 data[row * width + tag[level]] += 1
 
-    def count_pipelined(self, tag: tuple[int, ...]) -> None:
-        """Hot path: root + deepest-frontier increments for one tag.
+    def add(self, tag: tuple[int, ...], n: int) -> None:
+        """Count ``n`` packets tagged ``tag``: one packet or a whole window.
 
-        The §4.2 pipelined counting model — the root counter named by
-        ``tag[0]`` always counts, and a tag longer than 1 additionally
-        counts in the frontier node ``tag[:-1]`` (if active).
+        The §4.2 counting model: the frontier counter ``tag[-1]`` of node
+        ``tag[:-1]`` counts, and so does the root counter ``tag[0]`` in
+        pipelined mode (the two coincide for a length-1 tag).  The
+        frontier node is materialized on first reference — the downstream
+        builds its nodes purely from tags; upstream, a tag only ever
+        names a node the zooming algorithm already activated.  Within a
+        window the frontier is fixed (it moves only at ``end_session``),
+        so one add of ``n`` equals ``n`` adds of one.
         """
-        self.packets += 1
-        data = self._data
-        data[tag[0]] += 1  # root is pinned to row 0
-        if len(tag) > 1:
-            row = self._offsets.get(tag[:-1])
-            if row is not None:
-                data[row * self._width + tag[-1]] += 1
-
-    def count_staged(self, tag: tuple[int, ...]) -> None:
-        """Hot path: frontier-only increment (non-pipelined zoom stages)."""
-        self.packets += 1
-        row = self._offsets.get(tag[:-1])
-        if row is not None:
-            self._data[row * self._width + tag[-1]] += 1
-
-    def count_pipelined_materialize(self, tag: tuple[int, ...]) -> None:
-        """Receiver hot path: like :meth:`count_pipelined`, but the
-        frontier node named by the tag is activated on first reference —
-        the downstream materializes nodes purely from tags (§4.2)."""
-        self.packets += 1
-        data = self._data
-        data[tag[0]] += 1
-        if len(tag) > 1:
-            node_path = tag[:-1]
-            row = self._offsets.get(node_path)
-            if row is None:
-                self.activate_node(node_path)
-                row = self._offsets[node_path]
-            data[row * self._width + tag[-1]] += 1
-
-    def count_staged_materialize(self, tag: tuple[int, ...]) -> None:
-        """Receiver hot path for non-pipelined zoom stages."""
-        self.packets += 1
+        self.packets += n
+        if len(tag) == 1:
+            self._data[tag[0]] += n  # the root is pinned to row 0
+            return
         node_path = tag[:-1]
         row = self._offsets.get(node_path)
         if row is None:
             self.activate_node(node_path)
             row = self._offsets[node_path]
-        self._data[row * self._width + tag[-1]] += 1
-
-    # -- bulk counting (fluid traffic model) --------------------------------
-
-    def add_pipelined(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk :meth:`count_pipelined`: ``n`` packets of one tag at once.
-
-        The fluid traffic model (repro.simulator.fluid) feeds whole
-        counting windows through here — one register update instead of
-        one call per packet.  Within a window the zoom frontier is fixed
-        (it only moves at ``end_session``), so a single bulk add is
-        exactly equivalent to ``n`` per-packet increments.
-        """
-        self.packets += n
         data = self._data
-        data[tag[0]] += n
-        if len(tag) > 1:
-            row = self._offsets.get(tag[:-1])
-            if row is not None:
-                data[row * self._width + tag[-1]] += n
-
-    def add_staged(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk :meth:`count_staged` for non-pipelined zoom stages."""
-        self.packets += n
-        row = self._offsets.get(tag[:-1])
-        if row is not None:
-            self._data[row * self._width + tag[-1]] += n
-
-    def add_pipelined_materialize(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk receiver-side add; materializes the frontier node."""
-        self.packets += n
-        data = self._data
-        data[tag[0]] += n
-        if len(tag) > 1:
-            node_path = tag[:-1]
-            row = self._offsets.get(node_path)
-            if row is None:
-                self.activate_node(node_path)
-                row = self._offsets[node_path]
-            data[row * self._width + tag[-1]] += n
-
-    def add_staged_materialize(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk receiver-side add for non-pipelined zoom stages."""
-        self.packets += n
-        node_path = tag[:-1]
-        row = self._offsets.get(node_path)
-        if row is None:
-            self.activate_node(node_path)
-            row = self._offsets[node_path]
-        self._data[row * self._width + tag[-1]] += n
+        data[row * self._width + tag[-1]] += n
+        if self._pipelined:
+            data[tag[0]] += n
 
     # -- queries ------------------------------------------------------------
-
-    def node(self, path: NodePath) -> _NodeView | None:
-        row = self._offsets.get(path)
-        if row is None:
-            return None
-        return _NodeView(self._data, row * self._width, self._width)
-
-    @property
-    def nodes(self) -> dict[NodePath, _NodeView]:
-        """Mapping view of all active nodes (live counter views)."""
-        data, width = self._data, self._width
-        return {p: _NodeView(data, row * width, width)
-                for p, row in self._offsets.items()}
-
-    def active_paths(self) -> Iterator[NodePath]:
-        return iter(self._offsets)
 
     def snapshot(self) -> dict[NodePath, list[int]]:
         """Copy of all counters — the payload of a Report message."""

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .analysis import (
     DEDICATED_COUNTER_BITS,
-    TREE_COUNTER_BITS,
-    TREE_NODE_OVERHEAD_BITS,
     tree_total_memory_bits,
+    widest_tree_for_budget,
 )
 from .entries import MonitoringInput
 from .hashtree import HashTreeParams
@@ -112,7 +111,7 @@ def plan_memory(
             )
         return MemoryPlan(spec.n_high_priority, params, dedicated_bits, tree_bits, budget_bits)
 
-    fitted = _fit_width(remaining, depth, split, pipelined)
+    fitted = widest_tree_for_budget(remaining, depth, split, pipelined)
     if fitted < min_width:
         raise MemoryBudgetError(
             f"best-effort entries requested but only width {fitted} fits "
@@ -123,12 +122,3 @@ def plan_memory(
         spec.n_high_priority, params, dedicated_bits, tree_total_memory_bits(params), budget_bits
     )
 
-
-def _fit_width(memory_bits: int, depth: int, split: int, pipelined: bool) -> int:
-    """Largest width whose tree fits in ``memory_bits``."""
-    nodes = HashTreeParams(width=1, depth=depth, split=split, pipelined=pipelined).node_count()
-    fixed = 2 * TREE_NODE_OVERHEAD_BITS * nodes
-    per_width = 2 * TREE_COUNTER_BITS * nodes
-    if memory_bits <= fixed:
-        return 0
-    return (memory_bits - fixed) // per_width

@@ -22,7 +22,9 @@ Counting model: a packet's tag names the root counter (``tag[0]``) and the
 frontier node/counter (``tag[:-1]`` / ``tag[-1]``).  In pipelined mode both
 sides increment the root counter and the deepest matching frontier node;
 intermediate levels are not double-counted, keeping both sides consistent
-without the downstream ever hashing entries.
+without the downstream ever hashing entries.  Both strategies count
+through :meth:`~repro.core.hashtree.TreeCounters.add`: ``process_packet``
+as a window of one packet, ``absorb`` for a fluid window of ``n``.
 
 Selection policy: among mismatching counters the algorithm zooms the ones
 with the **maximum difference** (§4.2 footnote 1: prioritizing the largest
@@ -166,11 +168,10 @@ class TreeSenderStrategy:
 
     def process_packet(self, packet: Packet, session_id: int,
                        entry: Any = None) -> bool:
-        """Tag a best-effort packet and update local counters.
+        """Tag a best-effort packet and count it: :meth:`absorb` of one.
 
-        Steady state is one memo hit plus the flat-array hot paths of
-        :class:`TreeCounters` (one or two ``row * width + idx`` register
-        updates per packet).
+        Steady state is one memo hit plus :meth:`TreeCounters.add` (one
+        or two ``row * width + idx`` register updates per packet).
         """
         if entry is None:
             entry = self.entry_of(packet)
@@ -183,10 +184,7 @@ class TreeSenderStrategy:
         packet.tag = tag
         packet.tag_session = session_id
         packet.tag_dedicated = False
-        if self.params.pipelined or self.stage == 0:
-            self.counters.count_pipelined(tag)
-        else:
-            self.counters.count_staged(tag)
+        self.counters.add(tag, 1)
         return True
 
     def _resolve_tag(self, entry: Any) -> tuple[int, ...] | None:
@@ -233,11 +231,8 @@ class TreeSenderStrategy:
             return self._resolve_tag(entry)
 
     def absorb(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk-count ``n`` packets of one tag (fluid window feed)."""
-        if self.params.pipelined or self.stage == 0:
-            self.counters.add_pipelined(tag, n)
-        else:
-            self.counters.add_staged(tag, n)
+        """Count ``n`` packets of one tag (a fluid window)."""
+        self.counters.add(tag, n)
 
     def end_session(self, remote: dict[NodePath, list[int]],
                     session_id: int) -> list[FailureReport]:
@@ -461,23 +456,13 @@ class TreeReceiverStrategy:
             return False
         if packet.tag_session != session_id:
             return False  # stale tag from a closed session
-        tag = packet.tag
-        if self.params.pipelined or len(tag) == 1:
-            self.counters.count_pipelined_materialize(tag)
-        else:
-            self.counters.count_staged_materialize(tag)
+        self.counters.add(packet.tag, 1)
         return True
 
     def absorb(self, tag: tuple[int, ...], n: int) -> None:
-        """Bulk-count ``n`` tagged packets (fluid window feed).
-
-        Like :meth:`process_packet`, materializes the frontier node the
-        tag names — the downstream never hashes entries, in bulk either.
-        """
-        if self.params.pipelined or len(tag) == 1:
-            self.counters.add_pipelined_materialize(tag, n)
-        else:
-            self.counters.add_staged_materialize(tag, n)
+        """Count ``n`` packets of one tag (a fluid window); like
+        :meth:`process_packet`, materializes the node the tag names."""
+        self.counters.add(tag, n)
 
     def snapshot(self) -> dict[NodePath, list[int]]:
         return self.counters.snapshot()

@@ -181,22 +181,15 @@ def run_link_probes(
 def _trace_chunks(payload: Mapping[str, Any]) -> Iterator[str]:
     """A payload's trace as text pieces, decoded one at a time.
 
-    Probes ship ``trace_packed`` (:func:`pack_trace`); result-cache
-    entries written before that hold ``trace_jsonl`` as one ``str`` or
-    a list of chunks, and in-memory callers may give ``spans`` (dicts).
+    Probes ship ``trace_packed`` (:func:`pack_trace`); in-memory callers
+    may give ``spans`` (dicts).
     """
     packed = payload.get("trace_packed")
-    if packed is not None:
-        for chunk in packed:
-            yield unseal(binascii.a2b_base64(chunk))
-        return
-    text = payload.get("trace_jsonl")
-    if text is None:
+    if packed is None:
         yield spans_to_jsonl(payload.get("spans", ()))
-    elif isinstance(text, str):
-        yield text
-    else:
-        yield from text
+        return
+    for chunk in packed:
+        yield unseal(binascii.a2b_base64(chunk))
 
 
 def trace_text_chunks(parts: Sequence[Mapping[str, Any]]) -> Iterator[str]:
@@ -225,7 +218,7 @@ def trace_text(parts: Sequence[Mapping[str, Any]]) -> str:
 
 def _trace_part(payload: Mapping[str, Any]) -> dict[str, Any]:
     """The trace-carrying entry of one payload, as it arrived."""
-    for key in ("trace_packed", "trace_jsonl", "spans"):
+    for key in ("trace_packed", "spans"):
         if payload.get(key) is not None:
             return {key: payload[key]}
     return {}
@@ -240,8 +233,8 @@ def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, A
     ``events_processed`` and ``fluid_absorbed``.  Links are folded in
     sorted id order so the output is a pure function of the payload
     *set* — the shards 1/2/4 byte-equality contract.  The trace is not
-    decoded here: ``trace_parts`` holds each link's packed chunks (or a
-    legacy shape) in that order, and every trace chunk ends in a
+    decoded here: ``trace_parts`` holds each link's packed chunks (or its
+    span dicts) in that order, and every trace chunk ends in a
     newline, so :func:`trace_text` over them is one ``spans_to_jsonl``
     over all links' spans.
     """

@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".context": ("RuntimeContext", "resolve"),
     ".executor": ("CellTimeout", "SweepResult", "run_sweep"),
     ".jobs": (
-        "CODE_VERSION", "Job", "canonical", "fingerprint", "spec_job", "stable_seed",
+        "Job", "canonical", "fingerprint", "spec_job", "stable_seed",
     ),
     ".progress": ("ProgressReporter", "RunLog"),
 })

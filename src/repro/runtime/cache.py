@@ -4,7 +4,9 @@ Results are stored as JSON under ``<cache_dir>/<fp[:2]>/<fp>.json`` where
 ``fp`` is the job's :func:`repro.runtime.jobs.fingerprint`.  Writes are
 atomic (tmp file + ``os.replace``) so a run killed mid-sweep never leaves
 a truncated entry; corrupt or unreadable entries read as misses and are
-recomputed.
+recomputed.  Each entry is stamped with :func:`code_hash`, a hash of the
+package's sources: an entry another version of the code wrote reads as a
+miss, so an edited simulator never gets its predecessor's results back.
 
 The cache is what makes ``--full`` sweeps resumable: every completed
 cell is persisted the moment it finishes, so re-running an interrupted
@@ -14,6 +16,8 @@ still missing.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -21,12 +25,28 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-__all__ = ["ResultCache", "NullCache", "open_cache", "DEFAULT_CACHE_DIR"]
+__all__ = ["ResultCache", "NullCache", "open_cache", "code_hash", "DEFAULT_CACHE_DIR"]
 
 #: Default cache directory used by the CLI (relative to the CWD).
 DEFAULT_CACHE_DIR = ".fancy-cache"
 
 _FORMAT = 1
+
+#: The package whose sources :func:`code_hash` covers.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def code_hash() -> str:
+    """SHA-256 (32 hex chars) over every ``.py`` file of the package, by
+    relative path and content; computed once per process."""
+    h = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()[:32]
 
 
 class NullCache:
@@ -56,6 +76,8 @@ class ResultCache:
         self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
+        #: Stamped on every entry written; entries stamped otherwise miss.
+        self.code = code_hash()
 
     def _path(self, fingerprint: str) -> Path:
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
@@ -63,7 +85,8 @@ class ResultCache:
     def get(self, fingerprint: str) -> Optional[Any]:
         """Return the cached payload for ``fingerprint`` or None (miss).
 
-        Corrupt / truncated / foreign-format entries count as misses.
+        Corrupt / truncated / foreign-format entries, and entries written
+        by other code (another :func:`code_hash`), count as misses.
         """
         if not fingerprint:
             return None
@@ -75,7 +98,8 @@ class ResultCache:
             self.misses += 1
             return None
         if not isinstance(entry, dict) or entry.get("format") != _FORMAT \
-                or entry.get("fingerprint") != fingerprint:
+                or entry.get("fingerprint") != fingerprint \
+                or entry.get("code") != self.code:
             self.misses += 1
             return None
         self.hits += 1
@@ -90,6 +114,7 @@ class ResultCache:
         entry = {
             "format": _FORMAT,
             "fingerprint": fingerprint,
+            "code": self.code,
             # Cache-entry metadata, excluded from the job fingerprint;
             # sanctioned as an FCY011 taint barrier.
             "saved_at": time.time(),  # fancylint: disable=FCY011 -- cache metadata

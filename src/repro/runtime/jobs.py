@@ -7,12 +7,13 @@ fingerprint** used by the on-disk result cache.
 
 The fingerprint is a SHA-256 over a *canonical* rendering of the payload
 (dataclass fields — including nested tree geometry — rendered
-recursively, dict keys sorted, floats via ``repr``) salted with
-:data:`CODE_VERSION`.  Two processes on two machines computing the
-fingerprint of the same spec get the same hex string; any change to a
-spec field, to the tree geometry, or to the code-version salt yields a
+recursively, dict keys sorted, floats via ``repr``).  Two processes on
+two machines computing the fingerprint of the same spec get the same hex
+string; any change to a spec field or to the tree geometry yields a
 different one, so stale cache entries can never be returned for a
-changed experiment.
+changed experiment.  Changed *code* is the result cache's concern: it
+stamps each entry with a hash of the package sources
+(:mod:`repro.runtime.cache`).
 
 This module also provides :func:`stable_seed`, the hashlib-based RNG
 seed derivation used by the experiment runners.  Unlike
@@ -29,19 +30,12 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 __all__ = [
-    "CODE_VERSION",
     "Job",
     "canonical",
     "fingerprint",
     "spec_job",
     "stable_seed",
 ]
-
-#: Version salt mixed into every fingerprint.  Bump whenever a change to
-#: the simulator or scoring semantics invalidates previously cached
-#: results (cache entries from older versions are then simply missed).
-CODE_VERSION = "fancy-runtime-1"
-
 
 def canonical(obj: Any) -> str:
     """Render ``obj`` as a canonical, deterministic string.
@@ -76,10 +70,9 @@ def canonical(obj: Any) -> str:
     return f"{type(obj).__name__}:{obj!r}"
 
 
-def fingerprint(*parts: Any, salt: str = CODE_VERSION) -> str:
+def fingerprint(*parts: Any) -> str:
     """Stable hex content-address of ``parts`` (SHA-256, 32 hex chars)."""
     h = hashlib.sha256()
-    h.update(salt.encode())
     for part in parts:
         h.update(b"\x1f")
         h.update(canonical(part).encode())
@@ -129,7 +122,7 @@ def spec_job(key: Hashable, spec: Any, repetitions: int = 1,
 
     The fingerprint covers the spec's dataclass fields (recursively — a
     changed tree geometry changes the fingerprint), the repetition
-    count, any ``extra`` discriminator, and the code-version salt.
+    count and any ``extra`` discriminator.
 
     ``options`` (e.g. ``{"telemetry": True}``) are appended to the
     payload as a third element *and* folded into the fingerprint, so a

@@ -44,6 +44,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat, starmap
 from typing import Any
 
@@ -76,18 +77,11 @@ class FluidModelError(ValueError):
 
 @dataclass(frozen=True)
 class FluidFlow:
-    """One constant-bit-rate background flow, by rate segments.
+    """One constant-bit-rate background flow.
 
     Mirrors the :class:`~repro.simulator.udp.UdpSource` parameters
     exactly — a fluid flow and a packet source constructed from the same
     fields emit packets at bit-identical instants.
-
-    ``rate_changes`` holds optional piecewise-constant rate segments as
-    ``(time_s, rate_bps)`` pairs: from each change time on, inter-packet
-    gaps are drawn from the new rate's interval.  Changes apply at
-    emission-cursor granularity (the gap *after* the first emission at
-    or past the change time uses the new rate), matching how an open
-    loop source would be retuned in place.
     """
 
     entry: Any
@@ -97,15 +91,12 @@ class FluidFlow:
     jitter: float = 0.0
     seed: int = 0
     start_s: float = 0.0
-    rate_changes: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
             raise ValueError("fluid flow rate must be positive")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if any(r <= 0 for _, r in self.rate_changes):
-            raise ValueError("rate changes must keep the rate positive")
 
     @property
     def interval_s(self) -> float:
@@ -140,7 +131,7 @@ class _EmissionLog:
     """
 
     __slots__ = ("flow", "times", "size", "base", "cursors", "_t", "_rng",
-                 "_interval", "_changes")
+                 "_interval")
 
     def __init__(self, flow: FluidFlow, index: int = 0,
                  t: float | None = None) -> None:
@@ -159,13 +150,6 @@ class _EmissionLog:
             # One draw per emission before ``index``.
             deque(starmap(self._rng.random, repeat((), index)), 0)
         self._interval = flow.interval_s
-        size8 = flow.packet_size * 8
-        #: Pending (time, interval) rate segments, soonest first.  A log
-        #: started mid-flow starts from all of them: its first emission
-        #: pops every change at or before its instant, as the flow did.
-        self._changes = sorted(
-            ((c, size8 / rate) for c, rate in flow.rate_changes),
-        )
 
     def extend(self, cursor: _EmissionCursor, until: float) -> bool:
         """Log one more chunk, if every logged emission arrives at
@@ -199,13 +183,10 @@ class _EmissionLog:
         jitter = self.flow.jitter
         lo, span = 1.0 - jitter, 2.0 * jitter
         rng = self._rng
-        changes = self._changes
         t = self._t
         interval = self._interval
         for i in range(size, size + _CHUNK):
             times[i] = t
-            while changes and changes[0][0] <= t:
-                interval = changes.pop(0)[1]
             if rng is None:
                 t = t + interval
             else:
@@ -214,7 +195,6 @@ class _EmissionLog:
                 # path: what keeps sent counts bit-identical.
                 t = t + interval * (lo + span * rng.random())  # fancylint: disable=FCY010
         self._t = t
-        self._interval = interval
         self.size = size + _CHUNK
         return True
 
@@ -232,19 +212,21 @@ class _EmissionLog:
 class _EmissionCursor:
     """One monitor's position in a flow's emission log.
 
-    ``pos`` is the absolute index of the first emission not yet counted;
-    ``legs`` is the per-hop delay chain host → monitor egress, applied
-    forward in the same left-to-right order the link pipeline adds them
-    (instant links deliver at ``now + delay_s``) — never inverted, so the
-    window-boundary comparison is the discrete one exactly.  A cursor
+    ``flow`` is the flow it counts; ``pos`` is the absolute index of the
+    first emission not yet counted; ``legs`` is the per-hop delay chain
+    host → monitor egress, applied forward in the same left-to-right
+    order the link pipeline adds them (instant links deliver at
+    ``now + delay_s``) — never inverted, so the window-boundary
+    comparison is the discrete one exactly.  A cursor
     joins its log before the log first trims: every monitor binds before
     the run starts.
     """
 
-    __slots__ = ("log", "legs", "lead", "pos", "emitted")
+    __slots__ = ("flow", "log", "legs", "lead", "pos", "emitted")
 
     def __init__(self, flow: FluidFlow, legs: tuple[float, ...] = (),
                  log: _EmissionLog | None = None) -> None:
+        self.flow = flow
         self.log = log if log is not None else _EmissionLog(flow)
         if self.log.base:
             raise ValueError("bind fluid flows before their log trims")
@@ -463,22 +445,6 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
 # --------------------------------------------------------------------------
 
 
-class _BoundFlow:
-    """One flow on one monitor: the flow and that monitor's cursor.
-
-    Every monitor on a flow's path reads the flow's one emission log
-    (:class:`FluidTraffic` keeps it) through a cursor of its own, with
-    its own arrival chain: the jitter recurrence runs once per emission,
-    however many monitors count it.
-    """
-
-    __slots__ = ("flow", "cursor")
-
-    def __init__(self, flow: FluidFlow, cursor: _EmissionCursor) -> None:
-        self.flow = flow
-        self.cursor = cursor
-
-
 class FluidTraffic:
     """Fluid background flows bound to FANcY monitors.
 
@@ -550,22 +516,25 @@ class _MonitorBinding:
         self.monitor = monitor
         self.profile = profile
         self.loss_seed = loss_seed
+        #: One cursor per flow on the flow's shared emission log: every
+        #: monitor on a flow's path reads the one jitter recurrence with
+        #: its own arrival chain.
+        self._cursors = [_EmissionCursor(flow, legs, traffic.log_of(flow))
+                         for flow in flows]
         # Tier membership (dedicated vs tree) is decided per window from
         # the monitor's *current* dedicated strategy, not frozen at bind
         # time: entry churn (FancyLinkMonitor.update_entries) legitimately
         # moves entries between tiers mid-run, and each flow's cursor
         # simply continues from wherever its last counted window ended.
-        self._bound = [
-            _BoundFlow(flow, _EmissionCursor(flow, legs, traffic.log_of(flow)))
-            for flow in flows]
-        if self._bound and monitor.dedicated_sender is not None:
-            monitor.dedicated_sender.window_taps.append(self._dedicated_window)
-        if self._bound and monitor.tree_sender is not None:
-            monitor.tree_sender.window_taps.append(self._tree_window)
+        if self._cursors and monitor.dedicated_sender is not None:
+            monitor.dedicated_sender.window_taps.append(
+                partial(self._window, "dedicated"))
+        if self._cursors and monitor.tree_sender is not None:
+            monitor.tree_sender.window_taps.append(partial(self._window, "tree"))
 
     # -- window accounting -------------------------------------------------
 
-    def _window_counts(self, bound: _BoundFlow, t0: float, t1: float,
+    def _window_counts(self, cursor: _EmissionCursor, t0: float, t1: float,
                        tier: str, session_id: int) -> tuple[int, int]:
         """(sent, lost) for one flow in the monitor window ``[t0, t1)``.
 
@@ -573,12 +542,12 @@ class _MonitorBinding:
         so each elementary interval's count gets its own binomial draw —
         "seeded binomial loss draws per segment".
         """
-        cursor = bound.cursor
+        flow = cursor.flow
         # Emissions arriving before the window opened were never counted
         # (counting pauses between sessions, §4.1); skip them, still
         # consuming their jitter draws.
         cursor.advance(t0)
-        segments = self.profile.segments(bound.flow.entry, t0, t1)
+        segments = self.profile.segments(flow.entry, t0, t1)
         sent = 0
         lost = 0
         rng: random.Random | None = None
@@ -595,56 +564,43 @@ class _MonitorBinding:
                     if rng is None:
                         rng = random.Random(stable_seed(
                             self.loss_seed, "fluid-loss", tier,
-                            bound.flow.entry, bound.flow.flow_id,
-                            session_id))
+                            flow.entry, flow.flow_id, session_id))
                     lost += binomial(rng, n, p)
             cut = b
         if cut < t1:
             sent += cursor.advance(t1)
         return sent, lost
 
-    # -- taps --------------------------------------------------------------
-
-    def _dedicated_window(self, t0: float, t1: float, session_id: int) -> None:
+    def _window(self, tier: str, t0: float, t1: float,
+                session_id: int) -> None:
+        """Count one closed ``tier`` window ``[t0, t1)`` on both sides of
+        the link: each flow's sent packets upstream, its survivors
+        downstream, through the strategies' ``tag_for_entry`` and
+        ``absorb`` — the add ``process_packet`` makes per packet."""
         monitor = self.monitor
-        sender = monitor.dedicated_strategy
-        receiver = monitor.dedicated_receiver.strategy
-        for bound in self._bound:
-            entry = bound.flow.entry
-            if not sender.owns(entry):
+        dedicated = monitor.dedicated_strategy
+        is_dedicated = tier == "dedicated"
+        if is_dedicated:
+            sender, receiver = dedicated, monitor.dedicated_receiver.strategy
+        else:
+            sender, receiver = monitor.tree_strategy, monitor.tree_receiver.strategy
+        for cursor in self._cursors:
+            entry = cursor.flow.entry
+            # As on the packet path: an entry with a dedicated counter
+            # counts there, every other entry in the tree.
+            if (dedicated is not None and entry in dedicated.index) != is_dedicated:
                 continue
             if monitor.entry_is_flagged(entry):
                 # Flagged entries return to the discrete plane: the
                 # rerouting application owns their traffic from here on.
                 continue
-            sent, lost = self._window_counts(bound, t0, t1, "dedicated",
-                                             session_id)
+            sent, lost = self._window_counts(cursor, t0, t1, tier, session_id)
             if not sent:
                 continue
-            idx = sender.absorb(entry, sent)
-            receiver.absorb(idx, sent - lost)
-            self.traffic.absorbed += sent
-            self.traffic.lost += lost
-
-    def _tree_window(self, t0: float, t1: float, session_id: int) -> None:
-        monitor = self.monitor
-        strategy = monitor.tree_strategy
-        receiver = monitor.tree_receiver.strategy
-        dedicated = monitor.dedicated_strategy
-        for bound in self._bound:
-            entry = bound.flow.entry
-            if dedicated is not None and dedicated.owns(entry):
-                continue
-            if monitor.entry_is_flagged(entry):
-                continue
-            sent, lost = self._window_counts(bound, t0, t1, "tree",
-                                             session_id)
-            if not sent:
-                continue
-            tag = strategy.tag_for_entry(entry)
+            tag = sender.tag_for_entry(entry)
             if tag is None:
                 continue  # staged mode, off-frontier: uncounted by design
-            strategy.absorb(tag, sent)
+            sender.absorb(tag, sent)
             receiver.absorb(tag, sent - lost)
             self.traffic.absorbed += sent
             self.traffic.lost += lost

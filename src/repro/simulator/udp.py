@@ -3,23 +3,6 @@
 Used by the fast-rerouting case study (§6.1), which mixes 50 Gbps of TCP
 with 50 Mbps of UDP, and by open-loop micro-benchmarks where TCP dynamics
 would get in the way of isolating a counting-protocol behaviour.
-
-Fast path (packet trains): at high rates the per-packet timer event is
-pure engine overhead — the source is open loop, so the packet stream is
-fully determined by the jitter RNG.  With ``train=B`` the source emits
-``B`` packets per timer event instead of one.  Per-packet bookkeeping is
-preserved exactly: every packet carries the ``created_at`` timestamp it
-would have had with ``train=1`` (``now`` plus the accumulated
-jittered gaps), sequence numbers advance identically, and the jitter RNG
-is consumed once per packet in the same order, so the *stream metadata*
-is bit-identical and the next timer lands at the exact ``train=1``
-instant.  What the train compresses is wire entry: all ``B`` packets are
-handed to ``send_fn`` at the head packet's departure time, so downstream
-serialization sees a burst rather than spaced arrivals.  For stationary
-loss models (draw order decides, not wall-clock) and for FANcY counting
-(session membership rides on the packet tag, not on arrival time) this
-is output-equivalent; see ``tests/simulator/test_fastpath_equivalence``.
-Experiments that need exact per-packet wire timing keep ``train=1``.
 """
 
 from __future__ import annotations
@@ -47,10 +30,6 @@ class UdpSource:
         jitter: fractional jitter; each inter-packet gap is drawn
             uniformly from ``interval * [1-jitter, 1+jitter]``.
         seed: jitter RNG seed (one independent stream per source).
-        train: packets emitted per timer event (>=1).  ``1`` is the
-            reference path; larger values batch timer events while
-            preserving per-packet timestamps, seqs and RNG draws (see
-            module docstring for the exact equivalence contract).
     """
 
     def __init__(
@@ -63,12 +42,9 @@ class UdpSource:
         packet_size: int = 1500,
         jitter: float = 0.0,
         seed: int = 0,
-        train: int = 1,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("UDP source rate must be positive")
-        if train < 1:
-            raise ValueError("train must be >= 1 packet per timer event")
         self.sim = sim
         self.send_fn = send_fn
         self.entry = entry
@@ -77,7 +53,6 @@ class UdpSource:
         self.packet_size = packet_size
         self.interval = packet_size * 8 / rate_bps
         self.jitter = jitter
-        self.train = train
         self.packets_sent = 0
         self.next_seq = 0
         self._timer: EventHandle | None = None
@@ -108,22 +83,18 @@ class UdpSource:
     def _tick(self) -> None:
         if not self._running:
             return
-        send_fn = self.send_fn
-        # Accumulate *absolute* departure times (t = t + gap), matching the
-        # float association order of the reference one-packet-per-event
-        # path, where each tick fires at t and schedules t + gap.
         t = self.sim.now
-        for _ in range(self.train):
-            packet = Packet.acquire(
-                PacketKind.DATA,
-                self.entry,
-                self.packet_size,
-                flow_id=self.flow_id,
-                seq=self.next_seq,
-                created_at=t,
-            )
-            self.next_seq += 1
-            self.packets_sent += 1
-            send_fn(packet)
-            t = t + self._next_gap()
-        self._timer = self.sim.schedule_at(t, self._tick)
+        packet = Packet.acquire(
+            PacketKind.DATA,
+            self.entry,
+            self.packet_size,
+            flow_id=self.flow_id,
+            seq=self.next_seq,
+            created_at=t,
+        )
+        self.next_seq += 1
+        self.packets_sent += 1
+        self.send_fn(packet)
+        # The next departure is the absolute instant t + gap, the float
+        # association the fluid model's emission log replays.
+        self._timer = self.sim.schedule_at(t + self._next_gap(), self._tick)

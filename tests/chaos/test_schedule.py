@@ -147,7 +147,6 @@ class _PairWires:
 
     forward, reverse = "forward", "reverse"
     names = ("forward", "reverse")
-    forward_displaces = frozenset({PacketKind.DATA})
 
     def __init__(self):
         self.sim = Simulator()
@@ -169,7 +168,6 @@ class _FabricWires:
 
     forward, reverse = link_target("s1", "s2"), link_target("s2", "s1")
     names = ("s1->s2", "s2->s1")
-    forward_displaces = None
 
     def __init__(self):
         self.sim = Simulator()
@@ -215,10 +213,9 @@ class TestMaterialize:
         assert list(m.chaos) == [wires.forward]
         assert wires.forward_link.chaos is m.chaos[wires.forward]
         assert wires.reverse_link.chaos is None
-        # "forward" displacement faults are scoped to DATA packets only;
-        # link-addressed ones displace every packet class
-        assert m.chaos[wires.forward].perturbations[0].kinds == \
-            wires.forward_displaces
+        # displacement faults on a data-direction wire ("forward", or a
+        # link-addressed one: its own monitor's forward wire) move DATA only
+        assert m.chaos[wires.forward].perturbations[0].kinds == {PacketKind.DATA}
         assert m.restarts == [schedule[3]]
         wires.sim.run(until=2.0)
         assert monitor.calls == ["downstream"]

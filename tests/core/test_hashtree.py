@@ -123,20 +123,22 @@ class TestHashTree:
 class TestTreeCounters:
     def test_root_always_exists(self, small_params):
         tc = TreeCounters(small_params)
-        assert tc.node(()) == [0] * small_params.width
+        assert tc.snapshot() == {(): [0] * small_params.width}
 
     def test_increment_full_prefix_chain(self, small_params):
         tc = TreeCounters(small_params)
         tc.activate_node((3,))
         tc.increment_path((3, 5))
-        assert tc.node(())[3] == 1
-        assert tc.node((3,))[5] == 1
+        snap = tc.snapshot()
+        assert snap[()][3] == 1
+        assert snap[(3,)][5] == 1
 
     def test_increment_skips_missing_nodes(self, small_params):
         tc = TreeCounters(small_params)
         tc.increment_path((3, 5))  # node (3,) not active
-        assert tc.node(())[3] == 1
-        assert tc.node((3,)) is None
+        snap = tc.snapshot()
+        assert snap[()][3] == 1
+        assert (3,) not in snap
 
     def test_activate_too_deep_rejected(self, small_params):
         tc = TreeCounters(small_params)
@@ -148,8 +150,8 @@ class TestTreeCounters:
         tc.activate_node((1,))
         tc.increment_path((1, 2))
         tc.reset()
-        assert tc.node(())[1] == 0
-        assert tc.node((1,)) == [0] * small_params.width
+        zero = [0] * small_params.width
+        assert tc.snapshot() == {(): zero, (1,): zero}
         assert tc.packets == 0
 
     def test_deactivate_node_single(self, small_params):
@@ -157,29 +159,18 @@ class TestTreeCounters:
         tc.activate_node((1,))
         tc.activate_node((1, 2))
         tc.deactivate_node((1,))
-        assert tc.node((1,)) is None
-        assert tc.node((1, 2)) is not None
-
-    def test_deactivate_below_subtree(self, small_params):
-        tc = TreeCounters(small_params)
-        tc.activate_node((1,))
-        tc.activate_node((1, 2))
-        tc.activate_node((3,))
-        tc.deactivate_below((1,))
-        assert tc.node((1,)) is None
-        assert tc.node((1, 2)) is None
-        assert tc.node((3,)) is not None
+        assert set(tc.snapshot()) == {(), (1, 2)}
 
     def test_root_cannot_be_deactivated(self, small_params):
         tc = TreeCounters(small_params)
         tc.deactivate_node(())
-        assert tc.node(()) is not None
+        assert () in tc.snapshot()
 
     def test_snapshot_is_a_copy(self, small_params):
         tc = TreeCounters(small_params)
         snap = tc.snapshot()
         snap[()][0] = 99
-        assert tc.node(())[0] == 0
+        assert tc.snapshot()[()][0] == 0
 
     def test_mismatches_detects_losses(self, small_params):
         up, down = TreeCounters(small_params), TreeCounters(small_params)
@@ -209,4 +200,4 @@ class TestTreeCounters:
         tc = TreeCounters(params)
         for i in indices:
             tc.increment_path((i,))
-        assert sum(tc.node(())) == len(indices)
+        assert sum(tc.snapshot()[()]) == len(indices)

@@ -1,7 +1,7 @@
 """Stateful property test for TreeCounters.
 
-Hypothesis drives random interleavings of activate / increment / reset /
-deactivate and checks the structural invariants the zooming algorithm
+Hypothesis drives random interleavings of activate / increment / add /
+reset / deactivate and checks the structural invariants the zooming algorithm
 relies on after every step.
 """
 
@@ -35,13 +35,14 @@ class TreeCountersMachine(RuleBasedStateMachine):
         self.counters.increment_path(tag)
         self.model_increments += 1
 
+    @rule(tag=tags, n=st.integers(min_value=0, max_value=5))
+    def add(self, tag, n):
+        self.counters.add(tag, n)
+        self.model_increments += n
+
     @rule(path=paths)
     def deactivate_one(self, path):
         self.counters.deactivate_node(path)
-
-    @rule(path=paths)
-    def deactivate_subtree(self, path):
-        self.counters.deactivate_below(path)
 
     @rule()
     def reset(self):
@@ -52,25 +53,25 @@ class TreeCountersMachine(RuleBasedStateMachine):
 
     @invariant()
     def root_always_present(self):
-        assert self.counters.node(()) is not None
+        assert () in self.counters.snapshot()
 
     @invariant()
     def all_counters_nonnegative(self):
-        for node in self.counters.nodes.values():
+        for node in self.counters.snapshot().values():
             assert all(c >= 0 for c in node)
             assert len(node) == PARAMS.width
 
     @invariant()
     def paths_are_well_formed(self):
-        for path in self.counters.nodes:
+        for path in self.counters.snapshot():
             assert len(path) < PARAMS.depth
             assert all(0 <= c < PARAMS.width for c in path)
 
     @invariant()
     def root_total_bounded_by_increments(self):
-        # Root counts one unit per increment whose tag the root observed —
-        # never more than the increments issued since the last reset.
-        assert sum(self.counters.node(())) <= self.model_increments
+        # Root counts one unit per packet whose tag the root observed —
+        # never more than the packets counted since the last reset.
+        assert sum(self.counters.snapshot()[()]) <= self.model_increments
 
     @invariant()
     def packet_count_matches_model(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.schedule import FaultSpec
+from repro.chaos.schedule import FaultSpec, materialize
 from repro.fabric.builders import ring
 from repro.fabric.chaos import (
     default_fabric_schedule,
@@ -15,6 +15,9 @@ from repro.fabric.chaos import (
     parse_link_target,
 )
 from repro.fabric.graph import FabricNetwork
+from repro.simulator.engine import Simulator
+from repro.simulator.link import Link
+from repro.simulator.packet import PacketKind
 from tests.chaos.test_harness import RING
 
 
@@ -75,6 +78,28 @@ class TestMaterialize:
                                  "start": 0.1, "end": None}, index=0)
         with pytest.raises(KeyError):
             materialize_on_fabric([spec], 0, net)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("reorder", {"rate": 0.5, "max_displacement_s": 0.002,
+                     "start": 0.1, "end": None}),
+        ("delay_spike", {"spike_s": 0.003, "rate": 1.0,
+                         "start": 0.1, "end": None}),
+    ], ids=["reorder", "delay_spike"])
+    def test_displacement_moves_data_only(self, sim, kind, params):
+        """A link-addressed displacement fault sits on the forward wire of
+        that link's own monitor: like the same spec on the two-switch
+        ``"forward"`` wire, it moves DATA packets only, never the
+        Start/Stop delimiters the T_wait budget is computed against."""
+        net = FabricNetwork(sim, ring(4))
+        spec = FaultSpec(kind, target=link_target("s0", "s1"), params=params,
+                         index=0)
+        chaos = materialize_on_fabric([spec], 0, net).chaos
+        (on_link,) = chaos[link_target("s0", "s1")].perturbations
+        pair = FaultSpec(kind, target="forward", params=params, index=0)
+        wire = Link(Simulator(), None, 0)
+        (on_pair,) = materialize([pair], 0, wire.sim, {"forward": wire},
+                                 {}).chaos["forward"].perturbations
+        assert on_link.kinds == on_pair.kinds == {PacketKind.DATA}
 
 
 class TestSoakConfig:

@@ -23,6 +23,7 @@ from repro.fabric import sharding
 from repro.fabric.sharding import (
     ShardSpec,
     merge_link_results,
+    pack_trace,
     plan_shards,
     probe_payload,
     trace_text,
@@ -119,10 +120,9 @@ def _collector(link_id, n_spans, max_spans=100_000):
 
 
 class TestMergedTraceBytes:
-    """Probes hand the merge chunk lists; result-cache entries written
-    before that hold one text, and in-memory callers may still hand span
-    dicts.  Every shape gives the bytes one ``spans_to_jsonl`` over every
-    link's spans gave when dicts were all that crossed."""
+    """Probes hand the merge packed chunks, and in-memory callers may
+    still hand span dicts.  Either shape gives the bytes one
+    ``spans_to_jsonl`` over every link's spans gives."""
 
     #: busy, empty and busy again, deliberately not in sorted order.
     COLLECTORS = {"b->c": _collector("b->c", 40), "a->b": _collector("a->b", 0),
@@ -133,34 +133,38 @@ class TestMergedTraceBytes:
             link_id: {"metrics": None, **payload_of(tc)}
             for link_id, tc in self.COLLECTORS.items()})["trace_parts"])
 
+    @staticmethod
+    def _packed(tc):
+        return {"trace_packed": pack_trace(tc)}
+
+    @staticmethod
+    def _dicts(tc):
+        return {"spans": tc.span_dicts()}
+
     def test_text_dict_and_single_dump_agree(self):
-        as_text = self._merged(lambda tc: {"trace_jsonl": tc.to_jsonl()})
-        as_dicts = self._merged(lambda tc: {"spans": tc.span_dicts()})
+        as_packed = self._merged(self._packed)
+        as_dicts = self._merged(self._dicts)
         concat = [d for link_id in sorted(self.COLLECTORS)
                   for d in self.COLLECTORS[link_id].span_dicts()]
-        assert as_text == as_dicts == spans_to_jsonl(concat)
-        assert as_text.count("\n") == 47
+        assert as_packed == as_dicts == spans_to_jsonl(concat)
+        assert as_packed.count("\n") == 47
 
     def test_chunk_lists_merge_to_the_same_bytes(self):
-        as_chunks = self._merged(
-            lambda tc: {"trace_jsonl": tc.jsonl_chunks()})
-        # Split finer than the collector does: the join does not care
-        # where a link's text was cut, only that every piece is whole lines.
-        as_lines = self._merged(
-            lambda tc: {"trace_jsonl": tc.to_jsonl().splitlines(True)})
-        assert as_chunks == as_lines == self._merged(
-            lambda tc: {"trace_jsonl": tc.to_jsonl()})
+        """A link packed into several chunks decodes, in order, to the
+        text its spans render to."""
+        busy = _collector("b->c", 3 * _CHUNK_SPANS + 5)
+        packed = pack_trace(busy)
+        assert len(packed) > 1
+        merged = trace_text(merge_link_results(
+            {"b->c": {"metrics": None, "trace_packed": packed}})["trace_parts"])
+        assert merged == busy.to_jsonl() == spans_to_jsonl(busy.span_dicts())
 
     def test_mixed_payload_shapes_merge(self):
-        shapes = {"b->c": lambda tc: {"trace_jsonl": tc.jsonl_chunks()},
-                  "a->c": lambda tc: {"trace_jsonl": tc.to_jsonl()},
-                  "a->b": lambda tc: {"spans": tc.span_dicts()}}
-        mixed = self._merged(lambda tc: shapes[tc.scope](tc))
-        assert mixed == self._merged(lambda tc: {"spans": tc.span_dicts()})
-        text_and_dicts = self._merged(
-            lambda tc: {"spans": tc.span_dicts()} if tc.scope == "a->c"
-            else {"trace_jsonl": tc.to_jsonl()})
-        assert mixed == text_and_dicts
+        mixed = self._merged(
+            lambda tc: self._dicts(tc) if tc.scope == "a->b" else self._packed(tc))
+        assert mixed == self._merged(self._dicts)
+        assert mixed == self._merged(
+            lambda tc: self._dicts(tc) if tc.scope == "a->c" else self._packed(tc))
 
     def test_truncated_link_keeps_its_marker_in_place(self):
         """The marker travels with its link's text: it lands after that
@@ -169,8 +173,8 @@ class TestMergedTraceBytes:
         assert cut.suppressed == 6
         merged = trace_text(merge_link_results({
             "b->c": {"metrics": None,
-                     "trace_jsonl": self.COLLECTORS["b->c"].jsonl_chunks()},
-            "a->b": {"metrics": None, "trace_jsonl": cut.jsonl_chunks()},
+                     "trace_packed": pack_trace(self.COLLECTORS["b->c"])},
+            "a->b": {"metrics": None, "trace_packed": pack_trace(cut)},
         })["trace_parts"])
         assert merged == cut.to_jsonl() + self.COLLECTORS["b->c"].to_jsonl()
         assert merged.splitlines()[4].startswith('{"event": "trace_truncated"')

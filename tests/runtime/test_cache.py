@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.runtime.cache import NullCache, ResultCache, open_cache
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import NullCache, ResultCache, code_hash, open_cache
 
 
 class TestResultCache:
@@ -44,6 +45,38 @@ class TestResultCache:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(cache._path(fp_a).read_text())
         assert cache.get(fp_b) is None
+
+    def test_entry_from_other_code_reads_as_miss(self, tmp_path):
+        """An entry stamped with another code hash — written by an older
+        or an edited package — is recomputed, never served."""
+        cache = ResultCache(tmp_path)
+        fp = "cd" * 16
+        cache.put(fp, {"x": 1})
+        path = cache._path(fp)
+        entry = json.loads(path.read_text())
+        assert entry["code"] == code_hash()
+        assert cache.get(fp) == {"x": 1}
+        entry["code"] = "0" * 32
+        path.write_text(json.dumps(entry))
+        assert cache.get(fp) is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_code_hash_follows_every_source_file(self, tmp_path, monkeypatch):
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("A = 1\n")
+        (package / "sub" / "b.py").write_text("B = 2\n")
+        (package / "notes.txt").write_text("not source\n")
+        monkeypatch.setattr(cache_module, "_PACKAGE_ROOT", package)
+        digest = code_hash.__wrapped__
+        before = digest()
+        (package / "notes.txt").write_text("edited\n")
+        assert digest() == before
+        (package / "sub" / "b.py").write_text("B = 3\n")
+        edited = digest()
+        assert edited != before
+        (package / "sub" / "b.py").rename(package / "b.py")
+        assert digest() not in (before, edited)
 
     def test_write_is_atomic_json(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -10,7 +10,6 @@ from pathlib import Path
 from repro.core.hashtree import HashTreeParams
 from repro.experiments.runner import ExperimentSpec
 from repro.runtime.jobs import (
-    CODE_VERSION,
     Job,
     canonical,
     fingerprint,
@@ -58,10 +57,6 @@ class TestFingerprint:
     def test_changes_with_repetitions(self):
         spec = ExperimentSpec()
         assert fingerprint(spec, 2) != fingerprint(spec, 3)
-
-    def test_changes_with_code_version_salt(self):
-        spec = ExperimentSpec()
-        assert fingerprint(spec, salt=CODE_VERSION) != fingerprint(spec, salt="other-version")
 
     def test_spec_job_builds_cacheable_job(self):
         spec = ExperimentSpec(loss_rate=0.5)

@@ -1,8 +1,7 @@
 """Determinism-equivalence tests for the simulator fast paths.
 
 The optimization contract (see ``docs/PERFORMANCE.md``) is that every
-fast path — fused link events, flat-array tree counters, UDP packet
-trains — consumes the same RNG draws in the same order as its reference
+fast path — fused link events, flat-array tree counters — consumes the same RNG draws in the same order as its reference
 and therefore produces *identical* experiment outputs.  The link
 reference is chosen per link: ``Link(fused=False)``, set here on every
 link a scenario builds.  Two modes are compared to it: ``fused`` (the
@@ -15,8 +14,6 @@ These tests enforce the contract end-to-end:
   run_entry_failure`, comparing whole scored ``RunResult`` dicts;
 * a drained two-switch FANcY run comparing ``LinkStats``, per-entry
   counters, zooming state, and the full failure-report log;
-* UDP packet trains: bit-identical stream metadata and drop sequences,
-  and identical detection times on a dedicated-counter scenario;
 * the flat-array :class:`TreeCounters` against an in-test dict-of-lists
   reference model under randomized operation interleavings.
 """
@@ -363,93 +360,6 @@ def test_traced_fused_link_records_what_the_reference_records():
 
 
 # ---------------------------------------------------------------------------
-# UDP packet trains.
-# ---------------------------------------------------------------------------
-
-
-def _run_train(train: int) -> dict:
-    sim = Simulator()
-    sink = _Collector()
-    loss = UniformLossFailure(0.2, start_time=0.0, seed=17)
-    # Instant wire isolates the train contract: per-packet metadata and
-    # stationary per-packet drop draws are exactly preserved.
-    link = Link(sim, sink, 0, bandwidth_bps=None, delay_s=0.0, loss_model=loss)
-    src = UdpSource(sim, link.send, "e", 1, rate_bps=2e6, packet_size=500,
-                    jitter=0.3, seed=29, train=train)
-    src.start()
-    sim.run(until=0.5)
-    src.stop()
-    return {
-        "rows": [(seq, t) for seq, t, _ in sink.rows],
-        "stats": link.stats.as_dict(),
-    }
-
-
-@pytest.mark.parametrize("train", [2, 5, 16])
-def test_train_stream_metadata_identical(train):
-    """Trains preserve per-packet seq/timestamp/jitter/drop sequences.
-
-    The final (partial) train may overrun the horizon by up to ``train-1``
-    packets, so the comparison is over the common prefix.
-    """
-    reference = _run_train(1)
-    fast = _run_train(train)
-    n_ref = len(reference["rows"])
-    n_fast = len(fast["rows"])
-    assert abs(n_fast - n_ref) < train
-    n = min(n_ref, n_fast)
-    assert fast["rows"][:n] == reference["rows"][:n]
-    # Drop decisions over the common prefix match exactly: compare the
-    # delivered-seq sets truncated to the common seq horizon.
-    last_common_seq = min(reference["rows"][n - 1][0], fast["rows"][n - 1][0])
-    ref_seqs = [s for s, _ in reference["rows"] if s <= last_common_seq]
-    fast_seqs = [s for s, _ in fast["rows"] if s <= last_common_seq]
-    assert ref_seqs == fast_seqs
-
-
-def _run_udp_fancy(train: int) -> dict:
-    # Stationary loss (start_time=0): the train equivalence contract covers
-    # loss models where the *draw order* decides, not wall-clock.  A
-    # time-windowed failure would interact with the compressed wire-entry
-    # times at the window boundary (see the udp.py module docstring) —
-    # which is exactly what ``train=1`` is for.
-    sim = Simulator()
-    failure = EntryLossFailure(["victim"], 0.3, start_time=0.0, seed=31)
-    topo = TwoSwitchTopology(sim, link_delay_s=0.001, loss_model=failure)
-    config = FancyConfig(high_priority=["victim", "ok"], tree_params=None,
-                         dedicated_session_s=0.05, seed=2)
-    monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1, config)
-    sources = [
-        UdpSource(sim, topo.source.send, entry, flow_id=i + 1, rate_bps=2e6,
-                  packet_size=500, jitter=0.1, seed=41 + i, train=train)
-        for i, entry in enumerate(["victim", "ok"])
-    ]
-    for src in sources:
-        src.start()
-    monitor.start()
-    sim.run(until=2.0)
-    first = monitor.log.reports[0] if monitor.log.reports else None
-    return {
-        "first_detection": (first.kind.name, first.entry, first.time)
-                           if first is not None else None,
-        "flagged": sorted(monitor.dedicated_strategy.flagged_entries),
-    }
-
-
-@pytest.mark.parametrize("train", [4, 8])
-def test_train_detection_time_identical(train):
-    """Trains do not move FANcY's detection instant under stationary loss
-    (session timers tick independently of trains, the k-th victim packet
-    gets the k-th loss draw either way, and session membership rides on
-    the packet tag)."""
-    reference = _run_udp_fancy(1)
-    fast = _run_udp_fancy(train)
-    assert reference["first_detection"] is not None
-    assert fast == reference
-    assert reference["flagged"] == ["victim"]
-
-
-# ---------------------------------------------------------------------------
 # Flat-array TreeCounters vs. a dict-of-lists reference model.
 # ---------------------------------------------------------------------------
 
@@ -485,12 +395,6 @@ class _DictTreeCounters:
         if path != ():
             self.nodes.pop(path, None)
 
-    def deactivate_below(self, path):
-        doomed = [p for p in self.nodes
-                  if len(p) >= max(len(path), 1) and p[: len(path)] == path]
-        for p in doomed:
-            del self.nodes[p]
-
     def clear(self):
         self.nodes = {(): [0] * self.params.width}
         self.packets = 0
@@ -523,7 +427,7 @@ def test_flat_tree_counters_match_dict_model(seed):
                      for _ in range(rng.randint(1, params.depth)))
 
     for _ in range(400):
-        op = rng.randrange(7)
+        op = rng.randrange(6)
         if op == 0:
             p = rand_path()
             flat.activate_node(p)
@@ -536,11 +440,7 @@ def test_flat_tree_counters_match_dict_model(seed):
             p = rand_path()
             flat.deactivate_node(p)
             oracle.deactivate_node(p)
-        elif op == 5 and rng.random() < 0.3:
-            p = rand_path()
-            flat.deactivate_below(p)
-            oracle.deactivate_below(p)
-        elif op == 6 and rng.random() < 0.2:
+        elif op == 5 and rng.random() < 0.2:
             flat.reset()
             oracle.reset()
         assert flat.snapshot() == oracle.snapshot()

@@ -2,20 +2,16 @@
 
 The equivalence suite (test_fastpath_equivalence.py) proves end-to-end
 output identity; this module pins the *mechanisms* — heap compaction,
-sequence-counter reset, the fused/kick link state machine and its
-observer taps, and the UDP packet-train bookkeeping — with small,
-surgical scenarios.
+sequence-counter reset, and the fused/kick link state machine and its
+observer taps — with small, surgical scenarios.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.packet import Packet, PacketKind, make_data_packet
 from repro.simulator.tracing import PacketTracer
-from repro.simulator.udp import UdpSource
 from repro.telemetry import Telemetry
 
 
@@ -312,47 +308,3 @@ class TestFusedLink:
         assert link.queue_len == 2
         sim.run()
         assert link.queue_len == 0
-
-
-# ---------------------------------------------------------------------------
-# UDP packet trains.
-# ---------------------------------------------------------------------------
-
-
-class TestUdpTrain:
-    def test_train_must_be_positive(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            UdpSource(sim, lambda p: None, "e", 1, rate_bps=1e6, train=0)
-
-    def test_train_batches_timer_events(self):
-        """train=B sends B packets per tick and fires 1/B as many timers."""
-
-        def run(train):
-            sim = Simulator()
-            out = []
-            src = UdpSource(sim, out.append, "e", 1, rate_bps=8e6,
-                            packet_size=1000, train=train)
-            src.start()
-            sim.run(until=0.0105)  # 1 ms interval -> ~10 reference packets
-            return sim.events_processed, src.packets_sent, \
-                [(p.seq, p.created_at) for p in out]
-
-        ref_events, ref_sent, ref_meta = run(1)
-        fast_events, fast_sent, fast_meta = run(5)
-        assert fast_events < ref_events / 2
-        assert fast_sent % 5 == 0
-        n = min(ref_sent, fast_sent)
-        assert fast_meta[:n] == ref_meta[:n]
-
-    def test_stop_cancels_pending_train(self):
-        sim = Simulator()
-        out = []
-        src = UdpSource(sim, out.append, "e", 1, rate_bps=8e6,
-                        packet_size=1000, train=4)
-        src.start()
-        sim.run(until=0.0005)
-        src.stop()
-        sent = len(out)
-        sim.run(until=1.0)
-        assert len(out) == sent

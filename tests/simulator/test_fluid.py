@@ -116,23 +116,11 @@ class TestEmissionCursor:
         assert cursor.advance(0.21) == 0         # arrival 0.21 not < 0.21
         assert cursor.advance(0.2100001) == 1
 
-    def test_rate_changes_apply_at_cursor_granularity(self):
-        flow = FluidFlow(entry="e", flow_id=0, rate_bps=80_000,
-                         packet_size=1000, jitter=0.0, seed=0,
-                         rate_changes=((0.35, 160_000.0),))
-        cursor = _EmissionCursor(flow)
-        # 0.1s gaps until the first emission at/past 0.35, then 0.05s.
-        assert cursor.advance(0.351) == 4        # 0.0, 0.1, 0.2, 0.3
-        assert cursor.advance(0.501) == 3        # 0.4, 0.45, 0.5
-
     def test_flow_validation(self):
         with pytest.raises(ValueError):
             FluidFlow(entry="e", flow_id=0, rate_bps=0.0)
         with pytest.raises(ValueError):
             FluidFlow(entry="e", flow_id=0, rate_bps=1.0, jitter=1.0)
-        with pytest.raises(ValueError):
-            FluidFlow(entry="e", flow_id=0, rate_bps=1.0,
-                      rate_changes=((0.5, -1.0),))
 
 
 # --------------------------------------------------------------------------
@@ -150,8 +138,6 @@ class _ScanCursor:
         self._lo = 1.0 - flow.jitter
         self._span = 2.0 * flow.jitter
         self._interval = flow.interval_s
-        size8 = flow.packet_size * 8
-        self._changes = sorted((t, size8 / rate) for t, rate in flow.rate_changes)
         self.legs = legs
 
     def advance(self, until):
@@ -164,8 +150,6 @@ class _ScanCursor:
             if not arrival < until:
                 break
             n += 1
-            while self._changes and self._changes[0][0] <= t:
-                self._interval = self._changes.pop(0)[1]
             if self._rng is None:
                 t = t + self._interval
             else:
@@ -184,8 +168,6 @@ class TestSharedLog:
         jitter=st.sampled_from([0.0, 0.1, 0.45]),
         seed=st.integers(0, 2**16),
         start=st.floats(0.0, 0.01),
-        rate_changes=st.lists(
-            st.tuples(st.floats(0.0, 0.6), st.floats(2e5, 4e6)), max_size=3),
         legs=st.lists(_legs, min_size=1, max_size=4),
         steps=st.lists(st.tuples(st.integers(0, 3), st.floats(-0.02, 0.08)),
                        max_size=50),
@@ -193,13 +175,12 @@ class TestSharedLog:
         lag=st.sampled_from([2, 10, 2048]),
     )
     def test_cursors_count_what_independent_scans_count(
-            self, jitter, seed, start, rate_changes, legs, steps, chunk, lag):
+            self, jitter, seed, start, legs, steps, chunk, lag):
         """Cursors on one log, advancing out of order (and sometimes
         backwards), count exactly what private one-by-one scans count —
-        through chunk edges, rate changes, trims and forks."""
+        through chunk edges, trims and forks."""
         flow = FluidFlow(entry="e", flow_id=0, rate_bps=8e5, packet_size=100,
-                         jitter=jitter, seed=seed, start_s=start,
-                         rate_changes=tuple(rate_changes))
+                         jitter=jitter, seed=seed, start_s=start)
         log = _EmissionLog(flow)
         cursors = [_EmissionCursor(flow, chain, log) for chain in legs]
         oracles = [_ScanCursor(flow, chain) for chain in legs]
@@ -259,8 +240,8 @@ class TestSharedLog:
         dep.bind_fluid(engine, {link: 0 for link in dep.monitors})
         dep.start()
         sim.run(until=2.0)
-        emitted = [bound.cursor.emitted for binding in engine._bindings
-                   for bound in binding._bound]
+        emitted = [cursor.emitted for binding in engine._bindings
+                   for cursor in binding._cursors]
         assert len(emitted) == 3 and min(emitted) > 1500
         # One stream, a chunk of lookahead at most (the parent drew 3x).
         assert max(emitted) <= draws <= max(emitted) + 256
@@ -273,9 +254,9 @@ class TestSharedLog:
         windows = []
         original = fluid._MonitorBinding._window_counts
 
-        def recording(binding, bound, t0, t1, tier, session_id):
-            counts = original(binding, bound, t0, t1, tier, session_id)
-            windows.append((bound, t0, t1, counts[0]))
+        def recording(binding, cursor, t0, t1, tier, session_id):
+            counts = original(binding, cursor, t0, t1, tier, session_id)
+            windows.append((cursor, t0, t1, counts[0]))
             return counts
 
         monkeypatch.setattr(fluid._MonitorBinding, "_window_counts", recording)
@@ -292,8 +273,8 @@ class TestSharedLog:
         dep.bind_fluid(engine, {link: 0 for link in dep.monitors})
         log = engine.log_of(flow)
         mid = dep.monitors["s1->s2"]
-        stalled = next(bound.cursor for binding in engine._bindings
-                       if binding.monitor is mid for bound in binding._bound)
+        stalled = next(cursor for binding in engine._bindings
+                       if binding.monitor is mid for cursor in binding._cursors)
         longest = []
 
         def sample():
@@ -317,16 +298,15 @@ class TestSharedLog:
         assert stalled.log is not log  # it counts on its private log
         assert max(longest) <= 2 * (_MAX_LAG + _CHUNK)
         by_cursor = {}
-        for bound, t0, t1, sent in windows:
-            by_cursor.setdefault(bound, []).append((t0, t1, sent))
+        for cursor, t0, t1, sent in windows:
+            by_cursor.setdefault(cursor, []).append((t0, t1, sent))
         assert len(by_cursor) == 3
-        for bound, seen in by_cursor.items():
-            oracle = _ScanCursor(bound.flow, bound.cursor.legs)
+        for cursor, seen in by_cursor.items():
+            oracle = _ScanCursor(cursor.flow, cursor.legs)
             for t0, t1, sent in seen:
                 oracle.advance(t0)
                 assert oracle.advance(t1) == sent
-        resumed = [w for w in by_cursor[next(
-            b for b in by_cursor if b.cursor is stalled)] if w[0] >= 3.0]
+        resumed = [w for w in by_cursor[stalled] if w[0] >= 3.0]
         assert len(resumed) > 5 and all(w[2] > 0 for w in resumed)
 
 
