@@ -8,9 +8,7 @@ from repro.experiments import table5
 
 
 def test_table5_trace_characteristics(benchmark, save_artifact):
-    result = benchmark.pedantic(
-        table5.run, kwargs={"n_prefixes_cap": 100_000}, rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(table5.run, rounds=1, iterations=1)
     save_artifact("table5_traces", table5.render(result))
 
     rows = {r["trace_id"]: r for r in result["rows"]}

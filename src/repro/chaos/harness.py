@@ -166,7 +166,7 @@ def soak_fancy_config(config: SoakConfig,
         tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
         dedicated_session_s=0.050,
         tree_session_s=0.200,
-        twait_s=0.015,  # > worst-case forward displacement budget (12 ms)
+        twait_s=0.015,  # > worst-case data-wire displacement budget (12 ms)
         seed=stable_seed(config.seed, "fancy", bits=31),
         accept_stale_responses=config.regression == "stale-session",
     )
@@ -187,17 +187,16 @@ def drive_soak(
     net: FabricNetwork,
     src: str,
     monitors: Mapping[str, FancyLinkMonitor],
-    views: Mapping[str, list[FaultSpec]],
+    schedule: list[FaultSpec],
     arm: Callable[[], Materialized],
 ) -> SoakRun:
     """Drive one soak on a built fabric and check I1–I6 per monitor.
 
     ``config`` supplies the traffic and timing.  The :func:`soak_entries`
-    send from ``src``'s host.  ``arm`` wires the schedule and starts the
-    monitors once the sources are scheduled.  ``views[link_id]`` is the
-    schedule as that link's monitor sees it: its own wire ``"forward"``,
-    the opposite wire ``"reverse"``.  The first monitor's observer checks
-    conservation on every wire.
+    send from ``src``'s host.  ``arm`` wires ``schedule`` and starts the
+    monitors once the sources are scheduled.  Each monitor's observer
+    reads the whole schedule from its own link.  The first observer
+    checks conservation on every wire.
     """
     sim = net.sim
     dedicated, best_effort = soak_entries(config)
@@ -222,7 +221,7 @@ def drive_soak(
     for lid, monitor in monitors.items():
         a, b = net.endpoints(lid)
         observers.append(LinkInvariantObserver(
-            monitor, views[lid], dedicated, best_effort,
+            monitor, schedule, dedicated, best_effort,
             links=wires if not observers else [],
             chaos_models=materialized.chaos_models(net.link(a, b),
                                                    net.link(b, a)),
@@ -268,7 +267,7 @@ def run_soak(config: SoakConfig,
     dedicated, best_effort = soak_entries(config)
     if schedule is None:
         schedule = generate_schedule(config.seed, config.duration_s,
-                                     dedicated, best_effort)
+                                     dedicated, best_effort, ["A->B"])
 
     sim = Simulator()
     graph = FabricGraph("pair")
@@ -282,15 +281,12 @@ def run_soak(config: SoakConfig,
         config=soak_fancy_config(config, dedicated))
 
     def arm() -> Materialized:
-        materialized = materialize(
-            schedule, config.seed, sim,
-            {"forward": net.link("A", "B"), "reverse": net.link("B", "A")},
-            {"forward": monitor})
+        materialized = materialize(schedule, config.seed, net,
+                                   {"A->B": monitor})
         monitor.start(delay=0.005)
         return materialized
 
-    run = drive_soak(config, net, "A", {"A->B": monitor},
-                     {"A->B": schedule}, arm)
+    run = drive_soak(config, net, "A", {"A->B": monitor}, schedule, arm)
     return SoakResult(seed=config.seed, violations=run.violations,
                       schedule=list(schedule),
                       stats=_collect_stats(monitor, net, run))
@@ -353,10 +349,10 @@ def _stale_session_schedule() -> list[FaultSpec]:
     silently (guarded by tests/chaos/test_harness.py).
     """
     return [
-        FaultSpec("reorder", "reverse",
+        FaultSpec("reorder", "link:B->A",
                   {"rate": 1.0, "max_displacement_s": 0.3,
                    "start": 0.3, "end": None}, index=0),
-        FaultSpec("duplicate", "reverse",
+        FaultSpec("duplicate", "link:B->A",
                   {"rate": 1.0, "copies": 2, "start": 0.3, "end": None},
                   index=1),
     ]
@@ -374,7 +370,7 @@ def _control_plane_grey_schedule() -> list[FaultSpec]:
     loss flag may appear because no data packet was dropped.  CI runs it
     without negation — a violation here is a real protocol regression.
     """
-    return [FaultSpec("control_loss", "reverse",
+    return [FaultSpec("control_loss", "link:B->A",
                       {"rate": 0.2, "start": 0.3, "end": None}, index=0)]
 
 

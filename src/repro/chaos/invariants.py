@@ -157,6 +157,7 @@ def check_attribution(
     monitor: Any,
     dedicated: list[Any],
     best_effort: list[Any],
+    link_id: str,
     since: int = 0,
 ) -> list[Violation]:
     """Every failure report must be explained by a recently active fault.
@@ -164,7 +165,8 @@ def check_attribution(
     This is the "no false flags" half of the soak: benign chaos —
     reordering, duplication, checksum-detected corruption — must never
     surface as a loss flag, and loss must never surface without a
-    loss-class fault scoped to the flagged entry.
+    loss-class fault scoped to the flagged entry.  ``monitor`` watches
+    ``link_id``, and each fault is judged from that link.
 
     ``since`` makes the check incremental: only reports from that log
     index onward are examined (reports are append-only), so an online
@@ -185,7 +187,7 @@ def check_attribution(
     for report in log.reports[since:]:
         lo, hi = report.time - ATTRIBUTION_SLACK_S, report.time
         if report.kind is FailureKind.LINK_DOWN:
-            if not any(s.is_control_class() and s.active_in(lo, hi)
+            if not any(s.is_control_class(link_id) and s.active_in(lo, hi)
                        for s in schedule):
                 out.append(Violation(
                     "I3", report.time,
@@ -204,7 +206,8 @@ def check_attribution(
             candidates = [(e, e in dedicated_set)
                           for e in list(dedicated) + list(best_effort)]
         explained = any(
-            s.active_in(lo, hi) and s.affects_entry(entry, is_dedicated)
+            s.active_in(lo, hi)
+            and s.affects_entry(entry, is_dedicated, link_id)
             for s in schedule
             for entry, is_dedicated in candidates
         )
@@ -227,8 +230,10 @@ def check_detection(
     dedicated: list[Any],
     best_effort: list[Any],
     horizon: float,
+    link_id: str,
 ) -> list[Violation]:
-    """Persistent heavy loss must be flagged on every covered entry.
+    """Persistent heavy loss on ``link_id`` must be flagged on every
+    covered entry.
 
     ``horizon`` is the instant traffic stopped: a fault only counts as
     persistent if it was still active then (see
@@ -242,7 +247,7 @@ def check_detection(
     uniform = bool(log.by_kind(FailureKind.UNIFORM))
     tree = monitor.tree_strategy.tree if monitor.tree_strategy else None
     for spec in schedule:
-        if not spec.is_persistent(horizon):
+        if not spec.is_persistent(horizon, link_id):
             continue
         if spec.kind == "entry_loss":
             covered = list(spec.params["entries"])
@@ -348,7 +353,7 @@ class LinkInvariantObserver:
         best_effort: list[Any],
         links: list[Any],
         chaos_models: list[Any],
-        link_id: str = "link",
+        link_id: str,
         on_breach: Any | None = None,
     ) -> None:
         self.monitor = monitor
@@ -384,7 +389,8 @@ class LinkInvariantObserver:
         found += self.tracker.check(self.monitor, now)
         found += check_attribution(
             self.monitor.log, self.schedule, self.monitor,
-            self.dedicated, self.best_effort, since=self._log_pos)
+            self.dedicated, self.best_effort, self.link_id,
+            since=self._log_pos)
         self._log_pos = len(self.monitor.log.reports)
         found += check_integrity(self.monitor, self.chaos_models, now,
                                  allow_in_flight=True)
@@ -394,11 +400,12 @@ class LinkInvariantObserver:
         """Drain-time invariants, evaluated once after wind-down."""
         found = check_attribution(
             self.monitor.log, self.schedule, self.monitor,
-            self.dedicated, self.best_effort, since=self._log_pos)
+            self.dedicated, self.best_effort, self.link_id,
+            since=self._log_pos)
         self._log_pos = len(self.monitor.log.reports)
         found += check_detection(
             self.monitor.log, self.schedule, self.monitor,
-            self.dedicated, self.best_effort, horizon)
+            self.dedicated, self.best_effort, horizon, self.link_id)
         found += check_conservation(self.links, now)
         found += check_integrity(self.monitor, self.chaos_models, now)
         return self._record(found)

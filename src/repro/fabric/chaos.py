@@ -1,23 +1,22 @@
-"""Fabric-addressed chaos: fault schedules on fabric links + ring soak.
+"""Fabric chaos: trace-rooted fault schedules and the ring soak.
 
-The two-switch chaos subsystem addresses faults as ``"forward"`` /
-``"reverse"``; a fabric has many links, so fabric schedules address a
-*directed link id*: ``target="link:s1->s2"``.  The specs are otherwise
-unchanged :class:`~repro.chaos.schedule.FaultSpec` objects — same JSON
-shape, same per-fault seed derivation ``stable_seed(base, "fault",
-index)`` (FCY007), so fabric schedules shrink and replay with the
-existing tooling and wire through the one materializer.
+Faults address directed links, ``target="link:s1->s2"``, in the one
+vocabulary of :mod:`repro.chaos.schedule` — the two-switch soak's
+``link:A->B`` / ``link:B->A`` included — so fabric schedules shrink and
+replay with the existing tooling (per-fault seeds
+``stable_seed(base, "fault", index)``, FCY007) and wire through the one
+materializer.  :func:`materialize_on_fabric` adds what only a fabric
+deployment has: a detection-trace episode rooted at each fault.
 
 :func:`fabric_soak` is the invariant-checked soak on a six-switch ring,
 configured by the two-switch soak's
 :class:`~repro.chaos.harness.SoakConfig` and built over
-:func:`repro.chaos.harness.drive_soak`: UDP
-entries cross three monitored hops, a fabric-link-addressed fault
-schedule runs, and the robustness invariants I1–I6 of
-:mod:`repro.chaos.invariants` are asserted *per monitored link* — the
-faulted link's monitor must flag exactly the covered entries, every
-other monitor must stay silent (attribution against an empty schedule),
-and conservation/integrity hold on every wire.
+:func:`repro.chaos.harness.drive_soak`: UDP entries cross two monitored
+hops, a link-addressed fault schedule runs, and the robustness
+invariants I1–I6 of :mod:`repro.chaos.invariants` are asserted *per
+monitored link* — each monitor reads the whole schedule, a fault on its
+own link as a data-wire fault and one on the reverse link as a fault on
+its control-return wire, and conservation/integrity hold on every wire.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from ..chaos.harness import (
     soak_fancy_config,
 )
 from ..chaos.schedule import (
-    LINK_TARGET_PREFIX,
     FaultSpec,
     Materialized,
     link_target,
@@ -44,30 +42,9 @@ from .deployment import FabricDeployment
 from .graph import FabricNetwork
 
 __all__ = [
-    "LINK_TARGET_PREFIX",
-    "link_target",
-    "parse_link_target",
-    "directional_schedule",
     "materialize_on_fabric",
     "fabric_soak",
 ]
-
-
-def directional_schedule(link_id: str,
-                         schedule: list[FaultSpec]) -> list[FaultSpec]:
-    """Link-addressed specs, translated for one monitor's invariants.
-
-    A spec on the monitored link itself is its *forward* (data)
-    direction; a spec on the opposite directed link is its *reverse*
-    (control-return) channel — which is how a ``control_loss`` on
-    ``B->A`` legitimately explains impairment seen by ``A->B``'s monitor.
-    Specs on any other link are left out.
-    """
-    a, _, b = link_id.partition("->")
-    sides = {link_target(a, b): "forward", link_target(b, a): "reverse"}
-    return [FaultSpec(kind=spec.kind, target=sides[spec.target],
-                      params=dict(spec.params), index=spec.index)
-            for spec in schedule if spec.target in sides]
 
 
 def materialize_on_fabric(
@@ -76,28 +53,14 @@ def materialize_on_fabric(
     net: FabricNetwork,
     deployment: FabricDeployment | None = None,
 ) -> Materialized:
-    """Wire link-addressed faults onto a fabric.
-
-    Validates every target, opens each fault's trace episode, and hands
-    the schedule to :func:`repro.chaos.schedule.materialize` with every
-    directed link as a wire; a ``switch_restart`` reboots the monitor
-    deployed on its link.
-    """
+    """Wire link-addressed faults onto a fabric, each rooting a trace
+    episode on its link's monitor, through
+    :func:`repro.chaos.schedule.materialize`; a ``switch_restart``
+    reboots the monitor deployed on its link."""
     for spec in schedule:
-        link_id = parse_link_target(spec.target)
-        if link_id is None:
-            raise ValueError(
-                f"fabric schedules need link-addressed targets, got "
-                f"{spec.target!r} (use link_target(a, b))")
-        net.endpoints(link_id)  # validate early: unknown links fail loudly
-        _schedule_fault_episode(net, deployment, link_id, spec)
-    monitors = {} if deployment is None else {
-        LINK_TARGET_PREFIX + lid: monitor
-        for lid, monitor in deployment.monitors.items()}
-    return materialize(
-        schedule, base_seed, net.sim,
-        {LINK_TARGET_PREFIX + lid: link for lid, link in net.links.items()},
-        monitors)
+        _schedule_fault_episode(net, deployment, spec)
+    return materialize(schedule, base_seed, net,
+                       {} if deployment is None else deployment.monitors)
 
 
 def _fault_start(spec: FaultSpec) -> float:
@@ -111,7 +74,7 @@ def _fault_start(spec: FaultSpec) -> float:
 
 def _schedule_fault_episode(net: FabricNetwork,
                             deployment: FabricDeployment | None,
-                            link_id: str, spec: FaultSpec) -> None:
+                            spec: FaultSpec) -> None:
     """Open a detection-trace episode when the fault activates.
 
     The chaos harness is the only actor that knows the *root cause*, so
@@ -122,6 +85,7 @@ def _schedule_fault_episode(net: FabricNetwork,
     """
     if deployment is None:
         return
+    link_id = parse_link_target(spec.target) or ""  # "": materialize raises
     monitor = deployment.monitors.get(link_id)
     if monitor is None:
         return
@@ -159,8 +123,8 @@ def fabric_soak(config: SoakConfig,
     (``dst`` is chosen off the ring's antipode so ECMP never splits the
     flows), crossing monitors on ``s0->s1`` and ``s1->s2``; a third
     monitor on ``s2->s3`` carries no entry traffic and acts as the
-    false-positive sentinel.  Each monitor sees the schedule through
-    :func:`directional_schedule`.
+    false-positive sentinel.  Each monitor's observer reads the whole
+    schedule.
     """
     dedicated, best_effort = soak_entries(config)
     if schedule is None:
@@ -181,8 +145,7 @@ def fabric_soak(config: SoakConfig,
         deployment.start(stagger_s=0.005)
         return materialized
 
-    views = {lid: directional_schedule(lid, schedule) for lid in monitored}
-    run = drive_soak(config, net, src, deployment.monitors, views, arm)
+    run = drive_soak(config, net, src, deployment.monitors, schedule, arm)
 
     stats = {
         "sim_time": sim.now,

@@ -37,17 +37,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..chaos.schedule import FaultSpec
+from ..chaos.schedule import FaultSpec, link_target, parse_link_target
 from ..core.detector import FancyConfig
 from ..core.hashtree import HashTreeParams
 from ..fabric.builders import ring
-from ..fabric.chaos import (
-    _fault_start,
-    directional_schedule,
-    link_target,
-    materialize_on_fabric,
-    parse_link_target,
-)
+from ..fabric.chaos import _fault_start, materialize_on_fabric
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
 from ..fabric.sharding import (
@@ -321,14 +315,13 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         declare_grace_s=config.declare_grace_s,
         max_absorbed_cycles=config.max_absorbed_cycles)
 
-    link_schedule = directional_schedule(link_id, schedule)
     dedicated0 = list(rotations[0][1])
     dedicated0_set = set(dedicated0)
     best_effort0 = [e for e in flow_rates if e not in dedicated0_set]
     supervisor = InvariantSupervisor(sim, telemetry=telemetry,
                                      interval_s=config.supervise_every_s)
     observer = supervisor.watch(
-        link_id, monitor, link_schedule, dedicated0, best_effort0,
+        link_id, monitor, schedule, dedicated0, best_effort0,
         links=[net.links[lid] for lid in sorted(net.links)],
         chaos_models=materialized.chaos_models(net.links[link_id],
                                                net.links[reverse_id]))

@@ -23,7 +23,7 @@ from repro.chaos.harness import (
     run_soak,
 )
 from repro.chaos.invariants import Violation
-from repro.chaos.schedule import FaultSpec
+from repro.chaos.schedule import FaultSpec, parse_link_target
 from repro.chaos.shrink import load_reproducer, shrink, write_reproducer
 from repro.fabric.chaos import fabric_soak
 from repro.runtime import RuntimeContext
@@ -83,6 +83,9 @@ PINNED_REJECTIONS = {
 #: while the two-switch soak still ran on its own topology, its own
 #: fault wiring and its own checkpoint loop, and the ring soak on a
 #: copy of each.  One driver on the fabric may change no byte of either.
+#: The two-switch pins were recorded while the pair's wires were named
+#: ``forward`` / ``reverse``; :func:`_pair_doc` maps ``link:A->B`` /
+#: ``link:B->A`` back to those names before hashing, and nothing else.
 PINNED_RESULTS = {
     0: "ed5b329aca331fa89bbeba64a5c6011cce6a5ed4d14f7f314f2d72e4d04bdefc",
     6: "f89f8659cced9200d755cf7a3b2aa49561fa5824ca05011841fc357ed2b988af",
@@ -95,8 +98,24 @@ PINNED_RESULTS = {
 }
 
 
-def _result_sha(result) -> str:
-    text = json.dumps(result.to_dict(), sort_keys=True)
+#: The two-switch soak's wire names when the pins above were recorded.
+_PAIR_NAMES = {"A->B": "forward", "B->A": "reverse"}
+
+
+def _pair_doc(doc: dict) -> dict:
+    """``doc`` with the two-switch wires under their recorded names:
+    schedule targets ``link:A->B`` / ``link:B->A`` and ``stats["chaos"]``
+    keys ``A->B`` / ``B->A`` back to ``forward`` / ``reverse``."""
+    for spec in doc["schedule"]:
+        spec["target"] = _PAIR_NAMES[parse_link_target(spec["target"])]
+    doc["stats"]["chaos"] = {_PAIR_NAMES[name]: stats
+                             for name, stats in doc["stats"]["chaos"].items()}
+    return doc
+
+
+def _result_sha(result, pair: bool = True) -> str:
+    doc = result.to_dict()
+    text = json.dumps(_pair_doc(doc) if pair else doc, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -116,7 +135,7 @@ class TestResultsPinned:
 
     def test_ring_soak_bytes(self):
         result = fabric_soak(RING)
-        assert _result_sha(result) == PINNED_RESULTS["ring/3"]
+        assert _result_sha(result, pair=False) == PINNED_RESULTS["ring/3"]
 
 
 class TestRejectionTotalsPinned:

@@ -122,14 +122,14 @@ class TestIncrementalAttribution:
         tree = _CountingTree()
         mon = types.SimpleNamespace(
             tree_strategy=types.SimpleNamespace(tree=tree))
-        schedule = [FaultSpec("entry_loss", params={
+        schedule = [FaultSpec("entry_loss", "link:a->b", params={
             "entries": ["be3"], "rate": 1.0, "start": 1.0, "end": None})]
         return tree, mon, schedule
 
     def test_tick_without_a_new_report_hashes_nothing(self):
         tree, mon, schedule = self._setup()
         log = FailureLog()
-        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT)
+        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT, "a->b")
         assert check_attribution(log, *args) == []
         log.record(FailureReport(FailureKind.TREE_LEAF, 2.0,
                                  hash_path=tree.tree.hash_path("be3")))
@@ -140,7 +140,7 @@ class TestIncrementalAttribution:
     def test_a_late_tree_leaf_report_is_still_attributed(self):
         tree, mon, schedule = self._setup()
         log = FailureLog()
-        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT)
+        args = (schedule, mon, self.DEDICATED, self.BEST_EFFORT, "a->b")
         explained = FailureReport(FailureKind.TREE_LEAF, 2.0,
                                   hash_path=tree.tree.hash_path("be3"))
         other = next(e for e in self.BEST_EFFORT

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from repro.chaos.schedule import FaultSpec, materialize
+from repro.chaos.harness import soak_entries, soak_fancy_config
+from repro.chaos.schedule import (
+    FaultSpec,
+    generate_schedule,
+    link_target,
+    parse_link_target,
+)
 from repro.fabric.builders import ring
 from repro.fabric.chaos import (
     default_fabric_schedule,
-    directional_schedule,
     fabric_soak,
-    link_target,
     materialize_on_fabric,
-    parse_link_target,
 )
+from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
-from repro.simulator.engine import Simulator
-from repro.simulator.link import Link
 from repro.simulator.packet import PacketKind
+from repro.simulator.udp import UdpSource
 from tests.chaos.test_harness import RING
 
 
@@ -27,40 +33,14 @@ class TestLinkTargets:
         assert parse_link_target("link:s1->s2") == "s1->s2"
 
     def test_non_link_targets_pass_through_as_none(self):
-        assert parse_link_target("forward") is None
-        assert parse_link_target("reverse") is None
-
-    def test_directional_schedule_names_each_monitors_sides(self):
-        own = FaultSpec("entry_loss", target="link:s1->s2",
-                        params={"entries": ["e"], "rate": 0.5,
-                                "start": 0.5, "end": None}, index=3)
-        back = FaultSpec("control_loss", target="link:s2->s1",
-                         params={"rate": 0.2, "start": 0.0, "end": None},
-                         index=4)
-        elsewhere = FaultSpec("uniform_loss", target="link:s0->s1",
-                              params={"rate": 0.5, "start": 0.0, "end": None},
-                              index=5)
-        schedule = [own, back, elsewhere]
-        forward, reverse = directional_schedule("s1->s2", schedule)
-        assert (forward.target, reverse.target) == ("forward", "reverse")
-        for translated, spec in ((forward, own), (reverse, back)):
-            assert translated.kind == spec.kind
-            assert translated.params == spec.params
-            assert translated.index == spec.index
-        # A copy, not an alias: mutating one must not leak to the other.
-        forward.params["rate"] = 0.9
-        assert own.params["rate"] == 0.5
-        # The opposite monitor sees the same two faults from the other side.
-        assert [(s.target, s.index)
-                for s in directional_schedule("s2->s1", schedule)] == [
-            ("reverse", 3), ("forward", 4)]
-        # A link no fault touches gets an empty view.
-        assert directional_schedule("s2->s3", schedule) == []
+        for target in ("forward", "reverse", "s1->s2", "link:", "link:s1",
+                       "link:->s2"):
+            assert parse_link_target(target) is None, target
 
 
 class TestMaterialize:
-    """The fabric adapter's own target validation.  The materializer it
-    hands off to is tested over pair and link targets alike in
+    """The fabric adapter's target validation.  The materializer it
+    hands off to is tested on the pair and on a ring in
     tests/chaos/test_schedule.py."""
 
     def test_rejects_two_switch_targets(self, sim):
@@ -68,7 +48,7 @@ class TestMaterialize:
         bad = FaultSpec("entry_loss", target="forward",
                         params={"entries": ["e"], "rate": 1.0,
                                 "start": 0.1, "end": None}, index=0)
-        with pytest.raises(ValueError, match="link-addressed"):
+        with pytest.raises(ValueError, match="not a directed link"):
             materialize_on_fabric([bad], 0, net)
 
     def test_rejects_unknown_link(self, sim):
@@ -79,27 +59,42 @@ class TestMaterialize:
         with pytest.raises(KeyError):
             materialize_on_fabric([spec], 0, net)
 
-    @pytest.mark.parametrize("kind, params", [
-        ("reorder", {"rate": 0.5, "max_displacement_s": 0.002,
-                     "start": 0.1, "end": None}),
-        ("delay_spike", {"spike_s": 0.003, "rate": 1.0,
-                         "start": 0.1, "end": None}),
-    ], ids=["reorder", "delay_spike"])
-    def test_displacement_moves_data_only(self, sim, kind, params):
-        """A link-addressed displacement fault sits on the forward wire of
-        that link's own monitor: like the same spec on the two-switch
-        ``"forward"`` wire, it moves DATA packets only, never the
-        Start/Stop delimiters the T_wait budget is computed against."""
+
+class TestDisplacementRule:
+    def test_reorder_on_a_shared_wire_spares_only_start_and_stop(self, sim):
+        """``s2->s1`` is its own monitor's data wire and ``s1->s2``'s
+        return wire.  A reorder on it displaces the one's DATA and the
+        other's Reports, and never a Start or Stop."""
+        config = dataclasses.replace(RING, seed=1)
         net = FabricNetwork(sim, ring(4))
-        spec = FaultSpec(kind, target=link_target("s0", "s1"), params=params,
-                         index=0)
-        chaos = materialize_on_fabric([spec], 0, net).chaos
-        (on_link,) = chaos[link_target("s0", "s1")].perturbations
-        pair = FaultSpec(kind, target="forward", params=params, index=0)
-        wire = Link(Simulator(), None, 0)
-        (on_pair,) = materialize([pair], 0, wire.sim, {"forward": wire},
-                                 {}).chaos["forward"].perturbations
-        assert on_link.kinds == on_pair.kinds == {PacketKind.DATA}
+        flows = {"hp/0": ("s1", "s2"), "hp/1": ("s2", "s1")}
+        for entry, (src, dst) in flows.items():
+            net.add_entry(entry, src, dst)
+        deployment = FabricDeployment(
+            net, config=soak_fancy_config(config, list(flows)),
+            links=["s1->s2", "s2->s1"])
+        reorder = FaultSpec("reorder", link_target("s2", "s1"),
+                            {"rate": 1.0, "max_displacement_s": 0.002,
+                             "start": 0.0, "end": None}, index=0)
+        chaos = materialize_on_fabric([reorder], config.seed, net,
+                                      deployment).chaos["s2->s1"]
+        moved: Counter = Counter()
+        chaos.on_event = lambda event, packet, _t: moved.update(
+            [packet.kind] if event == "chaos_displace" else [])
+        for i, (entry, (src, _dst)) in enumerate(flows.items()):
+            source = UdpSource(sim, net.host(src).send, entry, flow_id=i,
+                               rate_bps=config.rate_bps,
+                               packet_size=config.packet_size, seed=i)
+            source.start()
+            sim.schedule_at(1.0, source.stop)
+        deployment.start()
+        sim.run(until=1.5)
+        assert moved[PacketKind.DATA] > 0
+        assert moved[PacketKind.FANCY_REPORT] > 0
+        assert moved[PacketKind.FANCY_START] == 0
+        assert moved[PacketKind.FANCY_STOP] == 0
+        # ...although s2->s1's own Starts and Stops crossed that wire
+        assert deployment.sessions_completed()["s2->s1"] > 0
 
 
 class TestSoakConfig:
@@ -140,3 +135,15 @@ class TestFabricSoak:
         schedule = default_fabric_schedule(RING) + [fault]
         result = fabric_soak(RING, schedule)
         assert result.ok, [v.to_dict() for v in result.violations]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_generated_schedules_hold_invariants(self, seed):
+        """Random schedules over the ring's two entry-carrying links,
+        where each wire is one monitor's data wire or its return wire."""
+        config = dataclasses.replace(RING, seed=seed)
+        dedicated, best_effort = soak_entries(config)
+        schedule = generate_schedule(seed, config.duration_s, dedicated,
+                                     best_effort, ["s0->s1", "s1->s2"])
+        result = fabric_soak(config, schedule)
+        assert result.ok, ([s.to_dict() for s in schedule],
+                           [v.to_dict() for v in result.violations])
