@@ -217,15 +217,15 @@ def drive_soak(
 
     materialized = arm()
     wires = [net.links[lid] for lid in sorted(net.links)]
+    # Every observer gets every wire's chaos model: I6 takes from each
+    # only the corruptions addressed to its own monitor's FSMs.
+    models = materialized.chaos_models()
     observers = []
     for lid, monitor in monitors.items():
-        a, b = net.endpoints(lid)
         observers.append(LinkInvariantObserver(
             monitor, schedule, dedicated, best_effort,
             links=wires if not observers else [],
-            chaos_models=materialized.chaos_models(net.link(a, b),
-                                                   net.link(b, a)),
-            link_id=lid))
+            chaos_models=models, link_id=lid))
 
     # -- run, ticking every observer at each checkpoint ---------------------
     end = config.duration_s + config.grace_s

@@ -25,7 +25,8 @@ The invariants:
   ``delivered == tx − dropped_failure − dropped_chaos + dup_scheduled``.
 * **I6 corruption integrity** — every delivered corrupted control
   message was rejected by exactly one hardened FSM:
-  ``Σ fsm.rejected_corrupt == Σ chaos.corrupted_control``.
+  ``Σ fsm.rejected_corrupt == Σ chaos.corrupted_control_to[fsm]`` over
+  the monitor's own FSMs.
 """
 
 from __future__ import annotations
@@ -301,14 +302,18 @@ def check_integrity(monitor: Any, chaos_models: list[Any], now: float,
                     allow_in_flight: bool = False) -> list[Violation]:
     """Delivered corrupted control messages == checksum rejections.
 
-    With ``allow_in_flight`` the check relaxes to ``rejected <=
-    corrupted``: mid-run, a corrupted message the chaos layer already
-    counted may still be sitting in a link's delivery queue, but the
-    FSMs can never have rejected *more* than chaos delivered.
+    Only the corruptions addressed to ``monitor``'s own FSMs count: a wire
+    two monitors share carries corrupted messages for both.  With
+    ``allow_in_flight`` the check relaxes to ``rejected <= corrupted``:
+    mid-run, a corrupted message the chaos layer already counted may
+    still be sitting in a link's delivery queue, but the FSMs can never
+    have rejected *more* than chaos delivered.
     """
-    rejected = sum(f.rejected_corrupt
-                   for f in _sender_fsms(monitor) + _receiver_fsms(monitor))
-    corrupted = sum(m.corrupted_control for m in chaos_models)
+    fsms = _sender_fsms(monitor) + _receiver_fsms(monitor)
+    rejected = sum(f.control.rejected_corrupt for f in fsms)
+    own = {f.fsm_id for f in fsms}
+    corrupted = sum(n for m in chaos_models
+                    for fsm, n in m.corrupted_control_to.items() if fsm in own)
     broken = rejected > corrupted if allow_in_flight \
         else rejected != corrupted
     if broken:

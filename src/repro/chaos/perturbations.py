@@ -472,9 +472,11 @@ class ChaosModel:
         #: ``delivered == tx - dropped_failure - dropped_chaos + dup_scheduled``
         #: once the wire is drained).
         self.dup_scheduled = 0
-        #: Delivered packets whose FANcY control payload was corrupted —
-        #: each must be rejected by the hardened FSMs (integrity invariant).
-        self.corrupted_control = 0
+        #: Delivered packets whose FANcY control payload was corrupted, by
+        #: the FSM id each addresses — each must be rejected by that FSM
+        #: (integrity invariant).  A wire can carry two monitors' control
+        #: messages (one's Start/Stop, the other's StartACK/Reports).
+        self.corrupted_control_to: dict[str, int] = {}
         #: Delivered data packets corrupted (seq/entry).
         self.corrupted_data = 0
         #: Packets rescheduled with a displacement.
@@ -530,7 +532,9 @@ class ChaosModel:
             classes = {corrupt(packet) for corrupt in corrupters}
             mult = 1 + copies
             if "control" in classes and not _control_payload_intact(packet):
-                self.corrupted_control += mult
+                fsm = packet.payload["fsm"]
+                self.corrupted_control_to[fsm] = (
+                    self.corrupted_control_to.get(fsm, 0) + mult)
             if "data" in classes:
                 self.corrupted_data += mult
             if self.on_event is not None:
@@ -562,6 +566,11 @@ class ChaosModel:
         # Copies scheduled but the original is undisplaced: deliver the
         # original through the normal pipeline.
         return CHAOS_PASS
+
+    @property
+    def corrupted_control(self) -> int:
+        """Delivered corrupted control messages, whichever FSM they address."""
+        return sum(self.corrupted_control_to.values())
 
     def describe(self) -> list[dict[str, Any]]:
         return [p.describe() for p in self.perturbations]

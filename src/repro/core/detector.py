@@ -359,13 +359,14 @@ class FancyLinkMonitor:
         if self.telemetry is None:
             return
         metrics = self.telemetry.metrics
+        kind = report.kind._value_  # not the ``.value`` descriptor's frames
         metrics.counter(
             "fancy_detections_total", "Failure reports raised by the monitor",
-            monitor=self._id, kind=report.kind.value,
+            monitor=self._id, kind=kind,
         ).inc()
         self._timeline.record(
             report.time, self._id, "detection",
-            kind=report.kind.value,
+            kind=kind,
             fsm=fsm_id,
             entry=report.entry,
             hash_path=report.hash_path,
@@ -385,7 +386,7 @@ class FancyLinkMonitor:
                                   entry=report.entry)
             self._traces.emit(
                 "flag", report.time, category="detect",
-                kind=report.kind.value, fsm=fsm_id, entry=report.entry,
+                kind=kind, fsm=fsm_id, entry=report.entry,
                 hash_path=report.hash_path, session=report.session_id,
                 lost=report.lost_packets)
 

@@ -20,14 +20,16 @@ run as separate FSM instances per port with their own session durations
 (counters exchanged every 50 ms, tree zooming every 200 ms in the paper's
 evaluation).
 
-Telemetry: pass a :class:`repro.telemetry.Telemetry` session to record
-every FSM transition (``fsm_transition`` timeline events with
-``role``/``from``/``to``/``session`` fields), session lifecycle
-(``session_open`` / ``session_close``), and the control-plane cost
-(``fancy_control_messages_total{fsm,role,kind}`` and
-``fancy_control_bytes_total{fsm,role}`` counters — the single source of
-truth for §5.3's control-overhead accounting, see
-:func:`repro.experiments.metrics.control_overhead`).
+Each FSM counts its control-plane cost in a :class:`ControlStats`,
+watched or not.  Pass a :class:`repro.telemetry.Telemetry` session to
+export it (``fancy_control_messages_total{fsm,role,kind}`` and
+``fancy_control_bytes_total{fsm,role}`` — the single source of truth
+for §5.3's control-overhead accounting, see
+:func:`repro.experiments.metrics.control_overhead` — read by the
+registry, never counted twice) and to record every FSM transition
+(``fsm_transition`` timeline events with ``role``/``from``/``to``/
+``session`` fields) and the session lifecycle (``session_open`` /
+``session_close``).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "ReceiverStrategy",
     "FancySender",
     "FancyReceiver",
+    "ControlStats",
     "payload_checksum",
     "verify_payload",
     "DEFAULT_RTX_TIMEOUT",
@@ -268,75 +271,61 @@ class ReceiverStrategy(Protocol):
 ControlSender = Callable[[PacketKind, "dict[str, Any]", int], None]
 
 
-class _ControlCounters:
-    """One FSM's control-plane counters, each bound on first use.
+class ControlStats:
+    """One FSM's control-plane counts, kept whether or not anyone watches.
 
-    Resolving ``counter(name, help, **labels)`` sorts and hashes the
-    label set — per control message that cost more than the message, so
-    handles are kept.  They are bound *lazily*, never at construction: a
-    series exists only once its event has happened, so a clean run exports
-    no zero-valued retransmission or rejection sample and the Prometheus
-    text is byte-for-byte what per-message resolution produced.
-
-    ``fancy_control_messages_total`` / ``fancy_control_bytes_total`` are
-    the canonical §5.3 control-overhead accounting (see
-    :func:`repro.experiments.metrics.control_overhead`).
+    The telemetry registry reads them when it is read
+    (:func:`_read_control`): ``fancy_control_messages_total`` per message
+    kind (a slot per :class:`PacketKind` value the FSM sends),
+    ``fancy_control_bytes_total`` — the canonical §5.3 control-overhead
+    accounting (see :func:`repro.experiments.metrics.control_overhead`) —
+    ``fancy_retransmissions_total``, ``fancy_sessions_completed_total``
+    and ``fancy_rejected_messages_total`` per reason.
     """
 
-    def __init__(self, metrics: Any, fsm_id: str, role: str) -> None:
-        self._metrics = metrics
-        self._fsm_id = fsm_id
-        self._role = role
-        #: (messages, bytes) handles by message kind *value*: a ``str``
-        #: key hashes in C, an enum member through a Python frame.
-        self._sent: dict[str, tuple[Any, Any]] = {}
-        self._rejected: dict[str, Any] = {}
-        self._retransmissions: Any = None
-        self._sessions_completed: Any = None
+    __slots__ = ("fancy_start", "fancy_stop", "fancy_start_ack", "fancy_report",
+                 "bytes", "retransmissions", "sessions_completed",
+                 "rejected_corrupt", "rejected_stale")
 
-    def count_control(self, kind: PacketKind, size: int,
-                      retransmit: bool = False) -> None:
-        """Account one outgoing control message."""
-        value = kind._value_
-        sent = self._sent.get(value)
-        if sent is None:
-            sent = self._sent[value] = (
-                self._metrics.counter(
-                    "fancy_control_messages_total",
-                    "FANcY control messages sent, by FSM, role and message kind",
-                    fsm=self._fsm_id, role=self._role, kind=value),
-                self._metrics.counter(
-                    "fancy_control_bytes_total",
-                    "FANcY control bytes sent on the wire, by FSM and role",
-                    fsm=self._fsm_id, role=self._role))
-        sent[0].inc()
-        sent[1].inc(size)
-        if retransmit:
-            counter = self._retransmissions
-            if counter is None:
-                counter = self._retransmissions = self._metrics.counter(
-                    "fancy_retransmissions_total",
-                    "Control messages retransmitted after an RTX timeout",
-                    fsm=self._fsm_id)
-            counter.inc()
+    def __init__(self) -> None:
+        self.fancy_start = self.fancy_stop = 0
+        self.fancy_start_ack = self.fancy_report = 0
+        self.bytes = self.retransmissions = self.sessions_completed = 0
+        self.rejected_corrupt = self.rejected_stale = 0
 
-    def count_rejected(self, reason: str) -> None:
-        counter = self._rejected.get(reason)
-        if counter is None:
-            counter = self._rejected[reason] = self._metrics.counter(
-                "fancy_rejected_messages_total",
-                "Control messages rejected by FSM hardening checks",
-                fsm=self._fsm_id, role=self._role, reason=reason)
-        counter.inc()
 
-    def count_session_completed(self) -> None:
-        counter = self._sessions_completed
-        if counter is None:
-            counter = self._sessions_completed = self._metrics.counter(
-                "fancy_sessions_completed_total",
-                "Counting sessions completed (Report received)",
-                fsm=self._fsm_id)
-        counter.inc()
+def _read_control(metrics: Any, stats: ControlStats, fsm_id: str, role: str,
+                  kinds: tuple[PacketKind, ...]) -> None:
+    """Export an FSM's :class:`ControlStats` through ``metrics``.
+
+    Every series is sparse: it exists once its event has happened, so a
+    clean run exports no zero-valued retransmission or rejection sample.
+    """
+    for kind in kinds:
+        metrics.read(
+            "fancy_control_messages_total",
+            "FANcY control messages sent, by FSM, role and message kind",
+            stats, kind._value_, sparse=True, fsm=fsm_id, role=role,
+            kind=kind._value_)
+    metrics.read(
+        "fancy_control_bytes_total",
+        "FANcY control bytes sent on the wire, by FSM and role",
+        stats, "bytes", sparse=True, fsm=fsm_id, role=role)
+    if role == "sender":
+        metrics.read(
+            "fancy_retransmissions_total",
+            "Control messages retransmitted after an RTX timeout",
+            stats, "retransmissions", sparse=True, fsm=fsm_id)
+        metrics.read(
+            "fancy_sessions_completed_total",
+            "Counting sessions completed (Report received)",
+            stats, "sessions_completed", sparse=True, fsm=fsm_id)
+    for reason in ("corrupt", "stale"):
+        metrics.read(
+            "fancy_rejected_messages_total",
+            "Control messages rejected by FSM hardening checks",
+            stats, f"rejected_{reason}", sparse=True, fsm=fsm_id, role=role,
+            reason=reason)
 
 
 class FancySender:
@@ -380,8 +369,11 @@ class FancySender:
         #: this in real experiments.
         self.accept_stale_responses = accept_stale_responses
         self._timeline = telemetry.timeline if telemetry is not None else None
-        self._counters = (_ControlCounters(telemetry.metrics, fsm_id, "sender")
-                          if telemetry is not None else None)
+        #: Control-plane counts (messages, bytes, sessions, rejections).
+        self.control = ControlStats()
+        if telemetry is not None:
+            _read_control(telemetry.metrics, self.control, fsm_id, "sender",
+                          (PacketKind.FANCY_START, PacketKind.FANCY_STOP))
         #: Trace collector of the telemetry fork; spans are only recorded
         #: while a detection episode is open (TraceCollector.active), so
         #: healthy steady state pays one attribute check per event.
@@ -392,7 +384,6 @@ class FancySender:
         self.state = SenderState.IDLE
         self.session_id = 0
         self.attempts = 0
-        self.sessions_completed = 0
         #: Counting-window observers: ``tap(t_start, t_end, session_id)``
         #: called when the Counting state closes cleanly, *before* the
         #: Stop goes out.  This is the protocol-exchange boundary the
@@ -423,14 +414,24 @@ class FancySender:
         #: Exhaustions absorbed via :attr:`on_exhaustion` (vs declared).
         self.absorbed_exhaustions = 0
         self._counting_since: float | None = None
-        #: Hardening counters (always maintained; mirrored to telemetry
-        #: when attached).  ``rejected_corrupt`` counts checksum failures,
-        #: ``rejected_stale`` counts responses from earlier sessions.
-        self.rejected_corrupt = 0
-        self.rejected_stale = 0
         #: Switch restarts survived (observability for the soak harness).
         self.restarts = 0
         self._timer: EventHandle | None = None
+
+    @property
+    def sessions_completed(self) -> int:
+        """Counting sessions closed by a verified Report."""
+        return self.control.sessions_completed
+
+    @property
+    def rejected_corrupt(self) -> int:
+        """Responses that failed the checksum (hardening counter)."""
+        return self.control.rejected_corrupt
+
+    @property
+    def rejected_stale(self) -> int:
+        """Responses from earlier sessions (hardening counter)."""
+        return self.control.rejected_stale
 
     def _set_state(self, new_state: SenderState) -> None:
         # ``_value_`` is the member's plain attribute; ``.value`` is a
@@ -438,11 +439,9 @@ class FancySender:
         old_state = self.state
         self.state = new_state
         if self._timeline is not None and old_state is not new_state:
-            self._timeline.record(
-                self.sim.now, self.fsm_id, "fsm_transition", role="sender",
-                session=self.session_id,
-                **{"from": old_state._value_, "to": new_state._value_},
-            )
+            self._timeline.add(self.sim.now, self.fsm_id, "fsm_transition", {
+                "role": "sender", "session": self.session_id,
+                "from": old_state._value_, "to": new_state._value_})
             if self._traces is not None and self._traces.active:
                 self._traces.emit(
                     f"{old_state._value_}->{new_state._value_}", self.sim.now,
@@ -462,8 +461,8 @@ class FancySender:
         self.strategy.begin_session(self.session_id)
         self._set_state(SenderState.WAIT_ACK)
         if self._timeline is not None:
-            self._timeline.record(self.sim.now, self.fsm_id, "session_open",
-                                  fsm=self.fsm_id, session=self.session_id)
+            self._timeline.add(self.sim.now, self.fsm_id, "session_open",
+                               {"fsm": self.fsm_id, "session": self.session_id})
         if self._traces is not None and self._traces.active:
             self._session_span = self._traces.open_span(
                 f"session {self.session_id}", self.sim.now,
@@ -547,9 +546,14 @@ class FancySender:
         """Put one Start / Stop on the wire (a minimum-size frame)."""
         payload: dict[str, Any] = {"fsm": self.fsm_id, "session": self.session_id}
         payload["csum"] = payload_checksum(payload)
-        if self._counters is not None:
-            self._counters.count_control(kind, MIN_FRAME_BYTES,
-                                         retransmit=self.attempts > 1)
+        stats = self.control
+        if kind is PacketKind.FANCY_START:
+            stats.fancy_start += 1
+        else:
+            stats.fancy_stop += 1
+        stats.bytes += MIN_FRAME_BYTES
+        if self.attempts > 1:
+            stats.retransmissions += 1
         if self._traces is not None and self._traces.active:
             self._traces.emit(
                 kind._value_, self.sim.now, category="control",
@@ -629,10 +633,6 @@ class FancySender:
 
     # -- events ---------------------------------------------------------------
 
-    def _count_rejected(self, reason: str) -> None:
-        if self._counters is not None:
-            self._counters.count_rejected(reason)
-
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
         """Handle a control message addressed to this FSM.
 
@@ -651,8 +651,7 @@ class FancySender:
         """
         session = payload.get("session", -1)
         if type(session) is not int or not verify_payload(payload):
-            self.rejected_corrupt += 1
-            self._count_rejected("corrupt")
+            self.control.rejected_corrupt += 1
             self._signal("corrupt")
             if self.state is SenderState.WAIT_ACK:
                 self._send_start()
@@ -662,8 +661,7 @@ class FancySender:
         if session != self.session_id:
             # Stale response from an earlier session (e.g. a reordered
             # Report displaced past the session that produced it).
-            self.rejected_stale += 1
-            self._count_rejected("stale")
+            self.control.rejected_stale += 1
             if not self.accept_stale_responses:
                 return
         if kind is PacketKind.FANCY_START_ACK and self.state is SenderState.WAIT_ACK:
@@ -677,13 +675,11 @@ class FancySender:
             self.last_verified_snapshot = payload.get("snapshot")
             self.last_verified_at = self.sim.now
             self.strategy.end_session(payload.get("snapshot"), self.session_id)
-            self.sessions_completed += 1
+            self.control.sessions_completed += 1
             self._trace_close_session()
             if self._timeline is not None:
-                self._timeline.record(self.sim.now, self.fsm_id, "session_close",
-                                      fsm=self.fsm_id, session=self.session_id)
-            if self._counters is not None:
-                self._counters.count_session_completed()
+                self._timeline.add(self.sim.now, self.fsm_id, "session_close",
+                                   {"fsm": self.fsm_id, "session": self.session_id})
             # "recovered" fires between the verified-Report bookkeeping and
             # the next session's open: supervision hooks (ladder reset,
             # deferred entry swaps) run against a closed, verified window.
@@ -737,38 +733,42 @@ class FancyReceiver:
         self.report_size_bytes = report_size_bytes
         self.telemetry = telemetry
         self._timeline = telemetry.timeline if telemetry is not None else None
-        self._counters = (_ControlCounters(telemetry.metrics, fsm_id, "receiver")
-                          if telemetry is not None else None)
+        #: Control-plane counts, as on :class:`FancySender`.
+        self.control = ControlStats()
+        if telemetry is not None:
+            _read_control(telemetry.metrics, self.control, fsm_id, "receiver",
+                          (PacketKind.FANCY_START_ACK, PacketKind.FANCY_REPORT))
         self._traces = (getattr(telemetry, "traces", None)
                         if telemetry is not None else None)
 
         self.state = ReceiverState.IDLE
         self.session_id = 0
         self._last_report: dict[str, Any] | None = None
-        #: Hardening counters, mirroring :class:`FancySender`.
-        self.rejected_corrupt = 0
-        self.rejected_stale = 0
         self.restarts = 0
         self._timer: EventHandle | None = None
+
+    @property
+    def rejected_corrupt(self) -> int:
+        """Start/Stop messages that failed the checksum."""
+        return self.control.rejected_corrupt
+
+    @property
+    def rejected_stale(self) -> int:
+        """Start/Stop messages from earlier sessions."""
+        return self.control.rejected_stale
 
     def _set_state(self, new_state: ReceiverState) -> None:
         old_state = self.state
         self.state = new_state
         if self._timeline is not None and old_state is not new_state:
-            self._timeline.record(
-                self.sim.now, self.fsm_id, "fsm_transition", role="receiver",
-                session=self.session_id,
-                **{"from": old_state._value_, "to": new_state._value_},
-            )
+            self._timeline.add(self.sim.now, self.fsm_id, "fsm_transition", {
+                "role": "receiver", "session": self.session_id,
+                "from": old_state._value_, "to": new_state._value_})
             if self._traces is not None and self._traces.active:
                 self._traces.emit(
                     f"{old_state._value_}->{new_state._value_}", self.sim.now,
                     category="fsm", fsm=self.fsm_id, role="receiver",
                     session=self.session_id)
-
-    def _count_rejected(self, reason: str) -> None:
-        if self._counters is not None:
-            self._counters.count_rejected(reason)
 
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
         session = payload.get("session", -1)
@@ -776,14 +776,12 @@ class FancyReceiver:
             # Corrupted Start/Stop (a non-int session id is garbage with
             # or without a checksum): drop silently — the sender's RTX
             # timer retransmits, bounded by its max_attempts.
-            self.rejected_corrupt += 1
-            self._count_rejected("corrupt")
+            self.control.rejected_corrupt += 1
             return
         if session < self.session_id:
             # Stale duplicate from an earlier session (reordered or
             # duplicated Start/Stop): never regress the session id.
-            self.rejected_stale += 1
-            self._count_rejected("stale")
+            self.control.rejected_stale += 1
             return
         if kind is PacketKind.FANCY_START:
             if session > self.session_id:
@@ -831,8 +829,12 @@ class FancyReceiver:
         if extra:
             payload.update(extra)
         payload["csum"] = payload_checksum(payload)
-        if self._counters is not None:
-            self._counters.count_control(kind, size)
+        stats = self.control
+        if kind is PacketKind.FANCY_REPORT:
+            stats.fancy_report += 1
+        else:
+            stats.fancy_start_ack += 1
+        stats.bytes += size
         if self._traces is not None and self._traces.active:
             self._traces.emit(
                 kind._value_, self.sim.now, category="control",

@@ -89,6 +89,10 @@ class TreeSenderStrategy:
         self.telemetry: Any = telemetry
         self._timeline: Any = telemetry.timeline if telemetry is not None else None
         self._traces: Any = getattr(telemetry, "traces", None)
+        #: The clock of the session end being processed: every frontier
+        #: change happens inside one, and an observer reads it here
+        #: rather than asking ``now_fn`` again.
+        self._now = 0.0
         #: Open zoom-span ids by frontier path (durative: activate→retreat).
         self._zoom_spans: dict[NodePath, int | None] = {}
         self._m_frontier: Any = (
@@ -137,7 +141,7 @@ class TreeSenderStrategy:
         self._tags.clear()
         self.counters.activate_node(path)
         if self._timeline is not None:
-            self._timeline.record(self.now_fn(), self.name, "zoom_descend",
+            self._timeline.record(self._now, self.name, "zoom_descend",
                                   fsm=self.name, path=path, level=len(path))
             self._m_frontier.set(len(self.frontier))
             self.telemetry.metrics.counter(
@@ -146,7 +150,7 @@ class TreeSenderStrategy:
                 fsm=self.name, level=str(len(path))).inc()
         if self._traces is not None and self._traces.active:
             self._zoom_spans[path] = self._traces.open_span(
-                f"zoom L{len(path)} {list(path)}", self.now_fn(),
+                f"zoom L{len(path)} {list(path)}", self._now,
                 category="zoom", fsm=self.name, path=path, level=len(path))
 
     def _deactivate(self, path: NodePath) -> None:
@@ -154,12 +158,11 @@ class TreeSenderStrategy:
         self._tags.clear()
         self.counters.deactivate_node(path)
         if self._timeline is not None:
-            self._timeline.record(self.now_fn(), self.name, "zoom_retreat",
+            self._timeline.record(self._now, self.name, "zoom_retreat",
                                   fsm=self.name, path=path, level=len(path))
             self._m_frontier.set(len(self.frontier))
         if self._traces is not None:
-            self._traces.close_span(self._zoom_spans.pop(path, None),
-                                    self.now_fn())
+            self._traces.close_span(self._zoom_spans.pop(path, None), self._now)
 
     # -- SenderStrategy interface ----------------------------------------------
 
@@ -260,7 +263,7 @@ class TreeSenderStrategy:
     def _end_session_pipelined(
         self, remote: dict[NodePath, list[int]], session_id: int
     ) -> list[FailureReport]:
-        now = self.now_fn()
+        now = self._now = self.now_fn()
         reports: list[FailureReport] = []
 
         root_mism = self.counters.mismatches(remote, ())
@@ -345,7 +348,7 @@ class TreeSenderStrategy:
     def _end_session_staged(
         self, remote: dict[NodePath, list[int]], session_id: int
     ) -> list[FailureReport]:
-        now = self.now_fn()
+        now = self._now = self.now_fn()
         reports: list[FailureReport] = []
 
         if self.stage == 0:

@@ -20,9 +20,9 @@ enforce the contract:
   flags shard-spec seeding that bypasses ``stable_seed``.)
 * each per-link probe runs its own :class:`~repro.telemetry.session.
   Telemetry` whose forks are scoped by link id, so minted trace ids are
-  grouping-independent, and hands back :func:`probe_payload` — packed
-  text, not simulator state: the batch worker reclaims each probe at its
-  boundary.
+  grouping-independent, and hands back :func:`probe_payload` — its
+  trace as the compressed chunks the collector holds, not simulator
+  state: the batch worker reclaims each probe at its boundary.
 * :func:`merge_link_results` folds the per-link payloads back together
   in **sorted link order**: detection records re-sorted under the
   deployment's contract, metric registries merged with
@@ -35,21 +35,19 @@ enforce the contract:
 
 from __future__ import annotations
 
-import binascii
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..obs.trace import TraceCollector, spans_to_jsonl, unseal
+from ..obs.trace import spans_to_jsonl, unseal
 from ..runtime.context import RuntimeContext
 from ..runtime.executor import reclaim_at_boundary, run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
 
-__all__ = ["ShardSpec", "plan_shards", "probe_payload", "pack_trace",
-           "run_link_probes", "merge_link_results", "trace_text_chunks",
-           "trace_text"]
+__all__ = ["ShardSpec", "plan_shards", "probe_payload", "run_link_probes",
+           "merge_link_results", "trace_text_chunks", "trace_text"]
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,10 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
 
     ``deployment`` monitors exactly one link under its own telemetry
     session; ``fluid`` is the probe's fluid engine, or None.  The trace
-    crosses the process boundary packed (:func:`pack_trace`) — no probe
-    ever holds its whole trace as text.
+    crosses the process boundary as ``trace_packed``, the collector's
+    :meth:`~repro.obs.trace.TraceCollector.zlib_chunks` — the ``bytes``
+    it holds, not a copy — so no probe ever holds its whole trace as
+    text.  (The result cache encodes ``bytes`` for its JSON.)
     """
     ((link_id, monitor),) = deployment.monitors.items()
     sim = deployment.net.sim
@@ -108,19 +108,11 @@ def probe_payload(deployment: Any, fluid: Any) -> dict[str, Any]:
         "link": link_id,
         "detections": deployment.detection_records(),
         "metrics": deployment.telemetry.metrics.snapshot(),
-        "trace_packed": pack_trace(traces),
+        "trace_packed": traces.zlib_chunks(),
         "sessions_completed": deployment.sessions_completed()[link_id],
         "events_processed": sim.events_processed,
         "fluid_absorbed": fluid.absorbed if fluid is not None else 0,
     }
-
-
-def pack_trace(traces: TraceCollector) -> list[str]:
-    """The collector's :meth:`~repro.obs.trace.TraceCollector.zlib_chunks`,
-    each as its base64 text: a payload must stay JSON-safe, because the
-    result cache stores it as JSON."""
-    return [binascii.b2a_base64(chunk, newline=False).decode("ascii")
-            for chunk in traces.zlib_chunks()]
 
 
 def _probe_batch(payload: tuple) -> dict[str, Any]:
@@ -181,7 +173,7 @@ def run_link_probes(
 def _trace_chunks(payload: Mapping[str, Any]) -> Iterator[str]:
     """A payload's trace as text pieces, decoded one at a time.
 
-    Probes ship ``trace_packed`` (:func:`pack_trace`); in-memory callers
+    Probes ship ``trace_packed`` (compressed chunks); in-memory callers
     may give ``spans`` (dicts).
     """
     packed = payload.get("trace_packed")
@@ -189,7 +181,7 @@ def _trace_chunks(payload: Mapping[str, Any]) -> Iterator[str]:
         yield spans_to_jsonl(payload.get("spans", ()))
         return
     for chunk in packed:
-        yield unseal(binascii.a2b_base64(chunk))
+        yield unseal(chunk)
 
 
 def trace_text_chunks(parts: Sequence[Mapping[str, Any]]) -> Iterator[str]:
@@ -229,7 +221,7 @@ def merge_link_results(per_link: Mapping[str, Mapping[str, Any]]) -> dict[str, A
 
     Each payload carries ``detections`` (deployment-contract tuples),
     ``metrics`` (a registry snapshot dict), ``trace_packed`` (the link
-    collector's :func:`pack_trace`), ``sessions_completed``,
+    collector's compressed chunks), ``sessions_completed``,
     ``events_processed`` and ``fluid_absorbed``.  Links are folded in
     sorted id order so the output is a pure function of the payload
     *set* — the shards 1/2/4 byte-equality contract.  The trace is not

@@ -51,6 +51,7 @@ import json
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
 from typing import Any
 
 __all__ = [
@@ -98,8 +99,17 @@ _SCALARS = (bool, int, float, str)
 #: Spans per :meth:`TraceCollector.jsonl_chunks` chunk (≈ 250 kB of text).
 _CHUNK_SPANS = 1024
 
-#: One key-sorted encoder for every span line (``spans_to_jsonl``'s).
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
+#: One prebuilt key-sorted encoder for every span line: the text of
+#: ``json.JSONEncoder(sort_keys=True).encode``, which builds this encoder
+#: (and a closure) on every call.  No circular-reference markers: a span's
+#: attributes went through ``_json_safe``.
+_ENCODER = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", ", ", True, False, True)
+
+
+def _encode(obj: dict[str, Any]) -> str:
+    """One span line (``spans_to_jsonl``'s)."""
+    return "".join(_ENCODER(obj, 0))
 
 
 def _json_safe(value: Any) -> Any:
@@ -344,16 +354,17 @@ class TraceCollector:
         line, and with none left open the chunk is sealed."""
         chunk = self._chunks[k]
         scope = self.scope
+        encoder = _ENCODER
         still_open = 0
         for i, span in enumerate(chunk):
             if span.end is None:
                 still_open += 1
-            else:  # ``Span.to_dict``, inline: a full chunk is 1 024 calls
-                chunk[i] = _ENCODE({
+            else:  # ``_encode(span.to_dict())``, inline: 1 024 calls a chunk
+                chunk[i] = "".join(encoder({
                     "scope": scope, "trace": span.trace, "span": span.span,
                     "parent": span.parent, "name": span.name, "cat": span.cat,
                     "start": span.start, "end": span.end,
-                    "attrs": span.attrs})
+                    "attrs": span.attrs}, 0))
         if still_open:
             self._waiting[k] = still_open
         else:
@@ -364,7 +375,7 @@ class TraceCollector:
         slot, and the chunk's last one seals the chunk."""
         k, i = divmod(span.span - 1, _CHUNK_SPANS)
         chunk = self._chunks[k]
-        chunk[i] = _ENCODE(span.to_dict(self.scope))
+        chunk[i] = _encode(span.to_dict(self.scope))
         left = self._waiting.pop(k) - 1
         if left:
             self._waiting[k] = left
@@ -413,7 +424,7 @@ class TraceCollector:
 
     def zlib_chunks(self) -> list[bytes]:
         """:meth:`jsonl_chunks`, each ``zlib``-compressed — what a probe
-        ships (``repro.fabric.sharding.pack_trace``): sealed chunks as
+        ships (``repro.fabric.sharding.probe_payload``): sealed chunks as
         the collector holds them, a chunk it still holds as a list (and
         the truncation marker) encoded and compressed for the call."""
         return [chunk if isinstance(chunk, bytes)
@@ -448,7 +459,7 @@ class TraceCollector:
         scope = self.scope
         for chunk in self._chunks:
             yield chunk if isinstance(chunk, bytes) else _join([
-                slot if isinstance(slot, str) else _ENCODE(slot.to_dict(scope))
+                slot if isinstance(slot, str) else _encode(slot.to_dict(scope))
                 for slot in chunk])
         if self.suppressed:
             yield json.dumps({
@@ -479,7 +490,7 @@ def unseal(chunk: bytes) -> str:
 
 def spans_to_jsonl(span_dicts: Iterable[dict[str, Any]]) -> str:
     """Serialize span dicts as JSON Lines, key-sorted for byte stability."""
-    return _join([_ENCODE(d) for d in span_dicts])
+    return _join([_encode(d) for d in span_dicts])
 
 
 def spans_from_jsonl(text: str) -> list[dict[str, Any]]:

@@ -1,7 +1,11 @@
 """Content-addressed on-disk result cache.
 
 Results are stored as JSON under ``<cache_dir>/<fp[:2]>/<fp>.json`` where
-``fp`` is the job's :func:`repro.runtime.jobs.fingerprint`.  Writes are
+``fp`` is the job's :func:`repro.runtime.jobs.fingerprint`.  A payload
+may hold ``bytes`` at any depth (a probe's compressed trace chunks): the
+cache is the one place that encodes them for JSON, as a ``{"$bytes":
+base64}`` object, and :meth:`ResultCache.get` hands them back as
+``bytes``.  Writes are
 atomic (tmp file + ``os.replace``) so a run killed mid-sweep never leaves
 a truncated entry; corrupt or unreadable entries read as misses and are
 recomputed.  Each entry is stamped with :func:`code_hash`, a hash of the
@@ -16,6 +20,7 @@ still missing.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import hashlib
 import json
@@ -47,6 +52,24 @@ def code_hash() -> str:
         h.update(path.read_bytes())
         h.update(b"\0")
     return h.hexdigest()[:32]
+
+
+#: The one key of the JSON object that stands for a ``bytes`` value.
+_BYTES = "$bytes"
+
+
+def _encode_bytes(value: Any) -> dict[str, str]:
+    """``json.dump``'s ``default``: a ``bytes`` value as its base64 text."""
+    if isinstance(value, bytes):
+        return {_BYTES: binascii.b2a_base64(value, newline=False).decode("ascii")}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _decode_bytes(obj: dict[str, Any]) -> Any:
+    """``json.load``'s ``object_hook``: the inverse of :func:`_encode_bytes`."""
+    if len(obj) == 1 and _BYTES in obj:
+        return binascii.a2b_base64(obj[_BYTES])
+    return obj
 
 
 class NullCache:
@@ -93,7 +116,7 @@ class ResultCache:
         path = self._path(fingerprint)
         try:
             with path.open(encoding="utf-8") as fh:
-                entry = json.load(fh)
+                entry = json.load(fh, object_hook=_decode_bytes)
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -106,7 +129,8 @@ class ResultCache:
         return entry.get("payload")
 
     def put(self, fingerprint: str, payload: Any) -> None:
-        """Persist ``payload`` (must be JSON-serializable) atomically."""
+        """Persist ``payload`` (JSON-serializable but for ``bytes``)
+        atomically."""
         if not fingerprint:
             return
         path = self._path(fingerprint)
@@ -123,7 +147,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=str(path.parent))
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                json.dump(entry, fh, default=_encode_bytes)
             os.replace(tmp, path)
         except BaseException:
             try:

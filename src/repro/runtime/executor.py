@@ -173,7 +173,7 @@ def run_sweep(
     """Execute ``jobs`` through ``worker`` under ``runtime``'s policy.
 
     ``worker`` takes ``job.payload`` and returns a JSON-serializable
-    result (JSON-serializability is what makes it cacheable).  It must
+    result, ``bytes`` allowed (what the result cache can store).  It must
     be a module-level function when ``runtime.workers > 1``.
     """
     runtime = resolve(runtime)

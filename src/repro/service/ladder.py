@@ -142,19 +142,20 @@ class DegradationLadder:
         self.transitions += 1
         telemetry = self.monitor.telemetry
         if telemetry is not None:
+            # ``_value_``, not the ``.value`` descriptor: an observer runs
+            # no enum frames the ladder does not.
+            src, dst = old_state._value_, new_state._value_
             telemetry.metrics.counter(
                 "fancy_ladder_transitions_total",
                 "Degradation-ladder rung changes, by link and edge",
-                link=self.link_id, src=old_state.value,
-                dst=new_state.value).inc()
-            telemetry.timeline.record(
+                link=self.link_id, src=src, dst=dst).inc()
+            telemetry.timeline.add(
                 self._t, f"ladder:{self.link_id}", "ladder_transition",
-                **{"from": old_state.value, "to": new_state.value})
+                {"from": src, "to": dst})
             traces = telemetry.traces
             if traces is not None and traces.active:
-                traces.emit(
-                    f"ladder {old_state.value}->{new_state.value}",
-                    self._t, category="ladder", link=self.link_id)
+                traces.emit(f"ladder {src}->{dst}", self._t, category="ladder",
+                            link=self.link_id)
 
     # -- impairment signal protocol ---------------------------------------
 

@@ -323,8 +323,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     observer = supervisor.watch(
         link_id, monitor, schedule, dedicated0, best_effort0,
         links=[net.links[lid] for lid in sorted(net.links)],
-        chaos_models=materialized.chaos_models(net.links[link_id],
-                                               net.links[reverse_id]))
+        chaos_models=materialized.chaos_models())
     supervisor.start()
 
     # -- fluid flows crossing this link, grouped by delay chain -------------

@@ -23,11 +23,11 @@ experiment.  See ``docs/PERFORMANCE.md`` for the measurement
 methodology.
 
 Telemetry: pass a :class:`repro.telemetry.Telemetry` session to observe
-the event loop — ``sim_events_total``, the ``sim_queue_depth`` gauge,
-and (with ``profile=True`` on the session) a per-callback wall-time
+the event loop — ``sim_events_total`` (the registry reads
+:class:`EngineStats`), the ``sim_queue_depth`` gauge, set inline, and
+(with ``profile=True`` on the session) a per-callback wall-time
 histogram ``sim_callback_seconds{callback=...}`` for hotspot profiling
-via :func:`repro.telemetry.hotspots`.  With ``telemetry=None`` (the
-default) the per-event cost is one attribute check.
+via :func:`repro.telemetry.hotspots`.  Unobserved, the cost is one check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import time as _time
 from collections.abc import Callable
 from typing import Any
 
-__all__ = ["EventHandle", "Simulator", "SimulationError"]
+__all__ = ["EngineStats", "EventHandle", "Simulator", "SimulationError"]
 
 #: Compaction trigger: at least this many cancelled handles *and* more
 #: than half the heap dead.  Small heaps are cheap to scan anyway.
@@ -47,6 +47,15 @@ _COMPACT_MIN_CANCELLED = 512
 
 class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. scheduling in the past)."""
+
+
+class EngineStats:
+    """What the engine counts: the registry reads ``sim_events_total`` here."""
+
+    __slots__ = ("events",)
+
+    def __init__(self) -> None:
+        self.events = 0
 
 
 class EventHandle(list[Any]):
@@ -138,17 +147,15 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self._stopped = False
-        self.events_processed = 0
+        self.stats = EngineStats()
         #: Cancelled handles still sitting in the heap (compaction trigger).
         self._cancelled = 0
         #: Heap compactions performed (observability / tests).
         self.compactions = 0
         self._telemetry: Any | None = None
         self._profile = False
-        self._m_events: Any = None
         self._m_depth: Any = None
-        #: Memoized per-callback profile histograms, keyed by label —
-        #: the registry lookup must stay off the per-event path (FCY009).
+        #: Memoized per-callback profile histograms, keyed by label.
         self._profile_hists: dict[str, Any] = {}
         if telemetry is not None:
             self.bind_telemetry(telemetry)
@@ -163,24 +170,15 @@ class Simulator:
         self._profile = bool(getattr(telemetry, "profile", False))
         self._profile_hists = {}
         metrics = telemetry.metrics
-        self._m_events = metrics.counter(
-            "sim_events_total", "Events processed by the discrete-event engine")
+        metrics.read("sim_events_total", "Events processed by the discrete-event engine",
+                     self.stats, "events")
         self._m_depth = metrics.gauge(
             "sim_queue_depth", "Pending events in the engine's binary heap")
 
-    def _profile_histogram(self, callback: Callable[..., Any]) -> Any:
-        """Per-callback wall-time histogram, created once per label."""
-        label = _callback_name(callback)
-        hist = self._profile_hists.get(label)
-        if hist is None:
-            assert self._telemetry is not None
-            hist = self._telemetry.metrics.histogram(
-                "sim_callback_seconds",
-                "Wall-clock seconds spent inside one event callback",
-                start=1e-7, base=10.0, n_buckets=8, callback=label,
-            )
-            self._profile_hists[label] = hist
-        return hist
+    @property
+    def events_processed(self) -> int:
+        """Events dispatched since construction or the last :meth:`reset`."""
+        return self.stats.events
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -280,28 +278,33 @@ class Simulator:
                 self._cancelled -= 1
                 continue
             self.now = handle[0]
-            if self._telemetry is not None:
-                self._step_instrumented(handle)
+            if self._profile:
+                self._dispatch_profiled(callback, handle[3])
             else:
                 callback(*handle[3])
-            self.events_processed += 1
+            if self._m_depth is not None:
+                self._m_depth.set(len(queue))
+            self.stats.events += 1
             return True
         return False
 
-    def _step_instrumented(self, handle: EventHandle) -> None:
-        """Telemetry-enabled event dispatch (split out of the hot loop)."""
-        telemetry = self._telemetry
-        assert telemetry is not None  # callers gate on the binding
-        callback = handle[2]
-        if self._profile:
-            started = _time.perf_counter()
-            callback(*handle[3])
-            elapsed = _time.perf_counter() - started
-            self._profile_histogram(callback).observe(elapsed)
-        else:
-            callback(*handle[3])
-        self._m_events.inc()
-        self._m_depth.set(len(self._queue))
+    def _dispatch_profiled(self, callback: Callable[..., Any],
+                           args: tuple[Any, ...]) -> None:
+        """Run one callback under the wall clock (``profile=True``) into
+        its histogram, created once per label: the registry lookup must
+        stay off the per-event path (FCY009)."""
+        started = _time.perf_counter()
+        callback(*args)
+        elapsed = _time.perf_counter() - started
+        label = _callback_name(callback)
+        hist = self._profile_hists.get(label)
+        if hist is None:
+            assert self._telemetry is not None
+            hist = self._profile_hists[label] = self._telemetry.metrics.histogram(
+                "sim_callback_seconds",
+                "Wall-clock seconds spent inside one event callback",
+                start=1e-7, base=10.0, n_buckets=8, callback=label)
+        hist.observe(elapsed)
 
     def run(self, until: float | None = None) -> None:
         """Run events until the queue drains or the clock passes ``until``.
@@ -324,7 +327,9 @@ class Simulator:
         pop = heapq.heappop
         # Decided once, not per event: is the loop bounded, is it observed.
         limit = float("inf") if until is None else until
-        instrumented = self._telemetry is not None
+        depth = self._m_depth
+        profiled = self._profile
+        stats = self.stats
         try:
             while queue and not self._stopped:
                 handle = pop(queue)
@@ -339,11 +344,15 @@ class Simulator:
                     heapq.heappush(queue, handle)
                     break
                 self.now = when
-                if instrumented:
-                    self._step_instrumented(handle)
-                else:
+                if depth is None:
                     callback(*handle[3])
-                self.events_processed += 1
+                else:
+                    if profiled:
+                        self._dispatch_profiled(callback, handle[3])
+                    else:
+                        callback(*handle[3])
+                    depth.set(len(queue))
+                stats.events += 1
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -364,8 +373,12 @@ class Simulator:
         self._seq = itertools.count()
         self.now = 0.0
         self._stopped = False
-        self.events_processed = 0
         self._cancelled = 0
+        # A fresh holder, registered beside the old one: ``sim_events_total``
+        # never runs backwards.
+        self.stats = EngineStats()
+        if self._telemetry is not None:
+            self.bind_telemetry(self._telemetry)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.6f}, pending={len(self._queue)})"

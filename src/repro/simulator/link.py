@@ -47,9 +47,11 @@ that consumed it), ``"drop"`` (lost to the loss model) or
 ``"chaos_drop"``, at its pinned departure instant; a delivered one then
 yields ``"deliver"`` at its arrival instant — whichever pipeline booked
 it.  ``"queue"`` marks a change in the set of packets waiting behind the
-serializer.  Telemetry (``Link(telemetry=...)``) and
-:meth:`~repro.simulator.tracing.PacketTracer.attach_link` are taps, so an
-observed link runs the same code as an unobserved one.
+serializer.  :meth:`~repro.simulator.tracing.PacketTracer.attach_link` is
+a tap.  Telemetry (``Link(telemetry=...)``) is not: the registry reads
+the ``link_*`` counters out of :class:`LinkStats`, and the one value no
+counter holds, the queue depth, is set inline where ``"queue"`` is
+emitted — an observed link runs no link code an unobserved one does not.
 """
 
 from __future__ import annotations
@@ -114,42 +116,19 @@ class LinkStats:
         }
 
 
-class _LinkMetrics:
-    """The ``link_*`` telemetry instruments of one link, bound as its tap."""
-
-    __slots__ = ("link", "tx", "tx_bytes", "delivered", "dropped", "dropped_chaos",
-                 "depth")
-
-    def __init__(self, link: "Link", metrics: Any) -> None:
-        self.link = link
-        name = link.name
-        self.tx = metrics.counter(
-            "link_tx_packets_total", "Packets that left the sender", link=name)
-        self.tx_bytes = metrics.counter(
-            "link_tx_bytes_total", "Bytes that left the sender", link=name)
-        self.delivered = metrics.counter(
-            "link_delivered_total", "Packets delivered to the receiver", link=name)
-        self.dropped = metrics.counter(
-            "link_dropped_total", "Packets dropped on the wire",
-            link=name, reason="failure")
-        self.dropped_chaos = metrics.counter(
-            "link_dropped_total", "Packets dropped on the wire",
-            link=name, reason="chaos")
-        self.depth = metrics.gauge(
-            "link_queue_depth", "Packets waiting behind the serializer", link=name)
-
-    def __call__(self, event: str, packet: Packet, t: float) -> None:
-        if event == "deliver":
-            self.delivered.inc()
-        elif event == "queue":
-            self.depth.set(self.link.queue_len)
-        else:
-            self.tx.inc()
-            self.tx_bytes.inc(packet.size)
-            if event == "drop":
-                self.dropped.inc()
-            elif event == "chaos_drop":
-                self.dropped_chaos.inc()
+def _read_stats(metrics: Any, name: str, stats: LinkStats) -> None:
+    """Export a link's :class:`LinkStats` as its ``link_*`` counters."""
+    read = metrics.read
+    read("link_tx_packets_total", "Packets that left the sender",
+         stats, "tx_packets", link=name)
+    read("link_tx_bytes_total", "Bytes that left the sender",
+         stats, "tx_bytes", link=name)
+    read("link_delivered_total", "Packets delivered to the receiver",
+         stats, "delivered", link=name)
+    read("link_dropped_total", "Packets dropped on the wire",
+         stats, "dropped_failure", link=name, reason="failure")
+    read("link_dropped_total", "Packets dropped on the wire",
+         stats, "dropped_chaos", link=name, reason="chaos")
 
 
 class Link:
@@ -169,10 +148,11 @@ class Link:
             same-instant bursts (the default); ``False`` is the two-event
             reference the equivalence tests compare against.
         telemetry: optional :class:`repro.telemetry.Telemetry`; when set,
-            a tap maintains ``link_tx_packets_total`` /
+            the registry reads ``link_tx_packets_total`` /
             ``link_tx_bytes_total`` / ``link_delivered_total`` /
-            ``link_dropped_total{reason=failure|chaos}`` counters and the
-            ``link_queue_depth`` gauge, all labelled ``link=<name>``.
+            ``link_dropped_total{reason=failure|chaos}`` out of
+            :attr:`stats`, and the link sets the ``link_queue_depth``
+            gauge, all labelled ``link=<name>``.
     """
 
     def __init__(
@@ -224,8 +204,14 @@ class Link:
         self.chaos: Any | None = None
         #: Observers, ``tap(event, packet, t)`` (see the module docstring);
         #: add one with ``link.taps += (tap,)``.
-        self.taps: tuple[Callable[[str, Packet, float], None], ...] = (
-            (_LinkMetrics(self, telemetry.metrics),) if telemetry is not None else ())
+        self.taps: tuple[Callable[[str, Packet, float], None], ...] = ()
+        #: The ``link_queue_depth`` gauge, or None when nobody watches.
+        self._depth: Any = None
+        if telemetry is not None:
+            _read_stats(telemetry.metrics, self.name, self.stats)
+            self._depth = telemetry.metrics.gauge(
+                "link_queue_depth", "Packets waiting behind the serializer",
+                link=self.name)
 
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission.
@@ -343,6 +329,8 @@ class Link:
             if not self._kick_pending:
                 self._kick_pending = True
                 self.sim.schedule(self._busy_until - now, self._kick)
+        if self._depth is not None:
+            self._depth.set(len(self._tx_queue) + len(self._ctrl_queue))
         if self.taps:
             self._emit("queue", packet, now)
 
@@ -394,6 +382,8 @@ class Link:
             self._transmitting = False
             return
         self._transmitting = True
+        if self._depth is not None:
+            self._depth.set(len(self._tx_queue) + len(self._ctrl_queue))
         if self.taps:
             self._emit("queue", packet, self.sim.now)
         bandwidth = self.bandwidth_bps
@@ -452,8 +442,8 @@ class Link:
     def queue_len(self) -> int:
         """Packets waiting behind the serializer, data *and* control class.
 
-        Consumed by the switch TM for tail-drop admission and by
-        telemetry; both classes occupy the same physical port buffer.
+        Both classes occupy the same physical port buffer (the switch TM
+        and the depth gauge inline the same sum).
         """
         return len(self._tx_queue) + len(self._ctrl_queue)
 

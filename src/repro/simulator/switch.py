@@ -95,11 +95,12 @@ class Switch(Node):
             the maximum number of packets queued on the outgoing link.
             ``None`` disables tail-drop (infinite buffers).
         telemetry: optional :class:`repro.telemetry.Telemetry`; when set,
-            the switch maintains ``switch_received_total`` /
+            the registry reads ``switch_received_total`` /
             ``switch_forwarded_total`` / ``switch_consumed_total`` /
-            ``switch_dropped_total{reason=tm|no_route}`` counters and a
-            per-switch TM queue-occupancy histogram
-            ``switch_tm_queue_occupancy`` (sampled at admission time).
+            ``switch_dropped_total{reason=tm|no_route}`` out of
+            :attr:`stats`, and the switch feeds a TM queue-occupancy
+            histogram ``switch_tm_queue_occupancy`` (sampled at admission
+            time).
     """
 
     def __init__(self, sim: Simulator, name: str, tm_queue_packets: int | None = 1000,
@@ -110,22 +111,22 @@ class Switch(Node):
         self.default_port: int | None = None
         self.stats = SwitchStats()
         self._telemetry = telemetry
+        #: The TM occupancy histogram, or None when nobody watches.
+        self._m_tm_occupancy: Any = None
         if telemetry is not None:
             metrics = telemetry.metrics
-            self._m_received: Any = metrics.counter(
-                "switch_received_total", "Packets entering the parser", switch=name)
-            self._m_forwarded = metrics.counter(
-                "switch_forwarded_total", "Packets leaving the egress pipeline",
-                switch=name)
-            self._m_consumed = metrics.counter(
-                "switch_consumed_total", "Packets consumed by ingress hooks",
-                switch=name)
-            self._m_drop_tm = metrics.counter(
-                "switch_dropped_total", "Packets dropped inside the switch",
-                switch=name, reason="tm")
-            self._m_drop_route = metrics.counter(
-                "switch_dropped_total", "Packets dropped inside the switch",
-                switch=name, reason="no_route")
+            stats = self.stats
+            metrics.read("switch_received_total", "Packets entering the parser",
+                         stats, "received", switch=name)
+            metrics.read("switch_forwarded_total",
+                         "Packets leaving the egress pipeline",
+                         stats, "forwarded", switch=name)
+            metrics.read("switch_consumed_total", "Packets consumed by ingress hooks",
+                         stats, "consumed", switch=name)
+            metrics.read("switch_dropped_total", "Packets dropped inside the switch",
+                         stats, "dropped_tm", switch=name, reason="tm")
+            metrics.read("switch_dropped_total", "Packets dropped inside the switch",
+                         stats, "dropped_no_route", switch=name, reason="no_route")
             self._m_tm_occupancy = metrics.histogram(
                 "switch_tm_queue_occupancy",
                 "Output-queue occupancy observed at TM admission (packets)",
@@ -259,10 +260,7 @@ class Switch(Node):
         that feeds packets straight into an egress pipeline (past the TM).
         """
         stats = self.stats
-        telemetry = self._telemetry
         stats.received += 1
-        if telemetry is not None:
-            self._m_received.inc()
         is_control = packet.kind.is_control
         hooks = (self._ingress_hooks if is_control
                  else self._data_ingress_hooks).get(in_port)
@@ -270,8 +268,6 @@ class Switch(Node):
             for hook in hooks:
                 if not hook(packet, in_port):
                     stats.consumed += 1
-                    if telemetry is not None:
-                        self._m_consumed.inc()
                     return
         # -- TM: route lookup + tail-drop admission.
         out_port: int | None = None
@@ -282,24 +278,18 @@ class Switch(Node):
             out_port = self.routes.get(packet.entry, self.default_port)
         if out_port is None:
             stats.dropped_no_route += 1
-            if telemetry is not None:
-                self._m_drop_route.inc()
             return
         link = self.links.get(out_port)
         if link is None:
             stats.dropped_no_route += 1
-            if telemetry is not None:
-                self._m_drop_route.inc()
             return
-        if telemetry is not None:
-            self._m_tm_occupancy.observe(link.queue_len)
+        # Inlined link.queue_len (same definition): the property call is
+        # measurable at per-packet admission rates.
+        if self._m_tm_occupancy is not None:
+            self._m_tm_occupancy.observe(len(link._tx_queue) + len(link._ctrl_queue))
         if self.tm_queue_packets is not None and \
                 len(link._tx_queue) + len(link._ctrl_queue) >= self.tm_queue_packets:
-            # Inlined link.queue_len (same definition): the property call
-            # is measurable at per-packet admission rates.
             stats.dropped_tm += 1
-            if telemetry is not None:
-                self._m_drop_tm.inc()
             return
         # -- Egress pipeline (see _egress).
         hooks = (self._control_egress_hooks if is_control
@@ -309,8 +299,6 @@ class Switch(Node):
                 if not hook(packet, out_port):
                     return
         stats.forwarded += 1
-        if telemetry is not None:
-            self._m_forwarded.inc()
         link.send(packet)
 
     def _egress(self, packet: Packet, out_port: int) -> None:
@@ -326,8 +314,6 @@ class Switch(Node):
             if not hook(packet, out_port):
                 return
         self.stats.forwarded += 1
-        if self._telemetry is not None:
-            self._m_forwarded.inc()
         # Reverse-routed traffic (every ACK, via the topology ingress
         # hooks) lands here too, so resolve the link once instead of
         # paying transmit()'s second lookup.

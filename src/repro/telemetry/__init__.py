@@ -6,8 +6,8 @@ detection for the zooming tree — and this package is their single source
 of truth:
 
 * :mod:`~repro.telemetry.registry` — counters, gauges and log-scale
-  histograms, cheap enough to stay on by default (no-op when
-  unregistered via :data:`NULL_REGISTRY`);
+  histograms; a count the pipeline already keeps is read out of its
+  stats holder when the registry is read, never counted twice;
 * :mod:`~repro.telemetry.timeline` — the protocol state-machine
   timeline: every FSM transition, session open/close, zooming descent,
   failure injection and detection, monotonically timestamped;
@@ -28,8 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "..obs.trace": ("Span", "TraceCollector"),
     ".export": ("hotspots", "to_jsonl", "to_prometheus"),
     ".registry": (
-        "NULL_REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        "NullRegistry", "merge_snapshots",
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots",
     ),
     ".session": ("Telemetry",),
     ".timeline": ("DetectionRecord", "StateTimeline", "TimelineEvent"),

@@ -8,10 +8,12 @@ designed for a discrete-event simulator's hot path:
   ``inc``/``set``/``observe`` methods;
 * components *pre-bind* their instruments at construction time, so the
   per-event cost is one method call on an already-resolved object;
-* a shared :data:`NULL_REGISTRY` hands out no-op instruments, which is
-  what "telemetry disabled" means — callers never need ``if telemetry``
-  checks on hot paths (though the simulator engine adds one anyway,
-  because it executes millions of events).
+* a count the pipeline already keeps is never counted twice: a
+  :class:`ReadCounter` (:meth:`MetricsRegistry.read`) reads it out of its
+  stats holder (``EngineStats``, ``LinkStats``, ``SwitchStats``, an
+  FSM's ``ControlStats``) when the registry is read, so an observed run
+  pays nothing per event for it.  Only what no counter holds — a gauge's
+  running max, a histogram — is fed per event.
 
 Histograms use log-scale buckets (a geometric ladder), the right shape
 for latency- and duration-like quantities that span several orders of
@@ -26,15 +28,14 @@ runtime's JSONL run log and the content-addressed result cache;
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Any, Iterator, Optional
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
+    "ReadCounter",
     "merge_snapshots",
 ]
 
@@ -53,6 +54,7 @@ class Counter:
     __slots__ = ("name", "labels", "value")
 
     kind = "counter"
+    sparse = False
 
     def __init__(self, name: str, labels: LabelSet = ()):
         self.name = name
@@ -66,12 +68,34 @@ class Counter:
         return {"value": self.value}
 
 
+class ReadCounter(Counter):
+    """A counter whose count a stats holder already keeps: its value is
+    the sum of ``getattr(holder, field)`` over its ``sources``, read when
+    it is read.  A holder is a small object of plain ints, never an FSM
+    or a simulator, so holding it keeps no finished run alive.  A
+    ``sparse`` counter is a series only once non-zero, like a counter
+    bound on its first event."""
+
+    __slots__ = ("sources", "sparse")
+
+    def __init__(self, name: str, labels: LabelSet = (), sparse: bool = False):
+        self.name = name
+        self.labels = labels
+        self.sources: list[tuple[Any, str]] = []
+        self.sparse = sparse
+
+    @property  # type: ignore[override]
+    def value(self) -> int:
+        return sum(getattr(holder, field) for holder, field in self.sources)
+
+
 class Gauge:
     """Instantaneous value (queue depth, active explorations)."""
 
     __slots__ = ("name", "labels", "value", "max_value")
 
     kind = "gauge"
+    sparse = False
 
     def __init__(self, name: str, labels: LabelSet = ()):
         self.name = name
@@ -108,6 +132,7 @@ class Histogram:
                  "count", "total", "min", "max")
 
     kind = "histogram"
+    sparse = False
 
     def __init__(self, name: str, labels: LabelSet = (), *,
                  start: float = 1e-6, base: float = 10.0, n_buckets: int = 12):
@@ -180,21 +205,25 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", *,
                   start: float = 1e-6, base: float = 10.0, n_buckets: int = 12,
                   **labels: str) -> Histogram:
-        key = (name, _labelset(labels))
-        self._check_kind(name, "histogram", help)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = Histogram(name, key[1], start=start, base=base, n_buckets=n_buckets)
-            self._instruments[key] = inst
-        return inst  # type: ignore[return-value]
+        return self._get(Histogram, name, help, labels,
+                         start=start, base=base, n_buckets=n_buckets)
 
-    def _get(self, cls, name: str, help: str, labels: dict):
+    def read(self, name: str, help: str, holder: Any, field: str, *,
+             sparse: bool = False, **labels: str) -> None:
+        """Export ``holder.field`` as (a source of) the counter
+        ``name{labels}``: a :class:`ReadCounter`."""
+        self._get(ReadCounter, name, help, labels, sparse=sparse).sources.append(
+            (holder, field))
+
+    def _get(self, cls, name: str, help: str, labels: dict, **kwargs: Any):
         key = (name, _labelset(labels))
         self._check_kind(name, cls.kind, help)
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(name, key[1])
+            inst = cls(name, key[1], **kwargs)
             self._instruments[key] = inst
+        elif type(inst) is not cls:
+            raise ValueError(f"metric {name!r} is already a {type(inst).__name__}")
         return inst
 
     def _check_kind(self, name: str, kind: str, help: str) -> None:
@@ -207,11 +236,17 @@ class MetricsRegistry:
 
     # -- queries --------------------------------------------------------------
 
-    def __iter__(self) -> Iterable:
-        return iter(self._instruments.values())
+    def _live(self) -> Iterator[tuple[tuple[str, LabelSet], Any]]:
+        """Every series, less the sparse read counters that read 0."""
+        for key, inst in self._instruments.items():
+            if not (inst.sparse and not inst.value):
+                yield key, inst
+
+    def __iter__(self) -> Iterator:
+        return (inst for _, inst in self._live())
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        return sum(1 for _ in self._live())
 
     def kind_of(self, name: str) -> Optional[str]:
         return self._kinds.get(name)
@@ -221,7 +256,10 @@ class MetricsRegistry:
 
     def get(self, name: str, **labels: str):
         """Existing instrument or ``None`` (never creates)."""
-        return self._instruments.get((name, _labelset(labels)))
+        inst = self._instruments.get((name, _labelset(labels)))
+        if inst is not None and inst.sparse and not inst.value:  # type: ignore[attr-defined]
+            return None
+        return inst
 
     def value(self, name: str, **labels: str) -> float:
         """Scalar value of a counter/gauge; 0 when absent."""
@@ -240,7 +278,7 @@ class MetricsRegistry:
     def families(self) -> dict[str, list]:
         """Instruments grouped by metric name (sorted for stable output)."""
         out: dict[str, list] = {}
-        for (name, _), inst in sorted(self._instruments.items()):
+        for (name, _), inst in sorted(self._live()):
             out.setdefault(name, []).append(inst)
         return out
 
@@ -249,7 +287,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-serializable state of every instrument."""
         metrics = []
-        for (name, labels), inst in sorted(self._instruments.items()):
+        for (name, labels), inst in sorted(self._live()):
             entry = {
                 "name": name,
                 "kind": inst.kind,  # type: ignore[attr-defined]
@@ -258,62 +296,6 @@ class MetricsRegistry:
             entry.update(inst.snapshot())  # type: ignore[attr-defined]
             metrics.append(entry)
         return {"metrics": metrics}
-
-
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by :class:`NullRegistry`."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels: LabelSet = ()
-    value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """Registry whose instruments do nothing — "telemetry disabled".
-
-    Components can bind instruments unconditionally; when nobody
-    registered a real registry, every ``inc``/``set``/``observe`` is a
-    no-op on a shared singleton.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "", **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", **kwargs):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {"metrics": []}
-
-
-#: The shared disabled registry.
-NULL_REGISTRY = NullRegistry()
 
 
 def merge_snapshots(*snapshots: dict) -> dict:
@@ -328,16 +310,10 @@ def merge_snapshots(*snapshots: dict) -> dict:
             key = (entry["name"], tuple(sorted(entry.get("labels", {}).items())))
             seen = merged.get(key)
             if seen is None:
-                merged[key] = {
-                    **entry,
-                    "labels": dict(entry.get("labels", {})),
-                    "buckets": list(entry.get("buckets", ())) or None,
-                    "counts": list(entry.get("counts", ())) or None,
-                }
-                # strip the None placeholders for non-histograms
-                if merged[key]["buckets"] is None:
-                    merged[key].pop("buckets")
-                    merged[key].pop("counts")
+                seen = merged[key] = {**entry, "labels": dict(entry.get("labels", {}))}
+                if "counts" in entry:  # a histogram: its own lists to add into
+                    seen["buckets"] = list(entry["buckets"])
+                    seen["counts"] = list(entry["counts"])
                 continue
             kind = entry["kind"]
             if kind == "counter":

@@ -55,12 +55,10 @@ class Telemetry:
         self.traces = traces if traces is not None else TraceCollector(scope=scope)
         # Surface the timeline's bounded-suppression drops as a registry
         # counter (labelled per scope so fabric forks stay attributable).
-        bind = getattr(self.timeline, "bind_suppression_counter", None)
-        if bind is not None:
-            bind(self.metrics.counter(
-                "telemetry_timeline_truncated_total",
-                "Timeline events dropped by the bounded-suppression cap",
-                scope=scope or "root"))
+        self.timeline.bind_suppression_counter(self.metrics.counter(
+            "telemetry_timeline_truncated_total",
+            "Timeline events dropped by the bounded-suppression cap",
+            scope=scope or "root"))
 
     def fork(self, scope: Optional[str] = None) -> "Telemetry":
         """Sibling session: shared registry, fresh timeline and traces,

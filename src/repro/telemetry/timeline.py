@@ -38,6 +38,7 @@ overhead companion).
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, IO, Iterator, NamedTuple, Optional
@@ -106,7 +107,7 @@ class DetectionRecord:
 
 class StateTimeline:
     """Append-only, monotonically timestamped event log, stored as
-    pickled chunks of ``_CHUNK`` rows that every view decodes."""
+    compressed pickled chunks of ``_CHUNK`` rows that every view decodes."""
 
     def __init__(self, max_events: int = 1_000_000):
         self.max_events = max_events
@@ -114,7 +115,7 @@ class StateTimeline:
         self._last_time = float("-inf")
         self._seq = 0
         self._suppression_counter: Any = None
-        #: Sealed chunks, ``_CHUNK`` pickled rows each.
+        #: Sealed chunks, ``_CHUNK`` rows each, pickled and compressed.
         self._sealed: list[bytes] = []
         #: The filling chunk: ``(time, source, event, fields)`` rows.
         self._rows: list[tuple] = []
@@ -134,6 +135,11 @@ class StateTimeline:
 
     def record(self, time: float, source: str, event: str, **fields: Any) -> None:
         """Append one event; raises on a backwards timestamp."""
+        self.add(time, source, event, fields)
+
+    def add(self, time: float, source: str, event: str, fields: dict) -> None:
+        """:meth:`record` with the fields as one dict, which the row keeps
+        (the FSMs build one per transition, and nothing else)."""
         if time < self._last_time:
             raise ValueError(
                 f"timeline event {event!r} at t={time} is earlier than the "
@@ -153,10 +159,12 @@ class StateTimeline:
             self._seal()
 
     def _seal(self) -> None:
-        """The filling chunk is full: it becomes one pickled ``bytes``."""
+        """The filling chunk is full: it becomes one pickled ``bytes``,
+        ``zlib``-compressed at level 1 as a sealed trace chunk is."""
         import pickle  # only a run that fills a chunk pays for the module
 
-        self._sealed.append(pickle.dumps(self._rows, pickle.HIGHEST_PROTOCOL))
+        self._sealed.append(zlib.compress(
+            pickle.dumps(self._rows, pickle.HIGHEST_PROTOCOL), 1))
         self._rows = []
 
     def _chunks(self) -> Iterator[list[tuple]]:
@@ -165,7 +173,7 @@ class StateTimeline:
             import pickle
 
             for blob in self._sealed:
-                yield pickle.loads(blob)
+                yield pickle.loads(zlib.decompress(blob))
         yield self._rows
 
     # -- queries --------------------------------------------------------------

@@ -27,9 +27,9 @@ from repro.simulator.link import Link
 from repro.simulator.packet import Packet, PacketKind
 
 
-def fsm(**attrs):
+def fsm(rejected_corrupt=0, **attrs):
     defaults = dict(fsm_id="d", session_id=1, restarts=0, _timer=None,
-                    rejected_corrupt=0)
+                    control=types.SimpleNamespace(rejected_corrupt=rejected_corrupt))
     defaults.update(attrs)
     return types.SimpleNamespace(**defaults)
 
@@ -187,9 +187,9 @@ class TestConservation:
 
 
 class TestIntegrity:
-    def chaos_with_corruptions(self, n):
+    def chaos_with_corruptions(self, n, fsm_id="d"):
         model = ChaosModel([])
-        model.corrupted_control = n
+        model.corrupted_control_to = {fsm_id: n}
         return model
 
     def test_balanced_ledger_passes(self):
@@ -203,3 +203,11 @@ class TestIntegrity:
         violations = check_integrity(m, [self.chaos_with_corruptions(2)], 1.0)
         assert [v.invariant for v in violations] == ["I6"]
         assert "2" in violations[0].detail
+
+    def test_only_corruptions_addressed_to_the_monitor_count(self):
+        """A wire two monitors share carries both monitors' control
+        messages; the other monitor's corruptions are not this one's."""
+        m = monitor(sender=fsm(state=SenderState.IDLE, rejected_corrupt=2))
+        models = [self.chaos_with_corruptions(2),
+                  self.chaos_with_corruptions(5, fsm_id="other")]
+        assert check_integrity(m, models, 1.0) == []

@@ -9,19 +9,25 @@ sessions the sender completed.  One completed session is the whole
 round: Start out, StartACK back, the counting window, Stop out, T_wait,
 Report back, ``end_session``, the next ``_open_session`` — four control
 frames over two links, six FSM transitions, two session-lifecycle
-timeline events, the control counters and (inside an episode) eleven
+timeline events, the control counts and (inside an episode) eleven
 trace spans — so the figure moves when *anything* on the control
 exchange or in the telemetry it feeds gains a frame.  Three rows:
 
 =========================  ======  ======  ======
-frames per session         parent  here    change
+frames per session         before  then    now
 =========================  ======  ======  ======
-dedicated, no episode      166.70  103.83  -38 %
-dedicated, episode open    294.42  149.73  -49 %
-tree + fluid window tap    300.20  181.01  -40 %
+dedicated, no episode      166.70  103.83   89.86
+dedicated, episode open    294.42  168.36  135.79
+tree + fluid window tap    300.20  181.01  167.20
 =========================  ======  ======  ======
 
-The parent commit built a frozen-dataclass ``TimelineEvent`` per event
+"now" is the registry reading the FSMs' ``ControlStats`` at snapshot
+time instead of two counter calls per control message and one per
+completed session, a transition row built as one dict (no ``**``
+merge), and each span line from one prebuilt C encoder (no
+``JSONEncoder.encode`` / ``iterencode`` frames per span).
+
+"before" built a frozen-dataclass ``TimelineEvent`` per event
 (``__init__`` plus five ``object.__setattr__``), read enum values through
 the ``.value`` descriptor (two frames each), asked the
 ``TraceCollector.active`` property at every guard, canonicalised each
@@ -31,12 +37,11 @@ through ``_json_safe``, hashed ``PacketKind`` members in Python, went
 message it sent, and replayed fluid emissions through one ``_arrival``
 frame per packet.
 
-Since a closed span is text (docs/TELEMETRY.md), the episode row also
-pays the encode of each chunk that fills during the run: 149.73 → 168.36,
-+1.69 frames per span (one encoder call plus its ``iterencode`` per
-encoded span), where ``jsonl_chunks()`` spent 4.00 per span encoding the
-same spans at export before.  The other rows record no span and did not
-move.
+"then" (the rows at "before"'s child) became 103.83 / 149.73 / 181.01;
+once a closed span is text (docs/TELEMETRY.md), the episode row also
+paid the encode of each chunk that fills during the run: 149.73 →
+168.36, +1.69 frames per span, where ``jsonl_chunks()`` spent 4.00 per
+span encoding the same spans at export before.
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ from repro.simulator.topology import TwoSwitchTopology
 from repro.telemetry import Telemetry
 from tests.frames import count_calls
 
-#: Measured Python frames per completed session at the parent commit.
+#: Measured Python frames per completed session, "before" in the table.
 PARENT_FRAMES = {"dedicated": 166.70, "episode": 294.42, "tree_fluid": 300.20}
-#: ... and at this one.
-SESSION_FRAMES = {"dedicated": 103.83, "episode": 168.36, "tree_fluid": 181.01}
+#: ... and now.
+SESSION_FRAMES = {"dedicated": 89.86, "episode": 135.79, "tree_fluid": 167.20}
 #: Room for one more frame on every other session, not for one on each;
 #: the lower edge only catches the scenario silently losing its telemetry.
 HEADROOM = 0.5
@@ -90,7 +95,7 @@ def frames_per_session(row: str) -> float:
             jitter=0.1, seed=i, start_s=0.001 * (i + 1))) for i in range(4)]
         traffic.bind_monitor(monitor, flows, legs=(0.0001,))
     monitor.start()
-    # Past the first sessions: every lazily bound counter handle exists.
+    # Past the first sessions: every first-call memo is warm.
     sim.run(until=1.0)
     if row == "episode":
         telemetry.traces.begin_episode(sim.now, cause="fault", name="probe")

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.chaos.harness import soak_entries, soak_fancy_config
+from repro.chaos.harness import drive_soak, soak_entries, soak_fancy_config
 from repro.chaos.schedule import (
     FaultSpec,
     generate_schedule,
@@ -22,6 +22,7 @@ from repro.fabric.chaos import (
 )
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
+from repro.simulator.engine import Simulator
 from repro.simulator.packet import PacketKind
 from repro.simulator.udp import UdpSource
 from tests.chaos.test_harness import RING
@@ -95,6 +96,44 @@ class TestDisplacementRule:
         assert moved[PacketKind.FANCY_STOP] == 0
         # ...although s2->s1's own Starts and Stops crossed that wire
         assert deployment.sessions_completed()["s2->s1"] > 0
+
+
+class TestIntegrityOnASharedWire:
+    def test_each_monitor_balances_only_its_own_corruptions(self):
+        """``s2->s1`` carries ``s2->s1``'s Starts and Stops and
+        ``s1->s2``'s StartACKs and Reports.  A session corruption on it
+        hits both monitors' FSMs, and each observer's I6 balances the
+        corruptions addressed to its own FSMs against its own
+        rejections."""
+        dedicated, best_effort = soak_entries(RING)
+        net = FabricNetwork(Simulator(), ring(4))
+        for entry in dedicated + best_effort:
+            net.add_entry(entry, "s1", "s2")
+        deployment = FabricDeployment(
+            net, config=soak_fancy_config(RING, dedicated),
+            links=["s1->s2", "s2->s1"])
+        schedule = [FaultSpec("corrupt", link_target("s2", "s1"),
+                              {"rate": 0.3, "field": "session",
+                               "start": 0.0, "end": None}, index=0)]
+
+        def arm():
+            materialized = materialize_on_fabric(schedule, RING.seed, net,
+                                                 deployment)
+            deployment.start(stagger_s=0.005)
+            return materialized
+
+        run = drive_soak(RING, net, "s1", deployment.monitors, schedule, arm)
+        assert [v.to_dict() for v in run.violations
+                if v.invariant == "I6"] == []
+        chaos = run.materialized.chaos["s2->s1"]
+        by_monitor = Counter()
+        for fsm_id, n in chaos.corrupted_control_to.items():
+            by_monitor[fsm_id.split("/")[0]] += n
+        assert set(by_monitor) == {"s1->s2", "s2->s1"}
+        for link_id, monitor in deployment.monitors.items():
+            fsms = (monitor.dedicated_sender, monitor.tree_sender,
+                    monitor.dedicated_receiver, monitor.tree_receiver)
+            assert sum(f.rejected_corrupt for f in fsms) == by_monitor[link_id] > 0
 
 
 class TestSoakConfig:

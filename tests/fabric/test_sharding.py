@@ -23,7 +23,6 @@ from repro.fabric import sharding
 from repro.fabric.sharding import (
     ShardSpec,
     merge_link_results,
-    pack_trace,
     plan_shards,
     probe_payload,
     trace_text,
@@ -135,7 +134,7 @@ class TestMergedTraceBytes:
 
     @staticmethod
     def _packed(tc):
-        return {"trace_packed": pack_trace(tc)}
+        return {"trace_packed": tc.zlib_chunks()}
 
     @staticmethod
     def _dicts(tc):
@@ -153,7 +152,7 @@ class TestMergedTraceBytes:
         """A link packed into several chunks decodes, in order, to the
         text its spans render to."""
         busy = _collector("b->c", 3 * _CHUNK_SPANS + 5)
-        packed = pack_trace(busy)
+        packed = busy.zlib_chunks()
         assert len(packed) > 1
         merged = trace_text(merge_link_results(
             {"b->c": {"metrics": None, "trace_packed": packed}})["trace_parts"])
@@ -173,8 +172,8 @@ class TestMergedTraceBytes:
         assert cut.suppressed == 6
         merged = trace_text(merge_link_results({
             "b->c": {"metrics": None,
-                     "trace_packed": pack_trace(self.COLLECTORS["b->c"])},
-            "a->b": {"metrics": None, "trace_packed": pack_trace(cut)},
+                     "trace_packed": self.COLLECTORS["b->c"].zlib_chunks()},
+            "a->b": {"metrics": None, "trace_packed": cut.zlib_chunks()},
         })["trace_parts"])
         assert merged == cut.to_jsonl() + self.COLLECTORS["b->c"].to_jsonl()
         assert merged.splitlines()[4].startswith('{"event": "trace_truncated"')
@@ -302,10 +301,10 @@ class TestShardCountInvariance:
 
     def test_cached_run_merges_to_the_same_bytes(self, shard_runs,
                                                  monkeypatch, tmp_path):
-        """The result cache stores payloads as JSON: a run served from it
-        merges to the fresh run's bytes.  A payload JSON cannot encode
-        (raw ``bytes``) is silently not cached, and the second run would
-        re-probe every shard."""
+        """The result cache stores payloads as JSON, encoding the trace
+        chunks' ``bytes`` itself: a run served from it merges to the
+        fresh run's bytes.  A payload it could not encode would not be
+        cached, and the second run would re-probe every shard."""
         sweeps = []
 
         def recorded(*args, _run_sweep=sharding.run_sweep, **kwargs):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.trace import (
     _CHUNK_SPANS,
     CATEGORIES,
@@ -155,6 +156,17 @@ class TestQueries:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("obj", [
+        {"b": 1, "a": [1.5, None, True, "x\u00e9\n\"q"], "c": {"z": 1e300, "y": -0.0}},
+        {"start": 0.1 + 0.2, "end": None, "attrs": {"inf": float("inf"),
+                                                    "nan": float("nan")}},
+        {"attrs": {"hash_path": [3, 1], "nested": {"k": [{"deep": "\u2603"}]}}},
+    ])
+    def test_span_lines_are_the_sorted_encoders_text(self, obj):
+        """The prebuilt C encoder writes what ``json.JSONEncoder(
+        sort_keys=True).encode`` does, byte for byte."""
+        assert trace._encode(obj) == json.JSONEncoder(sort_keys=True).encode(obj)
+
     def _collector(self):
         tc = TraceCollector(scope="s1->s2")
         tc.begin_episode(1.0, cause="fault", link="s1->s2")

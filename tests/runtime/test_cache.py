@@ -4,8 +4,27 @@ from __future__ import annotations
 
 import json
 
+from repro.fabric.sharding import run_link_probes, trace_text
+from repro.obs.trace import _CHUNK_SPANS, TraceCollector
+from repro.runtime import RuntimeContext
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import NullCache, ResultCache, code_hash, open_cache
+
+
+#: Links :func:`_traced_probe` probed.
+PROBED: list[str] = []
+
+
+def _traced_probe(n_spans: int, link_id: str, link_seed: int) -> dict:
+    """A probe payload as the fabric's: the link's trace as the
+    compressed chunks its collector holds."""
+    PROBED.append(link_id)
+    traces = TraceCollector(scope=link_id)
+    traces.begin_episode(0.0, cause="fault")
+    for i in range(n_spans):
+        traces.emit("control", i * 1e-3, category="control", seed=link_seed)
+    traces.finalize(n_spans * 1e-3)
+    return {"link": link_id, "metrics": None, "trace_packed": traces.zlib_chunks()}
 
 
 class TestResultCache:
@@ -87,6 +106,33 @@ class TestResultCache:
         assert entry["payload"] == {"x": 1}
         # no stray tmp files left behind
         assert not list(tmp_path.glob("**/.tmp-*"))
+
+    def test_nested_bytes_round_trip_as_bytes(self, tmp_path):
+        """The cache is the one place that encodes ``bytes`` for JSON."""
+        cache = ResultCache(tmp_path)
+        payload = {"a": {"trace_packed": [b"\x00\xffzlib", b""]},
+                   "b": [b"x", {"c": b"y"}], "n": 1}
+        cache.put("ab" * 16, payload)
+        assert cache.get("ab" * 16) == payload
+        entry = json.loads(cache._path("ab" * 16).read_text())
+        assert entry["payload"]["b"][0] == {"$bytes": "eA=="}
+
+    def test_sharded_run_from_the_cache_decodes_the_same_trace(self, tmp_path):
+        """Two links, one of several sealed chunks: probed, then served
+        from the cache without a probe, to the same trace text."""
+        runtime = RuntimeContext(cache_dir=tmp_path, progress=False)
+        args = (2 * _CHUNK_SPANS + 10,)
+        PROBED.clear()
+        fresh, cached = (
+            run_link_probes(_traced_probe, args, ["a->b", "b->a"], 2, 0,
+                            "cache-test", 1.0, runtime)[0]
+            for _ in range(2))
+        assert sorted(PROBED) == ["a->b", "b->a"]  # the second run probed none
+        text = trace_text(cached["trace_parts"])
+        assert text == trace_text(fresh["trace_parts"])
+        assert text.count("\n") == 2 * (2 * _CHUNK_SPANS + 11)
+        assert all(isinstance(chunk, bytes) for part in cached["trace_parts"]
+                   for chunk in part["trace_packed"])
 
     def test_len_counts_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

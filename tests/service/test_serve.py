@@ -143,7 +143,8 @@ class TestDeterminismAndSharding:
 
 
 class TestProbeBoundary:
-    """What a finished probe leaves behind is text (docs/PERFORMANCE.md,
+    """What a finished probe leaves behind is its payload, the trace in
+    it the compressed ``bytes`` its collector held (docs/PERFORMANCE.md,
     "Footprint and cold start")."""
 
     def test_traced_memory_fence(self, monkeypatch, short_result):
@@ -186,16 +187,16 @@ class TestProbeBoundary:
         assert phases["merge"] <= 560_000
 
     def test_result_holds_no_trace_text(self, short_result):
-        """The result keeps the probes' packed chunks: no ``str`` it
-        reaches is a tenth as long as the trace it decodes to (the
-        longest is one base64 chunk, ≈ 1/40 of it)."""
+        """The result keeps the probes' packed chunks: no ``str`` or
+        ``bytes`` it reaches is a tenth as long as the trace it decodes
+        to (the longest is one compressed chunk)."""
         seen, stack, longest = set(), [short_result], 0
         while stack:
             obj = stack.pop()
             if id(obj) in seen:
                 continue
             seen.add(id(obj))
-            if isinstance(obj, str):
+            if isinstance(obj, (str, bytes)):
                 longest = max(longest, len(obj))
             elif isinstance(obj, dict):
                 stack.extend(obj)
@@ -206,6 +207,28 @@ class TestProbeBoundary:
                 stack.append(vars(obj))
         assert longest * 10 < len(short_result.trace_jsonl)
         assert "".join(short_result.trace_chunks()) == short_result.trace_jsonl
+
+    def test_a_long_probe_holds_its_timeline_compressed(self):
+        """Peak ``tracemalloc`` bytes of one paper-timer probe of 200
+        simulated seconds: 19 156 timeline events, 18 sealed chunks.
+        With each chunk pickled but not compressed (657 097 bytes of
+        them against 201 252) and the trace shipped as a base64 copy
+        of its chunks, the same probe peaked at 1 602 329 bytes; here
+        it peaks at 1 149 020."""
+        config = dataclasses.replace(PAPER, duration_s=200.0,
+                                     health_every_s=100.0)
+        args = (config, default_serve_schedule(config), "s1->s2", 7)
+        soak._serve_probe(dataclasses.replace(config, duration_s=5.0),
+                          *args[1:])  # warm: imports and first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            payload = soak._serve_probe(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload["sessions_completed"] > 2_000
+        assert peak <= 1_200_000
 
     def test_a_batch_leaves_one_payload_behind(self):
         """A shard runs its probes back to back: four identical light

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-    merge_snapshots,
-)
+from repro.simulator.link import LinkStats
+from repro.telemetry import MetricsRegistry, merge_snapshots
+from repro.telemetry.export import to_prometheus
 
 
 class TestCounter:
@@ -137,19 +134,48 @@ class TestRegistry:
         assert names == sorted(names)
 
 
-class TestNullRegistry:
-    def test_noop_instruments(self):
-        c = NULL_REGISTRY.counter("x_total", link="a")
-        g = NULL_REGISTRY.gauge("y")
-        h = NULL_REGISTRY.histogram("z", start=1.0)
-        c.inc()
-        g.set(5)
-        h.observe(2.0)
-        assert NULL_REGISTRY.snapshot() == {"metrics": []}
+class TestReadCounter:
+    def test_reads_its_holders_when_read(self):
+        reg = MetricsRegistry()
+        a, b = LinkStats(), LinkStats()
+        reg.read("tx_total", "Packets", a, "tx_packets", link="x")
+        reg.read("tx_total", "Packets", b, "tx_packets", link="x")
+        a.tx_packets, b.tx_packets = 3, 4
+        assert reg.value("tx_total", link="x") == 7
+        assert reg.total("tx_total") == 7
+        b.tx_packets = 5
+        assert reg.snapshot()["metrics"][0]["value"] == 8
 
-    def test_shared_instrument(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
-        assert isinstance(NULL_REGISTRY, NullRegistry)
+    def test_exports_as_a_counter_would(self):
+        """Same snapshot and Prometheus bytes as a counter incremented
+        along with the holder."""
+        read, counted = MetricsRegistry(), MetricsRegistry()
+        stats = LinkStats()
+        read.read("link_tx_bytes_total", "Bytes", stats, "tx_bytes", link="a")
+        counter = counted.counter("link_tx_bytes_total", "Bytes", link="a")
+        for size in (64, 1500):
+            stats.tx_bytes += size
+            counter.inc(size)
+        assert read.snapshot() == counted.snapshot()
+        assert to_prometheus(read) == to_prometheus(counted)
+
+    def test_sparse_series_exists_once_non_zero(self):
+        reg = MetricsRegistry()
+        stats = LinkStats()
+        reg.read("drops_total", "Drops", stats, "dropped_chaos", sparse=True,
+                 link="a")
+        assert reg.snapshot() == {"metrics": []}
+        assert reg.get("drops_total", link="a") is None and len(reg) == 0
+        assert to_prometheus(reg) == ""
+        stats.dropped_chaos = 2
+        assert [m["value"] for m in reg.snapshot()["metrics"]] == [2]
+        assert reg.families()["drops_total"][0].value == 2
+
+    def test_a_read_series_is_not_incremented(self):
+        reg = MetricsRegistry()
+        reg.read("tx_total", "Packets", LinkStats(), "tx_packets")
+        with pytest.raises(ValueError, match="ReadCounter"):
+            reg.counter("tx_total")
 
 
 class TestMergeSnapshots:
