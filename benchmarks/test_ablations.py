@@ -187,7 +187,7 @@ def test_ablation_strawman_reliability(benchmark, save_artifact):
                     on_detection=lambda e, lost, sid: detections.append(e),
                 )
             FlowGenerator(sim, topo.source, "e", rate_bps=1e6,
-                          flows_per_second=10, seed=1).start()
+                          flows_per_second=10, seed=1, destination=topo.sink).start()
             monitor.start()
             sim.run(until=6.0)
             if protocol == "fancy":

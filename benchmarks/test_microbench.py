@@ -329,7 +329,7 @@ def test_end_to_end_simulation_throughput(benchmark):
         for i in range(4):
             FlowGenerator(sim, topo.source, f"e{i}", rate_bps=2e6,
                           flows_per_second=20, seed=i,
-                          flow_id_base=(i + 1) * 1_000_000).start()
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=2.0)
         return topo.sink.packets_received

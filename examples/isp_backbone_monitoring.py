@@ -67,6 +67,7 @@ def main() -> None:
             packet_size=sl.packet_size,
             seed=100 + i,
             flow_id_base=(i + 1) * 1_000_000,
+            destination=topo.sink,
         ).start()
 
     monitor.start()

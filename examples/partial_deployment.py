@@ -45,7 +45,8 @@ def main() -> None:
     for i, prefix in enumerate(PREFIXES):
         FlowGenerator(sim, net.host("s0"), prefix, rate_bps=1e6,
                       flows_per_second=10, seed=i,
-                      flow_id_base=(i + 1) * 1_000_000).start()
+                      flow_id_base=(i + 1) * 1_000_000,
+                      destination=net.host("s4")).start()
 
     monitor.start()
     sim.run(until=8.0)

@@ -47,7 +47,8 @@ def main() -> None:
     for i, prefix in enumerate(PREFIXES):
         FlowGenerator(sim, topo.source, prefix, rate_bps=1e6,
                       flows_per_second=10, seed=i,
-                      flow_id_base=(i + 1) * 1_000_000).start()
+                      flow_id_base=(i + 1) * 1_000_000,
+                      destination=topo.sink).start()
 
     monitor.start()
     sim.run(until=10.0)

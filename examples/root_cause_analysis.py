@@ -69,9 +69,10 @@ def run_with_monitor(config: FancyConfig) -> FancyLinkMonitor:
     monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1, config)
     # The prefix carries a mix of small (telemetry-like) and full packets.
     FlowGenerator(sim, topo.source, PREFIX, rate_bps=200e3, flows_per_second=10,
-                  packet_size=96, seed=1).start()
+                  packet_size=96, seed=1, destination=topo.sink).start()
     FlowGenerator(sim, topo.source, PREFIX, rate_bps=2e6, flows_per_second=10,
-                  packet_size=1500, seed=2, flow_id_base=10_000_000).start()
+                  packet_size=1500, seed=2, flow_id_base=10_000_000,
+                  destination=topo.sink).start()
     monitor.start()
     sim.run(until=5.0)
     return monitor
@@ -118,7 +119,7 @@ def stage_three() -> None:
             )
             flagged = lambda: monitor.entry_is_flagged(PREFIX)
         FlowGenerator(sim, topo.source, PREFIX, rate_bps=1e6,
-                      flows_per_second=10, seed=3).start()
+                      flows_per_second=10, seed=3, destination=topo.sink).start()
         monitor.start()
         sim.run(until=5.0)
         return wire.corrupted, flagged()

@@ -51,7 +51,8 @@ def main() -> None:
     source = net.host("s0")
     for i, prefix in enumerate((VICTIM, INNOCENT)):
         FlowGenerator(sim, source, prefix, rate_bps=4e6, flows_per_second=20,
-                      seed=i, flow_id_base=(i + 1) * 1_000_000).start()
+                      seed=i, flow_id_base=(i + 1) * 1_000_000,
+                      destination=net.host("s1")).start()
     UdpSource(sim, source.send, VICTIM, flow_id=999, rate_bps=0.2e6).start()
 
     deployment.start()

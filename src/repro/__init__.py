@@ -21,7 +21,8 @@ Quickstart::
     monitor = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1,
                                FancyConfig(high_priority=["10.0.0.0/8"]))
     gen = FlowGenerator(sim, topo.source, "10.0.0.0/8",
-                        rate_bps=1e6, flows_per_second=10)
+                        rate_bps=1e6, flows_per_second=10,
+                        destination=topo.sink)
     monitor.start()
     gen.start()
     sim.run(until=10.0)

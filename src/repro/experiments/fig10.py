@@ -91,6 +91,7 @@ def _build(config: Fig10Config, loss_rate: float, entry_kind: str) -> dict:
         flows_per_second=config.flows_per_second,
         seed=config.seed + 11,
         flow_id_base=1_000_000,
+        destination=net.host("s1"),
     ).start()
     UdpSource(sim, source.send, entry, flow_id=99,
               rate_bps=config.udp_rate_bps).start()

@@ -24,6 +24,7 @@ from typing import Any, Iterable, Optional, Sequence
 from ..core.detector import FancyConfig, FancyLinkMonitor
 from ..core.hashtree import HashTreeParams
 from ..core.output import FailureKind
+from ..runtime.executor import reclaim_at_boundary
 from ..runtime.jobs import stable_seed
 from ..simulator.apps import FlowGenerator
 from ..simulator.engine import Simulator
@@ -109,7 +110,7 @@ def link_trial(failure: Any, flows: Iterable[tuple[Any, float, float, int, int]]
         FlowGenerator(
             sim, topo.source, entry, rate_bps=rate_bps,
             flows_per_second=flows_per_second, packet_size=packet_size,
-            seed=seed, flow_id_base=(i + 1) * 10_000_000,
+            seed=seed, flow_id_base=(i + 1) * 10_000_000, destination=topo.sink,
         ).start()
     return sim, topo
 
@@ -236,10 +237,13 @@ def run_cell(spec: ExperimentSpec, repetitions: int = 3,
     With telemetry, each repetition runs under a forked session — shared
     :class:`~repro.telemetry.MetricsRegistry` accumulating across reps,
     fresh :class:`~repro.telemetry.StateTimeline` per repetition (the
-    simulated clock restarts at zero each rep).
+    simulated clock restarts at zero each rep).  Each repetition's
+    simulator is reclaimed before the next one is built, so a cell holds
+    one at a time.
     """
     cell = CellResult()
     for rep in range(repetitions):
         session = telemetry.fork() if telemetry is not None else None
-        cell.add(run_entry_failure(spec, rep=rep, telemetry=session))
+        with reclaim_at_boundary():
+            cell.add(run_entry_failure(spec, rep=rep, telemetry=session))
     return cell

@@ -28,9 +28,14 @@ __all__ = ["Host", "FlowGenerator", "ThroughputMeter"]
 class Host(Node):
     """An endpoint terminating TCP/UDP flows.
 
-    Flows are registered by flow id.  Received DATA packets are handed to
-    the matching sink (creating one on demand when ``auto_sink`` is set);
-    ACKs are handed to the matching sender.
+    ``flows`` holds the senders this host originates and ``sinks`` the
+    receivers it terminates, both by flow id.  An ACK goes to its
+    sender, or is dropped when none is registered; a DATA segment goes
+    to its sink, which is made on demand when ``auto_sink`` is set.
+    Both entries live only as long as the connection: the
+    :class:`FlowGenerator` that started a flow removes its sender here
+    and its sink at the destination together when the flow completes
+    (see :class:`~repro.simulator.tcp.TcpSink`).
     """
 
     def __init__(self, sim: Simulator, name: str, auto_sink: bool = False) -> None:
@@ -59,9 +64,6 @@ class Host(Node):
 
     def register_flow(self, flow: TcpFlow) -> None:
         self.flows[flow.flow_id] = flow
-
-    def register_sink(self, sink: TcpSink) -> None:
-        self.sinks[sink.flow_id] = sink
 
     def receive(self, packet: Packet, in_port: int) -> None:
         self.packets_received += 1
@@ -98,6 +100,9 @@ class FlowGenerator:
         max_packets_per_flow: optional cap to bound simulation cost; the
             experiment runner uses it to scale very fat entries down while
             preserving the flow structure.
+        destination: host terminating the flows.  A completed flow's
+            sink is dropped there along with its sender at ``source``,
+            so both hosts hold state only for live flows.
     """
 
     def __init__(
@@ -112,11 +117,14 @@ class FlowGenerator:
         seed: int = 0,
         max_packets_per_flow: int | None = None,
         flow_id_base: int = 0,
+        *,
+        destination: Host,
     ) -> None:
         if flows_per_second <= 0:
             raise ValueError("flows_per_second must be positive")
         self.sim = sim
         self.source = source
+        self.destination = destination
         self.entry = entry
         self.rate_bps = rate_bps
         self.flows_per_second = flows_per_second
@@ -176,8 +184,10 @@ class FlowGenerator:
         self.sim.schedule(self._spawn_gap, self._spawn)
 
     def _on_flow_complete(self, flow: TcpFlow) -> None:
-        self.active_flows.discard(flow.flow_id)
-        self.source.flows.pop(flow.flow_id, None)
+        flow_id = flow.flow_id
+        self.active_flows.discard(flow_id)
+        self.source.flows.pop(flow_id, None)
+        self.destination.sinks.pop(flow_id, None)
 
 
 class ThroughputMeter:

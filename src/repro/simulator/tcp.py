@@ -18,6 +18,7 @@ Data and ACK packets are allocated through
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable
 from typing import Any
 
@@ -222,9 +223,22 @@ class TcpFlow:
 class TcpSink:
     """Receiver-side state: cumulative ACK generation with an OOO buffer.
 
-    One sink lives per flow for the whole run (a host cannot tell a
-    finished flow from a quiet one), so it is kept small: slots, and no
-    buffer until a segment actually arrives out of order.
+    A sink is made by its host when a flow's first DATA segment arrives
+    (``Host(auto_sink=True)``) and dropped, when the sender completes,
+    by the :class:`~repro.simulator.apps.FlowGenerator` that started the
+    flow, which knows both ends.  By then ``next_expected``
+    has reached the flow's length, so any later DATA is a duplicate: a
+    fresh sink ACKs it and the source, which no longer has the flow
+    registered, drops that ACK — the same packets and events the retired
+    sink would have caused.  Sinks no generator retires (a UDP source's,
+    a hand-built flow's) live until their simulator dies, so a sink is
+    kept small: slots, and no buffer until a segment actually arrives out
+    of order.
+
+    ``out_of_order`` holds the segments received above the first hole as
+    sorted, disjoint, non-adjacent half-open runs, flattened
+    ``[start0, end0, start1, end1, ...]``: a hole that never fills costs
+    two ints, not one per segment behind it.
     """
 
     __slots__ = ("sim", "send_fn", "entry", "flow_id", "next_expected",
@@ -242,7 +256,7 @@ class TcpSink:
         self.entry = entry
         self.flow_id = flow_id
         self.next_expected = 0
-        self.out_of_order: set[int] | None = None
+        self.out_of_order: list[int] | None = None
         self.packets_received = 0
         self.bytes_received = 0
 
@@ -252,15 +266,39 @@ class TcpSink:
         seq = packet.seq
         if seq == self.next_expected:
             self.next_expected += 1
-            pending = self.out_of_order
-            while pending and self.next_expected in pending:
-                pending.discard(self.next_expected)
-                self.next_expected += 1
+            runs = self.out_of_order
+            if runs and runs[0] == self.next_expected:
+                # The hole is filled: the first run is now in order.
+                self.next_expected = runs[1]
+                del runs[:2]
         elif seq > self.next_expected:
-            if self.out_of_order is None:
-                self.out_of_order = set()
-            self.out_of_order.add(seq)
+            runs = self.out_of_order
+            if not runs:
+                self.out_of_order = [seq, seq + 1]
+            elif seq == runs[-1]:
+                runs[-1] = seq + 1  # extends the last run: the usual case behind a hole
+            else:
+                _add_to_runs(runs, seq)
         # Positional: kind, entry, size, flow_id, seq, ack, created_at,
         # payload, reverse.
         self.send_fn(Packet.acquire(PacketKind.ACK, self.entry, ACK_SIZE, self.flow_id,
                                     0, self.next_expected, self.sim.now, None, True))
+
+
+def _add_to_runs(runs: list[int], seq: int) -> None:
+    """Add ``seq`` to the flattened half-open ``runs``, merging neighbours.
+
+    ``bisect_right`` counts the boundaries at or below ``seq``: an odd
+    count means it lies inside a run (a duplicate), an even one that it
+    lies in the gap before ``runs[i]`` (``i == len(runs)``: past the end).
+    It goes in as a run of its own, which then absorbs any neighbour it
+    touches.
+    """
+    i = bisect_right(runs, seq)
+    if i & 1:
+        return
+    runs[i:i] = (seq, seq + 1)
+    if i + 2 < len(runs) and runs[i + 2] == seq + 1:
+        del runs[i + 1:i + 3]
+    if i and runs[i - 1] == seq:
+        del runs[i - 1:i + 1]

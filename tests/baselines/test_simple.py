@@ -117,7 +117,7 @@ class TestStrategyLinkMonitor:
             sender, SingleLinkCounterReceiver(), fsm_id="single",
         )
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=4.0)
         assert sender.detections > 0
@@ -134,7 +134,7 @@ class TestStrategyLinkMonitor:
         )
         for i, e in enumerate(entries):
             FlowGenerator(sim, topo.source, e, rate_bps=1e6, flows_per_second=10,
-                          seed=i, flow_id_base=(i + 1) * 100_000).start()
+                          seed=i, flow_id_base=(i + 1) * 100_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=4.0)
         assert "e0" in sender.flagged
@@ -147,7 +147,7 @@ class TestStrategyLinkMonitor:
             sender, SingleLinkCounterReceiver(), fsm_id="single",
         )
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=3.0)
         assert sender.detections == 0

@@ -63,9 +63,10 @@ class TestSizeClassMonitoring:
         )
         # Two traffic mixes: small packets and MTU-sized packets.
         FlowGenerator(sim, topo.source, "p1", rate_bps=500e3, flows_per_second=10,
-                      packet_size=256, seed=1).start()
+                      packet_size=256, seed=1, destination=topo.sink).start()
         FlowGenerator(sim, topo.source, "p2", rate_bps=1e6, flows_per_second=10,
-                      packet_size=1500, seed=2, flow_id_base=10_000_000).start()
+                      packet_size=1500, seed=2, flow_id_base=10_000_000,
+                      destination=topo.sink).start()
         monitor.start()
         sim.run(until=4.0)
 
@@ -83,9 +84,10 @@ class TestSizeClassMonitoring:
                         classifier=by_packet_size(bins=(512, 1500))),
         )
         FlowGenerator(sim, topo.source, "p1", rate_bps=500e3, flows_per_second=10,
-                      packet_size=256, seed=1).start()
+                      packet_size=256, seed=1, destination=topo.sink).start()
         FlowGenerator(sim, topo.source, "p2", rate_bps=1e6, flows_per_second=10,
-                      packet_size=1500, seed=2, flow_id_base=10_000_000).start()
+                      packet_size=1500, seed=2, flow_id_base=10_000_000,
+                      destination=topo.sink).start()
         monitor.start()
         sim.run(until=6.0)
 
@@ -107,7 +109,7 @@ class TestSizeClassMonitoring:
                         classifier=by_packet_size(bins=(64, 1500))),
         )
         FlowGenerator(sim, topo.source, "p", rate_bps=1e6, flows_per_second=10,
-                      packet_size=1500, seed=1).start()
+                      packet_size=1500, seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=3.0)
         idx = monitor.dedicated_strategy.index["size<=64"]

@@ -38,7 +38,7 @@ class TestQueueGuard:
         guard = QueueGuard(sim, net.switches.values(), threshold_packets=10)
         guard.start()
         FlowGenerator(sim, net.host("s0"), "e", rate_bps=10e6, flows_per_second=20,
-                      seed=1).start()
+                      seed=1, destination=net.host("s2")).start()
         sim.run(until=2.0)
         guard.stop()
         assert guard.congested_intervals or guard.currently_congested is False
@@ -121,7 +121,7 @@ class TestPartialDeploymentScenario:
             guard.start()
             monitor.attach_congestion_guard(guard)
         FlowGenerator(sim, net.host("s0"), "e", rate_bps=8e6, flows_per_second=20,
-                      seed=1).start()
+                      seed=1, destination=net.host("s3")).start()
         monitor.start()
         sim.run(until=4.0)
         return monitor
@@ -150,7 +150,7 @@ class TestPartialDeploymentScenario:
         guard.start()
         monitor.attach_congestion_guard(guard)
         FlowGenerator(sim, net.host("s0"), "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=net.host("s3")).start()
         monitor.start()
         sim.run(until=5.0)
         assert monitor.entry_is_flagged("e")

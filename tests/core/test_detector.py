@@ -29,7 +29,7 @@ def traffic(sim, topo, entries, rate=1e6, fps=10, seed=0):
     for i, entry in enumerate(entries):
         FlowGenerator(sim, topo.source, entry, rate_bps=rate,
                       flows_per_second=fps, seed=seed + i,
-                      flow_id_base=(i + 1) * 1_000_000).start()
+                      flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
 
 
 class TestDedicatedPath:
@@ -191,7 +191,7 @@ class TestPartialDeployment:
         monitor = FancyLinkMonitor(sim, net.switch("s0"), net.port_to("s0", "s1"),
                                    net.switch("s3"), net.port_to("s3", "s2"), config)
         FlowGenerator(sim, net.host("s0"), "hp", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=net.host("s3")).start()
         monitor.start()
         sim.run(until=5.0)
         assert monitor.entry_is_flagged("hp")
@@ -208,7 +208,7 @@ class TestCongestionImmunity:
                                    config)
         # Offer 10 Mbps into a 2 Mbps link: heavy TM drops.
         FlowGenerator(sim, topo.source, "hp", rate_bps=10e6,
-                      flows_per_second=20, seed=1).start()
+                      flows_per_second=20, seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=4.0)
         assert topo.upstream.stats.dropped_tm > 0

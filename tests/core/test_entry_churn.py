@@ -62,7 +62,7 @@ class TestDeferredSwap:
         for i, entry in enumerate(("a", "b")):
             FlowGenerator(sim, topo.source, entry, rate_bps=1e6,
                           flows_per_second=10, seed=i,
-                          flow_id_base=(i + 1) * 1_000_000).start()
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=0.02)  # mid-session: tag space live on the wire
         assert monitor.dedicated_sender.state is not SenderState.IDLE
@@ -78,7 +78,7 @@ class TestDeferredSwap:
         topo, monitor = build(sim)
         FlowGenerator(sim, topo.source, "a", rate_bps=1e6,
                       flows_per_second=10, seed=0,
-                      flow_id_base=1_000_000).start()
+                      flow_id_base=1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=0.02)
         monitor.update_entries(["c"])
@@ -94,7 +94,7 @@ class TestFlagCarryAndClear:
         for i, entry in enumerate(("a", "b")):
             FlowGenerator(sim, topo.source, entry, rate_bps=2e6,
                           flows_per_second=20, seed=i,
-                          flow_id_base=(i + 1) * 1_000_000).start()
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=2.0)
         assert monitor.entry_is_flagged("a")
@@ -113,7 +113,7 @@ class TestFlagCarryAndClear:
         for i, entry in enumerate(("a", "b")):
             FlowGenerator(sim, topo.source, entry, rate_bps=2e6,
                           flows_per_second=20, seed=i,
-                          flow_id_base=(i + 1) * 1_000_000).start()
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=2.0)
         assert monitor.entry_is_flagged("a")

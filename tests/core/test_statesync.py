@@ -106,7 +106,7 @@ class TestOnSimulator:
             fsm_id="bytesync",
         )
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=4.0)
         assert sender.flagged_entries == ["e"]

@@ -25,7 +25,7 @@ def deploy(sim, loss_model=None, reverse_loss_model=None, history=2,
     )
     for i, entry in enumerate(entries):
         FlowGenerator(sim, topo.source, entry, rate_bps=1e6, flows_per_second=10,
-                      seed=i + 1, flow_id_base=(i + 1) * 1_000_000).start()
+                      seed=i + 1, flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
     monitor.start()
     return topo, monitor, detections
 
@@ -128,7 +128,7 @@ class TestComparisonWithFancy:
         fancy = FancyLinkMonitor(sim, topo.upstream, 1, topo.downstream, 1,
                                  FancyConfig(high_priority=["e"], tree_params=None))
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         fancy.start()
         sim.run(until=6.0)
         assert fancy.entry_is_flagged("e")

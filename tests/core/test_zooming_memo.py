@@ -183,7 +183,8 @@ def test_pinned_two_switch_tcp_run():
         FancyConfig(tree_params=HashTreeParams(width=16, depth=3, split=2), seed=3))
     generators = [
         _RecordingGenerator(sim, topo.source, entry, rate_bps=600_000,
-                            flows_per_second=10, seed=i, flow_id_base=(i + 1) * 100_000)
+                            flows_per_second=10, seed=i, flow_id_base=(i + 1) * 100_000,
+                            destination=topo.sink)
         for i, entry in enumerate(["victim", "bg/0", "bg/1", "bg/2"])]
     for gen in generators:
         gen.start()

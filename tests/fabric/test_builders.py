@@ -20,7 +20,7 @@ def closed_loop_completes(sim, net, src, dst) -> None:
     """TCP flows complete only when ACKs cross back ``dst`` -> ``src``."""
     net.add_entry("e", src, dst)
     gen = FlowGenerator(sim, net.host(src), "e", rate_bps=1e6,
-                        flows_per_second=5, seed=1)
+                        flows_per_second=5, seed=1, destination=net.host(dst))
     gen.start()
     sim.run(until=4.0)
     assert gen.flows_started > len(gen.active_flows)
@@ -32,7 +32,7 @@ def assert_telemetry_threaded(sim, net, tel, src, dst) -> None:
                for link in net.links.values())
     net.add_entry("e", src, dst)
     FlowGenerator(sim, net.host(src), "e", rate_bps=1e6,
-                  flows_per_second=5, seed=1).start()
+                  flows_per_second=5, seed=1, destination=net.host(dst)).start()
     sim.run(until=1.0)
     received = [m for m in tel.snapshot()["metrics"]
                 if m["name"] == "switch_received_total" and m["value"] > 0]
@@ -73,7 +73,7 @@ class TestLine:
         net = FabricNetwork(sim, line(4))
         net.add_entry("e", "s0", "s3")
         FlowGenerator(sim, net.host("s0"), "e", rate_bps=1e6,
-                      flows_per_second=5, seed=1).start()
+                      flows_per_second=5, seed=1, destination=net.host("s3")).start()
         sim.run(until=2.0)
         assert net.host("s3").packets_received > 0
 
@@ -85,7 +85,7 @@ class TestLine:
         net.link("s1", "s2").loss_model = EntryLossFailure({"e"}, 1.0, start_time=0.0)
         net.add_entry("e", "s0", "s3")
         FlowGenerator(sim, net.host("s0"), "e", rate_bps=1e6,
-                      flows_per_second=5, seed=1).start()
+                      flows_per_second=5, seed=1, destination=net.host("s3")).start()
         sim.run(until=2.0)
         assert net.host("s3").packets_received == 0
         assert net.link("s1", "s2").stats.dropped_failure > 0

@@ -119,7 +119,8 @@ def build_chain(sim, failure_hop=1, loss_rate=0.5):
     )
     for i, entry in enumerate(ENTRIES):
         FlowGenerator(sim, net.host("s0"), entry, rate_bps=1e6, flows_per_second=10,
-                      seed=i + 1, flow_id_base=(i + 1) * 1_000_000).start()
+                      seed=i + 1, flow_id_base=(i + 1) * 1_000_000,
+                      destination=net.host("s3")).start()
     return net, deployment
 
 
@@ -207,7 +208,7 @@ class TestPartialDeployment:
             FancyConfig(high_priority=["hp"], tree_params=None),
         )
         FlowGenerator(sim, net.host("s0"), "hp", rate_bps=1e6,
-                      flows_per_second=10, seed=1).start()
+                      flows_per_second=10, seed=1, destination=net.host("s3")).start()
         monitor.start()
         sim.run(until=5.0)
         return monitor

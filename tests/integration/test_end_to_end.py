@@ -33,7 +33,7 @@ def deploy(sim, loss_model, entries, high_priority=(), tree=TREE,
     for i, entry in enumerate(entries):
         FlowGenerator(sim, topo.source, entry, rate_bps=rate,
                       flows_per_second=fps, seed=i + 1,
-                      flow_id_base=(i + 1) * 1_000_000).start()
+                      flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
     monitor.start()
     return topo, monitor
 
@@ -141,7 +141,7 @@ class TestBidirectionalMonitoring:
                                FancyConfig(high_priority=["rev"],
                                            tree_params=None))
         FlowGenerator(sim, topo.source, "fwd", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         fwd.start()
         rev.start()
         sim.run(until=5.0)

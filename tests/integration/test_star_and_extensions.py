@@ -27,7 +27,8 @@ class TestStar:
             for j, entry in enumerate(peer_entries):
                 FlowGenerator(sim, net.host("hub"), entry, rate_bps=1e6,
                               flows_per_second=10, seed=i * 10 + j,
-                              flow_id_base=(i * 10 + j + 1) * 1_000_000).start()
+                              flow_id_base=(i * 10 + j + 1) * 1_000_000,
+                              destination=net.host(f"peer{i}")).start()
         return net, entries
 
     def test_traffic_reaches_correct_peer(self, sim):
@@ -95,7 +96,7 @@ class TestIntermittentFailures:
             FancyConfig(high_priority=["e"], tree_params=None),
         )
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=6.0)
         reports = monitor.log.by_kind(FailureKind.DEDICATED_ENTRY)
@@ -145,7 +146,7 @@ class TestConfigFromMonitoringInput:
         for i, entry in enumerate(("hp", "be")):
             FlowGenerator(sim, topo.source, entry, rate_bps=1e6,
                           flows_per_second=10, seed=i,
-                          flow_id_base=(i + 1) * 1_000_000).start()
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
         monitor.start()
         sim.run(until=5.0)
         assert monitor.entry_is_flagged("be")

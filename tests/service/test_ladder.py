@@ -191,7 +191,7 @@ def deploy(sim, reverse_loss_model=None, data_loss_model=None,
     for i, entry in enumerate(entries):
         FlowGenerator(sim, topo.source, entry, rate_bps=2e6,
                       flows_per_second=20, seed=7 + i,
-                      flow_id_base=(i + 1) * 1_000_000).start()
+                      flow_id_base=(i + 1) * 1_000_000, destination=topo.sink).start()
     return topo, monitor, ladder
 
 

@@ -23,7 +23,7 @@ def deploy(sim, entries=("hp",), best_effort=("be",)):
     for i, entry in enumerate(entries + best_effort):
         source = FlowGenerator(sim, topo.source, entry, rate_bps=1e6,
                                flows_per_second=10, seed=3 + i,
-                               flow_id_base=(i + 1) * 1_000_000)
+                               flow_id_base=(i + 1) * 1_000_000, destination=topo.sink)
         source.start()
         sources.append(source)
     return topo, monitor, sources

@@ -20,7 +20,8 @@ def host_pair(sim):
 class TestHost:
     def test_auto_sink_terminates_flows_and_acks(self, sim, host_pair):
         src, dst = host_pair
-        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1)
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1,
+                            destination=dst)
         gen.start()
         sim.run(until=3.0)
         assert dst.packets_received > 0
@@ -32,9 +33,39 @@ class TestHost:
         src, dst = host_pair
         seen = []
         dst.rx_tap = seen.append
-        FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1).start()
+        FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1,
+                      destination=dst).start()
         sim.run(until=2.0)
         assert len(seen) == dst.packets_received
+
+    def test_completed_flows_leave_no_sink_at_the_destination(self, sim, host_pair):
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1,
+                            destination=dst)
+        gen.start()
+        for until in (1.0, 2.0, 3.0):
+            sim.run(until=until)
+            assert set(dst.sinks) <= gen.active_flows
+            assert set(src.flows) == gen.active_flows
+        assert gen.flows_started >= 10
+        assert len(dst.sinks) < gen.flows_started // 2
+
+    def test_duplicate_data_after_completion_gets_one_dropped_ack(self, sim, host_pair):
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1,
+                            destination=dst)
+        gen.start()
+        sim.run(until=2.0)
+        done = next(fid for fid in range(gen.flows_started) if fid not in gen.active_flows)
+        assert done not in dst.sinks and done not in src.flows
+        seen = []
+        src.rx_tap = seen.append
+        src.send(Packet(PacketKind.DATA, "e", 1500, flow_id=done, seq=0))
+        sim.run(until=2.1)
+        # A fresh auto-sink ACKs the duplicate; no sender is registered
+        # for it at the source any more, so the ACK goes nowhere.
+        assert [(p.kind, p.ack) for p in seen if p.flow_id == done] == [(PacketKind.ACK, 1)]
+        assert done not in src.flows
 
     def test_unknown_flow_data_ignored_without_auto_sink(self, sim):
         host = Host(sim, "h", auto_sink=False)
@@ -49,63 +80,66 @@ class TestHost:
 
 class TestFlowGenerator:
     def test_flow_arrival_rate(self, sim, host_pair):
-        src, _ = host_pair
-        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=10, seed=1)
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=10, seed=1,
+                            destination=dst)
         gen.start()
         sim.run(until=5.0)
         assert gen.flows_started == pytest.approx(50, abs=2)
 
     def test_per_flow_rate_split(self, sim, host_pair):
-        src, _ = host_pair
-        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=4)
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=4, destination=dst)
         assert gen.per_flow_rate_bps == 250e3
 
     def test_packets_per_flow_matches_one_second_duration(self, sim, host_pair):
-        src, _ = host_pair
+        src, dst = host_pair
         gen = FlowGenerator(sim, src, "e", rate_bps=1.2e6, flows_per_second=1,
-                            packet_size=1500)
+                            packet_size=1500, destination=dst)
         # 1.2 Mbps for 1 s = 100 packets of 1500 B.
         assert gen.packets_per_flow == 100
 
     def test_max_packets_per_flow_cap(self, sim, host_pair):
-        src, _ = host_pair
+        src, dst = host_pair
         gen = FlowGenerator(sim, src, "e", rate_bps=100e6, flows_per_second=1,
-                            max_packets_per_flow=50)
+                            max_packets_per_flow=50, destination=dst)
         assert gen.packets_per_flow == 50
 
     def test_tiny_entry_still_sends_one_packet(self, sim, host_pair):
-        src, _ = host_pair
-        gen = FlowGenerator(sim, src, "e", rate_bps=4e3, flows_per_second=1)
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=4e3, flows_per_second=1, destination=dst)
         assert gen.packets_per_flow == 1
 
     def test_aggregate_rate_close_to_target(self, sim, host_pair):
         src, dst = host_pair
         rate = 2e6
-        FlowGenerator(sim, src, "e", rate_bps=rate, flows_per_second=10, seed=2).start()
+        FlowGenerator(sim, src, "e", rate_bps=rate, flows_per_second=10, seed=2,
+                      destination=dst).start()
         sim.run(until=6.0)
         # Measure middle window to skip ramp-up.
         achieved = dst.bytes_received * 8 / 6.0
         assert achieved == pytest.approx(rate, rel=0.35)
 
     def test_stop_aborts_active_flows(self, sim, host_pair):
-        src, _ = host_pair
-        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1)
+        src, dst = host_pair
+        gen = FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=5, seed=1,
+                            destination=dst)
         gen.start()
         sim.run(until=1.0)
         gen.stop()
         assert gen.active_flows == set()
 
     def test_rejects_zero_flow_rate(self, sim, host_pair):
-        src, _ = host_pair
+        src, dst = host_pair
         with pytest.raises(ValueError):
-            FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=0)
+            FlowGenerator(sim, src, "e", rate_bps=1e6, flows_per_second=0, destination=dst)
 
     def test_distinct_flow_ids_across_generators(self, sim, host_pair):
-        src, _ = host_pair
+        src, dst = host_pair
         g1 = FlowGenerator(sim, src, "a", rate_bps=1e6, flows_per_second=5,
-                           flow_id_base=0, seed=1)
+                           flow_id_base=0, seed=1, destination=dst)
         g2 = FlowGenerator(sim, src, "b", rate_bps=1e6, flows_per_second=5,
-                           flow_id_base=1_000_000, seed=2)
+                           flow_id_base=1_000_000, seed=2, destination=dst)
         g1.start(), g2.start()
         sim.run(until=1.0)
         assert not (g1.active_flows & g2.active_flows)

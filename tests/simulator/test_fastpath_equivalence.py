@@ -153,7 +153,7 @@ def _run_fancy_drained(link_mode: str, mode: str) -> dict:
             FlowGenerator(sim, topo.source, entry, rate_bps=3e5,
                           flows_per_second=10, seed=i + 1,
                           max_packets_per_flow=40,
-                          flow_id_base=(i + 1) * 1_000_000)
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink)
             for i, entry in enumerate(["victim", "healthy/0", "healthy/1"])
         ]
         for gen in generators:
@@ -245,7 +245,7 @@ def _run_fancy_chaos_drained(link_mode: str) -> dict:
             FlowGenerator(sim, topo.source, entry, rate_bps=3e5,
                           flows_per_second=10, seed=i + 1,
                           max_packets_per_flow=40,
-                          flow_id_base=(i + 1) * 1_000_000)
+                          flow_id_base=(i + 1) * 1_000_000, destination=topo.sink)
             for i, entry in enumerate(["victim", "healthy/0", "healthy/1"])
         ]
         for gen in generators:

@@ -8,7 +8,9 @@ RTO-driven retransmissions with exponential backoff.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.tcp import DEFAULT_RTO, MAX_RTO, TcpFlow, TcpSink
 
@@ -209,3 +211,69 @@ class TestSinkBehaviour:
         before = len([1 for _ in range(0)])
         sim.run(until=5.0)
         assert flow.completed  # stop marks completion (abort)
+
+
+class SetSink:
+    """The reference receiver: every segment above the hole in a set."""
+
+    def __init__(self) -> None:
+        self.next_expected = 0
+        self.pending: set[int] = set()
+
+    def on_data(self, seq: int) -> int:
+        if seq == self.next_expected:
+            self.next_expected += 1
+            while self.next_expected in self.pending:
+                self.pending.discard(self.next_expected)
+                self.next_expected += 1
+        elif seq > self.next_expected:
+            self.pending.add(seq)
+        return self.next_expected
+
+
+def runs_to_set(runs: list[int]) -> set[int]:
+    """Expand flattened half-open runs, checking they are sorted,
+    disjoint and non-adjacent (``start < end < next start``)."""
+    assert len(runs) % 2 == 0
+    assert all(a < b for a, b in zip(runs, runs[1:])), runs
+    return {seq for start, end in zip(runs[::2], runs[1::2]) for seq in range(start, end)}
+
+
+@st.composite
+def segment_streams(draw) -> list[int]:
+    """A flow's segments with holes (drops), reordering (a segment moved
+    elsewhere in the stream) and duplicates (retransmissions, which may
+    fill a hole)."""
+    n = draw(st.integers(1, 80))
+    dropped = draw(st.sets(st.integers(0, n - 1), max_size=n // 4))
+    stream = [seq for seq in range(n) if seq not in dropped]
+    for _ in range(draw(st.integers(0, n // 2))):
+        if stream:
+            moved = stream.pop(draw(st.integers(0, len(stream) - 1)))
+            stream.insert(draw(st.integers(0, len(stream))), moved)
+    for seq in draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+        stream.insert(draw(st.integers(0, len(stream))), seq)
+    return stream
+
+
+class TestOutOfOrderRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(segment_streams())
+    def test_acks_match_the_set_based_receiver(self, stream):
+        acks = []
+        sink = TcpSink(Simulator(), lambda p: acks.append(p.ack), "e", 1)
+        oracle = SetSink()
+        expected = []
+        for seq in stream:
+            sink.on_data(Packet(PacketKind.DATA, "e", 1500, flow_id=1, seq=seq))
+            expected.append(oracle.on_data(seq))
+            assert runs_to_set(sink.out_of_order or []) == oracle.pending
+        assert acks == expected
+        assert sink.next_expected == oracle.next_expected
+
+    def test_a_hole_that_never_fills_holds_one_run(self, sim):
+        sink = TcpSink(sim, lambda p: None, "e", 1)
+        for seq in (0, *range(2, 5000)):
+            sink.on_data(Packet(PacketKind.DATA, "e", 1500, flow_id=1, seq=seq))
+        assert sink.next_expected == 1
+        assert sink.out_of_order == [2, 5000]

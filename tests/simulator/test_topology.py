@@ -11,7 +11,7 @@ class TestTwoSwitchTopology:
     def test_forward_path_delivers(self, sim):
         topo = TwoSwitchTopology(sim)
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=2.0)
         assert topo.sink.packets_received > 0
 
@@ -19,7 +19,7 @@ class TestTwoSwitchTopology:
         """Flows must complete, which requires ACKs to cross B->A->source."""
         topo = TwoSwitchTopology(sim)
         gen = FlowGenerator(sim, topo.source, "e", rate_bps=1e6,
-                            flows_per_second=5, seed=1)
+                            flows_per_second=5, seed=1, destination=topo.sink)
         gen.start()
         sim.run(until=4.0)
         assert gen.flows_started > len(gen.active_flows)
@@ -28,7 +28,7 @@ class TestTwoSwitchTopology:
         failure = EntryLossFailure({"e"}, 1.0, start_time=0.0)
         topo = TwoSwitchTopology(sim, loss_model=failure)
         FlowGenerator(sim, topo.source, "e", rate_bps=1e6, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=2.0)
         assert topo.sink.packets_received == 0
         assert topo.monitored_link.stats.dropped_failure > 0

@@ -58,7 +58,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         summary = tracer.summary()
         assert summary["tx"] > 0
@@ -70,7 +70,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         assert tracer.summary().get("drop", 0) > 0
         assert tracer.summary().get("deliver", 0) == 0
@@ -83,7 +83,7 @@ class TestPacketTracer:
                                    FancyConfig(high_priority=["e"],
                                                tree_params=None))
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=0.5)
         assert len(tracer) > 0
@@ -94,7 +94,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_switch(topo.downstream, ports=[1])
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         assert tracer.filter(event="ingress")
 
@@ -104,7 +104,7 @@ class TestPacketTracer:
         tracer.attach_link(topo.monitored_link)
         tracer.attach_switch(topo.downstream, ports=[1])
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         pid = tracer.events[0].pid
         journey = tracer.packet_journey(pid)
@@ -117,7 +117,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim, max_events=5)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=2e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         assert len(tracer) == 5
         assert tracer.dropped_records > 0
@@ -128,7 +128,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim, max_events=5)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=2e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         summary = tracer.summary()
         assert summary["truncated"] == tracer.dropped_records
@@ -142,7 +142,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=0.5)
         assert "truncated" not in tracer.summary()
         assert "truncated" not in tracer.dump(limit=1000)
@@ -155,7 +155,7 @@ class TestPacketTracer:
         tracer_all.attach_link(topo.monitored_link)
         ring.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=2e6, flows_per_second=10,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=1.0)
         assert len(ring) == 5
         assert ring.dropped_records == len(tracer_all.events) - 5
@@ -170,9 +170,9 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "a", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         FlowGenerator(sim, topo.source, "b", rate_bps=500e3, flows_per_second=5,
-                      seed=2, flow_id_base=1_000_000).start()
+                      seed=2, flow_id_base=1_000_000, destination=topo.sink).start()
         sim.run(until=1.0)
         only_a = tracer.filter(entry="a")
         assert only_a and all(e.entry == "a" for e in only_a)
@@ -184,7 +184,7 @@ class TestPacketTracer:
         tracer = PacketTracer(sim)
         tracer.attach_link(topo.monitored_link)
         FlowGenerator(sim, topo.source, "e", rate_bps=500e3, flows_per_second=5,
-                      seed=1).start()
+                      seed=1, destination=topo.sink).start()
         sim.run(until=0.5)
         text = tracer.dump(limit=3)
         assert "tx" in text or "deliver" in text

@@ -105,7 +105,7 @@ class TestCatalogEndToEnd:
             FancyConfig(high_priority=["victim"], tree_params=None),
         )
         FlowGenerator(sim, topo.source, "victim", rate_bps=1e6,
-                      flows_per_second=10, seed=1).start()
+                      flows_per_second=10, seed=1, destination=topo.sink).start()
         monitor.start()
         sim.run(until=5.0)
         assert monitor.entry_is_flagged("victim"), bug.bug_id
