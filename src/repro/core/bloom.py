@@ -44,7 +44,13 @@ def stable_hash(value: Any, seed: int) -> int:
 
 
 class BloomFilter:
-    """A standard Bloom filter over arbitrary hashable items."""
+    """A standard Bloom filter over arbitrary hashable items.
+
+    The bit array is allocated by the first :meth:`add`: until then
+    ``bits`` is ``None`` and every membership test answers ``False``
+    without hashing (a monitor whose tree never flags a path holds no
+    bits).  :attr:`memory_bits` reports the ``n_cells`` budget either way.
+    """
 
     def __init__(self, n_cells: int = 100_000, n_hashes: int = 2, seed: int = 0) -> None:
         if n_cells <= 0:
@@ -54,7 +60,7 @@ class BloomFilter:
         self.n_cells = n_cells
         self.n_hashes = n_hashes
         self.seed = seed
-        self.bits = bytearray((n_cells + 7) // 8)
+        self.bits: bytearray | None = None
         self.inserted = 0
 
     def _indices(self, item: Any) -> Iterator[int]:
@@ -62,16 +68,18 @@ class BloomFilter:
             yield stable_hash(item, self.seed + j) % self.n_cells
 
     def add(self, item: Any) -> None:
+        bits = self.bits
+        if bits is None:
+            bits = self.bits = bytearray((self.n_cells + 7) // 8)
         for idx in self._indices(item):
-            self.bits[idx >> 3] |= 1 << (idx & 7)
+            bits[idx >> 3] |= 1 << (idx & 7)
         self.inserted += 1
 
     def __contains__(self, item: Any) -> bool:
-        return all(self.bits[idx >> 3] & (1 << (idx & 7)) for idx in self._indices(item))
-
-    def clear(self) -> None:
-        self.bits[:] = bytes(len(self.bits))  # one C-level zero fill
-        self.inserted = 0
+        bits = self.bits
+        if bits is None:
+            return False
+        return all(bits[idx >> 3] & (1 << (idx & 7)) for idx in self._indices(item))
 
     @property
     def memory_bits(self) -> int:

@@ -16,13 +16,13 @@ Two cooperating classes:
   downstream can maintain it purely from packet tags, never hashing
   entries itself — exactly the property §4.2 calls out.
 
-Fast path: counters live in one preallocated ``array('Q')`` sized for the
-Appendix A.3 node budget, addressed as ``row * width + index`` — the same
-flat-register layout a Tofino pipeline uses.  Zoom paths map to rows via
-a small dict; freed rows go on a free list and are re-zeroed at
-activation, and the arena doubles if the zooming algorithm ever activates
-more nodes than the physical budget (useful for unit tests that exercise
-pathological interleavings).  Every counting event on either side of the
+Fast path: counters live in one ``array('Q')`` addressed as
+``row * width + index`` — the same flat-register layout a Tofino pipeline
+uses.  Zoom paths map to rows via a small dict; freed rows go on a free
+list and are re-zeroed at activation, and the arena starts with the root
+row only and doubles whenever it runs out, so a monitor that never zooms
+holds one row, not the Appendix A.3 node budget (which the hardware
+accounting still reports).  Every counting event on either side of the
 link — one tagged packet, or a fluid window of ``n`` packets of one tag —
 goes through :meth:`TreeCounters.add`; readers take
 :meth:`TreeCounters.snapshot`.  Hash paths are
@@ -64,6 +64,10 @@ SHARED_CACHE_GEOMETRIES = 64
 #: counting sessions, monitors, and experiment repetitions in-process.
 _SHARED_PATH_CACHES: "OrderedDict[tuple[int, int, int], OrderedDict[Any, tuple[int, ...]]]" = (
     OrderedDict())
+
+#: One zeroed row per counter width, shared by every :class:`TreeCounters`
+#: of that width and only ever read (the source of every zero-fill).
+_ZERO_ROWS: dict[int, array[int]] = {}
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,12 @@ class TreeCounters:
 
     Storage is a single flat ``array('Q')`` of ``rows * width`` counters:
     the root is row 0 forever, zoom nodes get rows from a free list and
-    are zeroed at activation.  The arena is preallocated to the Appendix
-    A.3 ``node_count()`` budget and doubles when exceeded.
+    are zeroed at activation.  The arena starts as the root row alone and
+    doubles whenever the free list runs dry, so rows are handed out
+    1, 2, 3, ... and a store whose tree never zooms holds one row; the
+    Appendix A.3 ``node_count()`` budget is what the hardware accounting
+    reports (:meth:`HashTreeParams.counter_memory_bits`), not what is
+    allocated.  Every store of one width shares one zero row.
     """
 
     __slots__ = ("params", "packets", "_width", "_data", "_offsets", "_free", "_zero_row",
@@ -202,24 +210,25 @@ class TreeCounters:
         self.packets = 0
         width = params.width
         self._width = width
-        rows = max(params.node_count(), 1)
-        #: One zeroed row, reused for zero-fills (slice assignment).
-        self._zero_row = array("Q", [0]) * width
-        self._data = self._zero_row * rows
+        zero = _ZERO_ROWS.get(width)
+        if zero is None:
+            zero = _ZERO_ROWS[width] = array("Q", [0]) * width
+        #: The width's shared zeroed row, only ever read (zero-fills).
+        self._zero_row = zero
+        self._data = array("Q", zero)  # the root row alone
         #: Zoom path -> row index; the root is pinned to row 0.
         self._offsets: dict[NodePath, int] = {(): 0}
         #: Recycled row indices (popped LIFO).
-        self._free: list[int] = list(range(rows - 1, 0, -1))
+        self._free: list[int] = []
 
     # -- structure ----------------------------------------------------------
 
     def _alloc_row(self) -> int:
         if self._free:
             return self._free.pop()
-        rows = len(self._data) // self._width
-        grow = max(rows, 1)
-        self._data.extend(self._zero_row * grow)
-        self._free.extend(range(rows + grow - 1, rows, -1))
+        rows = len(self._data) // self._width  # >= 1: the root's
+        self._data.extend(self._zero_row * rows)  # double the arena
+        self._free.extend(range(2 * rows - 1, rows, -1))
         return rows
 
     def activate_node(self, path: NodePath) -> None:

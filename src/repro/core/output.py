@@ -56,7 +56,9 @@ class HashPathFlags:
 
     The data plane queries it per packet; the fabric's reroute
     controller reads it through
-    :meth:`~repro.fabric.deployment.FabricDeployment.flagged`.
+    :meth:`~repro.fabric.deployment.FabricDeployment.flagged`.  The
+    filter's bits exist from the first flag on (:class:`BloomFilter`);
+    :attr:`memory_bits` is the Tofino layout regardless.
     """
 
     def __init__(self, n_cells: int = 100_000, seed: int = 0) -> None:
@@ -68,9 +70,6 @@ class HashPathFlags:
 
     def is_flagged(self, hash_path: tuple[int, ...]) -> bool:
         return hash_path in self.filter
-
-    def clear(self) -> None:
-        self.filter.clear()
 
     @property
     def memory_bits(self) -> int:

@@ -57,6 +57,11 @@ class TreeSenderStrategy:
 
     Implements the SenderStrategy interface of the counting-protocol FSM:
     ``begin_session`` / ``process_packet`` / ``end_session``.
+
+    State is sized by use: the counters hold the root row until zooming
+    activates a node, and the tie-break ``random.Random(seed)`` is created
+    the first time candidates are ranked — the same stream it would have
+    drawn had it been created here, since nothing else draws from it.
     """
 
     def __init__(
@@ -78,7 +83,10 @@ class TreeSenderStrategy:
         self.on_report = on_report
         self.output_flags = output_flags if output_flags is not None else HashPathFlags()
         self.suppress_known = suppress_known
-        self.rng = random.Random(seed)
+        self._seed = seed
+        #: Tie-break stream, created by the first ranking
+        #: (:meth:`_by_max_difference`); a sender that never zooms has none.
+        self._rng: random.Random | None = None
         self.now_fn = now_fn or (lambda: 0.0)
         self.port = port
         #: Entry classifier (§1); defaults to the destination prefix.
@@ -341,7 +349,10 @@ class TreeSenderStrategy:
 
     def _by_max_difference(self, candidates: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Sort by descending loss difference, random tie-break."""
-        return sorted(candidates, key=lambda c: (-c[1], self.rng.random()))
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        draw = self._rng.random
+        return sorted(candidates, key=lambda c: (-c[1], draw()))
 
     # -- non-pipelined (staged) mode ----------------------------------------------
 

@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import bloom
 from repro.core.bloom import BloomFilter, CountingBloomFilter, stable_hash
+
+
+class EagerBloomFilter(BloomFilter):
+    """The reference: bits allocated at construction."""
+
+    def __init__(self, n_cells: int, seed: int = 0) -> None:
+        super().__init__(n_cells=n_cells, seed=seed)
+        self.bits = bytearray((n_cells + 7) // 8)
 
 
 class TestStableHash:
@@ -43,12 +52,28 @@ class TestBloomFilter:
             bf.add(item)
         assert all(item in bf for item in items)
 
-    def test_clear(self):
-        bf = BloomFilter(n_cells=100)
-        bf.add("a")
-        bf.clear()
-        assert "a" not in bf
-        assert bf.inserted == 0
+    def test_untouched_filter_holds_no_bits_and_hashes_nothing(self, monkeypatch):
+        bf = BloomFilter()
+        assert bf.bits is None
+
+        def no_hashing(value, seed):
+            raise AssertionError("an empty filter hashed")
+
+        monkeypatch.setattr(bloom, "stable_hash", no_hashing)
+        assert "a" not in bf and (1, 2) not in bf
+        assert bf.bits is None and bf.memory_bits == 100_000
+
+    @given(st.lists(st.integers(0, 400), max_size=30),
+           st.lists(st.integers(0, 400), min_size=1, max_size=60),
+           st.integers(min_value=0, max_value=2 ** 20))
+    def test_lazy_bits_answer_as_eager_bits(self, added, queried, seed):
+        # 64 cells: false positives are common, and both must agree on them.
+        lazy, eager = BloomFilter(n_cells=64, seed=seed), EagerBloomFilter(64, seed)
+        for item in added:
+            lazy.add(item)
+            eager.add(item)
+        assert [q in lazy for q in queried] == [q in eager for q in queried]
+        assert (lazy.bits or bytearray(8)) == eager.bits
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):

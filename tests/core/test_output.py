@@ -51,12 +51,6 @@ class TestHashPathFlags:
         assert flags.is_flagged((1, 2, 3))
         assert not flags.is_flagged((3, 2, 1))
 
-    def test_clear(self):
-        flags = HashPathFlags()
-        flags.flag((1,))
-        flags.clear()
-        assert not flags.is_flagged((1,))
-
     def test_memory_matches_tofino_layout(self):
         """B.2: two 1-bit registers of 100 K cells."""
         assert HashPathFlags(n_cells=100_000).memory_bits == 200_000

@@ -18,14 +18,18 @@ frames per session         before  then    now
 =========================  ======  ======  ======
 dedicated, no episode      166.70  103.83   89.86
 dedicated, episode open    294.42  168.36  135.79
-tree + fluid window tap    300.20  181.01  167.20
+tree + fluid window tap    300.20  181.01  147.25
 =========================  ======  ======  ======
 
 "now" is the registry reading the FSMs' ``ControlStats`` at snapshot
 time instead of two counter calls per control message and one per
 completed session, a transition row built as one dict (no ``**``
 merge), and each span line from one prebuilt C encoder (no
-``JSONEncoder.encode`` / ``iterencode`` frames per span).
+``JSONEncoder.encode`` / ``iterencode`` frames per span).  The tree row
+then fell 167.20 → 147.25 once the output Bloom filter allocates its bits
+at the first flag: every fluid window asks ``entry_is_flagged`` for each
+flow, and an empty filter answers without the ``_indices`` generator and
+its two blake2b hashes.
 
 "before" built a frozen-dataclass ``TimelineEvent`` per event
 (``__init__`` plus five ``object.__setattr__``), read enum values through
@@ -63,7 +67,7 @@ from tests.frames import count_calls
 #: Measured Python frames per completed session, "before" in the table.
 PARENT_FRAMES = {"dedicated": 166.70, "episode": 294.42, "tree_fluid": 300.20}
 #: ... and now.
-SESSION_FRAMES = {"dedicated": 89.86, "episode": 135.79, "tree_fluid": 167.20}
+SESSION_FRAMES = {"dedicated": 89.86, "episode": 135.79, "tree_fluid": 147.25}
 #: Room for one more frame on every other session, not for one on each;
 #: the lower edge only catches the scenario silently losing its telemetry.
 HEADROOM = 0.5

@@ -7,6 +7,8 @@ zooming decision is observable and deterministic.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hashtree import HashTree, HashTreeParams
@@ -246,6 +248,38 @@ class TestSelectionPolicy:
         reports = h.run_sessions(6, traffic, drop)
         found = {r.hash_path for r in reports}
         assert {hp_a, hp_b} <= found
+
+
+class TestTieBreakStream:
+    """The tie-break RNG exists from the first ranking on, and draws the
+    stream a ``random.Random(seed)`` built at construction would."""
+
+    def test_a_sender_that_never_ranks_has_no_rng(self):
+        h = Harness(PARAMS, seed=5)
+        h.run_sessions(5, {"a": 10, "b": 10})
+        assert not h.sender.is_zooming
+        assert h.sender._rng is None
+
+    def test_ranking_draws_the_construction_time_stream(self):
+        h = Harness(PARAMS, seed=5)
+        reference = random.Random(5)
+        ties = [(i, 3) for i in range(8)] + [(8, 9), (9, 1)]
+        for _ in range(4):
+            ranked = h.sender._by_max_difference(ties)
+            assert ranked == sorted(ties, key=lambda c: (-c[1], reference.random()))
+        assert h.sender._rng.getstate() == reference.getstate()
+
+    def test_zooming_matches_an_eager_rng(self):
+        """A multi-entry failure whose roots tie: frontier and reports
+        equal those of a sender handed its RNG at construction."""
+        traffic = {f"e{i}": 12 for i in range(6)}
+        drop = {f"e{i}": 1.0 for i in range(4)}
+        lazy, eager = Harness(PARAMS, seed=3), Harness(PARAMS, seed=3)
+        eager.sender._rng = random.Random(3)
+        for _ in range(PARAMS.depth + 2):
+            assert lazy.run_session(traffic, drop) == eager.run_session(traffic, drop)
+            assert lazy.sender.frontier == eager.sender.frontier
+        assert lazy.sender._rng.getstate() == eager.sender._rng.getstate()
 
 
 class TestZoomingConvergence:

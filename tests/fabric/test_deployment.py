@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.detector import FancyConfig, FancyLinkMonitor
-from repro.fabric.builders import line, ring
+from repro.fabric.builders import fat_tree, line, ring
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
 from repro.simulator.apps import FlowGenerator
@@ -222,3 +225,31 @@ class TestPartialDeployment:
         monitor = self._run(control_route=True)
         assert monitor.dedicated_sender.sessions_completed > 0
         assert monitor.entry_is_flagged("hp")
+
+
+class TestFootprint:
+    """What a monitor holds before it has found anything.
+
+    The default tree's Appendix A.3 budget (7 nodes of 190 counters per
+    side), the 100 K-cell output Bloom filter and the zoom tie-break RNG
+    are allocated on first use, so the k = 4 fat tree's 64 idle monitors
+    hold their roots and FSMs only.  Measured with ``tracemalloc`` around
+    the deployment's construction: ≈ 45.3 KB per link when every store was
+    allocated up front, ≈ 8.3 KB when each is allocated on first use.
+    """
+
+    #: Bytes per monitored link; between the two measurements above.
+    MAX_BYTES_PER_LINK = 12_000
+
+    def test_idle_monitors_hold_only_their_roots(self):
+        net = FabricNetwork(Simulator(), fat_tree(4))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dep = FabricDeployment(net, config=FancyConfig())
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dep.n_sessions == 64
+        assert all(m.tree_strategy is not None for m in dep.monitors.values())
+        assert held / dep.n_sessions <= self.MAX_BYTES_PER_LINK, held
