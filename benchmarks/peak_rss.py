@@ -6,9 +6,10 @@
 The command runs through :func:`repro.cli.main` in this interpreter, so
 the process's own high-water mark (``VmHWM`` in ``/proc/self/status``;
 ``ru_maxrss`` where there is no ``/proc``) is the command's peak, with
-no ``/usr/bin/time`` needed.  Commands that fan out to worker processes
-are not covered: only this process is measured.  Exit status is the
-command's own when it fails, else 1 when the peak is over the bound.
+no ``/usr/bin/time`` needed.  A ``--workers`` sweep reaps every worker
+it forks before it returns, so the largest of them (``RUSAGE_CHILDREN``)
+is counted too.  Exit status is the command's own when it fails, else 1
+when the peak is over the bound.
 """
 
 from __future__ import annotations
@@ -20,14 +21,20 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 
-def peak_rss_mib() -> float:
-    """This process's resident-set high-water mark, in MiB."""
+def _own_peak_kib() -> int:
     status = Path("/proc/self/status")
     if status.exists():
         for line in status.read_text().splitlines():
             if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                return int(line.split()[1])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def peak_rss_mib() -> float:
+    """Resident-set high-water mark of this process or of the largest
+    child it has reaped, in MiB."""
+    return max(_own_peak_kib(),
+               resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -45,7 +52,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     status = repro_main(command)
     peak = peak_rss_mib()
-    print(f"peak RSS (VmHWM): {peak:.1f} MiB, bound {args.max_mib:g} MiB")
+    print(f"peak RSS (VmHWM, reaped workers): {peak:.1f} MiB, bound {args.max_mib:g} MiB")
     if status:
         return status
     if peak > args.max_mib:

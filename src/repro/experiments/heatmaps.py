@@ -61,7 +61,7 @@ PAPER_SCALE = HeatmapScale(
 
 
 def _cell_worker(payload: tuple) -> dict:
-    """Top-level cell runner (picklable for the process pool).
+    """Top-level cell runner, one sweep job per heatmap cell.
 
     Takes ``(spec, repetitions)`` or ``(spec, repetitions, options)``
     and returns a JSON-serializable dict so the runtime can cache it.

@@ -2,8 +2,8 @@
 
 :func:`run_sweep` is the single execution path for every sweep
 experiment in the repo.  It takes a list of :class:`~repro.runtime.jobs.Job`
-and a picklable worker function and provides, on top of a plain process
-pool:
+and a worker function and provides, on top of forking one child
+process per job (at most ``runtime.workers`` alive at once):
 
 * **streaming completion** — results are collected (and cached, and
   reported) as each cell finishes, not in submission order;
@@ -17,17 +17,18 @@ pool:
   the other N−1 results plus a structured error report (and the failure
   is visible in the JSONL run log).
 
-Worker exceptions are converted to data inside the worker, so ordinary
-failures never poison the process pool.  If a worker dies *hard*
-(segfault, ``os._exit``), the pool is rebuilt and in-flight jobs are
-re-submitted with a slightly larger retry allowance, since pool
-breakage cannot be attributed to a single job.
+Worker exceptions are converted to data inside the child.  The job and
+its worker reach the child through the fork; only the result travels
+back, pickled through a pipe.  A child that dies *hard* (segfault,
+``os._exit``) before writing its whole result failed its own job
+(kind ``"died"``), and no sweep returns or raises with a child alive.
 """
 
 from __future__ import annotations
 
 import gc
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -92,37 +93,20 @@ def _invoke(worker: Callable[[Any], Any], payload: Any,
             value = worker(payload)
             return "ok", value, time.monotonic() - start
         except CellTimeout:
-            return (
-                "error",
-                {
-                    "kind": "timeout",
-                    "type": "CellTimeout",
-                    "message": f"cell exceeded its {timeout_s:g}s timeout",
-                    "traceback": "",
-                },
-                time.monotonic() - start,
-            )
+            error = {"kind": "timeout", "type": "CellTimeout", "traceback": "",
+                     "message": f"cell exceeded its {timeout_s:g}s timeout"}
         except Exception as exc:
-            return (
-                "error",
-                {
-                    "kind": "crash",
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(limit=20),
-                },
-                time.monotonic() - start,
-            )
+            error = _crash(exc, str(exc))
         finally:
             if timer_set:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
                 signal.signal(signal.SIGALRM, old_handler)
+    return "error", error, time.monotonic() - start
 
 
-def _pool_entry(item: tuple) -> tuple:
-    """Top-level (picklable) process-pool entry point."""
-    worker, payload, timeout_s = item
-    return _invoke(worker, payload, timeout_s)
+def _crash(exc: Exception, message: str) -> dict:
+    return {"kind": "crash", "type": type(exc).__name__, "message": message,
+            "traceback": traceback.format_exc(limit=20)}
 
 
 @dataclass
@@ -173,8 +157,9 @@ def run_sweep(
     """Execute ``jobs`` through ``worker`` under ``runtime``'s policy.
 
     ``worker`` takes ``job.payload`` and returns a JSON-serializable
-    result, ``bytes`` allowed (what the result cache can store).  It must
-    be a module-level function when ``runtime.workers > 1``.
+    result, ``bytes`` allowed (what the result cache can store).  When
+    ``runtime.workers > 1`` each job runs in a forked child, so only the
+    result must pickle.
     """
     runtime = resolve(runtime)
     cache = open_cache(runtime.cache_dir)
@@ -247,70 +232,84 @@ def _run_serial(jobs: Sequence[Job], worker, runtime: RuntimeContext,
                 break
 
 
+def _fork_job(worker, payload: Any, timeout_s: Optional[float]) -> tuple:
+    """Fork a child that pipes back one job's pickled ``_invoke``
+    outcome and leaves through ``os._exit``; returns ``(read fd, pid)``."""
+    import os
+    import pickle
+
+    sys.stdout.flush()  # or the child would print the parent's buffer again
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return read_fd, pid
+    code = 1
+    try:
+        os.close(read_fd)
+        outcome = _invoke(worker, payload, timeout_s)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # a result that cannot travel back
+            data = pickle.dumps(("error", _crash(
+                exc, f"result does not pickle: {exc}"), outcome[2]))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
 def _run_parallel(jobs: Sequence[Job], worker, runtime: RuntimeContext,
                   cache, reporter: ProgressReporter, out: SweepResult) -> None:
-    import concurrent.futures as cf
-    from concurrent.futures.process import BrokenProcessPool
+    import os
+    import pickle
+    import select
 
     queue = deque(jobs)
     attempts: Dict[Any, int] = {job.key: 0 for job in jobs}
-    pending: Dict[Any, Job] = {}
-    pool = cf.ProcessPoolExecutor(max_workers=runtime.workers)
-
-    def rebuild_pool():
-        nonlocal pool
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        pool = cf.ProcessPoolExecutor(max_workers=runtime.workers)
-
+    #: read fd -> (pid, job, bytes read so far), one per live child.
+    children: Dict[int, tuple] = {}
     try:
-        while queue or pending:
-            # Keep the pool saturated.
-            while queue:
+        while queue or children:
+            while queue and len(children) < runtime.workers:
                 job = queue.popleft()
                 attempts[job.key] += 1
-                item = (worker, job.payload, _job_timeout(job, runtime))
+                fd, pid = _fork_job(worker, job.payload, _job_timeout(job, runtime))
+                children[fd] = (pid, job, bytearray())
+            ready, _, _ = select.select(list(children), [], [])
+            for fd in ready:
+                pid, job, data = children[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    data += chunk
+                    continue
+                del children[fd]
+                os.close(fd)
+                _, status = os.waitpid(pid, 0)
                 try:
-                    fut = pool.submit(_pool_entry, item)
-                except (BrokenProcessPool, RuntimeError):
-                    rebuild_pool()
-                    fut = pool.submit(_pool_entry, item)
-                pending[fut] = job
-
-            done, _ = cf.wait(list(pending), return_when=cf.FIRST_COMPLETED)
-            pool_broke = False
-            for fut in done:
-                job = pending.pop(fut)
-                try:
-                    status, value, wall_s = fut.result()
-                except BaseException as exc:  # worker died hard / pool broke
-                    pool_broke = True
-                    status = "error"
-                    wall_s = 0.0
-                    value = {
-                        "kind": "pool-crash",
-                        "type": type(exc).__name__,
-                        "message": str(exc) or type(exc).__name__,
-                        "traceback": "",
-                    }
-                if status == "ok":
+                    outcome, value, wall_s = pickle.loads(data)
+                except Exception:  # died before writing all of it
+                    code = os.waitstatus_to_exitcode(status)
+                    how = (f"killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    outcome, value = "error", {
+                        "kind": "died", "type": "WorkerDied", "traceback": "",
+                        "message": f"worker {how} without a complete result"}
+                if outcome == "ok":
                     _record_ok(job, value, wall_s, attempts[job.key],
                                cache, reporter, out)
-                    continue
-                # Pool breakage cannot be attributed to one job: innocent
-                # in-flight cells get a slightly larger retry allowance so
-                # a single poisoned cell cannot take them down with it.
-                allowed = runtime.retries + (3 if value.get("kind") == "pool-crash" else 1)
-                if attempts[job.key] < allowed:
+                elif attempts[job.key] <= runtime.retries:
                     queue.append(job)
                 else:
                     _record_failed(job, value, attempts[job.key], reporter, out)
-            if pool_broke:
-                rebuild_pool()
     finally:
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
+        for fd, (pid, _, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 import weakref
 from pathlib import Path
 
+import pytest
 
 from repro.runtime import Job, RuntimeContext, fingerprint, run_sweep
 
 
 # --------------------------------------------------------------------------
-# Worker functions must be module-level so the process pool can pickle them.
+# A parallel sweep forks one child per job, so a worker reaches it through
+# the fork and need not pickle; only its result travels back pickled.
 
 def ok_worker(payload):
     return {"value": payload * payload}
@@ -23,6 +26,16 @@ def crash_on_three(payload):
     if payload == 3:
         raise RuntimeError("poisoned cell")
     return {"value": payload}
+
+
+def exit_on_three(payload):
+    if payload == 3:
+        os._exit(7)  # dies hard: no exception, no result
+    return {"value": payload}
+
+
+def unpicklable_result(payload):
+    return {"value": lambda: payload}
 
 
 def always_crash(payload):
@@ -48,6 +61,12 @@ def counting_worker(payload):
     directory, value = payload
     Path(directory, f"call-{value}-{os.getpid()}-{time.monotonic_ns()}").touch()
     return {"value": value}
+
+
+def _assert_no_child_left():
+    """Every forked worker has been reaped: none is alive or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _jobs(values, cacheable=True, name="t"):
@@ -151,6 +170,53 @@ class TestParallelExecution:
                                                  retries=0))
         assert "fast" in sweep.results
         assert sweep.errors["slow"]["kind"] == "timeout"
+        _assert_no_child_left()
+
+    def test_worker_that_dies_hard_costs_only_its_own_cell(self):
+        sweep = run_sweep(_jobs([1, 2, 3, 4, 5]), exit_on_three,
+                          runtime=RuntimeContext(workers=2, retries=1))
+        assert set(sweep.results) == {1, 2, 4, 5}
+        assert set(sweep.errors) == {3}
+        err = sweep.errors[3]
+        assert (err["kind"], err["attempts"]) == ("died", 2)
+        assert "status 7" in err["message"]
+        _assert_no_child_left()
+
+    def test_worker_reaches_the_child_without_pickling(self):
+        offset = 10
+
+        def closure_worker(payload):
+            return {"value": payload + offset}
+
+        sweep = run_sweep(_jobs([1, 2], cacheable=False), closure_worker,
+                          runtime=RuntimeContext(workers=2))
+        assert sweep.results == {1: {"value": 11}, 2: {"value": 12}}
+
+    def test_result_that_does_not_pickle_is_a_crash(self):
+        sweep = run_sweep(_jobs([1], cacheable=False), unpicklable_result,
+                          runtime=RuntimeContext(workers=2, retries=0))
+        assert sweep.errors[1]["kind"] == "crash"
+        assert "does not pickle" in sweep.errors[1]["message"]
+
+    def test_interrupted_sweep_leaves_no_worker_running(self):
+        """An exception in the parent mid-sweep kills and reaps the children."""
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted()
+
+        jobs = [Job(key=k, payload=10.0, fingerprint="") for k in "ab"]
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            with pytest.raises(Interrupted):
+                run_sweep(jobs, sleepy_worker,
+                          runtime=RuntimeContext(workers=2, retries=0))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        _assert_no_child_left()
 
     def test_parallel_retry_then_succeed(self, tmp_path):
         marker = str(tmp_path / "marker")
