@@ -12,7 +12,9 @@ For each of the five workloads of ``benchmarks/perf/workloads.py`` (seed
   ``repro`` are not counted.  ``fabric_sharded`` runs its two shards in
   process here, as the benchmark's own tracer does;
 * a *plain* run: simulator events and the ``repro`` modules imported
-  before the call and during it; and, as estimates, the call's
+  before the call and during it (a module imported before the call
+  that the counted run never enters is *idle*: :func:`idle_modules`,
+  printed per workload); and, as estimates, the call's
   ``tracemalloc`` peak, gc collections per generation and the other
   modules it imported.  ``fabric_sharded`` uses its two real worker
   processes, so this is the parent's view.
@@ -75,6 +77,17 @@ def count_calls(run: Callable[..., Any], *args: Any) -> tuple[Any, dict[str, dic
 
 def _tally(counter: Counter) -> dict[str, int]:
     return dict(sorted(counter.items()), total=sum(counter.values()))
+
+
+def idle_modules(row: dict[str, Any]) -> list[str]:
+    """``repro`` modules a workload imports before its call and never
+    enters: no Python and no C call in the ledger ``row``.  Package
+    ``__init__``s (the lazy facades) and ``repro._lazy`` do not count."""
+    entered = row["calls"].keys() | row["c_calls"].keys()
+    return [name for name in row["repro_modules_before_call"]
+            if name not in entered and name != "repro._lazy"
+            and not REPO_ROOT.joinpath("src", *name.split("."),
+                                       "__init__.py").is_file()]
 
 
 def render(ledger: dict[str, Any]) -> str:
@@ -186,6 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     ledger, estimates = build_ledger(sorted(WORKLOADS))
     LEDGER.parent.mkdir(parents=True, exist_ok=True)
     LEDGER.write_text(render(ledger))
+    for name, row in sorted(ledger["workloads"].items()):
+        print(f"idle modules: {name} {idle_modules(row)}")
     for name, fields in sorted(estimates.items()):
         for field, value in sorted(fields.items()):
             print(f"estimate (not in the ledger): {name} {field} {value}")

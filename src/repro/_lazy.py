@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from importlib import import_module
+from types import ModuleType
 from typing import Any
 
 
@@ -36,8 +37,14 @@ def lazy_exports(
         return sorted(namespace.keys() | origin.keys())
 
     # The import system binds a loaded submodule on its package, which
-    # would hide an export of the same name: bind those exports now.
-    for name, sub in origin.items():
-        if sub == f".{name}":
-            __getattr__(name)
+    # would hide an export of the same name: the package drops that one
+    # binding, and the export still resolves here on first use.
+    shadowed = {name for name, sub in origin.items() if sub == f".{name}"}
+    if shadowed:
+        class Facade(ModuleType):
+            def __setattr__(self, name: str, value: Any) -> None:
+                if name not in shadowed or not isinstance(value, ModuleType):
+                    super().__setattr__(name, value)
+
+        sys.modules[package].__class__ = Facade
     return __getattr__, __dir__, list(origin)

@@ -39,16 +39,6 @@ from repro.simulator.failures import (
 from repro.simulator.link import Link
 from repro.simulator.packet import PacketKind
 
-from .perturbations import (
-    ChaosModel,
-    CorruptField,
-    DelaySpike,
-    Duplicate,
-    LinkFlap,
-    Perturbation,
-    Reorder,
-)
-
 __all__ = [
     "FaultSpec",
     "Materialized",
@@ -388,16 +378,21 @@ class Materialized:
 
     #: link id -> loss models composed on that link.
     losses: dict[str, list[GrayFailure]] = dc_field(default_factory=dict)
-    #: link id -> the chaos (perturbation) model attached to that link.
-    chaos: dict[str, ChaosModel] = dc_field(default_factory=dict)
+    #: link id -> the :class:`~repro.chaos.perturbations.ChaosModel`
+    #: attached to that link (``Any``: a schedule of loss faults alone
+    #: never loads the perturbation models).
+    chaos: dict[str, Any] = dc_field(default_factory=dict)
     restarts: list[FaultSpec] = dc_field(default_factory=list)
 
-    def chaos_models(self, *links: Link) -> list[ChaosModel]:
+    def chaos_models(self, *links: Link) -> list[Any]:
         """Chaos models attached to ``links`` (every model if none given)."""
         return [m for m in self.chaos.values() if not links or m.link in links]
 
 
-def _build_perturbation(spec: FaultSpec, seed: int) -> Perturbation:
+def _build_perturbation(spec: FaultSpec, seed: int) -> Any:
+    from .perturbations import (CorruptField, DelaySpike, Duplicate, LinkFlap,
+                                Reorder)
+
     p = spec.params
     start = float(p.get("start", 0.0))
     end = p.get("end")
@@ -455,7 +450,7 @@ def materialize(
     ``monitor.restart(side)``.
     """
     out = Materialized()
-    perts: dict[str, list[Perturbation]] = {}
+    perts: dict[str, list[Any]] = {}
     for spec in schedule:
         link_id = parse_link_target(spec.target)
         if link_id is None:
@@ -482,6 +477,8 @@ def materialize(
         if link_id in out.losses:
             link.loss_model = CompositeFailure(out.losses[link_id])
         if link_id in perts:
+            from .perturbations import ChaosModel
+
             out.chaos[link_id] = ChaosModel(perts[link_id],
                                             name=link_id).attach(link)
     return out

@@ -41,8 +41,13 @@ def coerce_remote_snapshot(remote: Any) -> Sequence[int]:
     mis-counts a session.  Non-sequences become the empty snapshot
     (missing cells read as 0, i.e. "nothing received" — the conservative
     loss-semantics default); non-int cells are zeroed individually.
+
+    A ``list`` (what a receiver reports) skips the ``Sequence`` check:
+    an ABC ``isinstance`` runs Python code and writes CPython's ABC
+    caches at each session close.
     """
-    if isinstance(remote, str | bytes) or not isinstance(remote, Sequence):
+    if type(remote) is not list and (
+            isinstance(remote, str | bytes) or not isinstance(remote, Sequence)):
         return ()
     for v in remote:
         if type(v) is not int:

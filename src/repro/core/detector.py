@@ -29,7 +29,6 @@ from typing import Any
 from ..simulator.engine import Simulator
 from ..simulator.packet import MIN_FRAME_BYTES, Packet, PacketKind
 from ..simulator.switch import Switch
-from .classify import EntryClassifier
 from .counters import DedicatedReceiverCounters, DedicatedSenderCounters
 from .hashtree import HashTree, HashTreeParams
 from .output import FailureKind, FailureLog, FailureReport, HashPathFlags
@@ -101,7 +100,9 @@ class FancyConfig:
     #: the destination prefix (the evaluation's setting); root-cause
     #: analyses can install e.g. per-packet-size classifiers from
     #: :mod:`repro.core.classify` without touching the downstream switch.
-    classifier: EntryClassifier | None = None
+    #: An ``EntryClassifier``; ``Any`` so that this module does not load
+    #: the classifiers a run may never install.
+    classifier: Any = None
 
     @property
     def enable_dedicated(self) -> bool:

@@ -30,15 +30,12 @@ from ..core.detector import FancyConfig
 from ..fabric.builders import fat_tree, ring
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
-from ..fabric.reroute import FabricRerouteController
 from ..runtime.context import RuntimeContext, resolve
-from ..runtime.executor import run_sweep
 from ..runtime.jobs import Job, fingerprint, stable_seed
 from ..simulator.apps import ThroughputMeter
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
 from ..simulator.udp import UdpSource
-from ..telemetry.session import Telemetry
 
 __all__ = ["FabricExpConfig", "run_ring_case", "run_fat_tree_case", "run",
            "run_sharded", "render", "main"]
@@ -191,6 +188,8 @@ def _start_traffic(config: FabricExpConfig, deployment: FabricDeployment,
 def _close_the_loop(case: str, config: FabricExpConfig,
                     telemetry: Any) -> dict[str, Any]:
     """Shared closed-loop body: monitors everywhere, one failure, reroute."""
+    from ..fabric.reroute import FabricRerouteController
+
     deployment, plan = _scenario(case, config, None, telemetry)
     net = deployment.net
     sim = net.sim
@@ -317,6 +316,8 @@ def _case_worker(payload: tuple) -> dict[str, Any]:
     case, config = payload
     telemetry = None
     if config.trace:
+        from ..telemetry.session import Telemetry
+
         telemetry = Telemetry(scope=case)
     runner = run_ring_case if case == "ring" else run_fat_tree_case
     return runner(config, telemetry=telemetry)
@@ -325,6 +326,8 @@ def _case_worker(payload: tuple) -> dict[str, Any]:
 def run(config: Optional[FabricExpConfig] = None, quick: bool = True,
         runtime: Optional[RuntimeContext] = None,
         cases: tuple[str, ...] = ("ring", "fat_tree")) -> dict:
+    from ..runtime.executor import run_sweep
+
     config = config or FabricExpConfig()
     if quick:
         config = replace(config, duration_s=3.0, fat_tree_duration_s=2.0)
@@ -362,6 +365,7 @@ def _link_probe(case: str, config: FabricExpConfig, link_id: str,
     contract.
     """
     from ..fabric.sharding import probe_payload
+    from ..telemetry.session import Telemetry
 
     deployment, plan = _scenario(case, config, [link_id],
                                  Telemetry(scope=link_id))

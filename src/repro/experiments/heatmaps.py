@@ -17,7 +17,6 @@ from ..runtime.executor import run_sweep
 from ..runtime.jobs import spec_job
 from ..traffic.synthetic import ENTRY_SIZE_GRID, LOSS_RATES, EntrySize
 from .metrics import CellResult
-from .report import render_heatmap
 from .runner import ExperimentSpec, run_cell
 
 __all__ = ["HeatmapScale", "QUICK_SCALE", "PAPER_SCALE", "run_heatmap", "render_heatmap_pair"]
@@ -141,6 +140,8 @@ def run_heatmap(mode: str, scale: HeatmapScale, seed: int = 0,
 
 
 def render_heatmap_pair(title: str, result: dict) -> str:
+    from .report import render_heatmap
+
     left = render_heatmap(
         f"{title} — Avg TPR",
         result["row_labels"],

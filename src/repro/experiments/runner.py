@@ -30,7 +30,6 @@ from ..simulator.apps import FlowGenerator
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure, UniformLossFailure
 from ..simulator.topology import TwoSwitchTopology
-from ..telemetry.session import Telemetry
 from ..traffic.synthetic import EntrySize
 from .metrics import CellResult, RunResult
 
@@ -95,7 +94,7 @@ class ExperimentSpec:
 
 
 def link_trial(failure: Any, flows: Iterable[tuple[Any, float, float, int, int]],
-               telemetry: Optional[Telemetry] = None) -> tuple[Simulator, TwoSwitchTopology]:
+               telemetry: Any = None) -> tuple[Simulator, TwoSwitchTopology]:
     """Build one single-link trial: two switches, ``failure`` on A→B, traffic.
 
     ``flows`` holds one ``(entry, rate_bps, flows_per_second, packet_size,
@@ -116,7 +115,7 @@ def link_trial(failure: Any, flows: Iterable[tuple[Any, float, float, int, int]]
 
 
 def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
-                      telemetry: Optional[Telemetry] = None) -> RunResult:
+                      telemetry: Any = None) -> RunResult:
     """One repetition of an entry-failure experiment.
 
     The setup RNG is seeded with an explicit hashlib derivation over
@@ -231,7 +230,7 @@ def _score(
 
 
 def run_cell(spec: ExperimentSpec, repetitions: int = 3,
-             telemetry: Optional[Telemetry] = None) -> CellResult:
+             telemetry: Any = None) -> CellResult:
     """Run one heatmap cell: ``repetitions`` randomized repetitions.
 
     With telemetry, each repetition runs under a forked session — shared

@@ -21,13 +21,8 @@ its control-return wire, and conservation/integrity hold on every wire.
 
 from __future__ import annotations
 
-from ..chaos.harness import (
-    SoakConfig,
-    SoakResult,
-    drive_soak,
-    soak_entries,
-    soak_fancy_config,
-)
+from typing import Any
+
 from ..chaos.schedule import (
     FaultSpec,
     Materialized,
@@ -102,9 +97,15 @@ def _schedule_fault_episode(net: FabricNetwork,
 # -- the ring soak -------------------------------------------------------------
 
 
-def default_fabric_schedule(config: SoakConfig) -> list[FaultSpec]:
+# The soak's config and result types are the harness's; annotated ``Any``
+# so that materializing a schedule (all the serve needs) does not load it.
+
+
+def default_fabric_schedule(config: Any) -> list[FaultSpec]:
     """The pinned soak schedule: one persistent 90 % entry-loss gray
     failure on ``s1->s2`` from 0.5 s, covering every entry."""
+    from ..chaos.harness import soak_entries
+
     dedicated, best_effort = soak_entries(config)
     return [FaultSpec(
         "entry_loss",
@@ -115,8 +116,7 @@ def default_fabric_schedule(config: SoakConfig) -> list[FaultSpec]:
     )]
 
 
-def fabric_soak(config: SoakConfig,
-                schedule: list[FaultSpec] | None = None) -> SoakResult:
+def fabric_soak(config: Any, schedule: list[FaultSpec] | None = None) -> Any:
     """One invariant-checked soak on the six-switch ring fabric.
 
     Entries travel ``s0 → s2`` over the unique two-hop shortest path
@@ -124,8 +124,12 @@ def fabric_soak(config: SoakConfig,
     flows), crossing monitors on ``s0->s1`` and ``s1->s2``; a third
     monitor on ``s2->s3`` carries no entry traffic and acts as the
     false-positive sentinel.  Each monitor's observer reads the whole
-    schedule.
+    schedule.  Takes a :class:`~repro.chaos.harness.SoakConfig` and
+    returns a :class:`~repro.chaos.harness.SoakResult`.
     """
+    from ..chaos.harness import (SoakResult, drive_soak, soak_entries,
+                                 soak_fancy_config)
+
     dedicated, best_effort = soak_entries(config)
     if schedule is None:
         schedule = default_fabric_schedule(config)

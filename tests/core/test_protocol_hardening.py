@@ -656,3 +656,8 @@ class TestCoerceRemoteSnapshot:
     def test_clean_snapshots_pass_through(self):
         snap = (1, 2, 3)
         assert coerce_remote_snapshot(snap) is snap
+        # A list takes the fast path, and is still checked cell by cell.
+        cells = [1, 2, 3]
+        assert coerce_remote_snapshot(cells) is cells
+        assert coerce_remote_snapshot([]) == []
+        assert coerce_remote_snapshot([1, b"x", 2.0]) == [1, 0, 0]

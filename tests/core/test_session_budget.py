@@ -16,8 +16,8 @@ exchange or in the telemetry it feeds gains a frame.  Three rows:
 =========================  ======  ======  ======
 frames per session         before  then    now
 =========================  ======  ======  ======
-dedicated, no episode      166.70  103.83   89.86
-dedicated, episode open    294.42  168.36  135.79
+dedicated, no episode      166.70  103.83   88.86
+dedicated, episode open    294.42  168.36  134.79
 tree + fluid window tap    300.20  181.01  147.25
 =========================  ======  ======  ======
 
@@ -29,7 +29,10 @@ merge), and each span line from one prebuilt C encoder (no
 then fell 167.20 → 147.25 once the output Bloom filter allocates its bits
 at the first flag: every fluid window asks ``entry_is_flagged`` for each
 flow, and an empty filter answers without the ``_indices`` generator and
-its two blake2b hashes.
+its two blake2b hashes.  The dedicated rows then fell one frame each
+(89.86 → 88.86, 135.79 → 134.79) once ``coerce_remote_snapshot`` takes a
+receiver's ``list`` without the ``Sequence`` ABC check, whose
+``ABCMeta.__instancecheck__`` ran once per session close.
 
 "before" built a frozen-dataclass ``TimelineEvent`` per event
 (``__init__`` plus five ``object.__setattr__``), read enum values through
@@ -67,7 +70,7 @@ from tests.frames import count_calls
 #: Measured Python frames per completed session, "before" in the table.
 PARENT_FRAMES = {"dedicated": 166.70, "episode": 294.42, "tree_fluid": 300.20}
 #: ... and now.
-SESSION_FRAMES = {"dedicated": 89.86, "episode": 135.79, "tree_fluid": 147.25}
+SESSION_FRAMES = {"dedicated": 88.86, "episode": 134.79, "tree_fluid": 147.25}
 #: Room for one more frame on every other session, not for one on each;
 #: the lower edge only catches the scenario silently losing its telemetry.
 HEADROOM = 0.5

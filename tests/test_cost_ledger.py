@@ -21,6 +21,16 @@ WORKLOADS = {"fabric_discrete", "fabric_fluid", "fabric_sharded",
              "paper_fig9a", "serve_soak"}
 FIELDS = {"c_calls", "calls", "digest", "events",
           "repro_modules_before_call", "repro_modules_during_call"}
+#: The only modules a workload may import before its call and never
+#: enter (``cost_ledger.idle_modules``); every other one loads on first use.
+IDLE_ALLOWED = {
+    "repro.runtime.context": "RuntimeContext annotates experiments.fabric's "
+                             "public calls, whose hints resolve at run time",
+    "repro.simulator.tcp": "serve_soak's fluid-fed hosts get no DATA; a Host "
+                           "makes a TcpSink per new flow, too often to import",
+    "repro.core.counters": "paper_fig9a's monitors are tree-only; the detector "
+                           "builds dedicated counters in every other workload",
+}
 
 
 def _load_ledger_module():
@@ -46,6 +56,25 @@ def test_committed_ledger_has_every_workload_and_field():
         for kind in ("repro_modules_before_call", "repro_modules_during_call"):
             assert all(module.split(".")[0] == "repro" for module in row[kind])
         assert row["events"] > 0
+
+
+def test_idle_modules_skips_packages_and_the_facade_helper():
+    ledger = _load_ledger_module()
+    row = {"repro_modules_before_call": ["repro", "repro._lazy", "repro.core",
+                                         "repro.core.bloom", "repro.core.classify"],
+           "calls": {"repro.core.bloom": 3, "total": 3},
+           "c_calls": {"total": 0}}
+    assert ledger.idle_modules(row) == ["repro.core.classify"]
+
+
+def test_no_workload_imports_a_module_its_call_never_enters():
+    ledger = _load_ledger_module()
+    committed = json.loads((REPO_ROOT / "benchmarks" / "results"
+                            / "cost_ledger.json").read_text())
+    assert len(IDLE_ALLOWED) <= 3
+    idle = {name: [m for m in ledger.idle_modules(row) if m not in IDLE_ALLOWED]
+            for name, row in committed["workloads"].items()}
+    assert not any(idle.values()), idle
 
 
 def short_ring_run() -> int:

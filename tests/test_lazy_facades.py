@@ -64,13 +64,19 @@ except SystemExit:
 
 
 @pytest.mark.parametrize("statement, budget, forbidden", [
-    ("import repro.experiments.fig9", 45,
+    ("import repro.experiments.fig9", 32,
      ["repro.chaos", "repro.fabric", "repro.service", "repro.lint",
-      "repro.baselines", "repro.hardware"]),
+      "repro.baselines", "repro.hardware", "repro.telemetry", "repro.obs"]),
+    ("import repro.experiments.fabric", 28,
+     ["repro.runtime.executor", "repro.runtime.cache", "repro.runtime.progress",
+      "repro.telemetry", "repro.obs", "repro.fabric.reroute"]),
+    ("import repro.service.soak", 48,
+     ["repro.chaos.harness", "repro.chaos.perturbations", "repro.chaos.shrink",
+      "repro.core.classify", "repro.simulator.udp"]),
     ("from repro.runtime import *", 10, ["repro.core", "repro.simulator"]),
     ("import repro.cli", 10, ["repro.experiments.", "repro.core", "repro.simulator"]),
     (_CLI_HELP, 10, ["repro.experiments.", "repro.core", "repro.simulator"]),
-], ids=["fig9", "runtime", "cli", "cli --help"])
+], ids=["fig9", "fabric", "serve", "runtime", "cli", "cli --help"])
 def test_load_budget(statement, budget, forbidden):
     loaded = _loaded_after(statement)
     assert len(loaded) <= budget, loaded
